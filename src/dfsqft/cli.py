@@ -107,13 +107,20 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _cast(source: str, text: str, cast):
+    try:
+        return cast(text)
+    except ValueError:
+        raise RangeError(f"{source}: {text!r} is not a valid {cast.__name__}") from None
+
+
 def _resolve_option(args, name: str, config: dict[str, str], cast, default):
     """Precedence: command-line flag > config file > default."""
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
     if name in config:
-        return cast(config[name])
+        return _cast(f"config {name}", config[name], cast)
     return default
 
 
@@ -121,10 +128,10 @@ def _resolve_seed(args, config: dict[str, str]) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     if "seed" in config:
-        return int(config["seed"])
+        return _cast("config seed", config["seed"], int)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        return _cast(SEED_ENV_VAR, env, int)
     return 0
 
 
@@ -450,13 +457,19 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
     policy_name = _resolve_option(args, "policy", config, str, "block")
     if policy_name not in _POLICY_NAMES:
         raise RangeError(f"policy must be one of {sorted(_POLICY_NAMES)}, got {policy_name!r}")
-    policy = NoisePolicy(
-        granularity=_POLICY_NAMES[policy_name],
-        distribution=_resolve_option(args, "distribution", config, str, "uniform"),
-        sigma=_resolve_option(args, "sigma", config, float, 0.0),
-        trials=_resolve_option(args, "trials", config, int, 200),
-        seed=seed,
-    )
+    distribution = _resolve_option(args, "distribution", config, str, "uniform")
+    sigma = _resolve_option(args, "sigma", config, float, 0.0)
+    trials = _resolve_option(args, "trials", config, int, 200)
+    try:
+        policy = NoisePolicy(
+            granularity=_POLICY_NAMES[policy_name],
+            distribution=distribution,
+            sigma=sigma,
+            trials=trials,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise RangeError(str(exc)) from None
     resolved = {
         "encoding": encoding,
         "n": n,
@@ -476,14 +489,7 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
         fidelities, leakages = run_trials(
             circuit, input_state, ideal, policy, model, bounds, subspace=basis
         )
-        summaries[name] = RunReport(
-            mean_fidelity=float(np.mean(fidelities)),
-            min_fidelity=float(np.min(fidelities)),
-            std_fidelity=float(np.std(fidelities)),
-            mean_leakage=None if leakages is None else float(np.mean(leakages)),
-            trials=policy.trials,
-            policy=policy,
-        ).to_dict()
+        summaries[name] = RunReport.from_trials(fidelities, leakages, policy).to_dict()
         for trial in range(policy.trials):
             leak = "" if leakages is None else repr(float(leakages[trial]))
             csv_lines.append(f"{name},{trial},{float(fidelities[trial])!r},{leak}")

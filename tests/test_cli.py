@@ -163,6 +163,34 @@ class TestNoiseBench:
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "noise-bench"
 
+    @pytest.mark.parametrize(
+        "flags,config,env_seed",
+        [
+            (("--trials", "0"), None, None),
+            (("--sigma", "-1", "--distribution", "gaussian"), None, None),
+            ((), "trials=abc\n", None),
+            ((), "distribution=foo\n", None),
+            ((), None, "xyz"),
+        ],
+        ids=["trials-zero", "negative-sigma", "config-trials-abc", "config-distribution-foo",
+             "env-seed-xyz"],
+    )
+    def test_bad_input_is_one_line_error(self, tmp_path, monkeypatch, capsys, flags, config,
+                                         env_seed):
+        argv = ["noise-bench", "--encoding", "wcd", "--n", "1", *flags]
+        if config is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        if env_seed is None:
+            monkeypatch.delenv("DFSQFT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DFSQFT_SEED", env_seed)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestDfsTable:
     def test_quoted_rows(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from dfsqft import (
     NoisePolicy,
     StateVector,
     apply_circuit,
+    apply_gate,
     apply_noise,
     collective_operator,
     fidelity,
     logical_block_boundaries,
     noisy_run,
+    sample_event,
     scd_logical_basis,
     scd_logical_state,
     scd_qft_block_boundaries,
@@ -30,12 +33,54 @@ from dfsqft import (
     wcd_logical_state,
     wcd_qft_block_boundaries,
 )
+from dfsqft import noise
 from dfsqft.noise import run_trials
 
 from conftest import random_state
 
 WCD = CollectiveModel.WCD
 SCD = CollectiveModel.SCD
+
+
+def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None, subspace=None):
+    """run_trials one trial at a time, from public functions only."""
+    n_gates = len(circuit)
+    if policy.granularity == PER_ELEMENTARY_GATE:
+        positions = set(range(n_gates + 1))
+    elif policy.granularity == ENDPOINTS_ONLY:
+        positions = {0, n_gates}
+    else:
+        positions = {0, *block_boundaries}
+    fidelities, leakages = [], []
+    for trial in range(policy.trials):
+        rng = np.random.default_rng([policy.seed % 2**64, trial])
+        out = state
+        for pos in range(n_gates + 1):
+            if pos in positions:
+                out = apply_noise(out, sample_event(rng, model, policy), model)
+            if pos < n_gates:
+                out = apply_gate(out, circuit.gates[pos])
+        fidelities.append(fidelity(ideal, out))
+        if subspace is not None:
+            b = subspace.matrix
+            amps = out.amplitudes
+            leakages.append(np.linalg.norm(amps - b @ (b.conj().T @ amps)))
+    return np.array(fidelities), None if subspace is None else np.array(leakages)
+
+
+def _qft_setup(kind, n):
+    """(circuit, input, ideal output, model, block boundaries, logical subspace)."""
+    if kind == "wcd":
+        circuit, state = synth_qft_wcd(n), wcd_logical_state("0" * n)
+        model, bounds, basis = WCD, wcd_qft_block_boundaries(n), wcd_logical_basis(n)
+    elif kind == "scd":
+        circuit, state = synth_qft_scd(n), scd_logical_state("0" * n)
+        model, bounds, basis = SCD, scd_qft_block_boundaries(n), scd_logical_basis(n)
+    else:
+        model = WCD if kind == "plain-wcd" else SCD
+        circuit, state = synth_qft(n), random_state(n, np.random.default_rng(n))
+        bounds, basis = logical_block_boundaries(n, trivial_factory(n)), None
+    return circuit, state, apply_circuit(state, circuit), model, bounds, basis
 
 
 class TestApplyNoise:
@@ -205,6 +250,16 @@ class TestNoisyRun:
         fid_long, _ = run_trials(circuit, state, ideal, long, WCD)
         np.testing.assert_array_equal(fid_short, fid_long[:10])
 
+    def test_prefix_stable_across_chunk_edges(self):
+        circuit, state, ideal = self._wcd_setup()
+        step = noise.BATCH_AMPLITUDES >> circuit.n_qubits
+        runs = {}
+        for trials in (step + 1, 2 * step + 1):
+            policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=trials, seed=21)
+            runs[trials], _ = run_trials(circuit, state, ideal, policy, WCD)
+        # trial `step` runs alone in the shorter run, inside a full chunk in the longer
+        np.testing.assert_array_equal(runs[step + 1], runs[2 * step + 1][: step + 1])
+
     def test_different_seeds_differ(self):
         circuit = synth_qft(2)
         state = StateVector.basis(2, 0)
@@ -248,3 +303,65 @@ class TestNoisyRun:
         assert payload["trials"] == 3
         assert payload["mean_leakage"] is None
         assert payload["policy"]["granularity"] == ENDPOINTS_ONLY
+
+
+class TestBatchedTrials:
+    """run_trials against the one-trial-at-a-time reference built from public functions."""
+
+    @pytest.mark.parametrize("granularity", [PER_ELEMENTARY_GATE, PER_LOGICAL_BLOCK, ENDPOINTS_ONLY])
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("kind,n", [("wcd", 2), ("scd", 1), ("plain-wcd", 3), ("plain-scd", 2)])
+    def test_matches_reference_bit_for_bit(self, granularity, distribution, kind, n):
+        circuit, state, ideal, model, bounds, basis = _qft_setup(kind, n)
+        policy = NoisePolicy(granularity=granularity, distribution=distribution, sigma=0.4,
+                             trials=9, seed=2**64 + 31)
+        got = run_trials(circuit, state, ideal, policy, model, bounds, basis)
+        want = reference_trials(circuit, state, ideal, policy, model, bounds, basis)
+        np.testing.assert_array_equal(got[0], want[0])
+        if basis is None:
+            assert got[1] is None
+        else:
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("model", [WCD, SCD])
+    @pytest.mark.parametrize("granularity", [PER_ELEMENTARY_GATE, ENDPOINTS_ONLY])
+    def test_single_qubit_register_within_rounding(self, model, granularity):
+        # the one-qubit kernel multiplies 0-d values one state at a time but
+        # arrays in a batch; the two round differently in the last bit
+        circuit, state, ideal, _, bounds, _ = _qft_setup("plain-wcd", 1)
+        policy = NoisePolicy(granularity=granularity, trials=50, seed=8)
+        got, _ = run_trials(circuit, state, ideal, policy, model, bounds)
+        want, _ = reference_trials(circuit, state, ideal, policy, model, bounds)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "chunks,extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["step-1", "step", "step+1", "2*step+1"],
+    )
+    def test_chunk_edges_change_nothing(self, monkeypatch, chunks, extra):
+        circuit, state, ideal, model, bounds, basis = _qft_setup("scd", 1)
+        monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 2**6)
+        trials = chunks * (noise.BATCH_AMPLITUDES >> circuit.n_qubits) + extra
+        policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, trials=trials, seed=12)
+        got = run_trials(circuit, state, ideal, policy, model, bounds, basis)
+        want = reference_trials(circuit, state, ideal, policy, model, bounds, basis)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_memory_does_not_grow_with_trials(self):
+        circuit, state, ideal, model, _, basis = _qft_setup("scd", 2)
+        step = noise.BATCH_AMPLITUDES >> circuit.n_qubits
+
+        def peak(trials):
+            policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=trials, seed=1)
+            tracemalloc.start()
+            try:
+                run_trials(circuit, state, ideal, policy, model, subspace=basis)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(step)  # warm caches outside the measurement
+        growth = peak(40 * step) - peak(4 * step)
+        outputs = 16 * 36 * step  # one float64 fidelity and one leakage per added trial
+        assert growth <= outputs + 16 * 1024
