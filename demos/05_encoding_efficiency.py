@@ -3,8 +3,9 @@ How many physical qubits does a protected qubit cost?
 =====================================================
 
 Census of the noise-free sectors: their dimensions come from closed
-forms (binomials) and, independently, from dense eigenspace/nullspace
-computations on the collective operators themselves. The encoding
+forms (binomials) and, independently, from counts taken on the
+collective operators themselves (the diagonal of S_z, and the null space
+of S_x and S_y inside ker S_z). The encoding
 efficiency is floor(log2(sector dimension)) / n.
 """
 import math

@@ -385,6 +385,8 @@ def cmd_verify(args, config: dict[str, str]) -> int:
     encoding, n = args.encoding, args.n
     _check_range(encoding, n, _VERIFY_RANGES)
     seed = _resolve_seed(args, config)
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
     started = time.perf_counter()
     if encoding == "plain":
         checks, extra = _verify_plain(n, seed)

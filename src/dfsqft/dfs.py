@@ -6,8 +6,11 @@ global phase; under SCD the coupling runs through all of S_x, S_y, S_z
 and the noise-free states are their common null space (total spin zero).
 
 Dimensions come two ways on purpose: closed forms (binomials) and brute
-force (dense eigen/nullspace of the actual operators); consumers are
-expected to cross-check one against the other.
+force, counted on the actual operators; consumers are expected to
+cross-check one against the other. The brute force works inside ker S_z:
+S_z is checked to be diagonal, its diagonal gives the WCD sectors, and
+the SCD null space is a thin SVD of S_x and S_y restricted to the
+computational states where that diagonal is zero.
 """
 from __future__ import annotations
 
@@ -42,24 +45,52 @@ class CollectiveModel(Enum):
 
 
 def collective_operator(n: int, axis: str) -> np.ndarray:
-    """Dense sum of the single-qubit Pauli over all n qubits."""
+    """Dense sum of the single-qubit Pauli over all n qubits.
+
+    Built by index arithmetic: bit t of the index is qubit t+1, and the Pauli
+    on that qubit sends column l to row l (z) or l with bit t flipped (x, y).
+    """
     if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     sigma = _PAULI[axis]
+    index = np.arange(2**n)
     total = np.zeros((2**n, 2**n), dtype=complex)
-    for t in range(1, n + 1):
-        total += np.kron(np.eye(2 ** (n - t)), np.kron(sigma, np.eye(2 ** (t - 1))))
+    for t in range(n):
+        rows = index if axis == "z" else index ^ (1 << t)
+        total[rows, index] += sigma[(rows >> t) & 1, (index >> t) & 1]
     return total
 
 
+def _sz_diagonal(n: int) -> np.ndarray:
+    """Diagonal of S_z, after checking that S_z has nothing off it."""
+    s_z = collective_operator(n, "z")
+    diagonal = np.diagonal(s_z).copy()
+    if np.count_nonzero(s_z) != np.count_nonzero(diagonal):
+        raise RuntimeError(f"S_z on {n} qubits is not diagonal in the computational basis")
+    return diagonal
+
+
 def _collective_nullspace(n: int) -> np.ndarray:
-    """Orthonormal columns spanning the common null space of S_x, S_y, S_z."""
-    stacked = np.vstack([collective_operator(n, ax) for ax in "xyz"])
-    _, singulars, vh = np.linalg.svd(stacked)
+    """Orthonormal columns spanning the common null space of S_x, S_y, S_z.
+
+    Every such vector lies in ker S_z, spanned by the computational states
+    where the diagonal of S_z is zero, so only those columns of S_x and S_y
+    enter a thin SVD (2048 x 252 at n = 10). The stack's Gram matrix 4 S^2
+    commutes with S_z, so its singular values are a subset of those of the
+    full [S_x; S_y; S_z] and NULLSPACE_TOL separates zero from nonzero just
+    as it does there.
+    """
+    kernel = np.flatnonzero(np.abs(_sz_diagonal(n)) <= NULLSPACE_TOL)
+    if kernel.size == 0:
+        return np.zeros((2**n, 0), dtype=complex)  # odd n: no S_z = 0 states
+    stacked = np.vstack([collective_operator(n, ax)[:, kernel] for ax in "xy"])
+    _, singulars, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(singulars > NULLSPACE_TOL))
-    return vh[rank:].conj().T
+    null = np.zeros((2**n, kernel.size - rank), dtype=complex)
+    null[kernel] = vh[rank:].conj().T
+    return null
 
 
 def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
@@ -99,12 +130,10 @@ def max_dfs_dimension(n: int, model: CollectiveModel) -> int:
 
 
 def wcd_sector_dimensions(n: int) -> dict[int, int]:
-    """S_z eigenvalue -> multiplicity, from a dense eigenproblem (brute force)."""
-    eigenvalues = np.linalg.eigvalsh(collective_operator(n, "z"))
-    dims: dict[int, int] = {}
-    for w in np.rint(eigenvalues.real).astype(int):
-        dims[int(w)] = dims.get(int(w), 0) + 1
-    return dims
+    """S_z eigenvalue -> multiplicity, counted on the rounded diagonal of the
+    operator after checking it is diagonal (brute force)."""
+    values, counts = np.unique(np.rint(_sz_diagonal(n).real).astype(int), return_counts=True)
+    return {int(w): int(c) for w, c in zip(values, counts)}
 
 
 def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:

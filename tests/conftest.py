@@ -1,4 +1,5 @@
-"""Shared helpers: random normalized states and an independent gate-matrix oracle."""
+"""Shared helpers: random normalized states and independent oracles for gate
+matrices, collective operators and the SCD null space."""
 from __future__ import annotations
 
 import math
@@ -6,6 +7,7 @@ import math
 import numpy as np
 
 from dfsqft import Gate, StateVector
+from dfsqft.dfs import NULLSPACE_TOL
 
 GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/golden"
 
@@ -67,3 +69,28 @@ def gate_matrix_oracle(gate: Gate, n: int) -> np.ndarray:
         else:
             raise ValueError(gate.kind)
     return matrix
+
+
+_PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def collective_operator_oracle(n: int, axis: str) -> np.ndarray:
+    """Sum over qubits t of I (x) ... (x) sigma_t (x) ... (x) I, built from
+    Kronecker products (qubit t is bit t-1, the trailing factor)."""
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for t in range(1, n + 1):
+        total += np.kron(np.eye(2 ** (n - t)), np.kron(_PAULI[axis], np.eye(2 ** (t - 1))))
+    return total
+
+
+def collective_nullspace_oracle(n: int) -> np.ndarray:
+    """Common null space of S_x, S_y, S_z from a full SVD of the stacked
+    3 * 2^n x 2^n operators, with no use of the structure of S_z."""
+    stacked = np.vstack([collective_operator_oracle(n, axis) for axis in "xyz"])
+    _, singulars, vh = np.linalg.svd(stacked)
+    rank = int(np.sum(singulars > NULLSPACE_TOL))
+    return vh[rank:].conj().T

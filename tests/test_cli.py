@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from dfsqft import parse_circuit, synth_qft_scd, synth_qft_wcd
+from dfsqft import cli
 from dfsqft.cli import main
 
 from conftest import GOLDEN_DIR
@@ -192,6 +193,29 @@ class TestNoiseBench:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class TestVerifySeed:
+    @pytest.mark.parametrize(
+        "flags,config,env_seed",
+        [(("--seed", "-5"), None, None), ((), "seed=-5\n", None), ((), None, "-5")],
+        ids=["flag", "config", "env"],
+    )
+    def test_negative_seed_is_one_line_error(self, tmp_path, monkeypatch, capsys, flags,
+                                             config, env_seed):
+        argv = ["verify", "wcd", "2", *flags]
+        if config is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        if env_seed is None:
+            monkeypatch.delenv("DFSQFT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DFSQFT_SEED", env_seed)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -5\n"
+
+
 class TestDfsTable:
     def test_quoted_rows(self, tmp_path):
         out = tmp_path / "scd.csv"
@@ -223,6 +247,20 @@ class TestDfsTable:
 
     def test_range_violation(self, capsys):
         assert run_cli("dfs-table", "wcd", "--n-max", "11") == 1
+
+    def test_mismatch_exits_1_and_still_writes_csv(self, tmp_path, monkeypatch, capsys):
+        real_count = cli.brute_force_max_dfs_dimension
+
+        def off_by_one(n, model):
+            return real_count(n, model) + (n >= 3)
+
+        monkeypatch.setattr(cli, "brute_force_max_dfs_dimension", off_by_one)
+        out = tmp_path / "wcd.csv"
+        assert run_cli("dfs-table", "wcd", "--n-max", "4", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "FAIL: closed form 3 != brute force 4 at n=3\n"
+        rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "n,"))]
+        assert [row.split(",")[2] for row in rows] == ["1", "2", "4", "7"]
 
 
 def test_version_flag(capsys):

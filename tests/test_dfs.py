@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,9 @@ from dfsqft import (
     scd_logical_state,
     wcd_sector_dimensions,
 )
+from dfsqft import dfs
+
+from conftest import collective_nullspace_oracle, collective_operator_oracle
 
 WCD = CollectiveModel.WCD
 SCD = CollectiveModel.SCD
@@ -46,6 +50,12 @@ class TestCollectiveOperator:
         op = collective_operator(n, "z")
         diag = np.array([n - 2 * l.bit_count() for l in range(2**n)])
         np.testing.assert_array_equal(op, np.diag(diag))
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("n", list(range(1, 8)))
+    def test_matches_kron_oracle(self, n, axis):
+        np.testing.assert_array_equal(collective_operator(n, axis),
+                                      collective_operator_oracle(n, axis))
 
     def test_range_and_axis_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +134,7 @@ class TestDimensions:
         closed = math.comb(6, 3) - math.comb(6, 4)
         assert brute == closed == max_dfs_dimension(6, SCD) == 5
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", list(range(1, 11)))
     def test_scd_nullspace_matches_closed_form(self, n):
         assert brute_force_max_dfs_dimension(n, SCD) == math.comb(n, n // 2) - math.comb(
             n, n // 2 + 1
@@ -133,6 +143,48 @@ class TestDimensions:
     @pytest.mark.parametrize("n", list(range(1, 11)))
     def test_wcd_brute_force_matches_closed_form(self, n):
         assert brute_force_max_dfs_dimension(n, WCD) == max_dfs_dimension(n, WCD)
+
+
+class TestBruteForceCensus:
+    @pytest.mark.parametrize("n", list(range(1, 9)))
+    def test_scd_nullspace_projector_matches_full_svd_oracle(self, n):
+        expected = collective_nullspace_oracle(n)
+        null = dfs._collective_nullspace(n)
+        assert null.shape == expected.shape
+        np.testing.assert_allclose(null @ null.conj().T, expected @ expected.conj().T,
+                                   atol=1e-12)
+
+    def test_non_diagonal_sz_is_refused(self, monkeypatch):
+        # a coupling S_z cannot have: the census must stop, not count a wrong diagonal
+        real_operator = dfs.collective_operator
+
+        def skewed(n, axis):
+            op = real_operator(n, axis)
+            if axis == "z":
+                op[0, 1] = op[1, 0] = 1e-3
+            return op
+
+        monkeypatch.setattr(dfs, "collective_operator", skewed)
+        for call in (
+            lambda: wcd_sector_dimensions(4),
+            lambda: brute_force_max_dfs_dimension(4, WCD),
+            lambda: brute_force_max_dfs_dimension(4, SCD),
+            lambda: brute_force_max_dfs_dimension(5, SCD),
+            lambda: dfs_basis(4, SCD),
+            lambda: dfs_report(4, WCD),
+        ):
+            with pytest.raises(RuntimeError, match="not diagonal"):
+                call()
+
+    def test_scd_census_memory_at_ten_qubits(self):
+        # the full SVD of the stacked 3072 x 1024 operators peaked near 209 MB
+        tracemalloc.start()
+        try:
+            assert brute_force_max_dfs_dimension(10, SCD) == 42
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestEfficiency:
