@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .circuits import Circuit, h, invert, p, parse_circuit, print_circuit
+from .circuits import print_circuit
 from .dfs import (
+    MAX_BRUTE_FORCE_QUBITS,
     CollectiveModel,
     brute_force_max_dfs_dimension,
-    collective_operator,
     max_dfs_dimension,
     min_physical_qubits,
 )
@@ -32,39 +29,25 @@ from .noise import (
     ENDPOINTS_ONLY,
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
-    NoiseEvent,
     NoisePolicy,
     RunReport,
-    apply_noise,
     run_trials,
 )
-from .qft import dft_matrix, logical_block_boundaries, resolve_output_order, synth_qft, trivial_factory
+from .qft import MAX_QFT_QUBITS, logical_block_boundaries, synth_qft, trivial_factory
 from .scd import (
-    convention_report,
-    scd_hadamard,
+    MAX_SCD_LOGICAL,
     scd_logical_basis,
     scd_logical_state,
-    scd_phase,
     scd_qft_block_boundaries,
-    scd_transform_matrix,
     synth_qft_scd,
 )
-from .statevector import (
-    StateVector,
-    apply_circuit,
-    circuit_unitary,
-    fidelity,
-    global_phase_agreement,
-    restrict,
-    unitarity_defect,
-)
+from .statevector import StateVector, apply_circuit
+from .verify import SUITES
 from .wcd import (
+    MAX_WCD_LOGICAL,
     synth_qft_wcd,
-    wcd_encoder_circuit,
-    wcd_hadamard,
     wcd_logical_basis,
     wcd_logical_state,
-    wcd_phase,
     wcd_qft_block_boundaries,
 )
 
@@ -76,13 +59,17 @@ _POLICY_NAMES = {
     "block": PER_LOGICAL_BLOCK,
     "endpoints": ENDPOINTS_ONLY,
 }
-_SYNTH_RANGES = {"plain": (1, 14), "wcd": (1, 6), "scd": (1, 2)}
-_VERIFY_RANGES = {"plain": (1, 5), "wcd": (1, 3), "scd": (1, 2)}
+_SYNTH_RANGES = {
+    "plain": (1, MAX_QFT_QUBITS),
+    "wcd": (1, MAX_WCD_LOGICAL),
+    "scd": (1, MAX_SCD_LOGICAL),
+}
+_VERIFY_RANGES = {encoding: (1, max_n) for encoding, (max_n, _) in SUITES.items()}
 _BENCH_RANGES = {"wcd": (1, 3), "scd": (1, 2)}
 
 
 class RangeError(ValueError):
-    """Argument outside the supported range (exit code 1, not a usage error)."""
+    """Bad argument, option value or file (exit code 1, not a usage error)."""
 
 
 def _check_range(name: str, value: int, ranges: dict) -> None:
@@ -146,8 +133,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RangeError(f"cannot write output file: {exc}") from None
 
 
 def _provenance_lines(command: str, config: dict, seed: int | None) -> list[str]:
@@ -177,210 +167,6 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _check(name: str, tolerance: float, deviation: float) -> dict:
-    return {
-        "name": name,
-        "tolerance": tolerance,
-        "deviation": float(deviation),
-        "pass": bool(deviation <= tolerance),
-    }
-
-
-def _qft_restriction_check(circuit: Circuit, basis, n: int, label: str) -> list[dict]:
-    block, leakage = restrict(circuit_unitary(circuit), basis)
-    order = resolve_output_order(n)
-    agreement = global_phase_agreement(order.matrix() @ dft_matrix(n), block)
-    exact = np.max(np.abs(block - circuit_unitary(synth_qft(n))))
-    return [
-        _check(f"{label}_restriction_vs_dft_up_to_phase", 1e-10, 1.0 - agreement),
-        _check(f"{label}_restriction_vs_plain_qft", 1e-10, exact),
-        _check(f"{label}_leakage", 1e-10, leakage),
-    ]
-
-
-def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
-    circuit = synth_qft(n)
-    unitary = circuit_unitary(circuit)
-    order = resolve_output_order(n)
-    agreement = global_phase_agreement(order.matrix() @ dft_matrix(n), unitary)
-    checks = [
-        _check("qft_unitarity", 1e-10, unitarity_defect(unitary)),
-        _check("qft_vs_dft_up_to_phase", 1e-10, 1.0 - agreement),
-        _check("gate_count", 0.0, abs(len(circuit) - (n + n * (n - 1) // 2))),
-        _check("roundtrip", 0.0, 0.0 if parse_circuit(print_circuit(circuit)) == circuit else 1.0),
-    ]
-    return checks, {"output_order": order.kind}
-
-
-def _wcd_logical_gate_checks(n: int) -> list[dict]:
-    basis = wcd_logical_basis(n)
-    hadamard_2x2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    dev_h = leak_h = 0.0
-    for k in range(1, n + 1):
-        block, leakage = restrict(circuit_unitary(wcd_hadamard(k, n)), basis)
-        expected = np.kron(np.eye(2 ** (n - k)), np.kron(hadamard_2x2, np.eye(2 ** (k - 1))))
-        dev_h = max(dev_h, float(np.max(np.abs(block - expected))))
-        leak_h = max(leak_h, leakage)
-    checks = [
-        _check("logical_hadamard_action", 1e-10, dev_h),
-        _check("logical_hadamard_leakage", 1e-10, leak_h),
-    ]
-    if n >= 2:
-        dev_p = leak_p = 0.0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                for theta in (math.pi / 2, math.pi / 4, math.pi / 8):
-                    block, leakage = restrict(circuit_unitary(wcd_phase(i, j, theta, n)), basis)
-                    phases = np.ones(2**n, dtype=complex)
-                    for l in range(2**n):
-                        if (l >> (i - 1)) & 1 and (l >> (j - 1)) & 1:
-                            phases[l] = np.exp(1j * theta)
-                    dev_p = max(dev_p, float(np.max(np.abs(block - np.diag(phases)))))
-                    leak_p = max(leak_p, leakage)
-        checks += [
-            _check("logical_phase_action", 1e-10, dev_p),
-            _check("logical_phase_leakage", 1e-10, leak_p),
-        ]
-    return checks
-
-
-def _wcd_conjugation_checks(n: int) -> list[dict]:
-    reg_size = 2 * n
-    encoder = wcd_encoder_circuit(n)
-    dev_h = 0.0
-    for k in range(1, n + 1):
-        conjugated = encoder + Circuit(reg_size, (h(2 * k),)) + invert(encoder)
-        dev = np.max(np.abs(circuit_unitary(conjugated) - circuit_unitary(wcd_hadamard(k, n))))
-        dev_h = max(dev_h, float(dev))
-    checks = [_check("encoder_conjugation_hadamard", 1e-10, dev_h)]
-    if n >= 2:
-        dev_p = 0.0
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                for theta in (math.pi / 2, math.pi / 4):
-                    conjugated = encoder + Circuit(reg_size, (p(2 * i, 2 * j, theta),)) + invert(encoder)
-                    dev = np.max(
-                        np.abs(circuit_unitary(conjugated) - circuit_unitary(wcd_phase(i, j, theta, n)))
-                    )
-                    dev_p = max(dev_p, float(dev))
-        checks.append(_check("encoder_conjugation_phase", 1e-10, dev_p))
-    return checks
-
-
-def _noise_invariance_deviation(states, model: CollectiveModel, seed: int, n_events: int = 20) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for state in states:
-        for _ in range(n_events):
-            event = NoiseEvent(tuple(rng.uniform(0.0, 2.0 * math.pi, len(model.axes))))
-            worst = max(worst, 1.0 - fidelity(apply_noise(state, event, model), state))
-    return worst
-
-
-def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
-    checks = _wcd_logical_gate_checks(n)
-    checks += _wcd_conjugation_checks(n)
-    checks += _qft_restriction_check(synth_qft_wcd(n), wcd_logical_basis(n), n, "encoded_qft")
-    states = wcd_logical_basis(n).vectors
-    checks.append(
-        _check("logical_state_noise_invariance", 1e-12,
-               _noise_invariance_deviation(states, CollectiveModel.WCD, seed))
-    )
-    return checks, {"output_order": resolve_output_order(n).kind}
-
-
-def _scd_state_checks(n: int) -> list[dict]:
-    basis = scd_logical_basis(n)
-    gram = basis.matrix.conj().T @ basis.matrix
-    dev_gram = float(np.max(np.abs(gram - np.eye(len(basis)))))
-    dev_annihilation = 0.0
-    for axis in "xyz":
-        op = collective_operator(4 * n, axis)
-        for vec in basis.vectors:
-            dev_annihilation = max(dev_annihilation, float(np.linalg.norm(op @ vec.amplitudes)))
-    return [
-        _check("logical_states_orthonormal", 1e-12, dev_gram),
-        _check("logical_states_annihilated", 1e-10, dev_annihilation),
-    ]
-
-
-def _logical_phase_diag(n: int, i: int, j: int, theta: float) -> np.ndarray:
-    phases = np.ones(2**n, dtype=complex)
-    for l in range(2**n):
-        if (l >> (i - 1)) & 1 and (l >> (j - 1)) & 1:
-            phases[l] = np.exp(1j * theta)
-    return np.diag(phases)
-
-
-def _scd_gate_blocks(n: int, source: str) -> dict[tuple, tuple[np.ndarray, float]]:
-    """Logical restrictions (block, leakage) of every conjugated gate, keyed by
-    ("h", k) and ("p", i, j, theta), built from the gate sequence or from the
-    fallback basis-change matrix."""
-    basis = scd_logical_basis(n)
-    transform = None if source == "sequence" else scd_transform_matrix(n, source="fallback")
-
-    def conjugated(middle: Circuit, sequence_circuit: Circuit) -> np.ndarray:
-        if transform is None:
-            return circuit_unitary(sequence_circuit)
-        return transform.conj().T @ circuit_unitary(middle) @ transform
-
-    blocks = {}
-    for k in range(1, n + 1):
-        matrix = conjugated(Circuit(4 * n, (h(4 * k),)), scd_hadamard(k, n))
-        blocks[("h", k)] = restrict(matrix, basis)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for theta in (math.pi / 2, math.pi / 4):
-                matrix = conjugated(
-                    Circuit(4 * n, (p(4 * i, 4 * j, theta),)), scd_phase(i, j, theta, n)
-                )
-                blocks[("p", i, j, theta)] = restrict(matrix, basis)
-    return blocks
-
-
-def _scd_contract_deviation(n: int, blocks: dict) -> float:
-    """Worst deviation of the restricted gates from the exact logical actions."""
-    hadamard_2x2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    worst = 0.0
-    for key, (block, leakage) in blocks.items():
-        if key[0] == "h":
-            k = key[1]
-            expected = np.kron(np.eye(2 ** (n - k)), np.kron(hadamard_2x2, np.eye(2 ** (k - 1))))
-        else:
-            _, i, j, theta = key
-            expected = _logical_phase_diag(n, i, j, theta)
-        worst = max(worst, float(np.max(np.abs(block - expected))), leakage)
-    return worst
-
-
-def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
-    checks = _scd_state_checks(n)
-    resolver = convention_report()
-    seq_blocks = _scd_gate_blocks(n, "sequence")
-    fb_blocks = _scd_gate_blocks(n, "fallback")
-    agreement = max(
-        float(np.max(np.abs(seq_blocks[key][0] - fb_blocks[key][0]))) for key in seq_blocks
-    )
-    checks += [
-        _check("logical_gates_fallback", 1e-10, _scd_contract_deviation(n, fb_blocks)),
-        _check("logical_gates_sequence", 1e-10, _scd_contract_deviation(n, seq_blocks)),
-        _check("sequence_vs_fallback_restrictions", 1e-10, agreement),
-    ]
-    checks += _qft_restriction_check(synth_qft_scd(n), scd_logical_basis(n), n, "encoded_qft")
-    states = scd_logical_basis(n).vectors
-    checks.append(
-        _check("logical_state_noise_invariance", 1e-10,
-               _noise_invariance_deviation(states, CollectiveModel.SCD, seed))
-    )
-    return checks, {"resolver": resolver}
-
-
 def cmd_verify(args, config: dict[str, str]) -> int:
     encoding, n = args.encoding, args.n
     _check_range(encoding, n, _VERIFY_RANGES)
@@ -388,12 +174,8 @@ def cmd_verify(args, config: dict[str, str]) -> int:
     if seed < 0:
         raise RangeError(f"seed must be >= 0, got {seed}")
     started = time.perf_counter()
-    if encoding == "plain":
-        checks, extra = _verify_plain(n, seed)
-    elif encoding == "wcd":
-        checks, extra = _verify_wcd(n, seed)
-    else:
-        checks, extra = _verify_scd(n, seed)
+    _, run = SUITES[encoding]
+    checks, extra = run(n, seed)
     report = _report_skeleton("verify", {"encoding": encoding, "n": n}, seed)
     report["duration_s"] = time.perf_counter() - started
     report["checks"] = checks
@@ -517,8 +299,8 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
 def cmd_dfs_table(args, config: dict[str, str]) -> int:
     model_name = args.model
     n_max = _resolve_option(args, "n_max", config, int, 8)
-    if not 1 <= n_max <= 10:
-        raise RangeError(f"n-max must be in 1..10, got {n_max}")
+    if not 1 <= n_max <= MAX_BRUTE_FORCE_QUBITS:
+        raise RangeError(f"n-max must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n_max}")
     model = CollectiveModel.WCD if model_name == "wcd" else CollectiveModel.SCD
     r_values = {m: min_physical_qubits(m, model) for m in (1, 2, 3)}
     lines = _provenance_lines("dfs-table", {"model": model_name, "n_max": n_max}, None)
@@ -553,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("encoding", choices=["plain", "wcd", "scd"])
     synth.add_argument("n", type=int)
     synth.add_argument("--out", default=None)
-    synth.add_argument("--config", default=None)
 
     verify = sub.add_parser("verify", help="run the invariant suite for one encoding/size")
     verify.add_argument("encoding", choices=["plain", "wcd", "scd"])
@@ -589,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "config", None):
         try:
             config = _load_config_file(args.config)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 1
     try:

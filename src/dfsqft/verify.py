@@ -1,0 +1,232 @@
+"""The verification suite: every check `dfsqft verify` reports, written once.
+
+A suite maps a size n and a seed to (checks, extra): the ordered check
+records {name, tolerance, deviation, pass} and the encoding's extra report
+fields. A check passes when its deviation is at most its tolerance. The
+expected logical actions are built by index arithmetic on the logical basis
+index, independently of the circuits under test.
+
+SUITES maps each encoding to (largest n, run); the CLI dispatches through
+it and the acceptance suite reads the same runs.
+"""
+from __future__ import annotations
+
+import functools
+import math
+from typing import Callable, Iterator
+
+import numpy as np
+
+from .circuits import Circuit, h, invert, p, parse_circuit, print_circuit
+from .dfs import CollectiveModel, collective_operator
+from .noise import NoiseEvent, apply_noise
+from .qft import dft_matrix, resolve_output_order, synth_qft
+from .scd import (
+    MAX_SCD_LOGICAL,
+    convention_report,
+    scd_hadamard,
+    scd_logical_basis,
+    scd_phase,
+    scd_transform_matrix,
+    synth_qft_scd,
+)
+from .statevector import (
+    SubspaceBasis,
+    circuit_unitary,
+    fidelity,
+    global_phase_agreement,
+    restrict,
+    unitarity_defect,
+)
+from .wcd import synth_qft_wcd, wcd_encoder_circuit, wcd_hadamard, wcd_logical_basis, wcd_phase
+
+# Controlled-phase angles of the logical-gate checks; WCD also checks pi/8.
+_WCD_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
+_THETAS = (math.pi / 2, math.pi / 4)
+
+
+def check(name: str, tolerance: float, deviation: float) -> dict:
+    return {
+        "name": name,
+        "tolerance": tolerance,
+        "deviation": float(deviation),
+        "pass": bool(deviation <= tolerance),
+    }
+
+
+def logical_hadamard(n: int, k: int) -> np.ndarray:
+    """Hadamard on logical qubit k of n (bit k-1 of the logical index)."""
+    index = np.arange(2**n)
+    bit = (index >> (k - 1)) & 1
+    matrix = np.zeros((2**n, 2**n), dtype=complex)
+    matrix[index, index] = (1 - 2 * bit) / math.sqrt(2)
+    matrix[index ^ (1 << (k - 1)), index] = 1 / math.sqrt(2)
+    return matrix
+
+
+def logical_phase(n: int, i: int, j: int, theta: float) -> np.ndarray:
+    """Diagonal: e^{i theta} where bits i-1 and j-1 of the logical index are both 1."""
+    index = np.arange(2**n)
+    both = (index >> (i - 1)) & (index >> (j - 1)) & 1
+    return np.diag(np.where(both == 1, np.exp(1j * theta), 1.0 + 0j))
+
+
+def phase_keys(n: int, thetas) -> Iterator[tuple[int, int, float]]:
+    """Every ordered pair i != j of logical qubits, with every angle."""
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                yield from ((i, j, theta) for theta in thetas)
+
+
+def gate_blocks(n: int, basis: SubspaceBasis, hadamard: Callable[[int], np.ndarray],
+                phase: Callable[[int, int, float], np.ndarray], thetas) -> dict:
+    """Restrictions (block, leakage) of the logical gates' unitaries to the
+    code space, keyed ("h", k) and ("p", i, j, theta)."""
+    blocks = {("h", k): restrict(hadamard(k), basis) for k in range(1, n + 1)}
+    for i, j, theta in phase_keys(n, thetas):
+        blocks[("p", i, j, theta)] = restrict(phase(i, j, theta), basis)
+    return blocks
+
+
+_EXPECTED = {"h": logical_hadamard, "p": logical_phase}
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entrywise |a - b|."""
+    return float(np.max(np.abs(a - b)))
+
+
+def contract(n: int, blocks: dict, kind: str) -> tuple[float, float]:
+    """Worst (deviation from the exact logical action, leakage) over the
+    blocks of one gate kind, "h" or "p"."""
+    deviation = leakage = 0.0
+    for (key_kind, *args), (block, leak) in blocks.items():
+        if key_kind == kind:
+            deviation = max(deviation, _distance(block, _EXPECTED[kind](n, *args)))
+            leakage = max(leakage, leak)
+    return deviation, leakage
+
+
+def _dft_deviation(n: int, matrix: np.ndarray) -> float:
+    """1 - |tr(target^dag matrix)| / 2^n against the DFT in the QFT's output order."""
+    return 1.0 - global_phase_agreement(resolve_output_order(n).matrix() @ dft_matrix(n), matrix)
+
+
+def qft_restriction_checks(n: int, circuit: Circuit, basis: SubspaceBasis) -> list[dict]:
+    """The encoded QFT restricted to the code space: the DFT up to a global
+    phase, equal to the plain QFT, and without leakage."""
+    block, leakage = restrict(circuit_unitary(circuit), basis)
+    return [
+        check("encoded_qft_restriction_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, block)),
+        check("encoded_qft_restriction_vs_plain_qft", 1e-10,
+              _distance(block, circuit_unitary(synth_qft(n)))),
+        check("encoded_qft_leakage", 1e-10, leakage),
+    ]
+
+
+def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: int,
+                           tolerance: float) -> dict:
+    """Worst infidelity of the logical basis states under 20 collective
+    rotations each, with uniform angles drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for state in basis.vectors:
+        for _ in range(20):
+            event = NoiseEvent(tuple(rng.uniform(0.0, 2.0 * math.pi, len(model.axes))))
+            worst = max(worst, 1.0 - fidelity(apply_noise(state, event, model), state))
+    return check("logical_state_noise_invariance", tolerance, worst)
+
+
+def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
+    circuit = synth_qft(n)
+    unitary = circuit_unitary(circuit)
+    checks = [
+        check("qft_unitarity", 1e-10, unitarity_defect(unitary)),
+        check("qft_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, unitary)),
+        check("gate_count", 0.0, abs(len(circuit) - (n + n * (n - 1) // 2))),
+        check("roundtrip", 0.0, 0.0 if parse_circuit(print_circuit(circuit)) == circuit else 1.0),
+    ]
+    return checks, {"output_order": resolve_output_order(n).kind}
+
+
+def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
+    basis = wcd_logical_basis(n)
+    encoder = wcd_encoder_circuit(n)
+
+    # cached: the gate and the encoder-conjugation checks read the same unitaries
+    @functools.cache
+    def hadamard(k: int) -> np.ndarray:
+        return circuit_unitary(wcd_hadamard(k, n))
+
+    @functools.cache
+    def phase(i: int, j: int, theta: float) -> np.ndarray:
+        return circuit_unitary(wcd_phase(i, j, theta, n))
+
+    def conjugated(gate) -> np.ndarray:
+        return circuit_unitary(encoder + Circuit(2 * n, (gate,)) + invert(encoder))
+
+    blocks = gate_blocks(n, basis, hadamard, phase, _WCD_THETAS)
+    dev_h, leak_h = contract(n, blocks, "h")
+    checks = [
+        check("logical_hadamard_action", 1e-10, dev_h),
+        check("logical_hadamard_leakage", 1e-10, leak_h),
+    ]
+    if n >= 2:
+        dev_p, leak_p = contract(n, blocks, "p")
+        checks += [
+            check("logical_phase_action", 1e-10, dev_p),
+            check("logical_phase_leakage", 1e-10, leak_p),
+        ]
+    # the encoder conjugates a physical H or P on the pairs' high qubits into the logical gate
+    conj_h = max(_distance(conjugated(h(2 * k)), hadamard(k)) for k in range(1, n + 1))
+    checks.append(check("encoder_conjugation_hadamard", 1e-10, conj_h))
+    if n >= 2:
+        conj_p = max(_distance(conjugated(p(2 * i, 2 * j, theta)), phase(i, j, theta))
+                     for i, j, theta in phase_keys(n, _THETAS))
+        checks.append(check("encoder_conjugation_phase", 1e-10, conj_p))
+    checks += qft_restriction_checks(n, synth_qft_wcd(n), basis)
+    checks.append(noise_invariance_check(basis, CollectiveModel.WCD, seed, 1e-12))
+    return checks, {"output_order": resolve_output_order(n).kind}
+
+
+def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
+    basis = scd_logical_basis(n)
+    annihilation = max(
+        float(np.linalg.norm(collective_operator(4 * n, axis) @ vec.amplitudes))
+        for axis in "xyz"
+        for vec in basis.vectors
+    )
+    resolver = convention_report()
+    transform = scd_transform_matrix(n, source="fallback")
+
+    def fallback(gate) -> np.ndarray:
+        return transform.conj().T @ circuit_unitary(Circuit(4 * n, (gate,))) @ transform
+
+    def worst(blocks: dict) -> float:
+        return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))
+
+    fb_blocks = gate_blocks(n, basis, lambda k: fallback(h(4 * k)),
+                            lambda i, j, theta: fallback(p(4 * i, 4 * j, theta)), _THETAS)
+    seq_blocks = gate_blocks(n, basis, lambda k: circuit_unitary(scd_hadamard(k, n)),
+                             lambda i, j, theta: circuit_unitary(scd_phase(i, j, theta, n)),
+                             _THETAS)
+    agreement = max(_distance(seq_blocks[key][0], fb_blocks[key][0]) for key in seq_blocks)
+    checks = [
+        check("logical_states_orthonormal", 1e-12,
+              _distance(basis.matrix.conj().T @ basis.matrix, np.eye(len(basis)))),
+        check("logical_states_annihilated", 1e-10, annihilation),
+        check("logical_gates_fallback", 1e-10, worst(fb_blocks)),
+        check("logical_gates_sequence", 1e-10, worst(seq_blocks)),
+        check("sequence_vs_fallback_restrictions", 1e-10, agreement),
+    ]
+    checks += qft_restriction_checks(n, synth_qft_scd(n), basis)
+    checks.append(noise_invariance_check(basis, CollectiveModel.SCD, seed, 1e-10))
+    return checks, {"resolver": resolver}
+
+
+SUITES = {
+    "plain": (5, _verify_plain),
+    "wcd": (3, _verify_wcd),
+    "scd": (MAX_SCD_LOGICAL, _verify_scd),
+}

@@ -11,28 +11,20 @@ import numpy as np
 from dfsqft import (
     Circuit,
     CollectiveModel,
-    NoiseEvent,
     NoisePolicy,
     PER_LOGICAL_BLOCK,
     StateVector,
     apply_circuit,
-    apply_noise,
     brute_force_max_dfs_dimension,
     circuit_unitary,
-    collective_operator,
-    dft_matrix,
     eta_max,
-    fidelity,
-    global_phase_agreement,
     h,
-    invert,
     logical_block_boundaries,
     max_dfs_dimension,
     min_physical_qubits,
     noisy_run,
     p,
     resolve_convention,
-    resolve_output_order,
     restrict,
     scd_logical_basis,
     scd_logical_state,
@@ -42,20 +34,16 @@ from dfsqft import (
     synth_qft_scd,
     synth_qft_wcd,
     trivial_factory,
-    wcd_encoder_circuit,
-    wcd_hadamard,
-    wcd_logical_basis,
     wcd_logical_state,
-    wcd_phase,
     wcd_qft_block_boundaries,
 )
 from dfsqft.scd import convention_report
+from dfsqft.verify import SUITES, logical_phase
 
 from fractions import Fraction
 
 WCD = CollectiveModel.WCD
 SCD = CollectiveModel.SCD
-HADAMARD_2X2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def _report(number, name, passed, detail, elapsed, limit):
@@ -68,27 +56,21 @@ def _report(number, name, passed, detail, elapsed, limit):
     assert elapsed < limit, f"criterion {number} exceeded its runtime bound: {line}"
 
 
-def _embedded(single_gate_matrix, k, n):
-    return np.kron(np.eye(2 ** (n - k)), np.kron(single_gate_matrix, np.eye(2 ** (k - 1))))
-
-
-def _phase_diag(n, i, j, theta):
-    phases = np.ones(2**n, dtype=complex)
-    for l in range(2**n):
-        if (l >> (i - 1)) & 1 and (l >> (j - 1)) & 1:
-            phases[l] = np.exp(1j * theta)
-    return np.diag(phases)
+def _worst(encoding, sizes, seed=0):
+    """Worst deviation of each verify check, by name, over the suite runs at
+    every size in `sizes`."""
+    _, run = SUITES[encoding]
+    worst = {}
+    for n in sizes:
+        for check in run(n, seed)[0]:
+            worst[check["name"]] = max(worst.get(check["name"], 0.0), check["deviation"])
+    return worst
 
 
 def test_criterion_01_wcd_logical_hadamard():
     started = time.perf_counter()
-    worst_dev = worst_leak = 0.0
-    for n in (1, 2, 3):
-        basis = wcd_logical_basis(n)
-        for k in range(1, n + 1):
-            block, leakage = restrict(circuit_unitary(wcd_hadamard(k, n)), basis)
-            worst_dev = max(worst_dev, float(np.max(np.abs(block - _embedded(HADAMARD_2X2, k, n)))))
-            worst_leak = max(worst_leak, leakage)
+    worst = _worst("wcd", (1, 2, 3))
+    worst_dev, worst_leak = worst["logical_hadamard_action"], worst["logical_hadamard_leakage"]
     elapsed = time.perf_counter() - started
     _report(
         1, "WCD logical Hadamard", worst_dev < 1e-10 and worst_leak < 1e-10,
@@ -98,41 +80,16 @@ def test_criterion_01_wcd_logical_hadamard():
 
 def test_criterion_02_wcd_logical_phase():
     started = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3):
-        basis = wcd_logical_basis(n)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                for theta in (math.pi / 2, math.pi / 4, math.pi / 8):
-                    block, leakage = restrict(circuit_unitary(wcd_phase(i, j, theta, n)), basis)
-                    dev = float(np.max(np.abs(block - _phase_diag(n, i, j, theta))))
-                    worst = max(worst, dev, leakage)
+    worst = _worst("wcd", (2, 3))
+    worst = max(worst["logical_phase_action"], worst["logical_phase_leakage"])
     elapsed = time.perf_counter() - started
     _report(2, "WCD logical phase", worst < 1e-10, f"deviation {worst:.2e}", elapsed, 1.0)
 
 
 def test_criterion_03_wcd_conjugation_identities():
     started = time.perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        encoder = wcd_encoder_circuit(n)
-        reg = 2 * n
-        for k in range(1, n + 1):
-            lhs = circuit_unitary(encoder + Circuit(reg, (h(2 * k),)) + invert(encoder))
-            rhs = circuit_unitary(wcd_hadamard(k, n))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                for theta in (math.pi / 2, math.pi / 4):
-                    lhs = circuit_unitary(
-                        encoder + Circuit(reg, (p(2 * i, 2 * j, theta),)) + invert(encoder)
-                    )
-                    rhs = circuit_unitary(wcd_phase(i, j, theta, n))
-                    worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    worst = _worst("wcd", (1, 2, 3))
+    worst = max(worst["encoder_conjugation_hadamard"], worst["encoder_conjugation_phase"])
     elapsed = time.perf_counter() - started
     _report(3, "WCD encoder conjugation identities", worst < 1e-10,
             f"max matrix deviation {worst:.2e} (up to 64-dim)", elapsed, 5.0)
@@ -140,12 +97,9 @@ def test_criterion_03_wcd_conjugation_identities():
 
 def test_criterion_04_wcd_encoded_qft():
     started = time.perf_counter()
-    worst_dev = worst_leak = 0.0
-    for n in (1, 2, 3):
-        block, leakage = restrict(circuit_unitary(synth_qft_wcd(n)), wcd_logical_basis(n))
-        target = resolve_output_order(n).matrix() @ dft_matrix(n)
-        worst_dev = max(worst_dev, 1.0 - global_phase_agreement(target, block))
-        worst_leak = max(worst_leak, leakage)
+    worst = _worst("wcd", (1, 2, 3))
+    worst_dev = worst["encoded_qft_restriction_vs_dft_up_to_phase"]
+    worst_leak = worst["encoded_qft_leakage"]
     elapsed = time.perf_counter() - started
     _report(4, "WCD encoded QFT (n=1..3, up to 64-dim)",
             worst_dev < 1e-10 and worst_leak < 1e-10,
@@ -154,19 +108,10 @@ def test_criterion_04_wcd_encoded_qft():
 
 def test_criterion_05_scd_states():
     started = time.perf_counter()
-    basis = scd_logical_basis(1)
-    gram_dev = float(np.max(np.abs(basis.matrix.conj().T @ basis.matrix - np.eye(2))))
-    annihilation = max(
-        float(np.linalg.norm(collective_operator(4, axis) @ vec.amplitudes))
-        for axis in "xyz"
-        for vec in basis.vectors
-    )
-    rng = np.random.default_rng(20)
-    worst_infidelity = 0.0
-    for vec in basis.vectors:
-        for _ in range(20):
-            event = NoiseEvent(tuple(rng.uniform(0, 2 * math.pi, 3)))
-            worst_infidelity = max(worst_infidelity, 1.0 - fidelity(apply_noise(vec, event, SCD), vec))
+    worst = _worst("scd", (1,), seed=20)
+    gram_dev = worst["logical_states_orthonormal"]
+    annihilation = worst["logical_states_annihilated"]
+    worst_infidelity = worst["logical_state_noise_invariance"]
     passed = gram_dev < 1e-12 and annihilation < 1e-10 and worst_infidelity < 1e-10
     elapsed = time.perf_counter() - started
     _report(5, "SCD logical states", passed,
@@ -193,7 +138,7 @@ def test_criterion_06_scd_logical_gates():
             @ transform2
         )
         block, leakage = restrict(conj_p, basis2)
-        fb_dev = max(fb_dev, float(np.max(np.abs(block - _phase_diag(2, 2, 1, theta)))), leakage)
+        fb_dev = max(fb_dev, float(np.max(np.abs(block - logical_phase(2, 2, 1, theta)))), leakage)
 
     # gate-sequence route: the resolver's verdict, or a machine-readable
     # erratum — silence is the only failure
@@ -213,9 +158,8 @@ def test_criterion_06_scd_logical_gates():
 
 def test_criterion_07_scd_encoded_qft():
     started = time.perf_counter()
-    block, leakage = restrict(circuit_unitary(synth_qft_scd(2)), scd_logical_basis(2))
-    target = resolve_output_order(2).matrix() @ dft_matrix(2)
-    dev = 1.0 - global_phase_agreement(target, block)
+    worst = _worst("scd", (2,))
+    dev, leakage = worst["encoded_qft_restriction_vs_dft_up_to_phase"], worst["encoded_qft_leakage"]
     elapsed = time.perf_counter() - started
     _report(7, "SCD encoded QFT (8 physical qubits)", dev < 1e-10 and leakage < 1e-10,
             f"phase-quotient deviation {dev:.2e}, leakage {leakage:.2e}", elapsed, 10.0)
@@ -270,11 +214,7 @@ def test_criterion_09_efficiency_formulas():
 
 def test_criterion_10_oracle_consistency():
     started = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 6):
-        order = resolve_output_order(n)
-        unitary = circuit_unitary(synth_qft(n))
-        worst = max(worst, 1.0 - global_phase_agreement(order.matrix() @ dft_matrix(n), unitary))
+    worst = _worst("plain", range(1, 6))["qft_vs_dft_up_to_phase"]
     elapsed = time.perf_counter() - started
     _report(10, "plain QFT vs DFT oracle (n=1..5)", worst < 1e-10,
             f"phase-quotient deviation {worst:.2e}", elapsed, 5.0)

@@ -53,18 +53,60 @@ class TestSynth:
             run_cli("synth", "weird", "1")
         assert excinfo.value.code == 2
 
+    def test_takes_no_config_file(self, tmp_path):
+        config = tmp_path / "synth.cfg"
+        config.write_text("n=2\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("synth", "plain", "1", "--config", str(config))
+        assert excinfo.value.code == 2
+
+
+_PLAIN_CHECKS = [
+    ("qft_unitarity", 1e-10), ("qft_vs_dft_up_to_phase", 1e-10), ("gate_count", 0.0),
+    ("roundtrip", 0.0),
+]
+_ENCODED_QFT_CHECKS = [
+    ("encoded_qft_restriction_vs_dft_up_to_phase", 1e-10),
+    ("encoded_qft_restriction_vs_plain_qft", 1e-10), ("encoded_qft_leakage", 1e-10),
+]
+_WCD_1_CHECKS = [
+    ("logical_hadamard_action", 1e-10), ("logical_hadamard_leakage", 1e-10),
+    ("encoder_conjugation_hadamard", 1e-10), *_ENCODED_QFT_CHECKS,
+    ("logical_state_noise_invariance", 1e-12),
+]
+_WCD_CHECKS = [
+    ("logical_hadamard_action", 1e-10), ("logical_hadamard_leakage", 1e-10),
+    ("logical_phase_action", 1e-10), ("logical_phase_leakage", 1e-10),
+    ("encoder_conjugation_hadamard", 1e-10), ("encoder_conjugation_phase", 1e-10),
+    *_ENCODED_QFT_CHECKS, ("logical_state_noise_invariance", 1e-12),
+]
+_SCD_CHECKS = [
+    ("logical_states_orthonormal", 1e-12), ("logical_states_annihilated", 1e-10),
+    ("logical_gates_fallback", 1e-10), ("logical_gates_sequence", 1e-10),
+    ("sequence_vs_fallback_restrictions", 1e-10), *_ENCODED_QFT_CHECKS,
+    ("logical_state_noise_invariance", 1e-10),
+]
+# Every (encoding, n) that verify accepts, with its ordered (name, tolerance) checks.
+VERIFY_INVENTORY = {
+    **{("plain", n): _PLAIN_CHECKS for n in range(1, 6)},
+    ("wcd", 1): _WCD_1_CHECKS, ("wcd", 2): _WCD_CHECKS, ("wcd", 3): _WCD_CHECKS,
+    ("scd", 1): _SCD_CHECKS, ("scd", 2): _SCD_CHECKS,
+}
+
 
 class TestVerify:
-    @pytest.mark.parametrize("encoding,n", [("plain", 1), ("plain", 3), ("wcd", 2), ("scd", 1)])
+    @pytest.mark.parametrize("encoding,n", list(VERIFY_INVENTORY))
     def test_passes(self, encoding, n, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run_cli("verify", encoding, str(n), "--out", str(out)) == 0
         report = json.loads(out.read_text())
         assert report["schema"] == "dfsqft/1"
         assert report["passed"] is True
-        assert all(c["pass"] for c in report["checks"])
+        assert all(c["pass"] is True for c in report["checks"])
         assert max(c["deviation"] for c in report["checks"]) < 1e-10
         assert {"version", "config", "seed", "duration_s"} <= report.keys()
+        inventory = [(c["name"], c["tolerance"]) for c in report["checks"]]
+        assert inventory == VERIFY_INVENTORY[encoding, n]
 
     def test_plain_single_qubit_is_hadamard_check(self, capsys):
         assert run_cli("verify", "plain", "1") == 0
@@ -261,6 +303,28 @@ class TestDfsTable:
         assert captured.err == "FAIL: closed form 3 != brute force 4 at n=3\n"
         rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "n,"))]
         assert [row.split(",")[2] for row in rows] == ["1", "2", "4", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "wcd", "1", "--config", "{bad_config}"),
+        ("synth", "plain", "2", "--out", "{missing}/circuit.txt"),
+        ("verify", "plain", "2", "--out", "{missing}/report.json"),
+        ("noise-bench", "--encoding", "wcd", "--n", "1", "--trials", "2", "--out", "{missing}/b"),
+        ("dfs-table", "wcd", "--n-max", "2", "--out", "{missing}/table.csv"),
+    ],
+    ids=["config-not-utf8", "synth-out", "verify-out", "noise-bench-out", "dfs-table-out"],
+)
+def test_file_error_is_one_line_error(tmp_path, capsys, argv):
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_bytes(b"\xff\xfe=1\n")
+    paths = {"bad_config": bad_config, "missing": tmp_path / "missing"}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_version_flag(capsys):
