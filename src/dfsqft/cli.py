@@ -270,9 +270,12 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
     summaries = {}
     for name, circuit, bounds, input_state, basis in (arm_encoded, arm_plain):
         ideal = apply_circuit(input_state, circuit)
-        fidelities, leakages = run_trials(
-            circuit, input_state, ideal, policy, model, bounds, subspace=basis
-        )
+        try:
+            fidelities, leakages = run_trials(
+                circuit, input_state, ideal, policy, model, bounds, subspace=basis
+            )
+        except (ValueError, MemoryError) as exc:  # numpy refuses a per-trial array that large
+            raise RangeError(f"cannot run {policy.trials} trials: {exc}") from None
         summaries[name] = RunReport.from_trials(fidelities, leakages, policy).to_dict()
         for trial in range(policy.trials):
             leak = "" if leakages is None else repr(float(leakages[trial]))

@@ -63,6 +63,26 @@ def collective_operator(n: int, axis: str) -> np.ndarray:
     return total
 
 
+def collective_product(axis: str, columns: np.ndarray) -> np.ndarray:
+    """S_a applied to each column of a 2^n x k array, matrix-free.
+
+    The same index arithmetic as collective_operator, read as a gather: row
+    l of the product sums, over the qubits t, the Pauli entry times column
+    entry l with bit t flipped (x, y) or kept (z). Only the k columns are
+    ever held, and the simulator kernel is not used, so the product is an
+    independent oracle for the code space.
+    """
+    if axis not in _PAULI:
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    sigma = _PAULI[axis]
+    index = np.arange(columns.shape[0])
+    total = np.zeros(columns.shape, dtype=complex)
+    for t in range(index.size.bit_length() - 1):
+        source = index if axis == "z" else index ^ (1 << t)
+        total += sigma[(index >> t) & 1, (source >> t) & 1][:, None] * columns[source]
+    return total
+
+
 def _sz_diagonal(n: int) -> np.ndarray:
     """Diagonal of S_z, after checking that S_z has nothing off it."""
     s_z = collective_operator(n, "z")

@@ -160,17 +160,23 @@ def single_qubit_rotation(event: NoiseEvent, model: CollectiveModel) -> np.ndarr
     return _rotations(np.array(event.phis), model)
 
 
+def _rotate_every_qubit(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """One collective event on an array whose first n axes are qubit bits: u,
+    a (2, 2) rotation or a (2, 2, batch) stack over its trailing axis, on
+    every qubit."""
+    for t in range(1, n + 1):
+        arr = _apply_1q(arr, u, t, n)
+    return arr
+
+
 def apply_noise(state: StateVector, event: NoiseEvent, model: CollectiveModel) -> StateVector:
     """Apply exp(-i * sum_a phi_a S_a); exact identity (up to a global phase,
     which is exactly 1 for spin-zero sectors) on decoherence-free states."""
     n = state.n_qubits
     if n > MAX_NOISE_QUBITS:
         raise ValueError(f"register of {n} qubits is too large for the dense noise channel")
-    u = single_qubit_rotation(event, model)
     arr = state.amplitudes.reshape((2,) * n)
-    for t in range(1, n + 1):
-        arr = _apply_1q(arr, u, t, n)
-    return StateVector(arr.reshape(-1))
+    return StateVector(_rotate_every_qubit(arr, single_qubit_rotation(event, model), n).reshape(-1))
 
 
 def _noise_positions(policy: NoisePolicy, n_gates: int, block_boundaries) -> list[int]:
@@ -241,8 +247,7 @@ def run_trials(
         arr = arr.reshape((2,) * n + (len(trials),))
         for pos in range(len(circuit) + 1):
             if pos in noise_at:
-                for t in range(1, n + 1):
-                    arr = _apply_1q(arr, noise_at[pos], t, n)
+                arr = _rotate_every_qubit(arr, noise_at[pos], n)
             if pos < len(circuit):
                 arr = _apply_gate_nd(arr, circuit.gates[pos], n)
         # one contiguous row per trial, reduced alone: a batched reduction

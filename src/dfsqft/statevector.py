@@ -9,6 +9,11 @@ Unitaries are plain complex ndarrays (the verification currency:
 circuit -> matrix -> compare); states and subspace bases are thin
 validated wrappers. Every operation returns new values and never
 mutates shared state, so all types are safe to hand between threads.
+
+One gate loop runs over an array with a trailing column axis:
+circuit_unitary pushes the 2^n identity columns through it, apply_circuit
+one state, and restrict(circuit, basis) only the k basis columns of a
+subspace, so a code-space check never builds the 2^n x 2^n matrix.
 """
 from __future__ import annotations
 
@@ -111,6 +116,15 @@ def _apply_gate_nd(arr: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return out
 
 
+def _propagate(gates, columns: np.ndarray, n: int) -> np.ndarray:
+    """Apply gates to every column of a 2^n x k array (or to one 2^n vector)
+    in one pass over a trailing column axis."""
+    arr = columns.reshape((2,) * n + columns.shape[1:])
+    for g in gates:
+        arr = _apply_gate_nd(arr, g, n)
+    return arr.reshape(columns.shape)
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """New state with one gate applied; amplitudes mix only across the gate's support."""
     n = state.n_qubits
@@ -124,11 +138,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Fold a whole circuit over a state (application order)."""
     if circuit.n_qubits != state.n_qubits:
         raise ValueError("circuit and state register sizes differ")
-    n = state.n_qubits
-    arr = state.amplitudes.reshape((2,) * n)
-    for g in circuit.gates:
-        arr = _apply_gate_nd(arr, g, n)
-    return StateVector(arr.reshape(-1))
+    return StateVector(_propagate(circuit.gates, state.amplitudes, state.n_qubits))
 
 
 def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
@@ -138,11 +148,7 @@ def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray
         raise ValueError(f"register of {n} qubits is smaller than the circuit's")
     if n > MAX_QUBITS:
         raise ValueError(f"registers larger than {MAX_QUBITS} qubits are unsupported")
-    dim = 2**n
-    arr = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in circuit.gates:
-        arr = _apply_gate_nd(arr, g, n)
-    return arr.reshape(dim, dim)
+    return _propagate(circuit.gates, np.eye(2**n, dtype=complex), n)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -179,18 +185,29 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def restrict(matrix: np.ndarray, basis: SubspaceBasis) -> tuple[np.ndarray, float]:
-    """Compress a register unitary onto a subspace.
+def restrict(op: np.ndarray | Circuit, basis: SubspaceBasis) -> tuple[np.ndarray, float]:
+    """Compress a register unitary, or a circuit on the basis's register, onto
+    a subspace.
 
-    Returns (block, leakage): block[i, j] = <basis_i| matrix |basis_j>, and
-    leakage is the largest residual norm of matrix|basis_j> outside the span.
-    The block is unitary whenever leakage vanishes.
+    Returns (block, leakage): block[i, j] = <basis_i| op |basis_j>, and
+    leakage is the largest residual norm of op|basis_j> outside the span.
+    The block is unitary whenever leakage vanishes. A circuit is never
+    lowered to its matrix: only the k basis columns run through its gates.
     """
-    dim = 2**basis.n_qubits
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"matrix shape {matrix.shape} does not match a {basis.n_qubits}-qubit register")
     cols = basis.matrix
-    image = matrix @ cols
+    if isinstance(op, Circuit):
+        if op.n_qubits != basis.n_qubits:
+            raise ValueError(
+                f"{op.n_qubits}-qubit circuit does not match a {basis.n_qubits}-qubit register"
+            )
+        image = _propagate(op.gates, cols, op.n_qubits)
+    else:
+        dim = 2**basis.n_qubits
+        if op.shape != (dim, dim):
+            raise ValueError(
+                f"matrix shape {op.shape} does not match a {basis.n_qubits}-qubit register"
+            )
+        image = op @ cols
     block = cols.conj().T @ image
     residual = image - cols @ block
     leakage = float(np.max(np.linalg.norm(residual, axis=0)))

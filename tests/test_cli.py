@@ -234,6 +234,15 @@ class TestNoiseBench:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_impossible_trial_count_is_one_line_error(self, capsys):
+        # numpy refuses the per-trial array before allocating anything
+        assert run_cli("noise-bench", "--encoding", "wcd", "--n", "2", "--policy", "block",
+                       "--trials", "99999999999999999999") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot run 99999999999999999999 trials: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestVerifySeed:
     @pytest.mark.parametrize(

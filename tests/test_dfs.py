@@ -57,11 +57,21 @@ class TestCollectiveOperator:
         np.testing.assert_array_equal(collective_operator(n, axis),
                                       collective_operator_oracle(n, axis))
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matrix_free_product_matches_dense(self, n, axis):
+        rng = np.random.default_rng(n)
+        columns = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        np.testing.assert_allclose(dfs.collective_product(axis, columns),
+                                   collective_operator(n, axis) @ columns, rtol=0, atol=1e-12)
+
     def test_range_and_axis_validation(self):
         with pytest.raises(ValueError):
             collective_operator(11, "z")
         with pytest.raises(ValueError):
             collective_operator(2, "w")
+        with pytest.raises(ValueError):
+            dfs.collective_product("w", np.zeros((4, 1)))
 
 
 class TestDfsBasis:

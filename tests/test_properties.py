@@ -8,7 +8,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqft import Circuit, Gate, apply_circuit, circuit_unitary, invert, parse_circuit, print_circuit
+from dfsqft import (
+    Circuit,
+    Gate,
+    StateVector,
+    SubspaceBasis,
+    apply_circuit,
+    circuit_unitary,
+    invert,
+    parse_circuit,
+    print_circuit,
+    restrict,
+    wcd_logical_basis,
+)
 
 from conftest import gate_matrix_oracle, random_state
 
@@ -38,6 +50,20 @@ def gates(draw, n):
 def circuits(draw, max_gates=12):
     n = draw(st.integers(1, 5))
     return Circuit(n, tuple(draw(st.lists(gates(n), max_size=max_gates))))
+
+
+@st.composite
+def circuits_with_bases(draw):
+    """A random circuit and a basis on its register: the WCD code space of 1
+    or 2 logical qubits, or a nonempty set of computational states."""
+    if draw(st.booleans()):
+        basis = wcd_logical_basis(draw(st.integers(1, 2)))
+        n = basis.n_qubits
+    else:
+        n = draw(st.integers(1, 5))
+        indices = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=2**n, unique=True))
+        basis = SubspaceBasis(n, tuple(StateVector.basis(n, i) for i in indices))
+    return Circuit(n, tuple(draw(st.lists(gates(n), max_size=12)))), basis
 
 
 @st.composite
@@ -73,3 +99,13 @@ def test_single_gate_matches_oracle(case):
     n, gate = case
     unitary = circuit_unitary(Circuit(n, (gate,)))
     assert np.max(np.abs(unitary - gate_matrix_oracle(gate, n))) <= 1e-12
+
+
+@examples(150)
+@given(circuits_with_bases())
+def test_restrict_circuit_matches_its_unitary(case):
+    circuit, basis = case
+    block, leakage = restrict(circuit, basis)
+    dense_block, dense_leakage = restrict(circuit_unitary(circuit), basis)
+    assert np.max(np.abs(block - dense_block)) <= 1e-13
+    assert abs(leakage - dense_leakage) <= 1e-13

@@ -20,11 +20,14 @@ from dfsqft import (
     p,
     r,
     restrict,
+    scd_hadamard,
     scd_logical_basis,
+    scd_phase,
     synth_qft,
     unitarity_defect,
     wcd_logical_basis,
 )
+from dfsqft.verify import logical_hadamard, logical_phase, phase_keys
 
 from conftest import gate_matrix_oracle, random_state
 
@@ -217,6 +220,25 @@ class TestRestrict:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):
             restrict(np.eye(4), scd_logical_basis(1))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scd_logical_gate_circuits_match_their_unitaries(self, n):
+        basis = scd_logical_basis(n)
+        gates = [(scd_hadamard(k, n), logical_hadamard(n, k)) for k in range(1, n + 1)]
+        gates += [(scd_phase(i, j, theta, n), logical_phase(n, i, j, theta))
+                  for i, j, theta in phase_keys(n, (math.pi / 2, math.pi / 4))]
+        for circuit, expected in gates:
+            block, leakage = restrict(circuit, basis)
+            dense_block, dense_leakage = restrict(circuit_unitary(circuit), basis)
+            assert np.max(np.abs(block - dense_block)) <= 1e-13
+            assert abs(leakage - dense_leakage) <= 1e-13
+            assert np.max(np.abs(block - expected)) <= 1e-10 and leakage <= 1e-10
+
+    def test_circuit_on_another_register(self):
+        with pytest.raises(ValueError, match="does not match a 4-qubit register"):
+            restrict(Circuit(2, (h(1),)), scd_logical_basis(1))
+        with pytest.raises(ValueError, match="does not match a 4-qubit register"):
+            restrict(Circuit(8, (h(1),)), scd_logical_basis(1))
 
 
 def test_restricted_block_is_unitary_when_leak_free():

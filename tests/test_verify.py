@@ -1,11 +1,29 @@
 """The expected logical actions and the block reduction of dfsqft.verify,
-against Kronecker-product and per-index constructions."""
+against Kronecker-product and per-index constructions; the batched noise
+invariance check against a per-state loop; and a guard that the SCD suite
+never lowers a circuit on its physical register to a dense unitary."""
 import math
 
 import numpy as np
 import pytest
 
-from dfsqft.verify import contract, logical_hadamard, logical_phase, phase_keys
+from dfsqft import (
+    CollectiveModel,
+    NoiseEvent,
+    apply_noise,
+    fidelity,
+    scd_logical_basis,
+    wcd_logical_basis,
+)
+from dfsqft import verify
+from dfsqft.verify import (
+    SUITES,
+    contract,
+    logical_hadamard,
+    logical_phase,
+    noise_invariance_check,
+    phase_keys,
+)
 
 HADAMARD_2X2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -42,3 +60,42 @@ def test_contract_takes_worst_deviation_and_leakage_per_kind():
     }
     assert contract(2, blocks, "h") == pytest.approx((1e-3, 5e-4))
     assert contract(2, blocks, "p") == (0.0, 2e-3)
+
+
+def per_state_noise_invariance(basis, model, seed):
+    """Reference: one state and one event at a time through apply_noise."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for state in basis.vectors:
+        for _ in range(20):
+            event = NoiseEvent(tuple(rng.uniform(0.0, 2.0 * math.pi, len(model.axes))))
+            worst = max(worst, 1.0 - fidelity(apply_noise(state, event, model), state))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 17, 20])
+@pytest.mark.parametrize(
+    "basis,model",
+    [(wcd_logical_basis(n), CollectiveModel.WCD) for n in (1, 2, 3)]
+    + [(scd_logical_basis(n), CollectiveModel.SCD) for n in (1, 2)],
+    ids=["wcd1", "wcd2", "wcd3", "scd1", "scd2"],
+)
+def test_batched_noise_invariance_is_bit_identical_to_per_state_loop(basis, model, seed):
+    batched = noise_invariance_check(basis, model, seed, 1e-10)["deviation"]
+    assert batched == per_state_noise_invariance(basis, model, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scd_suite_never_lowers_the_physical_register(n, monkeypatch):
+    dims = []
+    real = verify.circuit_unitary
+
+    def recording(*args, **kwargs):
+        unitary = real(*args, **kwargs)
+        dims.append(unitary.shape[0])
+        return unitary
+
+    monkeypatch.setattr(verify, "circuit_unitary", recording)
+    checks, _ = SUITES["scd"][1](n, 17)
+    assert all(c["pass"] for c in checks)
+    assert dims and 2 ** (4 * n) not in dims
