@@ -10,6 +10,7 @@ comment lines, so identical seeds reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .dfs import (
 )
 from .noise import (
     ENDPOINTS_ONLY,
+    MAX_NOISE_QUBITS,
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
     NoisePolicy,
@@ -36,6 +38,7 @@ from .noise import (
 from .qft import MAX_QFT_QUBITS, logical_block_boundaries, synth_qft, trivial_factory
 from .scd import (
     MAX_SCD_LOGICAL,
+    ScdRegister,
     scd_logical_basis,
     scd_logical_state,
     scd_qft_block_boundaries,
@@ -45,6 +48,7 @@ from .statevector import StateVector, apply_circuit
 from .verify import SUITES
 from .wcd import (
     MAX_WCD_LOGICAL,
+    WcdRegister,
     synth_qft_wcd,
     wcd_logical_basis,
     wcd_logical_state,
@@ -59,25 +63,25 @@ _POLICY_NAMES = {
     "block": PER_LOGICAL_BLOCK,
     "endpoints": ENDPOINTS_ONLY,
 }
-_SYNTH_RANGES = {
-    "plain": (1, MAX_QFT_QUBITS),
-    "wcd": (1, MAX_WCD_LOGICAL),
-    "scd": (1, MAX_SCD_LOGICAL),
+# largest n per encoding; every command accepts n from 1 up to its cap
+_SYNTH_CAPS = {"plain": MAX_QFT_QUBITS, "wcd": MAX_WCD_LOGICAL, "scd": MAX_SCD_LOGICAL}
+_VERIFY_CAPS = {encoding: max_n for encoding, (max_n, _) in SUITES.items()}
+# noise runs simulate the whole physical register
+_BENCH_CAPS = {
+    "wcd": MAX_NOISE_QUBITS // WcdRegister(1).n_physical,
+    "scd": MAX_NOISE_QUBITS // ScdRegister(1).n_physical,
 }
-_VERIFY_RANGES = {encoding: (1, max_n) for encoding, (max_n, _) in SUITES.items()}
-_BENCH_RANGES = {"wcd": (1, 3), "scd": (1, 2)}
 
 
 class RangeError(ValueError):
     """Bad argument, option value or file (exit code 1, not a usage error)."""
 
 
-def _check_range(name: str, value: int, ranges: dict) -> None:
-    low, high = ranges[name] if name in ranges else (None, None)
-    if low is None:
+def _check_range(name: str, value: int, caps: dict[str, int]) -> None:
+    if name not in caps:
         raise RangeError(f"unknown encoding {name!r}")
-    if not low <= value <= high:
-        raise RangeError(f"{name} supports n in {low}..{high}, got {value}")
+    if not 1 <= value <= caps[name]:
+        raise RangeError(f"{name} supports n in 1..{caps[name]}, got {value}")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -154,7 +158,7 @@ def _provenance_lines(command: str, config: dict, seed: int | None) -> list[str]
 
 def cmd_synth(args) -> int:
     encoding, n = args.encoding, args.n
-    _check_range(encoding, n, _SYNTH_RANGES)
+    _check_range(encoding, n, _SYNTH_CAPS)
     if encoding == "plain":
         circuit = synth_qft(n)
     elif encoding == "wcd":
@@ -169,7 +173,7 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args, config: dict[str, str]) -> int:
     encoding, n = args.encoding, args.n
-    _check_range(encoding, n, _VERIFY_RANGES)
+    _check_range(encoding, n, _VERIFY_CAPS)
     seed = _resolve_seed(args, config)
     if seed < 0:
         raise RangeError(f"seed must be >= 0, got {seed}")
@@ -236,7 +240,7 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
     n = _resolve_option(args, "n", config, int, None)
     if encoding is None or n is None:
         raise RangeError("noise-bench needs --encoding and --n (flags or config file)")
-    _check_range(encoding, n, _BENCH_RANGES)
+    _check_range(encoding, n, _BENCH_CAPS)
     seed = _resolve_seed(args, config)
     policy_name = _resolve_option(args, "policy", config, str, "block")
     if policy_name not in _POLICY_NAMES:
@@ -274,6 +278,9 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
             fidelities, leakages = run_trials(
                 circuit, input_state, ideal, policy, model, bounds, subspace=basis
             )
+        except OverflowError:
+            raise RangeError(f"sigma {policy.sigma!r} is too large: "
+                             "the noise angles overflow") from None
         except (ValueError, MemoryError) as exc:  # numpy refuses a per-trial array that large
             raise RangeError(f"cannot run {policy.trials} trials: {exc}") from None
         summaries[name] = RunReport.from_trials(fidelities, leakages, policy).to_dict()
@@ -326,6 +333,7 @@ def cmd_dfs_table(args, config: dict[str, str]) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfsqft",

@@ -132,11 +132,16 @@ def sample_event(rng: np.random.Generator, model: CollectiveModel, policy: Noise
 
 def _rotations(phis: np.ndarray, model: CollectiveModel) -> np.ndarray:
     """Stacked exp(-i * phi . sigma): shape (2, 2) + phis.shape[:-1] for angle
-    vectors along the last axis of phis, one entry per axis of the model."""
+    vectors along the last axis of phis, one entry per axis of the model.
+
+    Raises OverflowError when an angle vector's length is not finite."""
     angles = dict(zip(model.axes, np.moveaxis(phis, -1, 0)))
     zero = np.zeros(phis.shape[:-1])
     fx, fy, fz = (angles.get(axis, zero) for axis in "xyz")
-    theta = np.sqrt(fx * fx + fy * fy + fz * fz)
+    with np.errstate(over="ignore"):
+        theta = np.sqrt(fx * fx + fy * fy + fz * fz)
+    if not np.all(np.isfinite(theta)):
+        raise OverflowError("noise rotation angle is not finite")
     # math.cos/sin, not numpy's: numpy may use its own SIMD routines, and
     # seeded output must not depend on which one a build picked
     c = np.fromiter(map(math.cos, theta.flat), float, theta.size).reshape(theta.shape)

@@ -17,6 +17,8 @@ from .circuits import Circuit, h, p
 from .statevector import circuit_unitary, equal_up_to_global_phase
 
 MAX_QFT_QUBITS = 14
+# resolve_output_order compares dense 2^n x 2^n matrices against the DFT
+MAX_ORACLE_QUBITS = 8
 
 
 class ConventionError(RuntimeError):
@@ -80,8 +82,8 @@ def resolve_output_order(n: int) -> OutputOrder:
     Tries identity first, then bit reversal; raises ConventionError if
     neither matches (a convention bug, not an expected outcome).
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"n must be in 1..8, got {n}")
+    if not 1 <= n <= MAX_ORACLE_QUBITS:
+        raise ValueError(f"n must be in 1..{MAX_ORACLE_QUBITS}, got {n}")
     u = circuit_unitary(synth_qft(n))
     f = dft_matrix(n)
     for kind, perm in (

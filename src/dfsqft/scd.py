@@ -28,7 +28,7 @@ from .circuits import Circuit, Gate, cn, cr, h, invert, p, r
 from .qft import GateFactory, logical_block_boundaries, synth_logical_qft
 from .statevector import StateVector, SubspaceBasis, apply_circuit, circuit_unitary
 
-MAX_SCD_LOGICAL = 2  # 8 physical qubits
+MAX_SCD_LOGICAL = 3  # 12 physical qubits
 CONVENTION_TOL = 1e-10
 
 
@@ -302,6 +302,16 @@ def _fallback_block_cached() -> np.ndarray:
     block = _fallback_block_matrix()
     block.flags.writeable = False
     return block
+
+
+def _fallback_columns(columns: np.ndarray, n: int) -> np.ndarray:
+    """scd_transform_matrix(n, "fallback") @ columns for a 16^n x k array,
+    applied one 16x16 block at a time instead of as a dense kron."""
+    block = _fallback_block_cached()
+    arr = columns.reshape((16,) * n + columns.shape[1:])
+    for axis in range(n):
+        arr = np.moveaxis(np.tensordot(block, arr, axes=([1], [axis])), 0, axis)
+    return arr.reshape(columns.shape)
 
 
 def scd_transform_matrix(n: int, source: str = "sequence") -> np.ndarray:

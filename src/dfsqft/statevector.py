@@ -5,18 +5,21 @@ l = s_n*2^(n-1) + ... + s_2*2 + s_1, i.e. qubit t supplies bit t-1 of
 the basis index and qubit n is the leftmost digit of |s_n ... s_1>.
 |0> is the +1 eigenstate of sigma_z.
 
-Unitaries are plain complex ndarrays (the verification currency:
-circuit -> matrix -> compare); states and subspace bases are thin
-validated wrappers. Every operation returns new values and never
-mutates shared state, so all types are safe to hand between threads.
+Unitaries are plain complex ndarrays; states and subspace bases are thin
+validated wrappers whose arrays are read-only. Every operation returns
+new values and never mutates shared state, so all types are safe to hand
+between threads.
 
 One gate loop runs over an array with a trailing column axis:
 circuit_unitary pushes the 2^n identity columns through it, apply_circuit
 one state, and restrict(circuit, basis) only the k basis columns of a
-subspace, so a code-space check never builds the 2^n x 2^n matrix.
+subspace. Verification compares code-space blocks (k x k) or, for small
+gate supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a
+large register is never needed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,10 +179,12 @@ class SubspaceBasis:
         if defect > MATRIX_ATOL:
             raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """dim x k array whose columns are the basis vectors."""
-        return np.column_stack([v.amplitudes for v in self.vectors])
+        """dim x k read-only array whose columns are the basis vectors."""
+        matrix = np.column_stack([v.amplitudes for v in self.vectors])
+        matrix.flags.writeable = False
+        return matrix
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -6,28 +6,33 @@ fields. A check passes when its deviation is at most its tolerance. The
 expected logical actions are built by index arithmetic on the logical basis
 index, independently of the circuits under test.
 
+Every encoded check runs on the k code-space columns (restrict), on a few
+qubits (encoder conjugation compares unitaries on the union of two
+circuits' supports, at most 16 x 16), or on the logical register (the DFT
+oracle); no suite lowers a circuit on its physical register to a dense
+unitary.
+
 SUITES maps each encoding to (largest n, run); the CLI dispatches through
 it and the acceptance suite reads the same runs.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuits import Circuit, h, invert, p, parse_circuit, print_circuit
+from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
-from .noise import _rotate_every_qubit, _rotations
-from .qft import dft_matrix, resolve_output_order, synth_qft
+from .noise import BATCH_AMPLITUDES, _rotate_every_qubit, _rotations
+from .qft import MAX_ORACLE_QUBITS, dft_matrix, resolve_output_order, synth_qft
 from .scd import (
     MAX_SCD_LOGICAL,
+    _fallback_columns,
     convention_report,
     scd_hadamard,
     scd_logical_basis,
     scd_phase,
-    scd_transform_matrix,
     synth_qft_scd,
 )
 from .statevector import (
@@ -38,7 +43,14 @@ from .statevector import (
     restrict,
     unitarity_defect,
 )
-from .wcd import synth_qft_wcd, wcd_encoder_circuit, wcd_hadamard, wcd_logical_basis, wcd_phase
+from .wcd import (
+    MAX_WCD_LOGICAL,
+    synth_qft_wcd,
+    wcd_encoder_circuit,
+    wcd_hadamard,
+    wcd_logical_basis,
+    wcd_phase,
+)
 
 # Controlled-phase angles of the logical-gate checks; WCD also checks pi/8.
 _WCD_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -79,10 +91,10 @@ def phase_keys(n: int, thetas) -> Iterator[tuple[int, int, float]]:
                 yield from ((i, j, theta) for theta in thetas)
 
 
-def gate_blocks(n: int, basis: SubspaceBasis, hadamard: Callable[[int], np.ndarray | Circuit],
-                phase: Callable[[int, int, float], np.ndarray | Circuit], thetas) -> dict:
-    """Restrictions (block, leakage) of the logical gates, unitaries or
-    circuits, to the code space, keyed ("h", k) and ("p", i, j, theta)."""
+def gate_blocks(n: int, basis: SubspaceBasis, hadamard: Callable[[int], Circuit],
+                phase: Callable[[int, int, float], Circuit], thetas) -> dict:
+    """Restrictions (block, leakage) of the logical-gate circuits to the code
+    space, keyed ("h", k) and ("p", i, j, theta)."""
     blocks = {("h", k): restrict(hadamard(k), basis) for k in range(1, n + 1)}
     for i, j, theta in phase_keys(n, thetas):
         blocks[("p", i, j, theta)] = restrict(phase(i, j, theta), basis)
@@ -108,6 +120,33 @@ def contract(n: int, blocks: dict, kind: str) -> tuple[float, float]:
     return deviation, leakage
 
 
+def _conjugation_deviation(encoder: Circuit, gate: Gate, target: Circuit) -> float:
+    """Largest entrywise |E^-1 G E - target| for an encoder E (applied first)
+    and a physical gate G, with both sides lowered only on the union of
+    their supports.
+
+    Walking E backwards from G, a gate outside the support grown so far
+    commutes with everything between it and its inverse and cancels, so
+    only G's light cone is kept; this is exact for any circuits. Identity
+    on the other qubits adds only exact zeros and repeated entries."""
+    support = set(gate.qubits)
+    cone = []
+    for g in reversed(encoder.gates):
+        if support.intersection(g.qubits):
+            cone.append(g)
+            support.update(g.qubits)
+    forward = Circuit(encoder.n_qubits, tuple(reversed(cone)))
+    conjugated = forward + Circuit(encoder.n_qubits, (gate,)) + invert(forward)
+    qubits = sorted(support.union(*(g.qubits for g in target.gates)))
+    label = {q: i for i, q in enumerate(qubits, start=1)}
+
+    def local(circuit: Circuit) -> np.ndarray:
+        return circuit_unitary(Circuit(len(qubits), tuple(
+            Gate(g.kind, tuple(label[q] for q in g.qubits), g.angle) for g in circuit.gates)))
+
+    return _distance(local(conjugated), local(target))
+
+
 def _dft_deviation(n: int, matrix: np.ndarray) -> float:
     """1 - |tr(target^dag matrix)| / 2^n against the DFT in the QFT's output order."""
     return 1.0 - global_phase_agreement(resolve_output_order(n).matrix() @ dft_matrix(n), matrix)
@@ -130,18 +169,24 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
     """Worst infidelity of the logical basis states under 20 collective
     rotations each, with uniform angles drawn from default_rng(seed).
 
-    All k * 20 events run as one batch: row 20 * j + e of the angle draw is
-    event e of state j, the order of one draw per event."""
+    Row 20 * j + e of the one angle draw is event e of state j, the order of
+    one draw per event. Events run as batches of at most BATCH_AMPLITUDES
+    amplitudes, so memory does not grow with the code space."""
     events = len(basis) * 20
     angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (events, len(model.axes)))
-    states = np.repeat(basis.matrix, 20, axis=1)
+    rotations = _rotations(angles, model)
     n = basis.n_qubits
-    noisy = _rotate_every_qubit(states.reshape((2,) * n + (events,)), _rotations(angles, model), n)
-    # contiguous rows, reduced one event at a time as run_trials does: a
-    # strided vdot rounds differently
+    step = max(1, BATCH_AMPLITUDES >> n)
     worst = 0.0
-    for out, state in zip(noisy.reshape(-1, events).T.copy(), states.T.copy()):
-        worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, state)) ** 2)))
+    for first in range(0, events, step):
+        rows = np.arange(first, min(first + step, events))
+        states = basis.matrix[:, rows // 20]
+        noisy = _rotate_every_qubit(states.reshape((2,) * n + (rows.size,)),
+                                    rotations[:, :, rows], n)
+        # contiguous rows, reduced one event at a time as run_trials does: a
+        # strided vdot rounds differently
+        for out, state in zip(noisy.reshape(-1, rows.size).T.copy(), states.T.copy()):
+            worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, state)) ** 2)))
     return check("logical_state_noise_invariance", tolerance, worst)
 
 
@@ -160,20 +205,8 @@ def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
 def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
     basis = wcd_logical_basis(n)
     encoder = wcd_encoder_circuit(n)
-
-    # cached: the gate and the encoder-conjugation checks read the same unitaries
-    @functools.cache
-    def hadamard(k: int) -> np.ndarray:
-        return circuit_unitary(wcd_hadamard(k, n))
-
-    @functools.cache
-    def phase(i: int, j: int, theta: float) -> np.ndarray:
-        return circuit_unitary(wcd_phase(i, j, theta, n))
-
-    def conjugated(gate) -> np.ndarray:
-        return circuit_unitary(encoder + Circuit(2 * n, (gate,)) + invert(encoder))
-
-    blocks = gate_blocks(n, basis, hadamard, phase, _WCD_THETAS)
+    blocks = gate_blocks(n, basis, lambda k: wcd_hadamard(k, n),
+                         lambda i, j, theta: wcd_phase(i, j, theta, n), _WCD_THETAS)
     dev_h, leak_h = contract(n, blocks, "h")
     checks = [
         check("logical_hadamard_action", 1e-10, dev_h),
@@ -186,10 +219,12 @@ def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
             check("logical_phase_leakage", 1e-10, leak_p),
         ]
     # the encoder conjugates a physical H or P on the pairs' high qubits into the logical gate
-    conj_h = max(_distance(conjugated(h(2 * k)), hadamard(k)) for k in range(1, n + 1))
+    conj_h = max(_conjugation_deviation(encoder, h(2 * k), wcd_hadamard(k, n))
+                 for k in range(1, n + 1))
     checks.append(check("encoder_conjugation_hadamard", 1e-10, conj_h))
     if n >= 2:
-        conj_p = max(_distance(conjugated(p(2 * i, 2 * j, theta)), phase(i, j, theta))
+        conj_p = max(_conjugation_deviation(encoder, p(2 * i, 2 * j, theta),
+                                            wcd_phase(i, j, theta, n))
                      for i, j, theta in phase_keys(n, _THETAS))
         checks.append(check("encoder_conjugation_phase", 1e-10, conj_p))
     checks += qft_restriction_checks(n, synth_qft_wcd(n), basis)
@@ -206,7 +241,7 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
     resolver = convention_report()
     # B^dag T^dag G T B = (TB)^dag G (TB) with the same residual norms (T is
     # unitary), so the fallback route restricts the bare gate to the basis TB
-    transformed = scd_transform_matrix(n, source="fallback") @ basis.matrix
+    transformed = _fallback_columns(basis.matrix, n)
     basis_t = SubspaceBasis(4 * n, tuple(StateVector(col) for col in transformed.T))
 
     def worst(blocks: dict) -> float:
@@ -231,7 +266,7 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
 
 
 SUITES = {
-    "plain": (5, _verify_plain),
-    "wcd": (3, _verify_wcd),
+    "plain": (MAX_ORACLE_QUBITS, _verify_plain),
+    "wcd": (MAX_WCD_LOGICAL, _verify_wcd),
     "scd": (MAX_SCD_LOGICAL, _verify_scd),
 }

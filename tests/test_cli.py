@@ -6,6 +6,7 @@ import pytest
 from dfsqft import parse_circuit, synth_qft_scd, synth_qft_wcd
 from dfsqft import cli
 from dfsqft.cli import main
+from dfsqft.verify import SUITES
 
 from conftest import GOLDEN_DIR
 
@@ -45,8 +46,8 @@ class TestSynth:
         assert out.read_text() == golden
 
     def test_range_violation_exits_1(self, capsys):
-        assert run_cli("synth", "scd", "3") == 1
-        assert "1..2" in capsys.readouterr().err
+        assert run_cli("synth", "scd", "4") == 1
+        assert "1..3" in capsys.readouterr().err
 
     def test_bad_encoding_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -86,16 +87,21 @@ _SCD_CHECKS = [
     ("sequence_vs_fallback_restrictions", 1e-10), *_ENCODED_QFT_CHECKS,
     ("logical_state_noise_invariance", 1e-10),
 ]
-# Every (encoding, n) that verify accepts, with its ordered (name, tolerance) checks.
+# The ordered (name, tolerance) checks of each (encoding, n).
 VERIFY_INVENTORY = {
-    **{("plain", n): _PLAIN_CHECKS for n in range(1, 6)},
-    ("wcd", 1): _WCD_1_CHECKS, ("wcd", 2): _WCD_CHECKS, ("wcd", 3): _WCD_CHECKS,
-    ("scd", 1): _SCD_CHECKS, ("scd", 2): _SCD_CHECKS,
+    **{("plain", n): _PLAIN_CHECKS for n in range(1, 9)},
+    ("wcd", 1): _WCD_1_CHECKS,
+    **{("wcd", n): _WCD_CHECKS for n in range(2, 7)},
+    **{("scd", n): _SCD_CHECKS for n in range(1, 4)},
 }
+# Every (encoding, n) that verify accepts: a cap raised without inventory
+# entries fails test_passes.
+VERIFY_CASES = [(encoding, n) for encoding, (max_n, _) in SUITES.items()
+                for n in range(1, max_n + 1)]
 
 
 class TestVerify:
-    @pytest.mark.parametrize("encoding,n", list(VERIFY_INVENTORY))
+    @pytest.mark.parametrize("encoding,n", VERIFY_CASES)
     def test_passes(self, encoding, n, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run_cli("verify", encoding, str(n), "--out", str(out)) == 0
@@ -130,7 +136,7 @@ class TestVerify:
         assert all(line.endswith(("True", "False")) for line in lines[1:])
 
     def test_range_violation(self, capsys):
-        assert run_cli("verify", "wcd", "5") == 1
+        assert run_cli("verify", "wcd", "7") == 1
 
 
 class TestNoiseBench:
@@ -233,6 +239,17 @@ class TestNoiseBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_range_violation(self, capsys):
+        assert run_cli("noise-bench", "--encoding", "wcd", "--n", "6") == 1
+        assert capsys.readouterr().err == "error: wcd supports n in 1..5, got 6\n"
+
+    def test_overflowing_sigma_is_one_line_error(self, capsys):
+        assert run_cli("noise-bench", "--encoding", "wcd", "--n", "1", "--trials", "1",
+                       "--distribution", "gaussian", "--sigma", "1e200") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sigma 1e+200 is too large: the noise angles overflow\n"
 
     def test_impossible_trial_count_is_one_line_error(self, capsys):
         # numpy refuses the per-trial array before allocating anything

@@ -127,6 +127,11 @@ class TestApplyNoise:
         out = apply_noise(state, NoiseEvent((0.0, 0.0, 0.0)), SCD)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
+    def test_overflowing_angle_length_raises_without_warning(self):
+        # each angle is finite, but |phi|^2 overflows float64
+        with pytest.raises(OverflowError, match="not finite"):
+            apply_noise(StateVector.basis(1, 0), NoiseEvent((1e200, 0.0, 0.0)), SCD)
+
 
 class TestNoisePolicy:
     def test_validation(self):

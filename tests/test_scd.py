@@ -31,7 +31,7 @@ from dfsqft import (
     synth_qft,
     synth_qft_scd,
 )
-from dfsqft.scd import AS_WRITTEN, _resolve
+from dfsqft.scd import AS_WRITTEN, _fallback_columns, _resolve
 
 from conftest import GOLDEN_DIR
 
@@ -216,6 +216,15 @@ class TestTransformMatrix:
         np.testing.assert_allclose(conjugated @ zero, (zero + one) * INV_SQRT2, atol=1e-10)
         np.testing.assert_allclose(conjugated @ one, (zero - one) * INV_SQRT2, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blockwise_fallback_equals_dense_kron(self, n):
+        from dfsqft import scd_transform_matrix
+
+        columns = np.random.default_rng(5).normal(size=(16**n, 3)) + 0j
+        np.testing.assert_allclose(_fallback_columns(columns, n),
+                                   scd_transform_matrix(n, source="fallback") @ columns,
+                                   rtol=0, atol=1e-14)
+
     def test_sequence_and_fallback_agree_on_logical_blocks(self):
         # cross-validation: both transforms induce the same logical Hadamard
         from dfsqft import scd_transform_matrix
@@ -320,7 +329,7 @@ class TestEncodedQft:
 
     def test_range(self):
         with pytest.raises(ValueError):
-            synth_qft_scd(3)
+            synth_qft_scd(4)
 
 
 class TestGoldenFiles:

@@ -1,23 +1,38 @@
 """The expected logical actions and the block reduction of dfsqft.verify,
-against Kronecker-product and per-index constructions; the batched noise
-invariance check against a per-state loop; and a guard that the SCD suite
-never lowers a circuit on its physical register to a dense unitary."""
+against Kronecker-product and per-index constructions; the light-cone
+encoder-conjugation check against full-register unitaries; the batched
+noise invariance check against a per-state loop; and a guard that the
+encoded suites never lower a circuit on the physical register to a dense
+unitary and stay within a fixed memory peak."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dfsqft import (
+    Circuit,
     CollectiveModel,
     NoiseEvent,
     apply_noise,
+    circuit_unitary,
+    cn,
+    cr,
     fidelity,
+    h,
+    invert,
+    p,
+    r,
     scd_logical_basis,
+    wcd_encoder_circuit,
+    wcd_hadamard,
     wcd_logical_basis,
+    wcd_phase,
 )
 from dfsqft import verify
 from dfsqft.verify import (
     SUITES,
+    _conjugation_deviation,
     contract,
     logical_hadamard,
     logical_phase,
@@ -85,8 +100,49 @@ def test_batched_noise_invariance_is_bit_identical_to_per_state_loop(basis, mode
     assert batched == per_state_noise_invariance(basis, model, seed)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_scd_suite_never_lowers_the_physical_register(n, monkeypatch):
+def full_conjugation_deviation(encoder, gate, target):
+    """Reference: every unitary on the whole register."""
+    conjugated = encoder + Circuit(encoder.n_qubits, (gate,)) + invert(encoder)
+    return float(np.max(np.abs(circuit_unitary(conjugated) - circuit_unitary(target))))
+
+
+def wcd_pairings(n):
+    """(physical gate, logical-gate circuit, should match) for WCD n: every
+    pairing the suite checks, plus wrong ones (another pair, another angle)."""
+    for k in range(1, n + 1):
+        yield h(2 * k), wcd_hadamard(k, n), True
+        if n >= 2:
+            yield h(2 * k), wcd_hadamard(k % n + 1, n), False
+    for i, j, theta in phase_keys(n, (math.pi / 2, math.pi / 4)):
+        yield p(2 * i, 2 * j, theta), wcd_phase(i, j, theta, n), True
+        yield p(2 * i, 2 * j, theta), wcd_phase(i, j, theta / 2, n), False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugation_deviation_equals_full_register_oracle(n):
+    encoder = wcd_encoder_circuit(n)
+    for gate, target, matches in wcd_pairings(n):
+        deviation = _conjugation_deviation(encoder, gate, target)
+        assert deviation == full_conjugation_deviation(encoder, gate, target)
+        assert deviation < 1e-10 if matches else deviation > 0.1
+
+
+def test_conjugation_deviation_follows_a_growing_light_cone():
+    # the cone of P(2, 4) grows through CN(1, 2) and CR(4, 5) to qubits 1, 2, 4, 5;
+    # R on 3 and H on 6 stay outside it
+    encoder = Circuit(6, (h(1), cn(1, 2), r(3, 0.4), cr(4, 5, 0.3), h(6), cn(5, 4)))
+    gate = p(2, 4, 0.7)
+    exact = encoder + Circuit(6, (gate,)) + invert(encoder)
+    assert _conjugation_deviation(encoder, gate, exact) < 1e-15
+    wrong = Circuit(6, exact.gates[:-1])
+    assert _conjugation_deviation(encoder, gate, wrong) == pytest.approx(
+        full_conjugation_deviation(encoder, gate, wrong), abs=1e-15)
+    assert _conjugation_deviation(encoder, gate, wrong) > 0.1
+
+
+def run_recording_dense_unitaries(encoding, n, monkeypatch):
+    """Run one suite; return the dimensions of every circuit_unitary it
+    builds and its tracemalloc peak in bytes."""
     dims = []
     real = verify.circuit_unitary
 
@@ -96,6 +152,26 @@ def test_scd_suite_never_lowers_the_physical_register(n, monkeypatch):
         return unitary
 
     monkeypatch.setattr(verify, "circuit_unitary", recording)
-    checks, _ = SUITES["scd"][1](n, 17)
+    tracemalloc.start()
+    try:
+        checks, _ = SUITES[encoding][1](n, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert all(c["pass"] for c in checks)
+    return dims, peak
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scd_suite_never_lowers_the_physical_register(n, monkeypatch):
+    dims, peak = run_recording_dense_unitaries("scd", n, monkeypatch)
     assert dims and 2 ** (4 * n) not in dims
+    assert peak < 64 * 2**20
+
+
+# below n = 3 a 4-qubit conjugation support is the whole register
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_wcd_suite_never_lowers_the_physical_register(n, monkeypatch):
+    dims, peak = run_recording_dense_unitaries("wcd", n, monkeypatch)
+    assert dims and 2 ** (2 * n) not in dims
+    assert peak < 64 * 2**20
