@@ -3,10 +3,10 @@ How many physical qubits does a protected qubit cost?
 =====================================================
 
 Census of the noise-free sectors: their dimensions come from closed
-forms (binomials) and, independently, from counts taken on the
-collective operators themselves (the diagonal of S_z, and the null space
-of S_x and S_y inside ker S_z). The encoding
-efficiency is floor(log2(sector dimension)) / n.
+forms (binomials) and, independently, from counts by Hamming weight (the
+diagonal n - 2 w(l) of S_z, and the null space of the lowering operator
+S_- between weights n/2 and n/2 + 1). The encoding efficiency is
+floor(log2(sector dimension)) / n.
 """
 import math
 
@@ -45,7 +45,7 @@ for m in (1, 2, 3):
     print(f"  m={m}:  dephasing-only {wcd_n:>2d} qubits   full collective {scd_n:>2d} qubits")
 
 # Brute force really is brute force: the sector basis for the full
-# collective model comes out of an SVD of the stacked operators.
+# collective model comes out of an SVD of the 0/1 lowering matrix.
 singlets = dfs_basis(6, CollectiveModel.SCD)
 print(f"\n6-qubit total-spin-zero sector, by SVD: dimension {len(singlets)}"
       f" (binomial difference: {math.comb(6, 3) - math.comb(6, 4)})")

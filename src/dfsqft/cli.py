@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .circuits import print_circuit
@@ -23,6 +22,7 @@ from .dfs import (
     MAX_BRUTE_FORCE_QUBITS,
     CollectiveModel,
     brute_force_max_dfs_dimension,
+    eta_max,
     max_dfs_dimension,
     min_physical_qubits,
 )
@@ -116,14 +116,14 @@ def _resolve_option(args, name: str, config: dict[str, str], cast, default):
 
 
 def _resolve_seed(args, config: dict[str, str]) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return _cast("config seed", config["seed"], int)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return _cast(SEED_ENV_VAR, env, int)
-    return 0
+    """Precedence: --seed > config file > DFSQFT_SEED > 0; a negative seed is refused."""
+    seed = _resolve_option(args, "seed", config, int, None)
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        seed = 0 if env is None else _cast(SEED_ENV_VAR, env, int)
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _report_skeleton(command: str, config: dict, seed: int | None) -> dict:
@@ -175,8 +175,6 @@ def cmd_verify(args, config: dict[str, str]) -> int:
     encoding, n = args.encoding, args.n
     _check_range(encoding, n, _VERIFY_CAPS)
     seed = _resolve_seed(args, config)
-    if seed < 0:
-        raise RangeError(f"seed must be >= 0, got {seed}")
     started = time.perf_counter()
     _, run = SUITES[encoding]
     checks, extra = run(n, seed)
@@ -321,7 +319,7 @@ def cmd_dfs_table(args, config: dict[str, str]) -> int:
         brute = brute_force_max_dfs_dimension(n, model)
         if closed != brute and mismatch is None:
             mismatch = (n, closed, brute)
-        eta = "" if closed < 1 else repr(float(Fraction(closed.bit_length() - 1, n)))
+        eta = "" if closed < 1 else repr(float(eta_max(n, model)))
         lines.append(f"{n},{closed},{brute},{eta},{r_values[1]},{r_values[2]},{r_values[3]}")
     _write_text(args.out, "\n".join(lines) + "\n")
     if mismatch is not None:

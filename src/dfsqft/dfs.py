@@ -6,11 +6,13 @@ global phase; under SCD the coupling runs through all of S_x, S_y, S_z
 and the noise-free states are their common null space (total spin zero).
 
 Dimensions come two ways on purpose: closed forms (binomials) and brute
-force, counted on the actual operators; consumers are expected to
-cross-check one against the other. The brute force works inside ker S_z:
-S_z is checked to be diagonal, its diagonal gives the WCD sectors, and
-the SCD null space is a thin SVD of S_x and S_y restricted to the
-computational states where that diagonal is zero.
+force, by Hamming weight w(l); consumers are expected to cross-check one
+against the other. S_z is diagonal with entry n - 2 w(l) at index l, so
+the WCD sectors are weight counts. A state with S_z = 0 has spin zero
+exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null space
+is that of one 0/1 matrix from weight n/2 to n/2 + 1 (210 x 252 at
+n = 10). No census builds a 2^n x 2^n operator; collective_operator is
+the dense oracle for tests and demos.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 from .statevector import StateVector, SubspaceBasis
 
 MAX_BRUTE_FORCE_QUBITS = 10
-NULLSPACE_TOL = 1e-9  # collective operators have integer spectra; gap to nonzero is >= 1
+NULLSPACE_TOL = 1e-9  # the lowering matrix's nonzero singular values are >= sqrt(2)
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -83,33 +85,43 @@ def collective_product(axis: str, columns: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sz_diagonal(n: int) -> np.ndarray:
-    """Diagonal of S_z, after checking that S_z has nothing off it."""
-    s_z = collective_operator(n, "z")
-    diagonal = np.diagonal(s_z).copy()
-    if np.count_nonzero(s_z) != np.count_nonzero(diagonal):
-        raise RuntimeError(f"S_z on {n} qubits is not diagonal in the computational basis")
-    return diagonal
+def _weights(n: int) -> np.ndarray:
+    """Hamming weight w(l) of every index l in 0..2^n - 1, by index arithmetic."""
+    if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
+        raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
+    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
+def _lowering_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weight-n/2 indices, block of S_- = (S_x - i S_y)/2 from them to weight n/2 + 1).
+
+    S_- flips one 0 bit to 1 with amplitude 1, so the block is a real 0/1
+    matrix; rows and columns follow their weight layer's indices ascending.
+    """
+    weights = _weights(n)
+    kernel = np.flatnonzero(weights == n // 2)
+    upper = np.flatnonzero(weights == n // 2 + 1)
+    lowering = np.zeros((upper.size, kernel.size))
+    for t in range(n):
+        free = np.flatnonzero(((kernel >> t) & 1) == 0)
+        lowering[np.searchsorted(upper, kernel[free] | (1 << t)), free] = 1
+    return kernel, lowering
 
 
 def _collective_nullspace(n: int) -> np.ndarray:
     """Orthonormal columns spanning the common null space of S_x, S_y, S_z.
 
-    Every such vector lies in ker S_z, spanned by the computational states
-    where the diagonal of S_z is zero, so only those columns of S_x and S_y
-    enter a thin SVD (2048 x 252 at n = 10). The stack's Gram matrix 4 S^2
-    commutes with S_z, so its singular values are a subset of those of the
-    full [S_x; S_y; S_z] and NULLSPACE_TOL separates zero from nonzero just
-    as it does there.
+    Every such vector lies in ker S_z, spanned by the weight-n/2 states, and
+    there spin zero means S_- v = 0: the lowering matrix's null space,
+    embedded back into the 2^n amplitudes.
     """
-    kernel = np.flatnonzero(np.abs(_sz_diagonal(n)) <= NULLSPACE_TOL)
-    if kernel.size == 0:
+    if n % 2:
         return np.zeros((2**n, 0), dtype=complex)  # odd n: no S_z = 0 states
-    stacked = np.vstack([collective_operator(n, ax)[:, kernel] for ax in "xy"])
-    _, singulars, vh = np.linalg.svd(stacked, full_matrices=False)
+    kernel, lowering = _lowering_matrix(n)
+    _, singulars, vh = np.linalg.svd(lowering)
     rank = int(np.sum(singulars > NULLSPACE_TOL))
     null = np.zeros((2**n, kernel.size - rank), dtype=complex)
-    null[kernel] = vh[rank:].conj().T
+    null[kernel] = vh[rank:].T
     return null
 
 
@@ -126,15 +138,16 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
     if n % 2:
         raise ValueError(f"the canonical {model.value} sector needs even n, got {n}")
     if model is CollectiveModel.WCD:
-        vectors = tuple(
-            StateVector.basis(n, l) for l in range(2**n) if l.bit_count() == n // 2
-        )
-        return SubspaceBasis(n, vectors)
+        kernel = np.flatnonzero(_weights(n) == n // 2)
+        return SubspaceBasis(n, tuple(StateVector.basis(n, int(l)) for l in kernel))
     null = _collective_nullspace(n)
     return SubspaceBasis(n, tuple(StateVector(null[:, j]) for j in range(null.shape[1])))
 
 
-def _closed_form_max_dim(n: int, model: CollectiveModel) -> int:
+def max_dfs_dimension(n: int, model: CollectiveModel) -> int:
+    """Largest noise-free sector dimension (closed form; 0 means no sector)."""
+    if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
+        raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
     if model is CollectiveModel.WCD:
         return math.comb(n, n // 2)
     if n % 2:
@@ -142,17 +155,9 @@ def _closed_form_max_dim(n: int, model: CollectiveModel) -> int:
     return math.comb(n, n // 2) - math.comb(n, n // 2 + 1)
 
 
-def max_dfs_dimension(n: int, model: CollectiveModel) -> int:
-    """Largest noise-free sector dimension (closed form; 0 means no sector)."""
-    if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
-    return _closed_form_max_dim(n, model)
-
-
 def wcd_sector_dimensions(n: int) -> dict[int, int]:
-    """S_z eigenvalue -> multiplicity, counted on the rounded diagonal of the
-    operator after checking it is diagonal (brute force)."""
-    values, counts = np.unique(np.rint(_sz_diagonal(n).real).astype(int), return_counts=True)
+    """S_z eigenvalue -> multiplicity, counted on the diagonal n - 2 w(l) (brute force)."""
+    values, counts = np.unique(n - 2 * _weights(n), return_counts=True)
     return {int(w): int(c) for w, c in zip(values, counts)}
 
 
@@ -173,14 +178,15 @@ def eta_max(n: int, model: CollectiveModel) -> Fraction:
     return Fraction(dim.bit_length() - 1, n)
 
 
-def min_physical_qubits(m: int, model: CollectiveModel, search_limit: int = 14) -> int:
-    """Smallest register whose largest noise-free sector fits m logical qubits."""
+def min_physical_qubits(m: int, model: CollectiveModel) -> int:
+    """Smallest register whose largest noise-free sector fits m logical qubits
+    (for m <= 5 at most 10: SCD 4/6/8/10/10, WCD 2/4/5/6/7)."""
     if not 1 <= m <= 5:
         raise ValueError(f"m must be in 1..5, got {m}")
-    for n in range(1, search_limit + 1):
-        if _closed_form_max_dim(n, model) >= 2**m:
+    for n in range(1, MAX_BRUTE_FORCE_QUBITS + 1):
+        if max_dfs_dimension(n, model) >= 2**m:
             return n
-    raise RuntimeError(f"search bound n <= {search_limit} exceeded")
+    raise RuntimeError(f"no register up to n = {MAX_BRUTE_FORCE_QUBITS} fits {m} logical qubits")
 
 
 @dataclass(frozen=True)

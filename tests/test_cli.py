@@ -269,19 +269,22 @@ class TestVerifySeed:
     )
     def test_negative_seed_is_one_line_error(self, tmp_path, monkeypatch, capsys, flags,
                                              config, env_seed):
-        argv = ["verify", "wcd", "2", *flags]
-        if config is not None:
-            path = tmp_path / "bad.cfg"
-            path.write_text(config)
-            argv += ["--config", str(path)]
+        # both seeded commands share one seed rule
         if env_seed is None:
             monkeypatch.delenv("DFSQFT_SEED", raising=False)
         else:
             monkeypatch.setenv("DFSQFT_SEED", env_seed)
-        assert run_cli(*argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: seed must be >= 0, got -5\n"
+        for command in (["verify", "wcd", "2"],
+                        ["noise-bench", "--encoding", "wcd", "--n", "1", "--trials", "2"]):
+            argv = [*command, *flags]
+            if config is not None:
+                path = tmp_path / "bad.cfg"
+                path.write_text(config)
+                argv += ["--config", str(path)]
+            assert run_cli(*argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: seed must be >= 0, got -5\n"
 
 
 class TestDfsTable:

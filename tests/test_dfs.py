@@ -20,6 +20,7 @@ from dfsqft import (
     wcd_sector_dimensions,
 )
 from dfsqft import dfs
+from dfsqft.cli import main
 
 from conftest import collective_nullspace_oracle, collective_operator_oracle
 
@@ -108,12 +109,11 @@ class TestDfsBasis:
         overlap = abs(np.vdot(singlet, basis.vectors[0].amplitudes))
         assert abs(overlap - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_scd_vectors_annihilated(self, n):
-        ops = [collective_operator(n, axis) for axis in "xyz"]
-        for vec in dfs_basis(n, SCD).vectors:
-            for op in ops:
-                assert np.linalg.norm(op @ vec.amplitudes) < 1e-9
+        columns = dfs_basis(n, SCD).matrix
+        for axis in "xyz":
+            assert np.max(np.abs(dfs.collective_product(axis, columns))) < 1e-12
 
     def test_odd_register_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -164,37 +164,49 @@ class TestBruteForceCensus:
         np.testing.assert_allclose(null @ null.conj().T, expected @ expected.conj().T,
                                    atol=1e-12)
 
-    def test_non_diagonal_sz_is_refused(self, monkeypatch):
-        # a coupling S_z cannot have: the census must stop, not count a wrong diagonal
-        real_operator = dfs.collective_operator
+    @pytest.mark.parametrize("n", range(2, 11, 2))
+    def test_lowering_matrix_is_the_weight_layer_block_of_s_minus(self, n):
+        kernel, lowering = dfs._lowering_matrix(n)
+        upper = np.flatnonzero(dfs._weights(n) == n // 2 + 1)
+        s_minus = (collective_operator(n, "x") - 1j * collective_operator(n, "y")) / 2
+        np.testing.assert_array_equal(kernel, np.flatnonzero(dfs._weights(n) == n // 2))
+        np.testing.assert_array_equal(lowering, s_minus[np.ix_(upper, kernel)])
 
-        def skewed(n, axis):
-            op = real_operator(n, axis)
-            if axis == "z":
-                op[0, 1] = op[1, 0] = 1e-3
-            return op
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_weights_give_the_diagonal_of_s_z(self, n):
+        # S_z has nothing off its diagonal, and the diagonal is n - 2 w(l)
+        s_z = collective_operator(n, "z")
+        np.testing.assert_array_equal(np.diagonal(s_z), n - 2 * dfs._weights(n))
+        assert np.count_nonzero(s_z - np.diag(np.diagonal(s_z))) == 0
 
-        monkeypatch.setattr(dfs, "collective_operator", skewed)
-        for call in (
-            lambda: wcd_sector_dimensions(4),
-            lambda: brute_force_max_dfs_dimension(4, WCD),
-            lambda: brute_force_max_dfs_dimension(4, SCD),
-            lambda: brute_force_max_dfs_dimension(5, SCD),
-            lambda: dfs_basis(4, SCD),
-            lambda: dfs_report(4, WCD),
-        ):
-            with pytest.raises(RuntimeError, match="not diagonal"):
-                call()
+    def test_census_never_builds_a_dense_collective_operator(self, monkeypatch, tmp_path):
+        def refuse(n, axis):
+            raise AssertionError(f"dense collective operator built for n={n}, axis {axis}")
+
+        monkeypatch.setattr(dfs, "collective_operator", refuse)
+        for n in range(1, 11):
+            wcd_sector_dimensions(n)
+            dfs_report(n, WCD)
+            for model in (WCD, SCD):
+                assert brute_force_max_dfs_dimension(n, model) == max_dfs_dimension(n, model)
+        for n in range(2, 11, 2):
+            dfs_report(n, SCD)
+            for model in (WCD, SCD):
+                assert len(dfs_basis(n, model)) == max_dfs_dimension(n, model)
+        for model in ("wcd", "scd"):
+            out = tmp_path / f"{model}.csv"
+            assert main(["dfs-table", model, "--n-max", "10", "--out", str(out)]) == 0
 
     def test_scd_census_memory_at_ten_qubits(self):
-        # the full SVD of the stacked 3072 x 1024 operators peaked near 209 MB
+        # the thin SVD of S_x, S_y inside ker S_z peaked near 24 MB; the
+        # lowering matrix is 210 x 252
         tracemalloc.start()
         try:
             assert brute_force_max_dfs_dimension(10, SCD) == 42
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestEfficiency:
