@@ -14,27 +14,28 @@ protect against; intra-block noise hits intermediate states that leave
 the protected sector, and the report shows the resulting fidelity loss
 honestly.
 
-Ensemble runs push many trials through the simulator at once: the state
-carries a trailing trial axis, and each gate and each noise rotation is
-one kernel call over the whole batch (the trials' rotations stacked as a
-(2, 2, batch) array). Trials run in chunks of at most BATCH_AMPLITUDES
-amplitudes, so memory does not grow with the trial count. Each trial
-still draws from its own (seed, trial) stream, so results do not depend
-on the chunking.
+Ensemble runs push many trials through the simulator's one gate loop at
+once: the state carries a trailing trial axis, and each noise event is a
+layer of (2, 2, batch) rotations between the gates. _batched_rows splits
+any such batch into chunks of at most BATCH_AMPLITUDES amplitudes, so
+memory does not grow with the trial count; run_trials and the verify
+noise-invariance check both run through it. Each trial still draws from
+its own (seed, trial) stream, so results do not depend on the chunking.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .circuits import Circuit
 from .dfs import CollectiveModel
-from .statevector import StateVector, SubspaceBasis, _apply_1q, _apply_gate_nd
+from .statevector import StateVector, SubspaceBasis, _propagate
 
 MAX_NOISE_QUBITS = 10
-# Amplitudes per trial chunk in run_trials (256 KB per complex array). Of
+# Amplitudes per chunk in _batched_rows (256 KB per complex array). Of
 # 2^10..2^16 on the benchmark's noise runs, 2^14 was fastest or within 6 % of
 # the fastest; smaller chunks pay per-call overhead, larger ones more memory.
 BATCH_AMPLITUDES = 1 << 14
@@ -165,23 +166,29 @@ def single_qubit_rotation(event: NoiseEvent, model: CollectiveModel) -> np.ndarr
     return _rotations(np.array(event.phis), model)
 
 
-def _rotate_every_qubit(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
-    """One collective event on an array whose first n axes are qubit bits: u,
-    a (2, 2) rotation or a (2, 2, batch) stack over its trailing axis, on
-    every qubit."""
-    for t in range(1, n + 1):
-        arr = _apply_1q(arr, u, t, n)
-    return arr
+def _check_noise_register(n: int) -> None:
+    if n > MAX_NOISE_QUBITS:
+        raise ValueError(f"register of {n} qubits is too large for noise (max {MAX_NOISE_QUBITS})")
 
 
 def apply_noise(state: StateVector, event: NoiseEvent, model: CollectiveModel) -> StateVector:
     """Apply exp(-i * sum_a phi_a S_a); exact identity (up to a global phase,
     which is exactly 1 for spin-zero sectors) on decoherence-free states."""
-    n = state.n_qubits
-    if n > MAX_NOISE_QUBITS:
-        raise ValueError(f"register of {n} qubits is too large for the dense noise channel")
-    arr = state.amplitudes.reshape((2,) * n)
-    return StateVector(_rotate_every_qubit(arr, single_qubit_rotation(event, model), n).reshape(-1))
+    _check_noise_register(state.n_qubits)
+    rotation = single_qubit_rotation(event, model)
+    return StateVector(_propagate([rotation], state.amplitudes, state.n_qubits))
+
+
+def _batched_rows(n: int, count: int, ops: Callable[[range], list],
+                  inputs: Callable[[range], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """(column, output) for columns 0..count-1, in chunks of at most
+    BATCH_AMPLITUDES amplitudes: chunk c, a range of columns, runs the
+    2^n x len(c) array inputs(c) through ops(c). Each output is its own
+    contiguous row, so reducing one at a time rounds as a one-column run."""
+    step = max(1, BATCH_AMPLITUDES >> n)
+    for first in range(0, count, step):
+        chunk = range(first, min(first + step, count))
+        yield from zip(chunk, _propagate(ops(chunk), inputs(chunk), n).T.copy())
 
 
 def _noise_positions(policy: NoisePolicy, n_gates: int, block_boundaries) -> list[int]:
@@ -217,51 +224,40 @@ def run_trials(
 
     Each trial draws fresh events at the policy's positions and runs the
     circuit. Per-trial random streams derive from (seed, trial index), so
-    identical policies yield identical arrays. Trials run as a batch, in
-    chunks of BATCH_AMPLITUDES // 2^n trials.
+    identical policies yield identical arrays. Trials run as a batch
+    through _batched_rows.
     """
     n = circuit.n_qubits
     if input_state.n_qubits != n or ideal_output.n_qubits != n:
         raise ValueError("circuit, input, and ideal output must share one register size")
-    if n > MAX_NOISE_QUBITS:
-        raise ValueError(f"register of {n} qubits is too large for the dense noise channel")
+    if subspace is not None and subspace.n_qubits != n:
+        raise ValueError(f"{n}-qubit circuit does not match a {subspace.n_qubits}-qubit register")
+    _check_noise_register(n)
     positions = _noise_positions(policy, len(circuit), block_boundaries)
+
+    def noisy_circuit(trials: range) -> list:
+        # angles[k, j]: event k of trial j, drawn from the trial's own stream
+        shape = (len(positions), len(model.axes))
+        angles = np.stack([_draw_angles(np.random.default_rng([policy.seed & _SEED_MASK, trial]),
+                                        policy, shape) for trial in trials], axis=1)
+        # positions[0] is 0: each event precedes the gates up to the next one
+        ops = []
+        for rotations, start, stop in zip(_rotations(angles, model).transpose(2, 0, 1, 3),
+                                          positions, positions[1:] + [None]):
+            ops += [rotations, *circuit.gates[start:stop]]
+        return ops
+
     basis_matrix = subspace.matrix if subspace is not None else None
     basis_adjoint = basis_matrix.conj().T if basis_matrix is not None else None
-    ideal = ideal_output.amplitudes
     fidelities = np.empty(policy.trials)
     leakages = np.empty(policy.trials) if basis_matrix is not None else None
-
-    step = max(1, BATCH_AMPLITUDES >> n)
-    for first in range(0, policy.trials, step):
-        trials = range(first, min(first + step, policy.trials))
-        # angles[k, j]: event k of trial j, drawn from the trial's own stream
-        angles = np.stack(
-            [
-                _draw_angles(
-                    np.random.default_rng([policy.seed & _SEED_MASK, trial]),
-                    policy,
-                    (len(positions), len(model.axes)),
-                )
-                for trial in trials
-            ],
-            axis=1,
-        )
-        noise_at = dict(zip(positions, _rotations(angles, model).transpose(2, 0, 1, 3)))
-        arr = np.repeat(input_state.amplitudes[:, None], len(trials), axis=1)
-        arr = arr.reshape((2,) * n + (len(trials),))
-        for pos in range(len(circuit) + 1):
-            if pos in noise_at:
-                arr = _rotate_every_qubit(arr, noise_at[pos], n)
-            if pos < len(circuit):
-                arr = _apply_gate_nd(arr, circuit.gates[pos], n)
-        # one contiguous row per trial, reduced alone: a batched reduction
-        # would round differently from a single-trial run
-        outputs = arr.reshape(-1, len(trials)).T.copy()
-        for trial, out in zip(trials, outputs):
-            fidelities[trial] = min(1.0, abs(np.vdot(ideal, out)) ** 2)
-            if basis_matrix is not None:
-                leakages[trial] = np.linalg.norm(out - basis_matrix @ (basis_adjoint @ out))
+    for trial, out in _batched_rows(
+        n, policy.trials, noisy_circuit,
+        lambda trials: np.repeat(input_state.amplitudes[:, None], len(trials), axis=1),
+    ):
+        fidelities[trial] = min(1.0, abs(np.vdot(ideal_output.amplitudes, out)) ** 2)
+        if basis_matrix is not None:
+            leakages[trial] = np.linalg.norm(out - basis_matrix @ (basis_adjoint @ out))
     return fidelities, leakages
 
 

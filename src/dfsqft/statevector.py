@@ -10,12 +10,12 @@ validated wrappers whose arrays are read-only. Every operation returns
 new values and never mutates shared state, so all types are safe to hand
 between threads.
 
-One gate loop runs over an array with a trailing column axis:
-circuit_unitary pushes the 2^n identity columns through it, apply_circuit
-one state, and restrict(circuit, basis) only the k basis columns of a
-subspace. Verification compares code-space blocks (k x k) or, for small
-gate supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a
-large register is never needed.
+One loop, _propagate, applies gates and collective-noise layers to one
+state or to the columns of a 2^n x k array: the 2^n identity columns for
+circuit_unitary, the k basis columns of a subspace for restrict, and the
+noise module's trials. Verification compares code-space blocks (k x k) or,
+for small gate supports, the unitaries of a few qubits; the 2^n x 2^n
+matrix of a large register is never needed.
 """
 from __future__ import annotations
 
@@ -47,8 +47,7 @@ class StateVector:
         n = amps.size.bit_length() - 1
         if amps.size < 2 or amps.size != 2**n:
             raise ValueError(f"amplitude count {amps.size} is not a power of two >= 2")
-        if n > MAX_QUBITS:
-            raise ValueError(f"registers larger than {MAX_QUBITS} qubits are unsupported")
+        _check_register(n)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
@@ -62,6 +61,7 @@ class StateVector:
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> StateVector:
         """Computational basis state |index> on n_qubits."""
+        _check_register(n_qubits)
         if not 0 <= index < 2**n_qubits:
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
         amps = np.zeros(2**n_qubits, dtype=complex)
@@ -74,6 +74,11 @@ class StateVector:
         if not bits or any(c not in "01" for c in bits):
             raise ValueError(f"bit string must be nonempty over 0/1, got {bits!r}")
         return cls.basis(len(bits), int(bits, 2))
+
+
+def _check_register(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise ValueError(f"registers larger than {MAX_QUBITS} qubits are unsupported")
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
@@ -119,13 +124,19 @@ def _apply_gate_nd(arr: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return out
 
 
-def _propagate(gates, columns: np.ndarray, n: int) -> np.ndarray:
-    """Apply gates to every column of a 2^n x k array (or to one 2^n vector)
-    in one pass over a trailing column axis."""
-    arr = columns.reshape((2,) * n + columns.shape[1:])
-    for g in gates:
-        arr = _apply_gate_nd(arr, g, n)
-    return arr.reshape(columns.shape)
+def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
+    """Apply ops in order to one 2^n vector or to each column of a 2^n x k
+    array. An op is a Gate or a noise layer: a (2, 2) unitary, or a (2, 2, k)
+    stack of one per column, on every qubit. The input array is released
+    once the first op has replaced it."""
+    arr = arr.reshape((2,) * n + arr.shape[1:])
+    for op in ops:
+        if isinstance(op, Gate):
+            arr = _apply_gate_nd(arr, op, n)
+        else:
+            for t in range(1, n + 1):
+                arr = _apply_1q(arr, op, t, n)
+    return arr.reshape((-1,) + arr.shape[n:])
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -133,8 +144,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     n = state.n_qubits
     if max(gate.qubits) > n:
         raise ValueError(f"gate {gate.kind} on qubits {gate.qubits} exceeds {n}-qubit state")
-    arr = state.amplitudes.reshape((2,) * n)
-    return StateVector(_apply_gate_nd(arr, gate, n).reshape(-1))
+    return StateVector(_propagate([gate], state.amplitudes, n))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -149,8 +159,7 @@ def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray
     n = circuit.n_qubits if n_qubits is None else n_qubits
     if n < circuit.n_qubits:
         raise ValueError(f"register of {n} qubits is smaller than the circuit's")
-    if n > MAX_QUBITS:
-        raise ValueError(f"registers larger than {MAX_QUBITS} qubits are unsupported")
+    _check_register(n)
     return _propagate(circuit.gates, np.eye(2**n, dtype=complex), n)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
-from .noise import BATCH_AMPLITUDES, _rotate_every_qubit, _rotations
+from .noise import _batched_rows, _rotations
 from .qft import MAX_ORACLE_QUBITS, dft_matrix, resolve_output_order, synth_qft
 from .scd import (
     MAX_SCD_LOGICAL,
@@ -170,23 +170,16 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
     rotations each, with uniform angles drawn from default_rng(seed).
 
     Row 20 * j + e of the one angle draw is event e of state j, the order of
-    one draw per event. Events run as batches of at most BATCH_AMPLITUDES
-    amplitudes, so memory does not grow with the code space."""
+    one draw per event. The events run as one batch through the noise
+    module's _batched_rows, so memory does not grow with the code space."""
     events = len(basis) * 20
     angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (events, len(model.axes)))
     rotations = _rotations(angles, model)
-    n = basis.n_qubits
-    step = max(1, BATCH_AMPLITUDES >> n)
     worst = 0.0
-    for first in range(0, events, step):
-        rows = np.arange(first, min(first + step, events))
-        states = basis.matrix[:, rows // 20]
-        noisy = _rotate_every_qubit(states.reshape((2,) * n + (rows.size,)),
-                                    rotations[:, :, rows], n)
-        # contiguous rows, reduced one event at a time as run_trials does: a
-        # strided vdot rounds differently
-        for out, state in zip(noisy.reshape(-1, rows.size).T.copy(), states.T.copy()):
-            worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, state)) ** 2)))
+    for row, out in _batched_rows(basis.n_qubits, events, lambda rows: [rotations[:, :, rows]],
+                                  lambda rows: basis.matrix[:, np.array(rows) // 20]):
+        state = basis.vectors[row // 20].amplitudes
+        worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, state)) ** 2)))
     return check("logical_state_noise_invariance", tolerance, worst)
 
 

@@ -10,6 +10,7 @@ from dfsqft import (
     ENDPOINTS_ONLY,
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
+    Circuit,
     CollectiveModel,
     NoiseEvent,
     NoisePolicy,
@@ -19,6 +20,7 @@ from dfsqft import (
     apply_noise,
     collective_operator,
     fidelity,
+    h,
     logical_block_boundaries,
     noisy_run,
     sample_event,
@@ -119,8 +121,15 @@ class TestApplyNoise:
             apply_noise(StateVector.basis(1, 0), NoiseEvent((0.1, 0.2, 0.3)), WCD)
 
     def test_register_too_large(self):
-        with pytest.raises(ValueError, match="too large"):
-            apply_noise(StateVector.basis(11, 0), NoiseEvent((0.1,)), WCD)
+        # one cap for single events and for trials
+        n = noise.MAX_NOISE_QUBITS + 1
+        state = StateVector.basis(n, 0)
+        circuit = Circuit(n, (h(1),))
+        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=1, seed=0)
+        with pytest.raises(ValueError, match=f"{n} qubits is too large for noise"):
+            apply_noise(state, NoiseEvent((0.1,)), WCD)
+        with pytest.raises(ValueError, match=f"{n} qubits is too large for noise"):
+            run_trials(circuit, state, apply_circuit(state, circuit), policy, WCD)
 
     def test_zero_event_is_identity(self):
         state = random_state(2, np.random.default_rng(1))
@@ -287,6 +296,12 @@ class TestNoisyRun:
             noisy_run(circuit, state, ideal, policy, WCD, block_boundaries=[3, 2])
         with pytest.raises(ValueError, match="partition"):
             noisy_run(circuit, state, ideal, policy, WCD, block_boundaries=[3, 8])
+
+    def test_subspace_on_another_register_is_refused_up_front(self):
+        circuit, state, ideal = self._wcd_setup(2)
+        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=1, seed=0)
+        with pytest.raises(ValueError, match="4-qubit circuit does not match a 2-qubit register"):
+            run_trials(circuit, state, ideal, policy, WCD, subspace=wcd_logical_basis(1))
 
     def test_plain_block_boundaries_are_per_gate(self):
         bounds = logical_block_boundaries(2, trivial_factory(2))

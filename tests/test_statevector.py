@@ -59,6 +59,11 @@ class TestStateVector:
     def test_register_cap(self):
         with pytest.raises(ValueError, match="unsupported"):
             StateVector.basis(15, 0)
+        # 2^60 amplitudes cannot be allocated: only a check made first gives this error
+        with pytest.raises(ValueError, match="unsupported"):
+            StateVector.basis(60, 0)
+        with pytest.raises(ValueError, match="unsupported"):
+            StateVector.from_bits("0" * 60)
 
     def test_amplitudes_frozen(self):
         s = StateVector.basis(1, 0)

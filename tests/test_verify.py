@@ -29,7 +29,7 @@ from dfsqft import (
     wcd_logical_basis,
     wcd_phase,
 )
-from dfsqft import verify
+from dfsqft import noise, verify
 from dfsqft.verify import (
     SUITES,
     _conjugation_deviation,
@@ -98,6 +98,37 @@ def per_state_noise_invariance(basis, model, seed):
 def test_batched_noise_invariance_is_bit_identical_to_per_state_loop(basis, model, seed):
     batched = noise_invariance_check(basis, model, seed, 1e-10)["deviation"]
     assert batched == per_state_noise_invariance(basis, model, seed)
+
+
+@pytest.mark.parametrize("edge", ["divides", "remainder-1", "remainder-step-1"])
+@pytest.mark.parametrize(
+    "basis,model",
+    [(wcd_logical_basis(2), CollectiveModel.WCD), (wcd_logical_basis(3), CollectiveModel.WCD),
+     (scd_logical_basis(2), CollectiveModel.SCD)],
+    ids=["wcd2", "wcd3", "scd2"],
+)
+def test_noise_invariance_is_bit_identical_at_chunk_edges(monkeypatch, basis, model, edge):
+    events = 20 * len(basis)
+    step = {
+        "divides": 20,
+        "remainder-1": events - 1,
+        "remainder-step-1": min(s for s in range(2, events) if (events + 1) % s == 0),
+    }[edge]
+    assert events % step == {"divides": 0, "remainder-1": 1, "remainder-step-1": step - 1}[edge]
+    assert events > step
+    reference = per_state_noise_invariance(basis, model, 17)
+    monkeypatch.setattr(noise, "BATCH_AMPLITUDES", step << basis.n_qubits)
+    chunk_sizes = []
+    propagate = noise._propagate
+
+    def counting_propagate(ops, arr, n):
+        chunk_sizes.append(arr.shape[1])
+        return propagate(ops, arr, n)
+
+    monkeypatch.setattr(noise, "_propagate", counting_propagate)
+    batched = noise_invariance_check(basis, model, 17, 1e-10)["deviation"]
+    assert chunk_sizes == [step] * (events // step) + [events % step] * (events % step > 0)
+    assert batched == reference
 
 
 def full_conjugation_deviation(encoder, gate, target):
