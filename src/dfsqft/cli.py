@@ -35,25 +35,11 @@ from .noise import (
     RunReport,
     run_trials,
 )
-from .qft import MAX_QFT_QUBITS, logical_block_boundaries, synth_qft, trivial_factory
-from .scd import (
-    MAX_SCD_LOGICAL,
-    ScdRegister,
-    scd_logical_basis,
-    scd_logical_state,
-    scd_qft_block_boundaries,
-    synth_qft_scd,
-)
+from .qft import MAX_QFT_QUBITS, logical_block_boundaries, synth_logical_qft, trivial_factory
+from .scd import MAX_SCD_LOGICAL, scd_factory, scd_logical_basis
 from .statevector import StateVector, apply_circuit
 from .verify import SUITES
-from .wcd import (
-    MAX_WCD_LOGICAL,
-    WcdRegister,
-    synth_qft_wcd,
-    wcd_logical_basis,
-    wcd_logical_state,
-    wcd_qft_block_boundaries,
-)
+from .wcd import MAX_WCD_LOGICAL, wcd_factory, wcd_logical_basis
 
 SCHEMA = "dfsqft/1"
 SEED_ENV_VAR = "DFSQFT_SEED"
@@ -63,13 +49,23 @@ _POLICY_NAMES = {
     "block": PER_LOGICAL_BLOCK,
     "endpoints": ENDPOINTS_ONLY,
 }
+# encoding -> (gate factory, logical basis, the collective model it is immune to)
+_ENCODINGS = {
+    "plain": (trivial_factory, None, None),
+    "wcd": (wcd_factory, wcd_logical_basis, CollectiveModel.WCD),
+    "scd": (scd_factory, scd_logical_basis, CollectiveModel.SCD),
+}
 # largest n per encoding; every command accepts n from 1 up to its cap
 _SYNTH_CAPS = {"plain": MAX_QFT_QUBITS, "wcd": MAX_WCD_LOGICAL, "scd": MAX_SCD_LOGICAL}
 _VERIFY_CAPS = {encoding: max_n for encoding, (max_n, _) in SUITES.items()}
-# noise runs simulate the whole physical register
-_BENCH_CAPS = {
-    "wcd": MAX_NOISE_QUBITS // WcdRegister(1).n_physical,
-    "scd": MAX_NOISE_QUBITS // ScdRegister(1).n_physical,
+# noise runs simulate the whole physical register of the encoded arm
+_BENCH_CAPS = {encoding: MAX_NOISE_QUBITS // factory(1).n_qubits
+               for encoding, (factory, _, model) in _ENCODINGS.items() if model is not None}
+# the config-file keys each command reads; any other key is refused
+_CONFIG_KEYS = {
+    "verify": ("seed",),
+    "noise-bench": ("distribution", "encoding", "n", "policy", "seed", "sigma", "trials"),
+    "dfs-table": ("n_max",),
 }
 
 
@@ -84,17 +80,30 @@ def _check_range(name: str, value: int, caps: dict[str, int]) -> None:
         raise RangeError(f"{name} supports n in 1..{caps[name]}, got {value}")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config(args) -> dict[str, str]:
+    """The key=value lines of the --config file (none without one); a key
+    the command does not read is refused."""
+    path = getattr(args, "config", None)
+    if not path:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RangeError(f"cannot read config file: {exc}") from None
+    known = _CONFIG_KEYS[args.command]
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise RangeError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise RangeError(f"{path}:{lineno}: expected key=value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in known:
+            raise RangeError(f"unknown config key {key!r}; {args.command} reads "
+                             f"{', '.join(known)}")
+        values[key] = value
     return values
 
 
@@ -157,15 +166,9 @@ def _provenance_lines(command: str, config: dict, seed: int | None) -> list[str]
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    encoding, n = args.encoding, args.n
-    _check_range(encoding, n, _SYNTH_CAPS)
-    if encoding == "plain":
-        circuit = synth_qft(n)
-    elif encoding == "wcd":
-        circuit = synth_qft_wcd(n)
-    else:
-        circuit = synth_qft_scd(n)
-    _write_text(args.out, print_circuit(circuit))
+    _check_range(args.encoding, args.n, _SYNTH_CAPS)
+    factory, _, _ = _ENCODINGS[args.encoding]
+    _write_text(args.out, print_circuit(synth_logical_qft(args.n, factory(args.n))))
     return 0
 
 
@@ -211,26 +214,18 @@ def cmd_verify(args, config: dict[str, str]) -> int:
 # ---------------------------------------------------------------- noise-bench
 
 def _bench_arms(encoding: str, n: int):
-    if encoding == "wcd":
-        encoded = synth_qft_wcd(n)
-        bounds = wcd_qft_block_boundaries(n)
-        basis = wcd_logical_basis(n)
-        input_state = wcd_logical_state("0" * n)
-        model = CollectiveModel.WCD
-    else:
-        encoded = synth_qft_scd(n)
-        bounds = scd_qft_block_boundaries(n)
-        basis = scd_logical_basis(n)
-        input_state = scd_logical_state("0" * n)
-        model = CollectiveModel.SCD
-    plain = synth_qft(n)
-    plain_bounds = logical_block_boundaries(n, trivial_factory(n))
-    plain_input = StateVector.basis(n, 0)
-    return (
-        ("encoded", encoded, bounds, input_state, basis),
-        ("unencoded", plain, plain_bounds, plain_input, None),
-        model,
-    )
+    """(name, circuit, block boundaries, input state, code space) of the
+    encoded and the plain QFT on logical |0...0>, and the noise model."""
+    factory, logical_basis, model = _ENCODINGS[encoding]
+    basis = logical_basis(n)
+    arms = [
+        (name, synth_logical_qft(n, gates), logical_block_boundaries(n, gates), state, code)
+        for name, gates, state, code in (
+            ("encoded", factory(n), basis.vectors[0], basis),
+            ("unencoded", trivial_factory(n), StateVector.basis(n, 0), None),
+        )
+    ]
+    return arms, model
 
 
 def cmd_noise_bench(args, config: dict[str, str]) -> int:
@@ -266,11 +261,11 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
     }
     started = time.perf_counter()
 
-    arm_encoded, arm_plain, model = _bench_arms(encoding, n)
+    arms, model = _bench_arms(encoding, n)
     csv_lines = _provenance_lines("noise-bench", resolved, seed)
     csv_lines.append("arm,trial,fidelity,leakage")
     summaries = {}
-    for name, circuit, bounds, input_state, basis in (arm_encoded, arm_plain):
+    for name, circuit, bounds, input_state, basis in arms:
         ideal = apply_circuit(input_state, circuit)
         try:
             fidelities, leakages = run_trials(
@@ -305,13 +300,12 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
 # ---------------------------------------------------------------- dfs-table
 
 def cmd_dfs_table(args, config: dict[str, str]) -> int:
-    model_name = args.model
     n_max = _resolve_option(args, "n_max", config, int, 8)
     if not 1 <= n_max <= MAX_BRUTE_FORCE_QUBITS:
         raise RangeError(f"n-max must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n_max}")
-    model = CollectiveModel.WCD if model_name == "wcd" else CollectiveModel.SCD
+    model = CollectiveModel(args.model)
     r_values = {m: min_physical_qubits(m, model) for m in (1, 2, 3)}
-    lines = _provenance_lines("dfs-table", {"model": model_name, "n_max": n_max}, None)
+    lines = _provenance_lines("dfs-table", {"model": args.model, "n_max": n_max}, None)
     lines.append("n,max_dim_closed_form,max_dim_brute_force,eta_max,r_m1,r_m2,r_m3")
     mismatch = None
     for n in range(1, n_max + 1):
@@ -375,14 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        try:
-            config = _load_config_file(args.config)
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read config file: {exc}", file=sys.stderr)
-            return 1
     try:
+        config = _load_config(args)
         if args.command == "synth":
             return cmd_synth(args)
         if args.command == "verify":

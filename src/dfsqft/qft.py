@@ -39,19 +39,11 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 def synth_qft(n: int) -> Circuit:
-    """Swap-free QFT sequence: n Hadamards and n(n-1)/2 controlled phases.
-
-    Application order runs from qubit n down to qubit 1; after each H on
-    qubit k come the phases P(j, k, pi/2^(k-j)) for j = k-1 .. 1.
-    """
+    """Swap-free QFT sequence: n Hadamards and n(n-1)/2 controlled phases,
+    the QFT skeleton with physical gates (trivial_factory) as its blocks."""
     if not 1 <= n <= MAX_QFT_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_QFT_QUBITS}, got {n}")
-    gates = []
-    for k in range(n, 0, -1):
-        gates.append(h(k))
-        for j in range(k - 1, 0, -1):
-            gates.append(p(j, k, math.pi / 2 ** (k - j)))
-    return Circuit(n, tuple(gates))
+    return synth_logical_qft(n, trivial_factory(n))
 
 
 def bit_reversal_permutation(n: int) -> np.ndarray:
@@ -98,9 +90,11 @@ def resolve_output_order(n: int) -> OutputOrder:
 
 @dataclass(frozen=True)
 class GateFactory:
-    """Pluggable gate blocks: the QFT skeleton stays fixed while ``hadamard(k)``
-    and ``phase(i, j, theta)`` supply the circuit implementing each logical gate.
-    All produced circuits must share one physical register size."""
+    """An encoding, described by its logical gates: ``hadamard(k)`` and
+    ``phase(i, j, theta)`` give the circuit on ``n_qubits`` physical qubits
+    that implements each gate of the QFT skeleton. The skeleton stays fixed
+    (synth_logical_qft); the plain, WCD and SCD encodings differ only in
+    their factory (trivial_factory, wcd_factory, scd_factory)."""
 
     n_qubits: int
     hadamard: Callable[[int], Circuit]
@@ -117,6 +111,8 @@ def trivial_factory(n: int) -> GateFactory:
 
 
 def _logical_blocks(n: int, factory: GateFactory) -> Iterator[Circuit]:
+    """The QFT gate order: from qubit n down to qubit 1, H on qubit k, then
+    P(j, k, pi/2^(k-j)) for j = k-1 .. 1."""
     for k in range(n, 0, -1):
         yield factory.hadamard(k)
         for j in range(k - 1, 0, -1):

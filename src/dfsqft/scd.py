@@ -10,9 +10,9 @@ Logical gates conjugate a physical gate on the block's top qubit by a
 14-gate block transform that shuttles the logical amplitude onto that
 qubit. The transform is defined as a fixed 14-factor product whose
 correctness is sensitive to CNOT argument order and rotation signs, so
-a bounded resolver checks the as-written lowering against the
-logical-Hadamard contract and, only on failure, probes the three global
-variants; the outcome is always reported. A direct basis-change matrix
+a bounded resolver checks the as-written lowering and the three global
+variants against the logical-Hadamard contract and resolves to the first
+that passes; all four deviations are always reported. A direct basis-change matrix
 ("fallback") provides the same logical action by construction and
 cross-validates the sequence.
 """

@@ -77,8 +77,9 @@ class StateVector:
 
 
 def _check_register(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise ValueError(f"registers larger than {MAX_QUBITS} qubits are unsupported")
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"register size {n!r} is unsupported: "
+                         f"it must be an integer in 1..{MAX_QUBITS}")
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:

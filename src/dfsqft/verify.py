@@ -18,21 +18,20 @@ it and the acceptance suite reads the same runs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _rotations
-from .qft import MAX_ORACLE_QUBITS, dft_matrix, resolve_output_order, synth_qft
+from .qft import MAX_ORACLE_QUBITS, GateFactory, dft_matrix, resolve_output_order, synth_qft
 from .scd import (
     MAX_SCD_LOGICAL,
     _fallback_columns,
     convention_report,
-    scd_hadamard,
+    scd_factory,
     scd_logical_basis,
-    scd_phase,
     synth_qft_scd,
 )
 from .statevector import (
@@ -43,14 +42,7 @@ from .statevector import (
     restrict,
     unitarity_defect,
 )
-from .wcd import (
-    MAX_WCD_LOGICAL,
-    synth_qft_wcd,
-    wcd_encoder_circuit,
-    wcd_hadamard,
-    wcd_logical_basis,
-    wcd_phase,
-)
+from .wcd import MAX_WCD_LOGICAL, synth_qft_wcd, wcd_encoder_circuit, wcd_factory, wcd_logical_basis
 
 # Controlled-phase angles of the logical-gate checks; WCD also checks pi/8.
 _WCD_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -91,13 +83,12 @@ def phase_keys(n: int, thetas) -> Iterator[tuple[int, int, float]]:
                 yield from ((i, j, theta) for theta in thetas)
 
 
-def gate_blocks(n: int, basis: SubspaceBasis, hadamard: Callable[[int], Circuit],
-                phase: Callable[[int, int, float], Circuit], thetas) -> dict:
-    """Restrictions (block, leakage) of the logical-gate circuits to the code
-    space, keyed ("h", k) and ("p", i, j, theta)."""
-    blocks = {("h", k): restrict(hadamard(k), basis) for k in range(1, n + 1)}
+def gate_blocks(n: int, basis: SubspaceBasis, gates: GateFactory, thetas) -> dict:
+    """Restrictions (block, leakage) of the factory's logical-gate circuits
+    to the code space, keyed ("h", k) and ("p", i, j, theta)."""
+    blocks = {("h", k): restrict(gates.hadamard(k), basis) for k in range(1, n + 1)}
     for i, j, theta in phase_keys(n, thetas):
-        blocks[("p", i, j, theta)] = restrict(phase(i, j, theta), basis)
+        blocks[("p", i, j, theta)] = restrict(gates.phase(i, j, theta), basis)
     return blocks
 
 
@@ -198,8 +189,8 @@ def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
 def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
     basis = wcd_logical_basis(n)
     encoder = wcd_encoder_circuit(n)
-    blocks = gate_blocks(n, basis, lambda k: wcd_hadamard(k, n),
-                         lambda i, j, theta: wcd_phase(i, j, theta, n), _WCD_THETAS)
+    gates = wcd_factory(n)
+    blocks = gate_blocks(n, basis, gates, _WCD_THETAS)
     dev_h, leak_h = contract(n, blocks, "h")
     checks = [
         check("logical_hadamard_action", 1e-10, dev_h),
@@ -212,12 +203,12 @@ def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
             check("logical_phase_leakage", 1e-10, leak_p),
         ]
     # the encoder conjugates a physical H or P on the pairs' high qubits into the logical gate
-    conj_h = max(_conjugation_deviation(encoder, h(2 * k), wcd_hadamard(k, n))
+    conj_h = max(_conjugation_deviation(encoder, h(2 * k), gates.hadamard(k))
                  for k in range(1, n + 1))
     checks.append(check("encoder_conjugation_hadamard", 1e-10, conj_h))
     if n >= 2:
         conj_p = max(_conjugation_deviation(encoder, p(2 * i, 2 * j, theta),
-                                            wcd_phase(i, j, theta, n))
+                                            gates.phase(i, j, theta))
                      for i, j, theta in phase_keys(n, _THETAS))
         checks.append(check("encoder_conjugation_phase", 1e-10, conj_p))
     checks += qft_restriction_checks(n, synth_qft_wcd(n), basis)
@@ -240,10 +231,11 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
     def worst(blocks: dict) -> float:
         return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))
 
-    fb_blocks = gate_blocks(n, basis_t, lambda k: Circuit(4 * n, (h(4 * k),)),
-                            lambda i, j, theta: Circuit(4 * n, (p(4 * i, 4 * j, theta),)), _THETAS)
-    seq_blocks = gate_blocks(n, basis, lambda k: scd_hadamard(k, n),
-                             lambda i, j, theta: scd_phase(i, j, theta, n), _THETAS)
+    # bare gates on the block tops
+    tops = GateFactory(4 * n, lambda k: Circuit(4 * n, (h(4 * k),)),
+                       lambda i, j, theta: Circuit(4 * n, (p(4 * i, 4 * j, theta),)))
+    fb_blocks = gate_blocks(n, basis_t, tops, _THETAS)
+    seq_blocks = gate_blocks(n, basis, scd_factory(n), _THETAS)
     agreement = max(_distance(seq_blocks[key][0], fb_blocks[key][0]) for key in seq_blocks)
     checks = [
         check("logical_states_orthonormal", 1e-12,

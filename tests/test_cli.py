@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from dfsqft import parse_circuit, synth_qft_scd, synth_qft_wcd
+from dfsqft import parse_circuit, print_circuit, synth_qft, synth_qft_scd, synth_qft_wcd
 from dfsqft import cli
 from dfsqft.cli import main
 from dfsqft.verify import SUITES
@@ -34,6 +34,16 @@ class TestSynth:
         circuit = parse_circuit(out.read_text())
         assert len(circuit.gates) == 29
         assert circuit == synth_qft_scd(1)
+
+    @pytest.mark.parametrize("encoding,n", [
+        *(("plain", n) for n in range(1, 15)),
+        *(("wcd", n) for n in range(1, 7)),
+        *(("scd", n) for n in range(1, 4)),
+    ])
+    def test_every_size_matches_library(self, encoding, n, capsys):
+        library = {"plain": synth_qft, "wcd": synth_qft_wcd, "scd": synth_qft_scd}[encoding]
+        assert run_cli("synth", encoding, str(n)) == 0
+        assert capsys.readouterr().out == print_circuit(library(n))
 
     def test_stdout_default(self, capsys):
         assert run_cli("synth", "plain", "1") == 0
@@ -244,6 +254,10 @@ class TestNoiseBench:
         assert run_cli("noise-bench", "--encoding", "wcd", "--n", "6") == 1
         assert capsys.readouterr().err == "error: wcd supports n in 1..5, got 6\n"
 
+    def test_scd_range_violation(self, capsys):
+        assert run_cli("noise-bench", "--encoding", "scd", "--n", "3") == 1
+        assert capsys.readouterr().err == "error: scd supports n in 1..2, got 3\n"
+
     def test_overflowing_sigma_is_one_line_error(self, capsys):
         assert run_cli("noise-bench", "--encoding", "wcd", "--n", "1", "--trials", "1",
                        "--distribution", "gaussian", "--sigma", "1e200") == 1
@@ -285,6 +299,29 @@ class TestVerifySeed:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: seed must be >= 0, got -5\n"
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (("noise-bench", "--encoding", "wcd", "--n", "1"), "trails=3\n",
+         "error: unknown config key 'trails'; noise-bench reads "
+         "distribution, encoding, n, policy, seed, sigma, trials\n"),
+        (("dfs-table", "wcd"), "n-max=3\n",
+         "error: unknown config key 'n-max'; dfs-table reads n_max\n"),
+        (("verify", "plain", "1"), "seed=1\nformat=csv\n",
+         "error: unknown config key 'format'; verify reads seed\n"),
+        (("verify", "plain", "1"), "seed\n", "error: {path}:1: expected key=value\n"),
+    ],
+    ids=["noise-bench", "dfs-table", "verify", "no-equals-sign"],
+)
+def test_unread_or_malformed_config_is_one_line_error(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "typo.cfg"
+    path.write_text(config)
+    assert run_cli(*argv, "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(path=path)
 
 
 class TestDfsTable:

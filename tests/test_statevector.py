@@ -65,6 +65,16 @@ class TestStateVector:
         with pytest.raises(ValueError, match="unsupported"):
             StateVector.from_bits("0" * 60)
 
+    @pytest.mark.parametrize("n_qubits", [-1, 0, 1.5])
+    def test_register_below_one_or_fractional(self, n_qubits):
+        # 2**-1 is 0.5, so the check must come before any 2**n
+        with pytest.raises(ValueError, match=r"^register size .* is unsupported: "
+                                             r"it must be an integer in 1\.\.14$"):
+            StateVector.basis(n_qubits, 0)
+
+    def test_numpy_integer_register(self):
+        assert StateVector.basis(np.int64(2), 3).n_qubits == 2
+
     def test_amplitudes_frozen(self):
         s = StateVector.basis(1, 0)
         with pytest.raises(ValueError):

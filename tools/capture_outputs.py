@@ -1,0 +1,98 @@
+"""Hash the outputs that a behaviour-preserving change must keep byte-identical.
+
+Usage:
+    python3 tools/capture_outputs.py SRC_DIR > hashes.json
+
+SRC_DIR is the directory holding the dfsqft package (a checkout's src/);
+the demos run from the demos/ directory beside it. The CLI outputs run
+in-process through dfsqft.cli.main, the demos as subprocesses with
+PYTHONPATH=SRC_DIR. The script prints one JSON object mapping each output to
+the sha256 of its bytes; a verify JSON report is hashed without its
+wall-clock duration_s. It exits 1 if any command exits non-zero.
+
+To check a change, run it on a `git archive` copy of the parent commit and
+on the change, then diff the two JSON files.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+VERIFY_SIZES = {"plain": 8, "wcd": 6, "scd": 3}
+BENCH_SIZES = {"wcd": 3, "scd": 2}
+SYNTH_SIZES = {"plain": 14, "wcd": 6, "scd": 3}
+
+
+def cli_cases():
+    """(name, argv) of every captured CLI run."""
+    for encoding, max_n in VERIFY_SIZES.items():
+        for n in range(1, max_n + 1):
+            for fmt in ("json", "csv"):
+                yield (f"verify {encoding} {n} {fmt}",
+                       ["verify", encoding, str(n), "--seed", "17", "--format", fmt])
+    for encoding, max_n in BENCH_SIZES.items():
+        for n in range(1, max_n + 1):
+            for policy in ("elementary", "block", "endpoints"):
+                for noise in (["--distribution", "uniform"],
+                              ["--distribution", "gaussian", "--sigma", "0.3"]):
+                    argv = ["noise-bench", "--encoding", encoding, "--n", str(n),
+                            "--policy", policy, *noise, "--trials", "30", "--seed", "5",
+                            "--format", "csv"]
+                    yield " ".join(argv[1:]), argv
+    for encoding, max_n in SYNTH_SIZES.items():
+        for n in range(1, max_n + 1):
+            yield f"synth {encoding} {n}", ["synth", encoding, str(n)]
+    for model in ("wcd", "scd"):
+        yield f"dfs-table {model}", ["dfs-table", model, "--n-max", "10"]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = pathlib.Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    os.environ.pop("DFSQFT_SEED", None)
+    from dfsqft import cli
+
+    hashes = {}
+    failed = []
+    for name, cli_argv in cli_cases():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(cli_argv)
+        text = out.getvalue()
+        if cli_argv[0] == "verify" and "json" in cli_argv:
+            report = json.loads(text)
+            del report["duration_s"]
+            text = json.dumps(report, indent=2) + "\n"
+        hashes[name] = sha256(text)
+        if code != 0:
+            failed.append(name)
+
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for demo in sorted((src.parent / "demos").glob("0*.py")):
+        run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                             text=True, check=False)
+        hashes[f"demo {demo.name}"] = sha256(run.stdout)
+        if run.returncode != 0:
+            failed.append(demo.name)
+
+    print(json.dumps(hashes, indent=2))
+    for name in failed:
+        print(f"non-zero exit: {name}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
