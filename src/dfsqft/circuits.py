@@ -17,6 +17,7 @@ significant digits (lossless for float64).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -35,7 +36,10 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        try:
+            object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
+        except TypeError:
+            raise ValueError(f"qubit indices must be integers, got {self.qubits!r}") from None
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(
                 f"{self.kind} takes {_ARITY[self.kind]} qubit index(es), got {len(self.qubits)}"
@@ -87,8 +91,13 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        try:
+            n_qubits = operator.index(self.n_qubits)
+        except TypeError:
+            n_qubits = 0
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.qubits) > self.n_qubits:

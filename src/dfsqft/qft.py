@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuits import Circuit, h, p
+from .circuits import Circuit, Gate, h, p
 from .statevector import circuit_unitary, equal_up_to_global_phase
 
 MAX_QFT_QUBITS = 14
@@ -25,14 +25,18 @@ class ConventionError(RuntimeError):
     """No candidate output permutation matches the reference transform."""
 
 
+def _check_size(n: int, limit: int) -> None:
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= limit:
+        raise ValueError(f"n must be an integer in 1..{limit}, got {n!r}")
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT on 2^n indices: entry (j, k) = 2^(-n/2) e^{2 pi i j k / 2^n}.
 
     The phase argument is reduced mod 2^n in integer arithmetic before
     exponentiation, keeping entries accurate to ~1e-15 at any supported n.
     """
-    if not 1 <= n <= MAX_QFT_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_QFT_QUBITS}, got {n}")
+    _check_size(n, MAX_QFT_QUBITS)
     dim = 2**n
     k = np.arange(dim)
     return np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
@@ -41,8 +45,7 @@ def dft_matrix(n: int) -> np.ndarray:
 def synth_qft(n: int) -> Circuit:
     """Swap-free QFT sequence: n Hadamards and n(n-1)/2 controlled phases,
     the QFT skeleton with physical gates (trivial_factory) as its blocks."""
-    if not 1 <= n <= MAX_QFT_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_QFT_QUBITS}, got {n}")
+    _check_size(n, MAX_QFT_QUBITS)
     return synth_logical_qft(n, trivial_factory(n))
 
 
@@ -74,8 +77,7 @@ def resolve_output_order(n: int) -> OutputOrder:
     Tries identity first, then bit reversal; raises ConventionError if
     neither matches (a convention bug, not an expected outcome).
     """
-    if not 1 <= n <= MAX_ORACLE_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_ORACLE_QUBITS}, got {n}")
+    _check_size(n, MAX_ORACLE_QUBITS)
     u = circuit_unitary(synth_qft(n))
     f = dft_matrix(n)
     for kind, perm in (
@@ -94,20 +96,45 @@ class GateFactory:
     ``phase(i, j, theta)`` give the circuit on ``n_qubits`` physical qubits
     that implements each gate of the QFT skeleton. The skeleton stays fixed
     (synth_logical_qft); the plain, WCD and SCD encodings differ only in
-    their factory (trivial_factory, wcd_factory, scd_factory)."""
+    their factory, and each factory comes from the one conjugation rule of
+    conjugation_factory."""
 
     n_qubits: int
     hadamard: Callable[[int], Circuit]
     phase: Callable[[int, int, float], Circuit]
 
 
+def conjugation_factory(n: int, n_qubits: int, decoder: Callable[[int], tuple[Gate, ...]],
+                        top: Callable[[int], int]) -> GateFactory:
+    """Logical gates of n logical qubits on n_qubits physical ones, where the
+    gates decoder(t) move logical qubit t onto physical qubit top(t): H(top k)
+    and P(top i, top j, theta), each between the decoders of its logical
+    qubits (j's first) and their inverses."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n_logical must be a positive integer, got {n!r}")
+
+    def decode(t: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+        if not (isinstance(t, (int, np.integer)) and 1 <= t <= n):
+            raise ValueError(f"logical index {t} out of range 1..{n}")
+        gates = decoder(t)
+        return gates, tuple(g.inverse() for g in reversed(gates))
+
+    def hadamard(k: int) -> Circuit:
+        forward, back = decode(k)
+        return Circuit(n_qubits, forward + (h(top(k)),) + back)
+
+    def phase(i: int, j: int, theta: float) -> Circuit:
+        if i == j:
+            raise ValueError("logical control and target must differ")
+        (fwd_i, back_i), (fwd_j, back_j) = decode(i), decode(j)
+        return Circuit(n_qubits, fwd_j + fwd_i + (p(top(i), top(j), theta),) + back_j + back_i)
+
+    return GateFactory(n_qubits, hadamard, phase)
+
+
 def trivial_factory(n: int) -> GateFactory:
     """Physical H and P gates; reproduces the plain QFT."""
-    return GateFactory(
-        n_qubits=n,
-        hadamard=lambda k: Circuit(n, (h(k),)),
-        phase=lambda i, j, theta: Circuit(n, (p(i, j, theta),)),
-    )
+    return conjugation_factory(n, n, lambda t: (), lambda t: t)
 
 
 def _logical_blocks(n: int, factory: GateFactory) -> Iterator[Circuit]:

@@ -6,15 +6,16 @@ built from pair triplets. Both are annihilated by all three collective
 operators, so any rotation applied identically to every qubit leaves
 them exactly fixed.
 
-Logical gates conjugate a physical gate on the block's top qubit by a
-14-gate block transform that shuttles the logical amplitude onto that
-qubit. The transform is defined as a fixed 14-factor product whose
-correctness is sensitive to CNOT argument order and rotation signs, so
-a bounded resolver checks the as-written lowering and the three global
+The encoding is its per-qubit decoder, a 14-gate block transform that
+shuttles the logical amplitude onto the block's top qubit; every logical
+gate is a physical gate on the top qubits conjugated by it
+(qft.conjugation_factory). The transform is a fixed 14-factor product
+whose correctness is sensitive to CNOT argument order and rotation signs,
+so a bounded resolver checks the as-written lowering and the three global
 variants against the logical-Hadamard contract and resolves to the first
-that passes; all four deviations are always reported. A direct basis-change matrix
-("fallback") provides the same logical action by construction and
-cross-validates the sequence.
+that passes; all four deviations are always reported. A direct
+basis-change matrix ("fallback") provides the same logical action by
+construction and cross-validates the sequence.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cn, cr, h, invert, p, r
-from .qft import GateFactory, logical_block_boundaries, synth_logical_qft
+from .circuits import Circuit, Gate, cn, cr, h, r
+from .qft import GateFactory, conjugation_factory, logical_block_boundaries, synth_logical_qft
 from .statevector import StateVector, SubspaceBasis, apply_circuit, circuit_unitary
 
 MAX_SCD_LOGICAL = 3  # 12 physical qubits
@@ -132,9 +133,7 @@ _CANDIDATES = (
 )
 
 
-def _block_transform_gates(
-    k: int, convention: ScdConvention, angles: ScdAngles = DEFAULT_ANGLES
-) -> tuple[Gate, ...]:
+def _block_transform_gates(k: int, convention: ScdConvention) -> tuple[Gate, ...]:
     q1, q2, q3, q4 = (4 * k - 3, 4 * k - 2, 4 * k - 1, 4 * k)
     sign = -1.0 if convention.negate_rotation_angles else 1.0
 
@@ -151,9 +150,9 @@ def _block_transform_gates(
         _cn(q4, q2),
         _cn(q2, q1),
         _cn(q2, q4),
-        r(q2, sign * angles.alpha),
-        _cr(q1, q2, angles.beta1),
-        _cr(q2, q1, angles.beta2),
+        r(q2, sign * DEFAULT_ANGLES.alpha),
+        _cr(q1, q2, DEFAULT_ANGLES.beta1),
+        _cr(q2, q1, DEFAULT_ANGLES.beta2),
         _cn(q2, q4),
         _cn(q1, q3),
         _cn(q1, q2),
@@ -223,8 +222,8 @@ class ConventionReport:
 def _logical_hadamard_deviation(convention: ScdConvention) -> float:
     """Worst entrywise error of the conjugated-H block against the exact
     logical Hadamard action on both encoded basis states (single block)."""
-    forward = Circuit(4, _block_transform_gates(1, convention))
-    hadamard = forward + Circuit(4, (h(4),)) + invert(forward)
+    hadamard = conjugation_factory(1, 4, lambda t: _block_transform_gates(t, convention),
+                                   lambda t: 4 * t).hadamard(1)
     zero, one = scd_logical_state("0"), scd_logical_state("1")
     plus = (zero.amplitudes + one.amplitudes) / math.sqrt(2.0)
     minus = (zero.amplitudes - one.amplitudes) / math.sqrt(2.0)
@@ -258,14 +257,14 @@ def convention_report() -> dict:
     return report
 
 
-def scd_block_transform(k: int, convention: ScdConvention | None = None) -> Circuit:
-    """14-gate transform on physical qubits 4k-3..4k mapping the block's two
-    logical states onto computational basis states that differ in qubit 4k."""
+def scd_block_transform(k: int) -> Circuit:
+    """14-gate transform on physical qubits 4k-3..4k, in the resolved
+    convention, mapping the block's two logical states onto computational
+    basis states that differ in qubit 4k."""
     if k < 1:
         raise ValueError("logical index must be positive")
-    if convention is None:
-        report = resolve_convention()
-        convention = report.resolved if report.resolved is not None else AS_WRITTEN
+    report = resolve_convention()
+    convention = report.resolved if report.resolved is not None else AS_WRITTEN
     return Circuit(4 * k, _block_transform_gates(k, convention))
 
 
@@ -333,38 +332,20 @@ def scd_transform_matrix(n: int, source: str = "sequence") -> np.ndarray:
     raise ValueError(f"source must be 'sequence' or 'fallback', got {source!r}")
 
 
+def scd_factory(n: int) -> GateFactory:
+    return conjugation_factory(n, 4 * n, lambda t: scd_block_transform(t).gates, lambda t: 4 * t)
+
+
 def scd_hadamard(k: int, n: int) -> Circuit:
     """Hadamard on logical qubit k of n: block transform, H on qubit 4k,
     inverse block transform (29 gates)."""
-    reg = ScdRegister(n)
-    if not 1 <= k <= n:
-        raise ValueError(f"logical index {k} out of range 1..{n}")
-    forward = scd_block_transform(k).on_register(reg.n_physical)
-    return forward + Circuit(reg.n_physical, (h(4 * k),)) + invert(forward)
+    return scd_factory(n).hadamard(k)
 
 
 def scd_phase(i: int, j: int, theta: float, n: int) -> Circuit:
     """Controlled phase between logical qubits i and j (57 gates):
     both block transforms, P on qubits (4i, 4j), both inverses."""
-    reg = ScdRegister(n)
-    if i == j:
-        raise ValueError("logical control and target must differ")
-    for idx in (i, j):
-        if not 1 <= idx <= n:
-            raise ValueError(f"logical index {idx} out of range 1..{n}")
-    fwd_i = scd_block_transform(i).on_register(reg.n_physical)
-    fwd_j = scd_block_transform(j).on_register(reg.n_physical)
-    middle = Circuit(reg.n_physical, (p(4 * i, 4 * j, theta),))
-    return fwd_j + fwd_i + middle + invert(fwd_j) + invert(fwd_i)
-
-
-def scd_factory(n: int) -> GateFactory:
-    reg = ScdRegister(n)
-    return GateFactory(
-        n_qubits=reg.n_physical,
-        hadamard=lambda k: scd_hadamard(k, n),
-        phase=lambda i, j, theta: scd_phase(i, j, theta, n),
-    )
+    return scd_factory(n).phase(i, j, theta)
 
 
 def synth_qft_scd(n: int) -> Circuit:

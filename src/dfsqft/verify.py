@@ -25,7 +25,8 @@ import numpy as np
 from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _rotations
-from .qft import MAX_ORACLE_QUBITS, GateFactory, dft_matrix, resolve_output_order, synth_qft
+from .qft import (MAX_ORACLE_QUBITS, GateFactory, conjugation_factory, dft_matrix,
+                  resolve_output_order, synth_qft)
 from .scd import (
     MAX_SCD_LOGICAL,
     _fallback_columns,
@@ -232,8 +233,7 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
         return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))
 
     # bare gates on the block tops
-    tops = GateFactory(4 * n, lambda k: Circuit(4 * n, (h(4 * k),)),
-                       lambda i, j, theta: Circuit(4 * n, (p(4 * i, 4 * j, theta),)))
+    tops = conjugation_factory(n, 4 * n, lambda t: (), lambda t: 4 * t)
     fb_blocks = gate_blocks(n, basis_t, tops, _THETAS)
     seq_blocks = gate_blocks(n, basis, scd_factory(n), _THETAS)
     agreement = max(_distance(seq_blocks[key][0], fb_blocks[key][0]) for key in seq_blocks)

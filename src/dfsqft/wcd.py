@@ -3,16 +3,17 @@
 Logical |0> = |01> and |1> = |10> on each (2t, 2t-1) pair, so every
 logical basis state balances its 0s and 1s and sits in the zero
 eigenspace of the collective S_z: uniform dephasing acts on it as, at
-most, an unobservable global phase. Logical gates sandwich a physical
-gate between the pair CNOTs, which map the pair code to and from a
-plain one-qubit-per-pair layout.
+most, an unobservable global phase. The encoding is its per-qubit
+decoder, the pair CNOT, which maps the pair code to and from a plain
+one-qubit-per-pair layout; every logical gate is a physical gate on the
+pairs' high qubits conjugated by it (qft.conjugation_factory).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import Circuit, cn, h, p
-from .qft import GateFactory, logical_block_boundaries, synth_logical_qft
+from .circuits import Circuit, Gate, cn
+from .qft import GateFactory, conjugation_factory, logical_block_boundaries, synth_logical_qft
 from .statevector import StateVector, SubspaceBasis
 
 MAX_WCD_LOGICAL = 6  # 12 physical qubits
@@ -57,50 +58,30 @@ def wcd_logical_basis(n: int) -> SubspaceBasis:
     return SubspaceBasis(2 * n, vectors)
 
 
+def _pair_cnot(t: int) -> tuple[Gate, ...]:
+    # decoder of logical qubit t: maps |01>, |10> on pair (2t, 2t-1) to |01>, |11>
+    return (cn(2 * t, 2 * t - 1),)
+
+
+def wcd_factory(n: int) -> GateFactory:
+    return conjugation_factory(n, 2 * n, _pair_cnot, lambda t: 2 * t)
+
+
 def wcd_hadamard(k: int, n: int) -> Circuit:
     """Hadamard on logical qubit k of n: pair CNOT, physical H, pair CNOT."""
-    reg = WcdRegister(n)
-    low, high = reg.pair(k)
-    return Circuit(reg.n_physical, (cn(high, low), h(high), cn(high, low)))
+    return wcd_factory(n).hadamard(k)
 
 
 def wcd_phase(i: int, j: int, theta: float, n: int) -> Circuit:
     """Controlled phase between logical qubits i and j: e^{i theta} on |11> only."""
-    reg = WcdRegister(n)
-    if i == j:
-        raise ValueError("logical control and target must differ")
-    low_i, high_i = reg.pair(i)
-    low_j, high_j = reg.pair(j)
-    return Circuit(
-        reg.n_physical,
-        (
-            cn(high_j, low_j),
-            cn(high_i, low_i),
-            p(high_i, high_j, theta),
-            cn(high_j, low_j),
-            cn(high_i, low_i),
-        ),
-    )
+    return wcd_factory(n).phase(i, j, theta)
 
 
 def wcd_encoder_circuit(n: int) -> Circuit:
     """One CNOT per pair (high controls low); conjugating physical H or P gates
     on the high qubits by this circuit yields the logical gates above."""
     reg = WcdRegister(n)
-    gates = []
-    for t in range(n, 0, -1):
-        low, high = reg.pair(t)
-        gates.append(cn(high, low))
-    return Circuit(reg.n_physical, tuple(gates))
-
-
-def wcd_factory(n: int) -> GateFactory:
-    reg = WcdRegister(n)
-    return GateFactory(
-        n_qubits=reg.n_physical,
-        hadamard=lambda k: wcd_hadamard(k, n),
-        phase=lambda i, j, theta: wcd_phase(i, j, theta, n),
-    )
+    return Circuit(reg.n_physical, tuple(g for t in range(n, 0, -1) for g in _pair_cnot(t)))
 
 
 def synth_qft_wcd(n: int) -> Circuit:

@@ -50,6 +50,20 @@ class TestGate:
         with pytest.raises(ValueError, match="1-based"):
             Gate("H", (0,))
 
+    def test_non_integer_indices_rejected(self):
+        # no silent int() truncation of 1.5 to qubit 1, and no string indices
+        with pytest.raises(ValueError, match="integers"):
+            Gate("H", (1.5,))
+        with pytest.raises(ValueError, match="integers"):
+            Gate("CN", ("2", 1))
+        with pytest.raises(ValueError, match="integers"):
+            p(1, 2.0, 0.1)
+
+    def test_numpy_integer_indices_accepted(self):
+        gate = cn(np.int64(2), np.int32(1))
+        assert gate == cn(2, 1)
+        assert all(type(q) is int for q in gate.qubits)
+
     def test_inverse(self):
         assert h(1).inverse() == h(1)
         assert cn(2, 1).inverse() == cn(2, 1)
@@ -63,6 +77,16 @@ class TestCircuit:
             Circuit(1, (cn(2, 1),))
         with pytest.raises(ValueError):
             Circuit(0, ())
+
+    def test_non_integer_register_rejected(self):
+        for n_qubits in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="positive integer"):
+                Circuit(n_qubits, ())
+
+    def test_numpy_integer_register_round_trips(self):
+        circuit = Circuit(np.int64(2), (h(1),))
+        assert type(circuit.n_qubits) is int
+        assert parse_circuit(print_circuit(circuit)) == circuit
 
     def test_concat_requires_same_register(self):
         with pytest.raises(ValueError):

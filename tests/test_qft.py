@@ -7,10 +7,13 @@ from dfsqft import (
     Circuit,
     bit_reversal_permutation,
     circuit_unitary,
+    cn,
+    cr,
     dft_matrix,
     equal_up_to_global_phase,
     global_phase_agreement,
     h,
+    invert,
     logical_block_boundaries,
     p,
     resolve_output_order,
@@ -24,6 +27,7 @@ from dfsqft import (
     wcd_hadamard,
     wcd_phase,
 )
+from dfsqft.qft import conjugation_factory
 
 
 class TestSynthQft:
@@ -90,6 +94,12 @@ class TestDftMatrix:
             dft_matrix(0)
         with pytest.raises(ValueError):
             dft_matrix(15)
+
+    def test_non_integer_size_rejected(self):
+        # 2.5 used to give a 6x6 matrix scaled by 2^-1.25
+        for build in (dft_matrix, synth_qft):
+            with pytest.raises(ValueError, match="n must be an integer in 1..14, got 2.5"):
+                build(2.5)
 
 
 class TestResolveOutputOrder:
@@ -173,6 +183,28 @@ class TestLogicalSynthesis:
         bad = GateFactory(2, hadamard=lambda k: Circuit(3, (h(k),)), phase=None)
         with pytest.raises(ValueError, match="register"):
             synth_logical_qft(1, bad)
+
+    def test_conjugation_rule(self):
+        decoder = lambda t: (cn(2 * t, 2 * t - 1), cr(2 * t, 2 * t - 1, 0.3))
+        gates = conjugation_factory(2, 4, decoder, lambda t: 2 * t)
+        assert gates.hadamard(1) == Circuit(4, (*decoder(1), h(2), *invert(Circuit(4, decoder(1)))))
+        assert gates.phase(2, 1, 0.7) == Circuit(4, (
+            *decoder(1), *decoder(2), p(4, 2, 0.7),
+            *invert(Circuit(4, decoder(1))), *invert(Circuit(4, decoder(2)))))
+
+    def test_conjugation_factory_validates_indices(self):
+        with pytest.raises(ValueError, match="n_logical must be a positive integer"):
+            trivial_factory(0)
+        with pytest.raises(ValueError, match="n_logical must be a positive integer"):
+            trivial_factory(1.5)
+        gates = trivial_factory(2)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=f"logical index {k} out of range 1..2"):
+                gates.hadamard(k)
+        with pytest.raises(ValueError, match="logical index 3 out of range 1..2"):
+            gates.phase(1, 3, 0.1)
+        with pytest.raises(ValueError, match="logical control and target must differ"):
+            gates.phase(2, 2, 0.1)
 
     def test_block_boundaries(self):
         assert logical_block_boundaries(3, trivial_factory(3)) == [1, 2, 3, 4, 5, 6]

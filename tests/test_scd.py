@@ -18,6 +18,7 @@ from dfsqft import (
     global_phase_agreement,
     h,
     invert,
+    p,
     parse_circuit,
     print_circuit,
     resolve_convention,
@@ -271,6 +272,11 @@ class TestLogicalHadamard:
         with pytest.raises(ValueError):
             scd_hadamard(2, 1)
 
+    def test_non_integer_register_rejected(self):
+        # 1.5 used to give a circuit on a register of 6.0 qubits
+        with pytest.raises(ValueError, match="n_logical must be a positive integer"):
+            scd_hadamard(1, 1.5)
+
 
 class TestLogicalPhase:
     def test_gate_count(self):
@@ -305,6 +311,16 @@ class TestLogicalPhase:
     def test_index_collision(self):
         with pytest.raises(ValueError):
             scd_phase(1, 1, 0.4, 2)
+
+    def test_explicit_sequence_both_orders(self):
+        # T_j, T_i, P(4i, 4j), T_j^-1, T_i^-1 with T_t the block transform of t
+        def transform(t):
+            return scd_block_transform(t).on_register(8)
+
+        for i, j in ((1, 2), (2, 1)):
+            expected = (transform(j) + transform(i) + Circuit(8, (p(4 * i, 4 * j, 0.3),))
+                        + invert(transform(j)) + invert(transform(i)))
+            assert scd_phase(i, j, 0.3, 2) == expected
 
 
 class TestEncodedQft:

@@ -121,6 +121,11 @@ class TestLogicalHadamard:
         with pytest.raises(ValueError):
             wcd_hadamard(3, 2)
 
+    def test_non_integer_index_rejected(self):
+        # 1.5 used to give CN(3, 2), straddling two pairs
+        with pytest.raises(ValueError, match="logical index 1.5"):
+            wcd_hadamard(1.5, 2)
+
 
 class TestLogicalPhase:
     def test_phase_on_one_one(self):
@@ -161,6 +166,21 @@ class TestLogicalPhase:
     def test_index_collision(self):
         with pytest.raises(ValueError):
             wcd_phase(1, 1, 0.5, 2)
+
+    def test_non_integer_register_rejected(self):
+        with pytest.raises(ValueError, match="n_logical must be a positive integer"):
+            wcd_phase(1, 2, math.pi / 2, 2.5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_explicit_sequence_every_ordered_pair(self, n):
+        # pair CNOT of j, pair CNOT of i, P on the high qubits, then both CNOTs again
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    expected = Circuit(2 * n, (
+                        cn(2 * j, 2 * j - 1), cn(2 * i, 2 * i - 1), p(2 * i, 2 * j, 0.3),
+                        cn(2 * j, 2 * j - 1), cn(2 * i, 2 * i - 1)))
+                    assert wcd_phase(i, j, 0.3, n) == expected
 
 
 class TestEncoderConjugation:

@@ -6,9 +6,12 @@ Usage:
 SRC_DIR is the directory holding the dfsqft package (a checkout's src/);
 the demos run from the demos/ directory beside it. The CLI outputs run
 in-process through dfsqft.cli.main, the demos as subprocesses with
-PYTHONPATH=SRC_DIR. The script prints one JSON object mapping each output to
-the sha256 of its bytes; a verify JSON report is hashed without its
-wall-clock duration_s. It exits 1 if any command exits non-zero.
+PYTHONPATH=SRC_DIR. The logical gates are hashed per (encoding, n): the
+print_circuit text of every *_hadamard(k, n), of every *_phase(i, j, theta, n)
+over the ordered pairs i != j at the verify angles and, for WCD, of
+wcd_encoder_circuit(n). The script prints one JSON object mapping each
+output to the sha256 of its bytes; a verify JSON report is hashed without
+its wall-clock duration_s. It exits 1 if any command exits non-zero.
 
 To check a change, run it on a `git archive` copy of the parent commit and
 on the change, then diff the two JSON files.
@@ -19,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -27,6 +31,8 @@ import sys
 VERIFY_SIZES = {"plain": 8, "wcd": 6, "scd": 3}
 BENCH_SIZES = {"wcd": 3, "scd": 2}
 SYNTH_SIZES = {"plain": 14, "wcd": 6, "scd": 3}
+GATE_SIZES = {"wcd": 6, "scd": 3}
+GATE_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
 
 
 def cli_cases():
@@ -52,6 +58,23 @@ def cli_cases():
         yield f"dfs-table {model}", ["dfs-table", model, "--n-max", "10"]
 
 
+def logical_gate_texts(dfsqft, encoding: str, n: int):
+    """print_circuit of every logical gate of one encoding at size n, in a
+    fixed order; WCD adds its encoder circuit."""
+    module = getattr(dfsqft, encoding)
+    hadamard = getattr(module, f"{encoding}_hadamard")
+    phase = getattr(module, f"{encoding}_phase")
+    for k in range(1, n + 1):
+        yield dfsqft.print_circuit(hadamard(k, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                for theta in GATE_THETAS:
+                    yield dfsqft.print_circuit(phase(i, j, theta, n))
+    if encoding == "wcd":
+        yield dfsqft.print_circuit(dfsqft.wcd_encoder_circuit(n))
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -63,6 +86,7 @@ def main(argv: list[str]) -> int:
     src = pathlib.Path(argv[0]).resolve()
     sys.path.insert(0, str(src))
     os.environ.pop("DFSQFT_SEED", None)
+    import dfsqft
     from dfsqft import cli
 
     hashes = {}
@@ -79,6 +103,10 @@ def main(argv: list[str]) -> int:
         hashes[name] = sha256(text)
         if code != 0:
             failed.append(name)
+
+    for encoding, max_n in GATE_SIZES.items():
+        for n in range(1, max_n + 1):
+            hashes[f"gates {encoding} {n}"] = sha256("".join(logical_gate_texts(dfsqft, encoding, n)))
 
     env = {**os.environ, "PYTHONPATH": str(src)}
     for demo in sorted((src.parent / "demos").glob("0*.py")):
