@@ -18,7 +18,6 @@ from dfsqft import (
     circuit_unitary,
     collective_operator,
     fidelity,
-    resolve_convention,
     restrict,
     scd_block_transform,
     scd_hadamard,
@@ -44,17 +43,8 @@ for axis in "xyz":
 kicked = apply_noise(one, NoiseEvent((1.2, 0.4, 5.0)), CollectiveModel.SCD)
 print("fidelity after a strong collective kick:", fidelity(kicked, one))
 
-# --- the block transform and its convention resolver -----------------------
+# --- the block transform ----------------------------------------------------
 # The 14-gate transform shuttles the logical amplitude onto qubit 4.
-# Its product-form definition is sensitive to CNOT argument order and
-# rotation signs, so the library probes the as-written lowering first
-# and reports what it found.
-report = resolve_convention()
-print("\nblock transform lowering:", report.resolved.describe())
-print("logical-Hadamard deviation per candidate:")
-for convention, deviation in report.deviations:
-    print(f"  {convention.describe():<45s} {deviation:.3e}")
-
 u = circuit_unitary(scd_block_transform(1))
 image = u @ zero.amplitudes
 print("transform sends |0>_L to basis state", format(int(np.argmax(np.abs(image))), "04b"))
@@ -64,7 +54,7 @@ print("transform sends |0>_L to basis state", format(int(np.argmax(np.abs(image)
 # satisfies the logical-gate contracts by construction and must agree
 # with the gate sequence on the logical block.
 basis = scd_logical_basis(1)
-fallback = scd_transform_matrix(1, source="fallback")
+fallback = scd_transform_matrix(1)
 h_phys = circuit_unitary(scd_hadamard(1, 1))
 block_seq, _ = restrict(h_phys, basis)
 block_fb, _ = restrict(fallback.conj().T @ np.kron(

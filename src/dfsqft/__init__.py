@@ -57,12 +57,8 @@ from .qft import (
     trivial_factory,
 )
 from .scd import (
-    ConventionReport,
     ScdAngles,
-    ScdConvention,
     ScdRegister,
-    convention_report,
-    resolve_convention,
     scd_block_transform,
     scd_factory,
     scd_hadamard,
@@ -122,11 +118,9 @@ __all__ = [
     "wcd_phase", "wcd_encoder_circuit", "wcd_factory", "synth_qft_wcd",
     "wcd_qft_block_boundaries",
     # scd
-    "ScdRegister", "ScdAngles", "ScdConvention", "ConventionReport",
-    "scd_logical_state", "scd_logical_basis", "scd_block_transform",
-    "resolve_convention", "convention_report", "scd_transform_matrix",
-    "scd_hadamard", "scd_phase", "scd_factory", "synth_qft_scd",
-    "scd_qft_block_boundaries",
+    "ScdRegister", "ScdAngles", "scd_logical_state", "scd_logical_basis",
+    "scd_block_transform", "scd_transform_matrix", "scd_hadamard", "scd_phase",
+    "scd_factory", "synth_qft_scd", "scd_qft_block_boundaries",
     # noise
     "NoiseEvent", "NoisePolicy", "RunReport", "apply_noise", "noisy_run",
     "sample_event", "single_qubit_rotation", "GRANULARITIES",

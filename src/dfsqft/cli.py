@@ -197,12 +197,6 @@ def cmd_verify(args, config: dict[str, str]) -> int:
     else:
         _write_text(args.out, json.dumps(report, indent=2) + "\n")
 
-    if encoding == "scd" and extra["resolver"]["search_exercised"]:
-        erratum_path = (args.out or "scd_convention") + ".erratum.json"
-        _write_text(erratum_path, json.dumps(extra["resolver"], indent=2) + "\n")
-        print(f"convention search exercised; erratum report written to {erratum_path}",
-              file=sys.stderr)
-
     if not report["passed"]:
         first = next(c for c in checks if not c["pass"])
         print(f"FAIL: {first['name']} deviation {first['deviation']:.3e} "

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .qft import _check_size
 from .statevector import StateVector, SubspaceBasis
 
 MAX_BRUTE_FORCE_QUBITS = 10
@@ -52,8 +53,7 @@ def collective_operator(n: int, axis: str) -> np.ndarray:
     Built by index arithmetic: bit t of the index is qubit t+1, and the Pauli
     on that qubit sends column l to row l (z) or l with bit t flipped (x, y).
     """
-    if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
+    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     sigma = _PAULI[axis]
@@ -87,8 +87,7 @@ def collective_product(axis: str, columns: np.ndarray) -> np.ndarray:
 
 def _weights(n: int) -> np.ndarray:
     """Hamming weight w(l) of every index l in 0..2^n - 1, by index arithmetic."""
-    if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
+    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
 
 
@@ -133,8 +132,7 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
     space of all three collective operators, found numerically with
     singular values below 1e-9 treated as zero.
     """
-    if not 2 <= n <= MAX_BRUTE_FORCE_QUBITS:
-        raise ValueError(f"n must be in 2..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
+    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     if n % 2:
         raise ValueError(f"the canonical {model.value} sector needs even n, got {n}")
     if model is CollectiveModel.WCD:
@@ -146,8 +144,7 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
 
 def max_dfs_dimension(n: int, model: CollectiveModel) -> int:
     """Largest noise-free sector dimension (closed form; 0 means no sector)."""
-    if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
+    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     if model is CollectiveModel.WCD:
         return math.comb(n, n // 2)
     if n % 2:
@@ -163,8 +160,7 @@ def wcd_sector_dimensions(n: int) -> dict[int, int]:
 
 def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
     """Same quantity as max_dfs_dimension, but measured on the operators themselves."""
-    if not 1 <= n <= MAX_BRUTE_FORCE_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_BRUTE_FORCE_QUBITS}, got {n}")
+    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     if model is CollectiveModel.WCD:
         return max(wcd_sector_dimensions(n).values())
     return _collective_nullspace(n).shape[1]
@@ -181,8 +177,7 @@ def eta_max(n: int, model: CollectiveModel) -> Fraction:
 def min_physical_qubits(m: int, model: CollectiveModel) -> int:
     """Smallest register whose largest noise-free sector fits m logical qubits
     (for m <= 5 at most 10: SCD 4/6/8/10/10, WCD 2/4/5/6/7)."""
-    if not 1 <= m <= 5:
-        raise ValueError(f"m must be in 1..5, got {m}")
+    _check_size(m, 5, "m")
     for n in range(1, MAX_BRUTE_FORCE_QUBITS + 1):
         if max_dfs_dimension(n, model) >= 2**m:
             return n

@@ -25,9 +25,14 @@ class ConventionError(RuntimeError):
     """No candidate output permutation matches the reference transform."""
 
 
-def _check_size(n: int, limit: int) -> None:
+def _check_size(n: int, limit: int, name: str = "n") -> None:
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= limit:
-        raise ValueError(f"n must be an integer in 1..{limit}, got {n!r}")
+        raise ValueError(f"{name} must be an integer in 1..{limit}, got {n!r}")
+
+
+def _check_n_logical(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n_logical must be a positive integer, got {n!r}")
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -78,7 +83,11 @@ def resolve_output_order(n: int) -> OutputOrder:
     neither matches (a convention bug, not an expected outcome).
     """
     _check_size(n, MAX_ORACLE_QUBITS)
-    u = circuit_unitary(synth_qft(n))
+    return _output_order(n, circuit_unitary(synth_qft(n)))
+
+
+def _output_order(n: int, u: np.ndarray) -> OutputOrder:
+    """resolve_output_order for u, the unitary of synth_qft(n), already built."""
     f = dft_matrix(n)
     for kind, perm in (
         ("identity", np.arange(2**n, dtype=np.int64)),
@@ -110,8 +119,7 @@ def conjugation_factory(n: int, n_qubits: int, decoder: Callable[[int], tuple[Ga
     gates decoder(t) move logical qubit t onto physical qubit top(t): H(top k)
     and P(top i, top j, theta), each between the decoders of its logical
     qubits (j's first) and their inverses."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n_logical must be a positive integer, got {n!r}")
+    _check_n_logical(n)
 
     def decode(t: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
         if not (isinstance(t, (int, np.integer)) and 1 <= t <= n):

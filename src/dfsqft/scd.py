@@ -9,13 +9,10 @@ them exactly fixed.
 The encoding is its per-qubit decoder, a 14-gate block transform that
 shuttles the logical amplitude onto the block's top qubit; every logical
 gate is a physical gate on the top qubits conjugated by it
-(qft.conjugation_factory). The transform is a fixed 14-factor product
-whose correctness is sensitive to CNOT argument order and rotation signs,
-so a bounded resolver checks the as-written lowering and the three global
-variants against the logical-Hadamard contract and resolves to the first
-that passes; all four deviations are always reported. A direct
-basis-change matrix ("fallback") provides the same logical action by
-construction and cross-validates the sequence.
+(qft.conjugation_factory). The transform is one fixed gate list, the
+paper's product lowered as written. A direct basis-change matrix
+("fallback") provides the same logical action by construction and
+cross-validates the sequence on every verify.
 """
 from __future__ import annotations
 
@@ -26,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate, cn, cr, h, r
-from .qft import GateFactory, conjugation_factory, logical_block_boundaries, synth_logical_qft
-from .statevector import StateVector, SubspaceBasis, apply_circuit, circuit_unitary
+from .qft import (GateFactory, _check_n_logical, conjugation_factory, logical_block_boundaries,
+                  synth_logical_qft)
+from .statevector import StateVector, SubspaceBasis
 
 MAX_SCD_LOGICAL = 3  # 12 physical qubits
-CONVENTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,7 @@ class ScdRegister:
     n_logical: int
 
     def __post_init__(self):
-        if self.n_logical < 1:
-            raise ValueError("n_logical must be positive")
+        _check_n_logical(self.n_logical)
 
     @property
     def n_physical(self) -> int:
@@ -106,166 +102,43 @@ def scd_logical_basis(n: int) -> SubspaceBasis:
     return SubspaceBasis(4 * n, vectors)
 
 
-@dataclass(frozen=True)
-class ScdConvention:
-    """Global lowering variants probed by the resolver."""
-
-    swap_cn_order: bool = False
-    negate_rotation_angles: bool = False
-
-    def describe(self) -> str:
-        if not (self.swap_cn_order or self.negate_rotation_angles):
-            return "as-written"
-        parts = []
-        if self.swap_cn_order:
-            parts.append("swapped CN argument order")
-        if self.negate_rotation_angles:
-            parts.append("negated R/CR angles")
-        return " + ".join(parts)
-
-
-AS_WRITTEN = ScdConvention()
-_CANDIDATES = (
-    AS_WRITTEN,
-    ScdConvention(swap_cn_order=True),
-    ScdConvention(negate_rotation_angles=True),
-    ScdConvention(swap_cn_order=True, negate_rotation_angles=True),
-)
-
-
-def _block_transform_gates(k: int, convention: ScdConvention) -> tuple[Gate, ...]:
+def _block_transform_gates(k: int) -> tuple[Gate, ...]:
     q1, q2, q3, q4 = (4 * k - 3, 4 * k - 2, 4 * k - 1, 4 * k)
-    sign = -1.0 if convention.negate_rotation_angles else 1.0
-
-    def _cn(a, b):
-        return cn(b, a) if convention.swap_cn_order else cn(a, b)
-
-    def _cr(a, b, beta):
-        beta *= sign
-        return cr(b, a, beta) if convention.swap_cn_order else cr(a, b, beta)
-
     # Factors of the block transform in product order (rightmost acts first);
     # reversed below into application order.
     factors = (
-        _cn(q4, q2),
-        _cn(q2, q1),
-        _cn(q2, q4),
-        r(q2, sign * DEFAULT_ANGLES.alpha),
-        _cr(q1, q2, DEFAULT_ANGLES.beta1),
-        _cr(q2, q1, DEFAULT_ANGLES.beta2),
-        _cn(q2, q4),
-        _cn(q1, q3),
-        _cn(q1, q2),
-        _cn(q3, q4),
+        cn(q4, q2),
+        cn(q2, q1),
+        cn(q2, q4),
+        r(q2, DEFAULT_ANGLES.alpha),
+        cr(q1, q2, DEFAULT_ANGLES.beta1),
+        cr(q2, q1, DEFAULT_ANGLES.beta2),
+        cn(q2, q4),
+        cn(q1, q3),
+        cn(q1, q2),
+        cn(q3, q4),
         h(q1),
         h(q3),
-        _cn(q1, q2),
-        _cn(q3, q4),
+        cn(q1, q2),
+        cn(q3, q4),
     )
     return tuple(reversed(factors))
 
 
-@dataclass(frozen=True, eq=False)
-class ConventionReport:
-    """Resolver outcome over the four lowering variants."""
-
-    deviations: tuple[tuple[ScdConvention, float], ...]
-    resolved: ScdConvention | None
-    tolerance: float
-
-    @property
-    def as_written_deviation(self) -> float:
-        return self.deviations[0][1]
-
-    @property
-    def as_written_passes(self) -> bool:
-        return self.as_written_deviation <= self.tolerance
-
-    @property
-    def search_exercised(self) -> bool:
-        return not self.as_written_passes
-
-    @property
-    def sequence_usable(self) -> bool:
-        return self.resolved is not None
-
-    @property
-    def fallback_normative(self) -> bool:
-        return self.resolved is None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "scd-convention-report",
-            "tolerance": self.tolerance,
-            "as_written_passes": self.as_written_passes,
-            "search_exercised": self.search_exercised,
-            "fallback_normative": self.fallback_normative,
-            "resolved": None
-            if self.resolved is None
-            else {
-                "swap_cn_order": self.resolved.swap_cn_order,
-                "negate_rotation_angles": self.resolved.negate_rotation_angles,
-                "description": self.resolved.describe(),
-            },
-            "candidates": [
-                {
-                    "swap_cn_order": conv.swap_cn_order,
-                    "negate_rotation_angles": conv.negate_rotation_angles,
-                    "logical_hadamard_deviation": dev,
-                    "passes": dev <= self.tolerance,
-                }
-                for conv, dev in self.deviations
-            ],
-        }
-
-
-def _logical_hadamard_deviation(convention: ScdConvention) -> float:
-    """Worst entrywise error of the conjugated-H block against the exact
-    logical Hadamard action on both encoded basis states (single block)."""
-    hadamard = conjugation_factory(1, 4, lambda t: _block_transform_gates(t, convention),
-                                   lambda t: 4 * t).hadamard(1)
-    zero, one = scd_logical_state("0"), scd_logical_state("1")
-    plus = (zero.amplitudes + one.amplitudes) / math.sqrt(2.0)
-    minus = (zero.amplitudes - one.amplitudes) / math.sqrt(2.0)
-    dev0 = np.max(np.abs(apply_circuit(zero, hadamard).amplitudes - plus))
-    dev1 = np.max(np.abs(apply_circuit(one, hadamard).amplitudes - minus))
-    return float(max(dev0, dev1))
-
-
-def _resolve(candidates: tuple[ScdConvention, ...]) -> ConventionReport:
-    deviations = []
-    resolved = None
-    for conv in candidates:
-        dev = _logical_hadamard_deviation(conv)
-        deviations.append((conv, dev))
-        if resolved is None and dev <= CONVENTION_TOL:
-            resolved = conv
-    return ConventionReport(tuple(deviations), resolved, CONVENTION_TOL)
-
-
-@functools.lru_cache(maxsize=1)
-def resolve_convention() -> ConventionReport:
-    """Probe the as-written lowering, then the three variants; cached."""
-    return _resolve(_CANDIDATES)
-
-
-def convention_report() -> dict:
-    """JSON-ready resolver outcome (the machine-readable erratum when the
-    as-written sequence fails)."""
-    report = resolve_convention().to_dict()
-    report["schema"] = "dfsqft/1"
-    return report
-
-
 def scd_block_transform(k: int) -> Circuit:
-    """14-gate transform on physical qubits 4k-3..4k, in the resolved
-    convention, mapping the block's two logical states onto computational
-    basis states that differ in qubit 4k."""
+    """14-gate transform on physical qubits 4k-3..4k, lowered as written
+    (CN control first, R/CR angles as given), mapping the block's two
+    logical states onto computational basis states that differ in qubit 4k."""
     if k < 1:
         raise ValueError("logical index must be positive")
-    report = resolve_convention()
-    convention = report.resolved if report.resolved is not None else AS_WRITTEN
-    return Circuit(4 * k, _block_transform_gates(k, convention))
+    return Circuit(4 * k, _block_transform_gates(k))
+
+
+def resolve_convention() -> Circuit:
+    """The block transform of logical qubit 1. Kept only because the
+    benchmark calls it by name: bench/run.py during set-up, and
+    bench/tracing.py traces it as a layer."""
+    return scd_block_transform(1)
 
 
 def _fallback_block_matrix() -> np.ndarray:
@@ -304,7 +177,7 @@ def _fallback_block_cached() -> np.ndarray:
 
 
 def _fallback_columns(columns: np.ndarray, n: int) -> np.ndarray:
-    """scd_transform_matrix(n, "fallback") @ columns for a 16^n x k array,
+    """scd_transform_matrix(n) @ columns for a 16^n x k array,
     applied one 16x16 block at a time instead of as a dense kron."""
     block = _fallback_block_cached()
     arr = columns.reshape((16,) * n + columns.shape[1:])
@@ -313,23 +186,13 @@ def _fallback_columns(columns: np.ndarray, n: int) -> np.ndarray:
     return arr.reshape(columns.shape)
 
 
-def scd_transform_matrix(n: int, source: str = "sequence") -> np.ndarray:
-    """Dense block-diagonal transform for n logical blocks.
-
-    source="sequence": lower the gate sequence (resolved convention).
-    source="fallback": the direct basis-change matrix, which sends every
-    encoded basis state to a computational basis state by construction.
-    """
+def scd_transform_matrix(n: int) -> np.ndarray:
+    """Dense kron of the fallback basis change over n logical blocks: sends
+    every encoded basis state to a computational basis state by construction.
+    The dense oracle that _fallback_columns is tested against."""
     if not 1 <= n <= MAX_SCD_LOGICAL:
         raise ValueError(f"n must be in 1..{MAX_SCD_LOGICAL}, got {n}")
-    if source == "sequence":
-        gates: list[Gate] = []
-        for k in range(1, n + 1):  # disjoint blocks; order immaterial
-            gates.extend(scd_block_transform(k).gates)
-        return circuit_unitary(Circuit(4 * n, tuple(gates)))
-    if source == "fallback":
-        return functools.reduce(np.kron, [_fallback_block_cached()] * n)
-    raise ValueError(f"source must be 'sequence' or 'fallback', got {source!r}")
+    return functools.reduce(np.kron, [_fallback_block_cached()] * n)
 
 
 def scd_factory(n: int) -> GateFactory:

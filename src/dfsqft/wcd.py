@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, cn
-from .qft import GateFactory, conjugation_factory, logical_block_boundaries, synth_logical_qft
+from .qft import (GateFactory, _check_n_logical, conjugation_factory, logical_block_boundaries,
+                  synth_logical_qft)
 from .statevector import StateVector, SubspaceBasis
 
 MAX_WCD_LOGICAL = 6  # 12 physical qubits
@@ -26,8 +27,7 @@ class WcdRegister:
     n_logical: int
 
     def __post_init__(self):
-        if self.n_logical < 1:
-            raise ValueError("n_logical must be positive")
+        _check_n_logical(self.n_logical)
 
     @property
     def n_physical(self) -> int:

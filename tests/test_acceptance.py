@@ -24,7 +24,6 @@ from dfsqft import (
     min_physical_qubits,
     noisy_run,
     p,
-    resolve_convention,
     restrict,
     scd_logical_basis,
     scd_logical_state,
@@ -37,7 +36,6 @@ from dfsqft import (
     wcd_logical_state,
     wcd_qft_block_boundaries,
 )
-from dfsqft.scd import convention_report
 from dfsqft.verify import SUITES, logical_phase
 
 from fractions import Fraction
@@ -123,13 +121,13 @@ def test_criterion_06_scd_logical_gates():
     started = time.perf_counter()
     # fallback route must satisfy both logical-gate contracts unconditionally
     zero, one = scd_logical_state("0").amplitudes, scd_logical_state("1").amplitudes
-    transform = scd_transform_matrix(1, source="fallback")
+    transform = scd_transform_matrix(1)
     conj_h = transform.conj().T @ circuit_unitary(Circuit(4, (h(4),))) @ transform
     fb_dev = max(
         float(np.max(np.abs(conj_h @ zero - (zero + one) / math.sqrt(2)))),
         float(np.max(np.abs(conj_h @ one - (zero - one) / math.sqrt(2)))),
     )
-    transform2 = scd_transform_matrix(2, source="fallback")
+    transform2 = scd_transform_matrix(2)
     basis2 = scd_logical_basis(2)
     for theta in (math.pi / 2, math.pi / 4):
         conj_p = (
@@ -140,18 +138,10 @@ def test_criterion_06_scd_logical_gates():
         block, leakage = restrict(conj_p, basis2)
         fb_dev = max(fb_dev, float(np.max(np.abs(block - logical_phase(2, 2, 1, theta)))), leakage)
 
-    # gate-sequence route: the resolver's verdict, or a machine-readable
-    # erratum — silence is the only failure
-    resolver = resolve_convention()
-    erratum = convention_report()
-    sequence_ok = resolver.sequence_usable and resolver.as_written_deviation <= 1e-10
-    reported = erratum.get("schema") == "dfsqft/1" and "candidates" in erratum
-    passed = fb_dev < 1e-10 and (sequence_ok or reported)
-    detail = (
-        f"fallback deviation {fb_dev:.2e}; sequence "
-        + (f"passes as-written ({resolver.as_written_deviation:.2e})" if sequence_ok
-           else f"fails, erratum reported={reported}")
-    )
+    # gate-sequence route: the block transform as written
+    seq_dev = _worst("scd", (1, 2))["logical_gates_sequence"]
+    passed = fb_dev < 1e-10 and seq_dev < 1e-10
+    detail = f"fallback deviation {fb_dev:.2e}; sequence deviation {seq_dev:.2e}"
     elapsed = time.perf_counter() - started
     _report(6, "SCD logical gates (16- and 256-dim)", passed, detail, elapsed, 10.0)
 

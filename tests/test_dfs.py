@@ -292,3 +292,27 @@ class TestDfsReport:
     def test_scd_odd_register_rejected(self):
         with pytest.raises(ValueError, match="no noise-free sector"):
             dfs_report(3, SCD)
+
+
+_N_MESSAGE = r"n must be an integer in 1\.\.10, got 2\.5"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: min_physical_qubits(2.5, WCD), r"m must be an integer in 1\.\.5, got 2\.5"),
+    (lambda: max_dfs_dimension(2.5, WCD), _N_MESSAGE),
+    (lambda: max_dfs_dimension(2.5, SCD), _N_MESSAGE),
+    (lambda: brute_force_max_dfs_dimension(2.5, WCD), _N_MESSAGE),
+    (lambda: brute_force_max_dfs_dimension(2.5, SCD), _N_MESSAGE),
+    (lambda: dfs_report(2.5, WCD), _N_MESSAGE),
+    (lambda: dfs_report(2.5, SCD), _N_MESSAGE),
+    (lambda: dfs_basis(2.5, WCD), _N_MESSAGE),
+    (lambda: wcd_sector_dimensions(2.5), _N_MESSAGE),
+    (lambda: collective_operator(2.5, "z"), _N_MESSAGE),
+    (lambda: eta_max(2.5, WCD), _N_MESSAGE),
+    (lambda: eta_max(2.5, SCD), _N_MESSAGE),
+], ids=["min_physical_qubits", "max_dfs_dimension-wcd", "max_dfs_dimension-scd",
+        "brute_force-wcd", "brute_force-scd", "dfs_report-wcd", "dfs_report-scd", "dfs_basis",
+        "wcd_sector_dimensions", "collective_operator", "eta_max-wcd", "eta_max-scd"])
+def test_non_integer_size_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

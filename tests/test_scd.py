@@ -7,13 +7,13 @@ import scipy.linalg
 
 from dfsqft import (
     Circuit,
+    Gate,
     ScdAngles,
-    ScdConvention,
     ScdRegister,
+    apply_circuit,
     circuit_unitary,
     cn,
     collective_operator,
-    convention_report,
     dft_matrix,
     global_phase_agreement,
     h,
@@ -21,7 +21,6 @@ from dfsqft import (
     p,
     parse_circuit,
     print_circuit,
-    resolve_convention,
     resolve_output_order,
     restrict,
     scd_block_transform,
@@ -32,7 +31,8 @@ from dfsqft import (
     synth_qft,
     synth_qft_scd,
 )
-from dfsqft.scd import AS_WRITTEN, _fallback_columns, _resolve
+from dfsqft.qft import conjugation_factory
+from dfsqft.scd import _fallback_columns
 
 from conftest import GOLDEN_DIR
 
@@ -47,6 +47,11 @@ class TestRegister:
         assert reg.n_physical == 8
         assert reg.block(1) == (1, 2, 3, 4)
         assert reg.block(2) == (5, 6, 7, 8)
+
+    @pytest.mark.parametrize("n", [1.5, 0, "2"])
+    def test_non_integer_or_empty_register_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
+            ScdRegister(n)
 
 
 class TestAngles:
@@ -154,50 +159,45 @@ class TestBlockTransform:
         assert abs(images[0][peaks[0]] - images[1][peaks[1]]) < 1e-12
 
 
-class TestConventionResolver:
-    def test_as_written_passes(self):
-        report = resolve_convention()
-        assert report.as_written_passes
-        assert report.as_written_deviation < 1e-10
-        assert report.resolved == AS_WRITTEN
-        assert not report.search_exercised
-        assert not report.fallback_normative
+def _logical_hadamard_deviation(block_transform: tuple[Gate, ...]) -> float:
+    """Worst amplitude error of H on qubit 4, conjugated by a block transform,
+    against the logical Hadamard on the two encoded basis states."""
+    hadamard = conjugation_factory(1, 4, lambda t: block_transform, lambda t: 4).hadamard(1)
+    zero, one = scd_logical_state("0"), scd_logical_state("1")
+    plus = (zero.amplitudes + one.amplitudes) * INV_SQRT2
+    minus = (zero.amplitudes - one.amplitudes) * INV_SQRT2
+    return max(np.max(np.abs(apply_circuit(zero, hadamard).amplitudes - plus)),
+               np.max(np.abs(apply_circuit(one, hadamard).amplitudes - minus)))
 
-    def test_report_dict_shape(self):
-        report = convention_report()
-        assert report["schema"] == "dfsqft/1"
-        assert report["as_written_passes"] is True
-        assert report["fallback_normative"] is False
-        assert len(report["candidates"]) == 4
-        assert report["candidates"][0]["passes"] is True
 
-    def test_variant_lowerings_fail_the_contract(self):
-        # the resolver distinguishes the four candidates: only as-written passes
-        full = resolve_convention()
-        deviations = dict(full.deviations)
-        for convention, deviation in deviations.items():
-            if convention == AS_WRITTEN:
-                assert deviation < 1e-10
-            else:
-                assert deviation > 1e-2
+def test_only_the_as_written_lowering_gives_the_logical_hadamard():
+    # The paper prints the transform as a product whose CN/CR argument order
+    # and R/CR angle signs could each be read two ways. Read as written
+    # (control first, angles as given), it gives the logical Hadamard; the
+    # three other readings miss it by 0.65 to 1.0.
+    as_written = scd_block_transform(1).gates
 
-    def test_failed_search_reports_instead_of_silence(self):
-        # restrict the candidate list to bad lowerings: the fallback becomes
-        # normative and the report says so (never a silent pass)
-        bad = _resolve((ScdConvention(swap_cn_order=True),))
-        assert bad.resolved is None
-        assert bad.fallback_normative
-        assert bad.search_exercised
-        payload = bad.to_dict()
-        assert payload["fallback_normative"] is True
-        assert payload["resolved"] is None
+    def swap(g: Gate) -> Gate:
+        return Gate(g.kind, g.qubits[::-1], g.angle)
+
+    def negate(g: Gate) -> Gate:
+        return Gate(g.kind, g.qubits, -g.angle) if g.kind in ("R", "CR") else g
+
+    assert _logical_hadamard_deviation(as_written) < 1e-10
+    variants = {
+        "swapped CN/CR arguments": tuple(map(swap, as_written)),
+        "negated R/CR angles": tuple(map(negate, as_written)),
+        "both": tuple(swap(negate(g)) for g in as_written),
+    }
+    for name, gates in variants.items():
+        assert _logical_hadamard_deviation(gates) > 0.5, name
 
 
 class TestTransformMatrix:
     def test_fallback_sends_logical_to_basis_states(self):
         from dfsqft import scd_transform_matrix
 
-        u = scd_transform_matrix(1, source="fallback")
+        u = scd_transform_matrix(1)
         for bits in "01":
             img = u @ scd_logical_state(bits).amplitudes
             assert abs(np.max(np.abs(img)) - 1.0) < 1e-12
@@ -206,12 +206,12 @@ class TestTransformMatrix:
         from dfsqft import scd_transform_matrix, unitarity_defect
 
         for n in (1, 2):
-            assert unitarity_defect(scd_transform_matrix(n, source="fallback")) < 1e-10
+            assert unitarity_defect(scd_transform_matrix(n)) < 1e-10
 
     def test_fallback_conjugated_hadamard_exact(self):
         from dfsqft import scd_transform_matrix
 
-        u = scd_transform_matrix(1, source="fallback")
+        u = scd_transform_matrix(1)
         conjugated = u.conj().T @ circuit_unitary(Circuit(4, (h(4),))) @ u
         zero, one = scd_logical_state("0").amplitudes, scd_logical_state("1").amplitudes
         np.testing.assert_allclose(conjugated @ zero, (zero + one) * INV_SQRT2, atol=1e-10)
@@ -223,7 +223,7 @@ class TestTransformMatrix:
 
         columns = np.random.default_rng(5).normal(size=(16**n, 3)) + 0j
         np.testing.assert_allclose(_fallback_columns(columns, n),
-                                   scd_transform_matrix(n, source="fallback") @ columns,
+                                   scd_transform_matrix(n) @ columns,
                                    rtol=0, atol=1e-14)
 
     def test_sequence_and_fallback_agree_on_logical_blocks(self):
@@ -231,17 +231,11 @@ class TestTransformMatrix:
         from dfsqft import scd_transform_matrix
 
         basis = scd_logical_basis(1)
-        u_fb = scd_transform_matrix(1, source="fallback")
+        u_fb = scd_transform_matrix(1)
         mid = circuit_unitary(Circuit(4, (h(4),)))
         block_fb, _ = restrict(u_fb.conj().T @ mid @ u_fb, basis)
         block_seq, _ = restrict(circuit_unitary(scd_hadamard(1, 1)), basis)
         np.testing.assert_allclose(block_fb, block_seq, atol=1e-10)
-
-    def test_bad_source_rejected(self):
-        from dfsqft import scd_transform_matrix
-
-        with pytest.raises(ValueError, match="source"):
-            scd_transform_matrix(1, source="guess")
 
 
 class TestLogicalHadamard:

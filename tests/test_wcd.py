@@ -43,6 +43,12 @@ class TestRegister:
         with pytest.raises(ValueError):
             reg.pair(4)
 
+    @pytest.mark.parametrize("build", [WcdRegister, wcd_encoder_circuit])
+    @pytest.mark.parametrize("n", [1.5, 0, "2"])
+    def test_non_integer_or_empty_register_rejected(self, build, n):
+        with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
+            build(n)
+
 
 class TestLogicalStates:
     def test_single_logical_zero_and_one(self):
