@@ -32,7 +32,7 @@ from dfsqft import (
     synth_qft_scd,
 )
 from dfsqft.qft import conjugation_factory
-from dfsqft.scd import _fallback_columns
+from dfsqft.scd import _fallback_columns, resolve_convention
 
 from conftest import GOLDEN_DIR
 
@@ -170,27 +170,33 @@ def _logical_hadamard_deviation(block_transform: tuple[Gate, ...]) -> float:
                np.max(np.abs(apply_circuit(one, hadamard).amplitudes - minus)))
 
 
-def test_only_the_as_written_lowering_gives_the_logical_hadamard():
+def _swap(g: Gate) -> Gate:
+    return Gate(g.kind, g.qubits[::-1], g.angle)
+
+
+def _negate(g: Gate) -> Gate:
+    return Gate(g.kind, g.qubits, -g.angle) if g.kind in ("R", "CR") else g
+
+
+class TestConventionResolver:
     # The paper prints the transform as a product whose CN/CR argument order
     # and R/CR angle signs could each be read two ways. Read as written
     # (control first, angles as given), it gives the logical Hadamard; the
     # three other readings miss it by 0.65 to 1.0.
-    as_written = scd_block_transform(1).gates
 
-    def swap(g: Gate) -> Gate:
-        return Gate(g.kind, g.qubits[::-1], g.angle)
+    def test_as_written_passes(self):
+        assert _logical_hadamard_deviation(scd_block_transform(1).gates) < 1e-10
+        assert resolve_convention().gates == scd_block_transform(1).gates
 
-    def negate(g: Gate) -> Gate:
-        return Gate(g.kind, g.qubits, -g.angle) if g.kind in ("R", "CR") else g
-
-    assert _logical_hadamard_deviation(as_written) < 1e-10
-    variants = {
-        "swapped CN/CR arguments": tuple(map(swap, as_written)),
-        "negated R/CR angles": tuple(map(negate, as_written)),
-        "both": tuple(swap(negate(g)) for g in as_written),
-    }
-    for name, gates in variants.items():
-        assert _logical_hadamard_deviation(gates) > 0.5, name
+    def test_variant_lowerings_fail_the_contract(self):
+        as_written = scd_block_transform(1).gates
+        variants = {
+            "swapped CN/CR arguments": tuple(map(_swap, as_written)),
+            "negated R/CR angles": tuple(map(_negate, as_written)),
+            "both": tuple(_swap(_negate(g)) for g in as_written),
+        }
+        for name, gates in variants.items():
+            assert _logical_hadamard_deviation(gates) > 0.5, name
 
 
 class TestTransformMatrix:
