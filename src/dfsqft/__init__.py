@@ -45,13 +45,10 @@ from .noise import (
     single_qubit_rotation,
 )
 from .qft import (
-    ConventionError,
     GateFactory,
-    OutputOrder,
     bit_reversal_permutation,
     dft_matrix,
     logical_block_boundaries,
-    resolve_output_order,
     synth_logical_qft,
     synth_qft,
     trivial_factory,
@@ -107,8 +104,7 @@ __all__ = [
     "unitarity_defect", "global_phase_agreement", "equal_up_to_global_phase",
     # qft
     "dft_matrix", "synth_qft", "synth_logical_qft", "GateFactory",
-    "trivial_factory", "logical_block_boundaries", "resolve_output_order",
-    "OutputOrder", "bit_reversal_permutation", "ConventionError",
+    "trivial_factory", "logical_block_boundaries", "bit_reversal_permutation",
     # dfs
     "CollectiveModel", "DfsReport", "collective_operator", "dfs_basis",
     "dfs_report", "max_dfs_dimension", "brute_force_max_dfs_dimension",

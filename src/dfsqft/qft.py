@@ -1,9 +1,9 @@
 """Quantum Fourier transform synthesis and its matrix oracle.
 
-The synthesized gate sequence uses no swap gates, so its matrix equals
-the reference DFT only up to a known output-index permutation; which one
-(identity or bit reversal) is resolved empirically by
-``resolve_output_order`` rather than assumed.
+The synthesized gate sequence uses no swap gates, so it emits the Fourier
+coefficients in bit-reversed index order: its matrix equals the reference
+DFT with rows permuted by ``bit_reversal_permutation`` (the identity at
+n = 1), up to a global phase.
 """
 from __future__ import annotations
 
@@ -14,15 +14,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .circuits import Circuit, Gate, h, p
-from .statevector import circuit_unitary, equal_up_to_global_phase
 
 MAX_QFT_QUBITS = 14
-# resolve_output_order compares dense 2^n x 2^n matrices against the DFT
-MAX_ORACLE_QUBITS = 8
-
-
-class ConventionError(RuntimeError):
-    """No candidate output permutation matches the reference transform."""
 
 
 def _check_size(n: int, limit: int, name: str = "n") -> None:
@@ -33,6 +26,11 @@ def _check_size(n: int, limit: int, name: str = "n") -> None:
 def _check_n_logical(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n_logical must be a positive integer, got {n!r}")
+
+
+def _check_index(t: int, n: int) -> None:
+    if not (isinstance(t, (int, np.integer)) and 1 <= t <= n):
+        raise ValueError(f"logical index {t} out of range 1..{n}")
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -55,48 +53,20 @@ def synth_qft(n: int) -> Circuit:
 
 
 def bit_reversal_permutation(n: int) -> np.ndarray:
-    """Index map l -> reversal of l's n-bit string."""
+    """Index map l -> reversal of l's n-bit string: synth_qft(n) emits
+    Fourier coefficient l at slot perm[l], so its unitary equals
+    dft_matrix(n)[perm] up to a global phase (perm is an involution)."""
+    _check_size(n, MAX_QFT_QUBITS)
     perm = np.zeros(2**n, dtype=np.int64)
     for l in range(2**n):
         perm[l] = int(format(l, f"0{n}b")[::-1], 2)
     return perm
 
 
-@dataclass(frozen=True, eq=False)
-class OutputOrder:
-    """Resolved output-index permutation: basis l comes out at slot permutation[l]."""
-
-    kind: str  # "identity" or "bit-reversal"
-    permutation: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        dim = self.permutation.size
-        q = np.zeros((dim, dim))
-        q[self.permutation, np.arange(dim)] = 1.0
-        return q
-
-
-def resolve_output_order(n: int) -> OutputOrder:
-    """Pick the permutation Q with synth_qft(n) = Q * dft_matrix(n) up to global phase.
-
-    Tries identity first, then bit reversal; raises ConventionError if
-    neither matches (a convention bug, not an expected outcome).
-    """
-    _check_size(n, MAX_ORACLE_QUBITS)
-    return _output_order(n, circuit_unitary(synth_qft(n)))
-
-
-def _output_order(n: int, u: np.ndarray) -> OutputOrder:
-    """resolve_output_order for u, the unitary of synth_qft(n), already built."""
-    f = dft_matrix(n)
-    for kind, perm in (
-        ("identity", np.arange(2**n, dtype=np.int64)),
-        ("bit-reversal", bit_reversal_permutation(n)),
-    ):
-        candidate = OutputOrder(kind, perm)
-        if equal_up_to_global_phase(candidate.matrix() @ f, u):
-            return candidate
-    raise ConventionError("no matching convention")
+def resolve_output_order(n: int) -> np.ndarray:
+    """bit_reversal_permutation(n). Kept only because bench/tracing.py
+    traces it by name as a layer."""
+    return bit_reversal_permutation(n)
 
 
 @dataclass(frozen=True)
@@ -122,8 +92,7 @@ def conjugation_factory(n: int, n_qubits: int, decoder: Callable[[int], tuple[Ga
     _check_n_logical(n)
 
     def decode(t: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-        if not (isinstance(t, (int, np.integer)) and 1 <= t <= n):
-            raise ValueError(f"logical index {t} out of range 1..{n}")
+        _check_index(t, n)
         gates = decoder(t)
         return gates, tuple(g.inverse() for g in reversed(gates))
 
@@ -148,6 +117,7 @@ def trivial_factory(n: int) -> GateFactory:
 def _logical_blocks(n: int, factory: GateFactory) -> Iterator[Circuit]:
     """The QFT gate order: from qubit n down to qubit 1, H on qubit k, then
     P(j, k, pi/2^(k-j)) for j = k-1 .. 1."""
+    _check_n_logical(n)
     for k in range(n, 0, -1):
         yield factory.hadamard(k)
         for j in range(k - 1, 0, -1):
@@ -156,8 +126,6 @@ def _logical_blocks(n: int, factory: GateFactory) -> Iterator[Circuit]:
 
 def synth_logical_qft(n: int, factory: GateFactory) -> Circuit:
     """QFT skeleton with factory-produced blocks substituted for each gate."""
-    if n < 1:
-        raise ValueError("n must be positive")
     gates: list = []
     for block in _logical_blocks(n, factory):
         if block.n_qubits != factory.n_qubits:

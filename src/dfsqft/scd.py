@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate, cn, cr, h, r
-from .qft import (GateFactory, _check_n_logical, conjugation_factory, logical_block_boundaries,
-                  synth_logical_qft)
+from .qft import (GateFactory, _check_index, _check_n_logical, _check_size, conjugation_factory,
+                  logical_block_boundaries, synth_logical_qft)
 from .statevector import StateVector, SubspaceBasis
 
 MAX_SCD_LOGICAL = 3  # 12 physical qubits
@@ -44,8 +44,7 @@ class ScdRegister:
         return 4 * self.n_logical
 
     def block(self, t: int) -> tuple[int, int, int, int]:
-        if not 1 <= t <= self.n_logical:
-            raise ValueError(f"logical index {t} out of range 1..{self.n_logical}")
+        _check_index(t, self.n_logical)
         return (4 * t - 3, 4 * t - 2, 4 * t - 1, 4 * t)
 
 
@@ -98,6 +97,7 @@ def scd_logical_state(bits: str) -> StateVector:
 
 def scd_logical_basis(n: int) -> SubspaceBasis:
     """All 2^n encoded basis states, ordered by logical index."""
+    _check_n_logical(n)
     vectors = tuple(scd_logical_state(format(l, f"0{n}b")) for l in range(2**n))
     return SubspaceBasis(4 * n, vectors)
 
@@ -129,8 +129,8 @@ def scd_block_transform(k: int) -> Circuit:
     """14-gate transform on physical qubits 4k-3..4k, lowered as written
     (CN control first, R/CR angles as given), mapping the block's two
     logical states onto computational basis states that differ in qubit 4k."""
-    if k < 1:
-        raise ValueError("logical index must be positive")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"logical index must be a positive integer, got {k!r}")
     return Circuit(4 * k, _block_transform_gates(k))
 
 
@@ -190,8 +190,7 @@ def scd_transform_matrix(n: int) -> np.ndarray:
     """Dense kron of the fallback basis change over n logical blocks: sends
     every encoded basis state to a computational basis state by construction.
     The dense oracle that _fallback_columns is tested against."""
-    if not 1 <= n <= MAX_SCD_LOGICAL:
-        raise ValueError(f"n must be in 1..{MAX_SCD_LOGICAL}, got {n}")
+    _check_size(n, MAX_SCD_LOGICAL)
     return functools.reduce(np.kron, [_fallback_block_cached()] * n)
 
 
@@ -214,8 +213,7 @@ def scd_phase(i: int, j: int, theta: float, n: int) -> Circuit:
 def synth_qft_scd(n: int) -> Circuit:
     """Encoded QFT on 4n physical qubits; its restriction to the logical basis
     reproduces the plain n-qubit QFT matrix."""
-    if not 1 <= n <= MAX_SCD_LOGICAL:
-        raise ValueError(f"n must be in 1..{MAX_SCD_LOGICAL}, got {n}")
+    _check_size(n, MAX_SCD_LOGICAL)
     return synth_logical_qft(n, scd_factory(n))
 
 

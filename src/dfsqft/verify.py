@@ -25,8 +25,7 @@ import numpy as np
 from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _rotations
-from .qft import (MAX_ORACLE_QUBITS, GateFactory, OutputOrder, _output_order,
-                  conjugation_factory, dft_matrix, synth_qft)
+from .qft import GateFactory, bit_reversal_permutation, conjugation_factory, dft_matrix, synth_qft
 from .scd import MAX_SCD_LOGICAL, _fallback_columns, scd_factory, scd_logical_basis, synth_qft_scd
 from .statevector import (
     StateVector,
@@ -37,6 +36,9 @@ from .statevector import (
     unitarity_defect,
 )
 from .wcd import MAX_WCD_LOGICAL, synth_qft_wcd, wcd_encoder_circuit, wcd_factory, wcd_logical_basis
+
+# Plain verify lowers the whole register to a dense 2^n x 2^n unitary.
+MAX_ORACLE_QUBITS = 8
 
 # Controlled-phase angles of the logical-gate checks; WCD also checks pi/8.
 _WCD_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -132,28 +134,24 @@ def _conjugation_deviation(encoder: Circuit, gate: Gate, target: Circuit) -> flo
     return _distance(local(conjugated), local(target))
 
 
-def _plain_qft(n: int) -> tuple[Circuit, np.ndarray, OutputOrder]:
-    """The plain QFT circuit, its unitary and its output order: the one dense
-    unitary of the plain QFT that a suite builds."""
-    circuit = synth_qft(n)
-    unitary = circuit_unitary(circuit)
-    return circuit, unitary, _output_order(n, unitary)
+def _order_name(n: int) -> str:
+    """The report name of the QFT's output order; bit reversal is the identity at n = 1."""
+    return "identity" if n == 1 else "bit-reversal"
 
 
-def _dft_deviation(n: int, order: OutputOrder, matrix: np.ndarray) -> float:
-    """1 - |tr(target^dag matrix)| / 2^n against the DFT in the QFT's output order."""
-    return 1.0 - global_phase_agreement(order.matrix() @ dft_matrix(n), matrix)
+def _dft_deviation(n: int, matrix: np.ndarray) -> float:
+    """1 - |tr(target^dag matrix)| / 2^n against the DFT in bit-reversed output order."""
+    return 1.0 - global_phase_agreement(dft_matrix(n)[bit_reversal_permutation(n)], matrix)
 
 
-def qft_restriction_checks(n: int, circuit: Circuit, basis: SubspaceBasis, plain: np.ndarray,
-                           order: OutputOrder) -> list[dict]:
+def qft_restriction_checks(n: int, circuit: Circuit, basis: SubspaceBasis) -> list[dict]:
     """The encoded QFT restricted to the code space: the DFT up to a global
-    phase, equal to the plain QFT (unitary `plain`, output order `order`),
-    and without leakage."""
+    phase, equal to the plain QFT, and without leakage."""
     block, leakage = restrict(circuit, basis)
     return [
-        check("encoded_qft_restriction_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, order, block)),
-        check("encoded_qft_restriction_vs_plain_qft", 1e-10, _distance(block, plain)),
+        check("encoded_qft_restriction_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, block)),
+        check("encoded_qft_restriction_vs_plain_qft", 1e-10,
+              _distance(block, circuit_unitary(synth_qft(n)))),
         check("encoded_qft_leakage", 1e-10, leakage),
     ]
 
@@ -178,14 +176,15 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
 
 
 def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
-    circuit, unitary, order = _plain_qft(n)
+    circuit = synth_qft(n)
+    unitary = circuit_unitary(circuit)
     checks = [
         check("qft_unitarity", 1e-10, unitarity_defect(unitary)),
-        check("qft_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, order, unitary)),
+        check("qft_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, unitary)),
         check("gate_count", 0.0, abs(len(circuit) - (n + n * (n - 1) // 2))),
         check("roundtrip", 0.0, 0.0 if parse_circuit(print_circuit(circuit)) == circuit else 1.0),
     ]
-    return checks, {"output_order": order.kind}
+    return checks, {"output_order": _order_name(n)}
 
 
 def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
@@ -213,10 +212,9 @@ def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
                                             gates.phase(i, j, theta))
                      for i, j, theta in phase_keys(n, _THETAS))
         checks.append(check("encoder_conjugation_phase", 1e-10, conj_p))
-    _, plain, order = _plain_qft(n)
-    checks += qft_restriction_checks(n, synth_qft_wcd(n), basis, plain, order)
+    checks += qft_restriction_checks(n, synth_qft_wcd(n), basis)
     checks.append(noise_invariance_check(basis, CollectiveModel.WCD, seed, 1e-12))
-    return checks, {"output_order": order.kind}
+    return checks, {"output_order": _order_name(n)}
 
 
 def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
@@ -246,8 +244,7 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
         check("logical_gates_sequence", 1e-10, worst(seq_blocks)),
         check("sequence_vs_fallback_restrictions", 1e-10, agreement),
     ]
-    _, plain, order = _plain_qft(n)
-    checks += qft_restriction_checks(n, synth_qft_scd(n), basis, plain, order)
+    checks += qft_restriction_checks(n, synth_qft_scd(n), basis)
     checks.append(noise_invariance_check(basis, CollectiveModel.SCD, seed, 1e-10))
     return checks, {}
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, cn
-from .qft import (GateFactory, _check_n_logical, conjugation_factory, logical_block_boundaries,
-                  synth_logical_qft)
+from .qft import (GateFactory, _check_index, _check_n_logical, _check_size, conjugation_factory,
+                  logical_block_boundaries, synth_logical_qft)
 from .statevector import StateVector, SubspaceBasis
 
 MAX_WCD_LOGICAL = 6  # 12 physical qubits
@@ -34,8 +34,7 @@ class WcdRegister:
         return 2 * self.n_logical
 
     def pair(self, t: int) -> tuple[int, int]:
-        if not 1 <= t <= self.n_logical:
-            raise ValueError(f"logical index {t} out of range 1..{self.n_logical}")
+        _check_index(t, self.n_logical)
         return (2 * t - 1, 2 * t)
 
 
@@ -54,6 +53,7 @@ def wcd_logical_state(bits: str) -> StateVector:
 
 def wcd_logical_basis(n: int) -> SubspaceBasis:
     """All 2^n encoded basis states, ordered by logical index."""
+    _check_n_logical(n)
     vectors = tuple(wcd_logical_state(format(l, f"0{n}b")) for l in range(2**n))
     return SubspaceBasis(2 * n, vectors)
 
@@ -87,8 +87,7 @@ def wcd_encoder_circuit(n: int) -> Circuit:
 def synth_qft_wcd(n: int) -> Circuit:
     """Encoded QFT on 2n physical qubits; its restriction to the logical basis
     reproduces the plain n-qubit QFT matrix."""
-    if not 1 <= n <= MAX_WCD_LOGICAL:
-        raise ValueError(f"n must be in 1..{MAX_WCD_LOGICAL}, got {n}")
+    _check_size(n, MAX_WCD_LOGICAL)
     return synth_logical_qft(n, wcd_factory(n))
 
 

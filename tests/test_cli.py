@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from dfsqft import parse_circuit, print_circuit, synth_qft, synth_qft_scd, synth_qft_wcd
-from dfsqft import cli
+from dfsqft import Circuit, parse_circuit, print_circuit, synth_qft, synth_qft_scd, synth_qft_wcd
+from dfsqft import cli, verify
 from dfsqft.cli import main
 from dfsqft.verify import SUITES
 
@@ -130,6 +131,19 @@ class TestVerify:
         names = {c["name"] for c in report["checks"]}
         assert "qft_vs_dft_up_to_phase" in names
         assert report["output_order"] == "identity"
+
+    def test_wrong_plain_qft_is_a_failing_check(self, monkeypatch, capsys):
+        # a wrong circuit must fail qft_vs_dft_up_to_phase, not crash the run
+        def wrong_qft(n):
+            gates = list(synth_qft(n).gates)
+            last = max(i for i, g in enumerate(gates) if g.angle is not None)
+            gates[last] = dataclasses.replace(gates[last], angle=-gates[last].angle)
+            return Circuit(n, tuple(gates))
+
+        monkeypatch.setattr(verify, "synth_qft", wrong_qft)
+        assert run_cli("verify", "plain", "3") == 1
+        assert capsys.readouterr().err == (
+            "FAIL: qft_vs_dft_up_to_phase deviation 5.000e-01 exceeds 1.0e-10\n")
 
     @pytest.mark.parametrize("encoding,extra", [
         ("plain", {"output_order"}), ("wcd", {"output_order"}), ("scd", set()),

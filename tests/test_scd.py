@@ -11,6 +11,7 @@ from dfsqft import (
     ScdAngles,
     ScdRegister,
     apply_circuit,
+    bit_reversal_permutation,
     circuit_unitary,
     cn,
     collective_operator,
@@ -21,7 +22,6 @@ from dfsqft import (
     p,
     parse_circuit,
     print_circuit,
-    resolve_output_order,
     restrict,
     scd_block_transform,
     scd_hadamard,
@@ -52,6 +52,13 @@ class TestRegister:
     def test_non_integer_or_empty_register_rejected(self, n):
         with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
             ScdRegister(n)
+
+    def test_non_integer_index_rejected(self):
+        # block(1.5) used to return (3.0, 4.0, 5.0, 6.0)
+        with pytest.raises(ValueError, match=r"logical index 1.5 out of range 1\.\.2"):
+            ScdRegister(2).block(1.5)
+        with pytest.raises(ValueError, match="logical index must be a positive integer, got 1.5"):
+            scd_block_transform(1.5)
 
 
 class TestAngles:
@@ -335,7 +342,7 @@ class TestEncodedQft:
     @pytest.mark.parametrize("n", [1, 2])
     def test_restriction_matches_dft(self, n):
         block, leakage = restrict(circuit_unitary(synth_qft_scd(n)), scd_logical_basis(n))
-        target = resolve_output_order(n).matrix() @ dft_matrix(n)
+        target = dft_matrix(n)[bit_reversal_permutation(n)]
         assert 1.0 - global_phase_agreement(target, block) < 1e-10
         assert leakage < 1e-10
 

@@ -8,6 +8,7 @@ import scipy.linalg
 from dfsqft import (
     Circuit,
     WcdRegister,
+    bit_reversal_permutation,
     circuit_unitary,
     cn,
     collective_operator,
@@ -18,7 +19,6 @@ from dfsqft import (
     p,
     parse_circuit,
     print_circuit,
-    resolve_output_order,
     restrict,
     synth_qft,
     synth_qft_wcd,
@@ -131,6 +131,9 @@ class TestLogicalHadamard:
         # 1.5 used to give CN(3, 2), straddling two pairs
         with pytest.raises(ValueError, match="logical index 1.5"):
             wcd_hadamard(1.5, 2)
+        # pair(1.5) used to return (2.0, 3.0)
+        with pytest.raises(ValueError, match=r"logical index 1.5 out of range 1\.\.3"):
+            WcdRegister(3).pair(1.5)
 
 
 class TestLogicalPhase:
@@ -244,7 +247,7 @@ class TestEncodedQft:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_restriction_matches_dft(self, n):
         block, leakage = restrict(circuit_unitary(synth_qft_wcd(n)), wcd_logical_basis(n))
-        target = resolve_output_order(n).matrix() @ dft_matrix(n)
+        target = dft_matrix(n)[bit_reversal_permutation(n)]
         assert 1.0 - global_phase_agreement(target, block) < 1e-10
         assert leakage < 1e-10
 

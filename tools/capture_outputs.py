@@ -28,16 +28,16 @@ import pathlib
 import subprocess
 import sys
 
-VERIFY_SIZES = {"plain": 8, "wcd": 6, "scd": 3}
 BENCH_SIZES = {"wcd": 3, "scd": 2}
 SYNTH_SIZES = {"plain": 14, "wcd": 6, "scd": 3}
 GATE_SIZES = {"wcd": 6, "scd": 3}
 GATE_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
 
 
-def cli_cases():
-    """(name, argv) of every captured CLI run."""
-    for encoding, max_n in VERIFY_SIZES.items():
+def cli_cases(suites):
+    """(name, argv) of every captured CLI run; verify runs every size that
+    the package's verify suites (dfsqft.verify.SUITES) accept."""
+    for encoding, (max_n, _) in suites.items():
         for n in range(1, max_n + 1):
             for fmt in ("json", "csv"):
                 yield (f"verify {encoding} {n} {fmt}",
@@ -88,10 +88,11 @@ def main(argv: list[str]) -> int:
     os.environ.pop("DFSQFT_SEED", None)
     import dfsqft
     from dfsqft import cli
+    from dfsqft.verify import SUITES
 
     hashes = {}
     failed = []
-    for name, cli_argv in cli_cases():
+    for name, cli_argv in cli_cases(SUITES):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(cli_argv)
