@@ -45,7 +45,8 @@ for m in (1, 2, 3):
     print(f"  m={m}:  dephasing-only {wcd_n:>2d} qubits   full collective {scd_n:>2d} qubits")
 
 # Brute force really is brute force: the sector basis for the full
-# collective model comes out of an SVD of the 0/1 lowering matrix.
+# collective model is the null eigenvectors of the Gram matrix L^T L of the
+# 0/1 lowering matrix L.
 singlets = dfs_basis(6, CollectiveModel.SCD)
-print(f"\n6-qubit total-spin-zero sector, by SVD: dimension {len(singlets)}"
+print(f"\n6-qubit total-spin-zero sector, by Gram eigenvectors: dimension {len(singlets)}"
       f" (binomial difference: {math.comb(6, 3) - math.comb(6, 4)})")

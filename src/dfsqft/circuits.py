@@ -25,6 +25,22 @@ _ARITY = {"H": 1, "CN": 2, "R": 1, "P": 2, "CR": 2}
 _HAS_ANGLE = {"H": False, "CN": False, "R": True, "P": True, "CR": True}
 
 
+def _index(value) -> int:
+    """operator.index, refusing bool: True is an int, not a size or an index."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _is_integer(value) -> bool:
+    """Whether _index accepts value (an int or numpy integer, not a bool)."""
+    try:
+        _index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Gate:
     """One elementary gate; two-qubit kinds store (control, target)."""
@@ -37,7 +53,7 @@ class Gate:
         if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         try:
-            object.__setattr__(self, "qubits", tuple(map(operator.index, self.qubits)))
+            object.__setattr__(self, "qubits", tuple(map(_index, self.qubits)))
         except TypeError:
             raise ValueError(f"qubit indices must be integers, got {self.qubits!r}") from None
         if len(self.qubits) != _ARITY[self.kind]:
@@ -92,7 +108,7 @@ class Circuit:
 
     def __post_init__(self):
         try:
-            n_qubits = operator.index(self.n_qubits)
+            n_qubits = _index(self.n_qubits)
         except TypeError:
             n_qubits = 0
         if n_qubits < 1:

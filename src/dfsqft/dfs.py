@@ -10,9 +10,10 @@ force, by Hamming weight w(l); consumers are expected to cross-check one
 against the other. S_z is diagonal with entry n - 2 w(l) at index l, so
 the WCD sectors are weight counts. A state with S_z = 0 has spin zero
 exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null space
-is that of one 0/1 matrix from weight n/2 to n/2 + 1 (210 x 252 at
-n = 10). No census builds a 2^n x 2^n operator; collective_operator is
-the dense oracle for tests and demos.
+is that of one 0/1 matrix L from weight n/2 to n/2 + 1 (210 x 252 at
+n = 10), read off the eigenvalues of its Gram matrices. No census builds
+a 2^n x 2^n operator; collective_operator is the dense oracle for tests
+and demos.
 """
 from __future__ import annotations
 
@@ -26,8 +27,12 @@ import numpy as np
 from .qft import _check_size
 from .statevector import StateVector, SubspaceBasis
 
-MAX_BRUTE_FORCE_QUBITS = 10
-NULLSPACE_TOL = 1e-9  # the lowering matrix's nonzero singular values are >= sqrt(2)
+MAX_BRUTE_FORCE_QUBITS = 14
+MAX_DENSE_OPERATOR_QUBITS = 10  # a dense 2^14 x 2^14 complex operator would be 4 GB
+# A Gram eigenvalue of the lowering matrix (L L^T or L^T L) <= NULLSPACE_TOL is
+# zero. The nonzero ones are j(j+1) >= 2 for the total spins j >= 1, and the
+# float error stays below 2e-13 for every even n <= 14.
+NULLSPACE_TOL = 1e-9
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -53,7 +58,7 @@ def collective_operator(n: int, axis: str) -> np.ndarray:
     Built by index arithmetic: bit t of the index is qubit t+1, and the Pauli
     on that qubit sends column l to row l (z) or l with bit t flipped (x, y).
     """
-    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
+    _check_size(n, MAX_DENSE_OPERATOR_QUBITS)
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     sigma = _PAULI[axis]
@@ -111,16 +116,17 @@ def _collective_nullspace(n: int) -> np.ndarray:
     """Orthonormal columns spanning the common null space of S_x, S_y, S_z.
 
     Every such vector lies in ker S_z, spanned by the weight-n/2 states, and
-    there spin zero means S_- v = 0: the lowering matrix's null space,
-    embedded back into the 2^n amplitudes.
+    there spin zero means L v = 0 for the lowering matrix L: the
+    eigenvectors of the column Gram L^T L whose eigenvalues are at most
+    NULLSPACE_TOL, embedded back into the 2^n amplitudes.
     """
     if n % 2:
         return np.zeros((2**n, 0), dtype=complex)  # odd n: no S_z = 0 states
     kernel, lowering = _lowering_matrix(n)
-    _, singulars, vh = np.linalg.svd(lowering)
-    rank = int(np.sum(singulars > NULLSPACE_TOL))
-    null = np.zeros((2**n, kernel.size - rank), dtype=complex)
-    null[kernel] = vh[rank:].T
+    values, vectors = np.linalg.eigh(lowering.T @ lowering)
+    zero = values <= NULLSPACE_TOL
+    null = np.zeros((2**n, np.count_nonzero(zero)), dtype=complex)
+    null[kernel] = vectors[:, zero]
     return null
 
 
@@ -129,8 +135,9 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
 
     WCD: the S_z eigenvalue-0 eigenspace, i.e. the computational states
     with equally many 0s and 1s, in index order. SCD: the common null
-    space of all three collective operators, found numerically with
-    singular values below 1e-9 treated as zero.
+    space of all three collective operators, found numerically as the
+    eigenvectors of the lowering matrix's column Gram L^T L whose
+    eigenvalues are at most NULLSPACE_TOL.
     """
     _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     if n % 2:
@@ -159,11 +166,20 @@ def wcd_sector_dimensions(n: int) -> dict[int, int]:
 
 
 def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
-    """Same quantity as max_dfs_dimension, but measured on the operators themselves."""
+    """Same quantity as max_dfs_dimension, but measured on the operators themselves.
+
+    SCD: the nullity of the lowering matrix L, its column count minus the
+    number of eigenvalues of the row Gram L L^T (the smaller side) above
+    NULLSPACE_TOL; no singular vectors and no 2^n-row array are built.
+    """
     _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     if model is CollectiveModel.WCD:
         return max(wcd_sector_dimensions(n).values())
-    return _collective_nullspace(n).shape[1]
+    if n % 2:
+        return 0  # odd n: no S_z = 0 states
+    kernel, lowering = _lowering_matrix(n)
+    rank = np.count_nonzero(np.linalg.eigvalsh(lowering @ lowering.T) > NULLSPACE_TOL)
+    return kernel.size - int(rank)
 
 
 def eta_max(n: int, model: CollectiveModel) -> Fraction:

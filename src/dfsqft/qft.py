@@ -13,23 +13,23 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuits import Circuit, Gate, h, p
+from .circuits import Circuit, Gate, _is_integer, h, p
 
 MAX_QFT_QUBITS = 14
 
 
 def _check_size(n: int, limit: int, name: str = "n") -> None:
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= limit:
+    if not _is_integer(n) or not 1 <= n <= limit:
         raise ValueError(f"{name} must be an integer in 1..{limit}, got {n!r}")
 
 
 def _check_n_logical(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"n_logical must be a positive integer, got {n!r}")
 
 
 def _check_index(t: int, n: int) -> None:
-    if not (isinstance(t, (int, np.integer)) and 1 <= t <= n):
+    if not (_is_integer(t) and 1 <= t <= n):
         raise ValueError(f"logical index {t} out of range 1..{n}")
 
 
@@ -57,9 +57,10 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     Fourier coefficient l at slot perm[l], so its unitary equals
     dft_matrix(n)[perm] up to a global phase (perm is an involution)."""
     _check_size(n, MAX_QFT_QUBITS)
-    perm = np.zeros(2**n, dtype=np.int64)
-    for l in range(2**n):
-        perm[l] = int(format(l, f"0{n}b")[::-1], 2)
+    index = np.arange(2**n, dtype=np.int64)
+    perm = np.zeros_like(index)
+    for t in range(n):
+        perm |= ((index >> t) & 1) << (n - 1 - t)
     return perm
 
 

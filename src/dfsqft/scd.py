@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cn, cr, h, r
+from .circuits import Circuit, Gate, _is_integer, cn, cr, h, r
 from .qft import (GateFactory, _check_index, _check_n_logical, _check_size, conjugation_factory,
                   logical_block_boundaries, synth_logical_qft)
 from .statevector import StateVector, SubspaceBasis
@@ -129,7 +129,7 @@ def scd_block_transform(k: int) -> Circuit:
     """14-gate transform on physical qubits 4k-3..4k, lowered as written
     (CN control first, R/CR angles as given), mapping the block's two
     logical states onto computational basis states that differ in qubit 4k."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_integer(k) or k < 1:
         raise ValueError(f"logical index must be a positive integer, got {k!r}")
     return Circuit(4 * k, _block_transform_gates(k))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, _is_integer
 
 MAX_QUBITS = 14
 NORM_ATOL = 1e-12
@@ -77,7 +77,7 @@ class StateVector:
 
 
 def _check_register(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUBITS:
+    if not _is_integer(n) or not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"register size {n!r} is unsupported: "
                          f"it must be an integer in 1..{MAX_QUBITS}")
 

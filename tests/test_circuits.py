@@ -58,6 +58,8 @@ class TestGate:
             Gate("CN", ("2", 1))
         with pytest.raises(ValueError, match="integers"):
             p(1, 2.0, 0.1)
+        with pytest.raises(ValueError, match="integers"):
+            Gate("H", (True,))
 
     def test_numpy_integer_indices_accepted(self):
         gate = cn(np.int64(2), np.int32(1))
@@ -79,7 +81,7 @@ class TestCircuit:
             Circuit(0, ())
 
     def test_non_integer_register_rejected(self):
-        for n_qubits in (2.5, 2.0, "2"):
+        for n_qubits in (2.5, 2.0, "2", True):
             with pytest.raises(ValueError, match="positive integer"):
                 Circuit(n_qubits, ())
 

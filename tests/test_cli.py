@@ -372,7 +372,17 @@ class TestDfsTable:
         assert n3[1] == n3[2] == "0" and n3[3] == ""
 
     def test_range_violation(self, capsys):
-        assert run_cli("dfs-table", "wcd", "--n-max", "11") == 1
+        assert run_cli("dfs-table", "wcd", "--n-max", "15") == 1
+        assert capsys.readouterr().err == "error: n-max must be in 1..14, got 15\n"
+
+    @pytest.mark.parametrize("model", ["wcd", "scd"])
+    def test_brute_force_matches_closed_form_to_fourteen_qubits(self, tmp_path, model):
+        out = tmp_path / f"{model}.csv"
+        assert run_cli("dfs-table", model, "--n-max", "14", "--out", str(out)) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith(("#", "n,"))]
+        assert [int(row[0]) for row in rows] == list(range(1, 15))
+        assert all(row[1] == row[2] for row in rows)
+        assert rows[13][1] == ("3432" if model == "wcd" else "429")
 
     def test_mismatch_exits_1_and_still_writes_csv(self, tmp_path, monkeypatch, capsys):
         real_count = cli.brute_force_max_dfs_dimension

@@ -67,7 +67,8 @@ class TestCollectiveOperator:
                                    collective_operator(n, axis) @ columns, rtol=0, atol=1e-12)
 
     def test_range_and_axis_validation(self):
-        with pytest.raises(ValueError):
+        # the dense operator keeps a cap of its own: 2^14 x 2^14 complex is 4 GB
+        with pytest.raises(ValueError, match=r"^n must be an integer in 1\.\.10, got 11$"):
             collective_operator(11, "z")
         with pytest.raises(ValueError):
             collective_operator(2, "w")
@@ -197,6 +198,25 @@ class TestBruteForceCensus:
             out = tmp_path / f"{model}.csv"
             assert main(["dfs-table", model, "--n-max", "10", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_gram_count_equals_svd_rank(self, n):
+        kernel, lowering = dfs._lowering_matrix(n)
+        svd_count = kernel.size - np.linalg.matrix_rank(lowering, tol=dfs.NULLSPACE_TOL)
+        assert brute_force_max_dfs_dimension(n, SCD) == svd_count
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_gram_eigenvalues_are_zero_or_at_least_two(self, n):
+        # nonzero eigenvalues are j(j+1) for total spin j >= 1, so
+        # NULLSPACE_TOL = 1e-9 sits far from both float error and 2
+        _, lowering = dfs._lowering_matrix(n)
+        rows = np.linalg.eigvalsh(lowering @ lowering.T)
+        columns = np.linalg.eigvalsh(lowering.T @ lowering)
+        assert rows.min() >= 2 - 1e-9
+        zero = columns <= dfs.NULLSPACE_TOL
+        assert np.max(np.abs(columns[zero])) < 1e-12
+        assert columns[~zero].min() >= 2 - 1e-9
+        np.testing.assert_allclose(np.sort(columns[~zero]), rows, rtol=0, atol=1e-9)
+
     def test_scd_census_memory_at_ten_qubits(self):
         # the thin SVD of S_x, S_y inside ker S_z peaked near 24 MB; the
         # lowering matrix is 210 x 252
@@ -294,7 +314,7 @@ class TestDfsReport:
             dfs_report(3, SCD)
 
 
-_N_MESSAGE = r"n must be an integer in 1\.\.10, got 2\.5"
+_N_MESSAGE = r"n must be an integer in 1\.\.14, got 2\.5"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -307,12 +327,15 @@ _N_MESSAGE = r"n must be an integer in 1\.\.10, got 2\.5"
     (lambda: dfs_report(2.5, SCD), _N_MESSAGE),
     (lambda: dfs_basis(2.5, WCD), _N_MESSAGE),
     (lambda: wcd_sector_dimensions(2.5), _N_MESSAGE),
-    (lambda: collective_operator(2.5, "z"), _N_MESSAGE),
+    (lambda: collective_operator(2.5, "z"), r"n must be an integer in 1\.\.10, got 2\.5"),
     (lambda: eta_max(2.5, WCD), _N_MESSAGE),
     (lambda: eta_max(2.5, SCD), _N_MESSAGE),
+    (lambda: brute_force_max_dfs_dimension(True, SCD), r"n must be an integer in 1\.\.14, got True"),
+    (lambda: min_physical_qubits(True, WCD), r"m must be an integer in 1\.\.5, got True"),
 ], ids=["min_physical_qubits", "max_dfs_dimension-wcd", "max_dfs_dimension-scd",
         "brute_force-wcd", "brute_force-scd", "dfs_report-wcd", "dfs_report-scd", "dfs_basis",
-        "wcd_sector_dimensions", "collective_operator", "eta_max-wcd", "eta_max-scd"])
+        "wcd_sector_dimensions", "collective_operator", "eta_max-wcd", "eta_max-scd",
+        "brute_force-bool", "min_physical_qubits-bool"])
 def test_non_integer_size_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -137,6 +137,12 @@ def test_bit_reversal_permutation():
     np.testing.assert_array_equal(bit_reversal_permutation(3), [0, 4, 2, 6, 1, 5, 3, 7])
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_bit_reversal_permutation_reverses_the_bit_string(n):
+    expected = [int(format(l, f"0{n}b")[::-1], 2) for l in range(2**n)]
+    np.testing.assert_array_equal(bit_reversal_permutation(n), expected)
+
+
 _LOGICAL_MESSAGE = "n_logical must be a positive integer, got "
 
 
@@ -151,9 +157,15 @@ _LOGICAL_MESSAGE = "n_logical must be a positive integer, got "
     (lambda: scd_logical_basis(2.5), _LOGICAL_MESSAGE + r"2\.5"),
     (lambda: synth_logical_qft(2.5, trivial_factory(3)), _LOGICAL_MESSAGE + r"2\.5"),
     (lambda: logical_block_boundaries(2.5, trivial_factory(3)), _LOGICAL_MESSAGE + r"2\.5"),
+    # True is an int: dft_matrix(True) used to return the 2 x 2 DFT
+    (lambda: dft_matrix(True), r"n must be an integer in 1\.\.14, got True"),
+    (lambda: synth_qft(True), r"n must be an integer in 1\.\.14, got True"),
+    (lambda: trivial_factory(True), _LOGICAL_MESSAGE + "True"),
+    (lambda: trivial_factory(2).hadamard(True), r"logical index True out of range 1\.\.2"),
 ], ids=["bit_reversal_permutation", "bit_reversal_permutation-negative", "scd_transform_matrix",
         "synth_qft_wcd", "synth_qft_scd", "wcd_logical_basis", "wcd_logical_basis-zero",
-        "scd_logical_basis", "synth_logical_qft", "logical_block_boundaries"])
+        "scd_logical_basis", "synth_logical_qft", "logical_block_boundaries", "dft_matrix-bool",
+        "synth_qft-bool", "trivial_factory-bool", "hadamard-index-bool"])
 def test_non_integer_size_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -48,7 +48,7 @@ class TestRegister:
         assert reg.block(1) == (1, 2, 3, 4)
         assert reg.block(2) == (5, 6, 7, 8)
 
-    @pytest.mark.parametrize("n", [1.5, 0, "2"])
+    @pytest.mark.parametrize("n", [1.5, 0, "2", True])
     def test_non_integer_or_empty_register_rejected(self, n):
         with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
             ScdRegister(n)
@@ -59,6 +59,10 @@ class TestRegister:
             ScdRegister(2).block(1.5)
         with pytest.raises(ValueError, match="logical index must be a positive integer, got 1.5"):
             scd_block_transform(1.5)
+        with pytest.raises(ValueError, match=r"logical index True out of range 1\.\.2"):
+            ScdRegister(2).block(True)
+        with pytest.raises(ValueError, match="logical index must be a positive integer, got True"):
+            scd_block_transform(True)
 
 
 class TestAngles:

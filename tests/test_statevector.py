@@ -65,7 +65,7 @@ class TestStateVector:
         with pytest.raises(ValueError, match="unsupported"):
             StateVector.from_bits("0" * 60)
 
-    @pytest.mark.parametrize("n_qubits", [-1, 0, 1.5])
+    @pytest.mark.parametrize("n_qubits", [-1, 0, 1.5, True])
     def test_register_below_one_or_fractional(self, n_qubits):
         # 2**-1 is 0.5, so the check must come before any 2**n
         with pytest.raises(ValueError, match=r"^register size .* is unsupported: "

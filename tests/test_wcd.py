@@ -44,7 +44,7 @@ class TestRegister:
             reg.pair(4)
 
     @pytest.mark.parametrize("build", [WcdRegister, wcd_encoder_circuit])
-    @pytest.mark.parametrize("n", [1.5, 0, "2"])
+    @pytest.mark.parametrize("n", [1.5, 0, "2", True])
     def test_non_integer_or_empty_register_rejected(self, build, n):
         with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
             build(n)
@@ -134,6 +134,9 @@ class TestLogicalHadamard:
         # pair(1.5) used to return (2.0, 3.0)
         with pytest.raises(ValueError, match=r"logical index 1.5 out of range 1\.\.3"):
             WcdRegister(3).pair(1.5)
+        # True is an int: pair(True) used to return (1, 2)
+        with pytest.raises(ValueError, match=r"logical index True out of range 1\.\.3"):
+            WcdRegister(3).pair(True)
 
 
 class TestLogicalPhase:
