@@ -55,7 +55,6 @@ from .qft import (
 )
 from .scd import (
     ScdAngles,
-    ScdRegister,
     scd_block_transform,
     scd_factory,
     scd_hadamard,
@@ -80,7 +79,6 @@ from .statevector import (
     unitarity_defect,
 )
 from .wcd import (
-    WcdRegister,
     synth_qft_wcd,
     wcd_encoder_circuit,
     wcd_factory,
@@ -110,11 +108,11 @@ __all__ = [
     "dfs_report", "max_dfs_dimension", "brute_force_max_dfs_dimension",
     "wcd_sector_dimensions", "eta_max", "min_physical_qubits",
     # wcd
-    "WcdRegister", "wcd_logical_state", "wcd_logical_basis", "wcd_hadamard",
+    "wcd_logical_state", "wcd_logical_basis", "wcd_hadamard",
     "wcd_phase", "wcd_encoder_circuit", "wcd_factory", "synth_qft_wcd",
     "wcd_qft_block_boundaries",
     # scd
-    "ScdRegister", "ScdAngles", "scd_logical_state", "scd_logical_basis",
+    "ScdAngles", "scd_logical_state", "scd_logical_basis",
     "scd_block_transform", "scd_transform_matrix", "scd_hadamard", "scd_phase",
     "scd_factory", "synth_qft_scd", "scd_qft_block_boundaries",
     # noise

@@ -35,9 +35,9 @@ from .noise import (
     RunReport,
     run_trials,
 )
-from .qft import MAX_QFT_QUBITS, logical_block_boundaries, synth_logical_qft, trivial_factory
+from .qft import logical_block_boundaries, synth_logical_qft, trivial_factory
 from .scd import MAX_SCD_LOGICAL, scd_factory, scd_logical_basis
-from .statevector import StateVector, apply_circuit
+from .statevector import MAX_QUBITS, StateVector, apply_circuit
 from .verify import SUITES
 from .wcd import MAX_WCD_LOGICAL, wcd_factory, wcd_logical_basis
 
@@ -56,7 +56,7 @@ _ENCODINGS = {
     "scd": (scd_factory, scd_logical_basis, CollectiveModel.SCD),
 }
 # largest n per encoding; every command accepts n from 1 up to its cap
-_SYNTH_CAPS = {"plain": MAX_QFT_QUBITS, "wcd": MAX_WCD_LOGICAL, "scd": MAX_SCD_LOGICAL}
+_SYNTH_CAPS = {"plain": MAX_QUBITS, "wcd": MAX_WCD_LOGICAL, "scd": MAX_SCD_LOGICAL}
 _VERIFY_CAPS = {encoding: max_n for encoding, (max_n, _) in SUITES.items()}
 # noise runs simulate the whole physical register of the encoded arm
 _BENCH_CAPS = {encoding: MAX_NOISE_QUBITS // factory(1).n_qubits
@@ -215,7 +215,7 @@ def _bench_arms(encoding: str, n: int):
     arms = [
         (name, synth_logical_qft(n, gates), logical_block_boundaries(n, gates), state, code)
         for name, gates, state, code in (
-            ("encoded", factory(n), basis.vectors[0], basis),
+            ("encoded", factory(n), StateVector(basis.matrix[:, 0]), basis),
             ("unencoded", trivial_factory(n), StateVector.basis(n, 0), None),
         )
     ]

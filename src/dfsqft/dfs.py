@@ -25,10 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .qft import _check_size
-from .statevector import StateVector, SubspaceBasis
+from .statevector import MAX_DENSE_OPERATOR_QUBITS, SubspaceBasis
 
 MAX_BRUTE_FORCE_QUBITS = 14
-MAX_DENSE_OPERATOR_QUBITS = 10  # a dense 2^14 x 2^14 complex operator would be 4 GB
 # A Gram eigenvalue of the lowering matrix (L L^T or L^T L) <= NULLSPACE_TOL is
 # zero. The nonzero ones are j(j+1) >= 2 for the total spins j >= 1, and the
 # float error stays below 2e-13 for every even n <= 14.
@@ -144,9 +143,10 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
         raise ValueError(f"the canonical {model.value} sector needs even n, got {n}")
     if model is CollectiveModel.WCD:
         kernel = np.flatnonzero(_weights(n) == n // 2)
-        return SubspaceBasis(n, tuple(StateVector.basis(n, int(l)) for l in kernel))
-    null = _collective_nullspace(n)
-    return SubspaceBasis(n, tuple(StateVector(null[:, j]) for j in range(null.shape[1])))
+        states = np.zeros((2**n, kernel.size), dtype=complex)
+        states[kernel, np.arange(kernel.size)] = 1.0
+        return SubspaceBasis(n, states)
+    return SubspaceBasis(n, _collective_nullspace(n))
 
 
 def max_dfs_dimension(n: int, model: CollectiveModel) -> int:

@@ -108,14 +108,7 @@ class RunReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "mean_fidelity": self.mean_fidelity,
-            "min_fidelity": self.min_fidelity,
-            "std_fidelity": self.std_fidelity,
-            "mean_leakage": self.mean_leakage,
-            "trials": self.trials,
-            "policy": asdict(self.policy),
-        }
+        return asdict(self)
 
 
 def _draw_angles(rng: np.random.Generator, policy: NoisePolicy, shape) -> np.ndarray:

@@ -1,12 +1,16 @@
-"""Quantum Fourier transform synthesis and its matrix oracle.
+"""Quantum Fourier transform synthesis, block codes and the DFT oracle.
 
 The synthesized gate sequence uses no swap gates, so it emits the Fourier
 coefficients in bit-reversed index order: its matrix equals the reference
 DFT with rows permuted by ``bit_reversal_permutation`` (the identity at
 n = 1), up to a global phase.
+
+Each encoding (plain, WCD, SCD) is one BlockCode record, from which its
+basis states, code space and logical gates are derived.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -14,8 +18,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .circuits import Circuit, Gate, _is_integer, h, p
-
-MAX_QFT_QUBITS = 14
+from .statevector import (MAX_DENSE_OPERATOR_QUBITS, MAX_QUBITS, StateVector, SubspaceBasis,
+                          _check_register)
 
 
 def _check_size(n: int, limit: int, name: str = "n") -> None:
@@ -39,7 +43,7 @@ def dft_matrix(n: int) -> np.ndarray:
     The phase argument is reduced mod 2^n in integer arithmetic before
     exponentiation, keeping entries accurate to ~1e-15 at any supported n.
     """
-    _check_size(n, MAX_QFT_QUBITS)
+    _check_size(n, MAX_DENSE_OPERATOR_QUBITS)
     dim = 2**n
     k = np.arange(dim)
     return np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
@@ -48,7 +52,7 @@ def dft_matrix(n: int) -> np.ndarray:
 def synth_qft(n: int) -> Circuit:
     """Swap-free QFT sequence: n Hadamards and n(n-1)/2 controlled phases,
     the QFT skeleton with physical gates (trivial_factory) as its blocks."""
-    _check_size(n, MAX_QFT_QUBITS)
+    _check_size(n, MAX_QUBITS)
     return synth_logical_qft(n, trivial_factory(n))
 
 
@@ -56,7 +60,7 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     """Index map l -> reversal of l's n-bit string: synth_qft(n) emits
     Fourier coefficient l at slot perm[l], so its unitary equals
     dft_matrix(n)[perm] up to a global phase (perm is an involution)."""
-    _check_size(n, MAX_QFT_QUBITS)
+    _check_size(n, MAX_QUBITS)
     index = np.arange(2**n, dtype=np.int64)
     perm = np.zeros_like(index)
     for t in range(n):
@@ -76,43 +80,87 @@ class GateFactory:
     ``phase(i, j, theta)`` give the circuit on ``n_qubits`` physical qubits
     that implements each gate of the QFT skeleton. The skeleton stays fixed
     (synth_logical_qft); the plain, WCD and SCD encodings differ only in
-    their factory, and each factory comes from the one conjugation rule of
-    conjugation_factory."""
+    their factory, and each factory is BlockCode.factory of its code."""
 
     n_qubits: int
     hadamard: Callable[[int], Circuit]
     phase: Callable[[int, int, float], Circuit]
 
 
-def conjugation_factory(n: int, n_qubits: int, decoder: Callable[[int], tuple[Gate, ...]],
-                        top: Callable[[int], int]) -> GateFactory:
-    """Logical gates of n logical qubits on n_qubits physical ones, where the
-    gates decoder(t) move logical qubit t onto physical qubit top(t): H(top k)
-    and P(top i, top j, theta), each between the decoders of its logical
-    qubits (j's first) and their inverses."""
-    _check_n_logical(n)
+@dataclass(frozen=True, eq=False)
+class BlockCode:
+    """Logical qubit t on physical qubits size*(t-1)+1 .. size*t. The columns
+    of ``states`` (2^size x 2) are the block's code states |0~>, |1~>;
+    ``decoder``, written on qubits 1..size, maps them onto two basis states
+    that differ only in the block's top qubit, qubit size."""
 
-    def decode(t: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-        _check_index(t, n)
-        gates = decoder(t)
-        return gates, tuple(g.inverse() for g in reversed(gates))
+    size: int
+    states: np.ndarray
+    decoder: tuple[Gate, ...] = ()
 
-    def hadamard(k: int) -> Circuit:
-        forward, back = decode(k)
-        return Circuit(n_qubits, forward + (h(top(k)),) + back)
+    def __post_init__(self):
+        states = np.array(self.states, dtype=complex)
+        if states.shape != (2**self.size, 2):
+            raise ValueError(f"a {self.size}-qubit block needs a {2**self.size} x 2 state "
+                             f"matrix, got shape {states.shape}")
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
-    def phase(i: int, j: int, theta: float) -> Circuit:
-        if i == j:
-            raise ValueError("logical control and target must differ")
-        (fwd_i, back_i), (fwd_j, back_j) = decode(i), decode(j)
-        return Circuit(n_qubits, fwd_j + fwd_i + (p(top(i), top(j), theta),) + back_j + back_i)
+    def decode(self, t: int) -> tuple[Gate, ...]:
+        """The decoder shifted onto block t."""
+        if not _is_integer(t) or t < 1:
+            raise ValueError(f"logical index must be a positive integer, got {t!r}")
+        shift = self.size * (t - 1)
+        return tuple(Gate(g.kind, tuple(q + shift for q in g.qubits), g.angle)
+                     for g in self.decoder)
 
-    return GateFactory(n_qubits, hadamard, phase)
+    def state(self, bits: str) -> StateVector:
+        """Encoded basis state: the kron of the code columns that the bits
+        select; the leftmost character is the highest logical qubit."""
+        if not bits or any(c not in "01" for c in bits):
+            raise ValueError(f"bit string must be nonempty over 0/1, got {bits!r}")
+        _check_register(self.size * len(bits))
+        return StateVector(functools.reduce(np.kron, (self.states[:, int(c)] for c in bits)))
+
+    def basis(self, n: int) -> SubspaceBasis:
+        """All 2^n encoded basis states, ordered by logical index: the n-fold
+        kron of the code-state matrix."""
+        _check_n_logical(n)
+        _check_register(self.size * n)
+        return SubspaceBasis(self.size * n, functools.reduce(np.kron, [self.states] * n))
+
+    def factory(self, n: int) -> GateFactory:
+        """Logical gates of n logical qubits: H on top qubit size*k and
+        P(size*i, size*j, theta), each between the decoders of its logical
+        qubits (j's first) and their inverses."""
+        _check_n_logical(n)
+        n_qubits = self.size * n
+
+        def decode(t: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+            _check_index(t, n)
+            gates = self.decode(t)
+            return gates, tuple(g.inverse() for g in reversed(gates))
+
+        def hadamard(k: int) -> Circuit:
+            forward, back = decode(k)
+            return Circuit(n_qubits, forward + (h(self.size * k),) + back)
+
+        def phase(i: int, j: int, theta: float) -> Circuit:
+            if i == j:
+                raise ValueError("logical control and target must differ")
+            (fwd_i, back_i), (fwd_j, back_j) = decode(i), decode(j)
+            top_i, top_j = self.size * i, self.size * j
+            return Circuit(n_qubits, fwd_j + fwd_i + (p(top_i, top_j, theta),) + back_j + back_i)
+
+        return GateFactory(n_qubits, hadamard, phase)
+
+
+PLAIN = BlockCode(1, np.eye(2))
 
 
 def trivial_factory(n: int) -> GateFactory:
     """Physical H and P gates; reproduces the plain QFT."""
-    return conjugation_factory(n, n, lambda t: (), lambda t: t)
+    return PLAIN.factory(n)
 
 
 def _logical_blocks(n: int, factory: GateFactory) -> Iterator[Circuit]:

@@ -6,11 +6,11 @@ built from pair triplets. Both are annihilated by all three collective
 operators, so any rotation applied identically to every qubit leaves
 them exactly fixed.
 
-The encoding is its per-qubit decoder, a 14-gate block transform that
-shuttles the logical amplitude onto the block's top qubit; every logical
-gate is a physical gate on the top qubits conjugated by it
-(qft.conjugation_factory). The transform is one fixed gate list, the
-paper's product lowered as written. A direct basis-change matrix
+The encoding is one block code, SCD: its decoder is a 14-gate block
+transform that shuttles the logical amplitude onto the block's top
+qubit, and every logical gate is a physical gate on the top qubits
+conjugated by it (qft.BlockCode). The transform is one fixed gate list,
+the paper's product lowered as written. A direct basis-change matrix
 ("fallback") provides the same logical action by construction and
 cross-validates the sequence on every verify.
 """
@@ -22,30 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, _is_integer, cn, cr, h, r
-from .qft import (GateFactory, _check_index, _check_n_logical, _check_size, conjugation_factory,
-                  logical_block_boundaries, synth_logical_qft)
+from .circuits import Circuit, cn, cr, h, r
+from .qft import BlockCode, GateFactory, _check_size, logical_block_boundaries, synth_logical_qft
 from .statevector import StateVector, SubspaceBasis
 
 MAX_SCD_LOGICAL = 3  # 12 physical qubits
-
-
-@dataclass(frozen=True)
-class ScdRegister:
-    """Layout: logical qubit t lives on physical qubits 4t-3 .. 4t."""
-
-    n_logical: int
-
-    def __post_init__(self):
-        _check_n_logical(self.n_logical)
-
-    @property
-    def n_physical(self) -> int:
-        return 4 * self.n_logical
-
-    def block(self, t: int) -> tuple[int, int, int, int]:
-        _check_index(t, self.n_logical)
-        return (4 * t - 3, 4 * t - 2, 4 * t - 1, 4 * t)
 
 
 @dataclass(frozen=True)
@@ -87,51 +68,43 @@ def _triplet_pair_block() -> np.ndarray:
 _BLOCK_STATES = (_singlet_product_block(), _triplet_pair_block())
 
 
+# Factors of the block transform on qubits 1..4, in product order (rightmost
+# acts first); SCD's decoder is their reverse, the application order.
+_TRANSFORM_FACTORS = (
+    cn(4, 2),
+    cn(2, 1),
+    cn(2, 4),
+    r(2, DEFAULT_ANGLES.alpha),
+    cr(1, 2, DEFAULT_ANGLES.beta1),
+    cr(2, 1, DEFAULT_ANGLES.beta2),
+    cn(2, 4),
+    cn(1, 3),
+    cn(1, 2),
+    cn(3, 4),
+    h(1),
+    h(3),
+    cn(1, 2),
+    cn(3, 4),
+)
+
+SCD = BlockCode(4, np.column_stack(_BLOCK_STATES), tuple(reversed(_TRANSFORM_FACTORS)))
+
+
 def scd_logical_state(bits: str) -> StateVector:
     """Encoded basis state; leftmost character is the highest logical qubit."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"bit string must be nonempty over 0/1, got {bits!r}")
-    amps = functools.reduce(np.kron, (_BLOCK_STATES[int(c)] for c in bits))
-    return StateVector(amps)
+    return SCD.state(bits)
 
 
 def scd_logical_basis(n: int) -> SubspaceBasis:
     """All 2^n encoded basis states, ordered by logical index."""
-    _check_n_logical(n)
-    vectors = tuple(scd_logical_state(format(l, f"0{n}b")) for l in range(2**n))
-    return SubspaceBasis(4 * n, vectors)
-
-
-def _block_transform_gates(k: int) -> tuple[Gate, ...]:
-    q1, q2, q3, q4 = (4 * k - 3, 4 * k - 2, 4 * k - 1, 4 * k)
-    # Factors of the block transform in product order (rightmost acts first);
-    # reversed below into application order.
-    factors = (
-        cn(q4, q2),
-        cn(q2, q1),
-        cn(q2, q4),
-        r(q2, DEFAULT_ANGLES.alpha),
-        cr(q1, q2, DEFAULT_ANGLES.beta1),
-        cr(q2, q1, DEFAULT_ANGLES.beta2),
-        cn(q2, q4),
-        cn(q1, q3),
-        cn(q1, q2),
-        cn(q3, q4),
-        h(q1),
-        h(q3),
-        cn(q1, q2),
-        cn(q3, q4),
-    )
-    return tuple(reversed(factors))
+    return SCD.basis(n)
 
 
 def scd_block_transform(k: int) -> Circuit:
     """14-gate transform on physical qubits 4k-3..4k, lowered as written
     (CN control first, R/CR angles as given), mapping the block's two
     logical states onto computational basis states that differ in qubit 4k."""
-    if not _is_integer(k) or k < 1:
-        raise ValueError(f"logical index must be a positive integer, got {k!r}")
-    return Circuit(4 * k, _block_transform_gates(k))
+    return Circuit(4 * k, SCD.decode(k))
 
 
 def resolve_convention() -> Circuit:
@@ -195,7 +168,7 @@ def scd_transform_matrix(n: int) -> np.ndarray:
 
 
 def scd_factory(n: int) -> GateFactory:
-    return conjugation_factory(n, 4 * n, lambda t: scd_block_transform(t).gates, lambda t: 4 * t)
+    return SCD.factory(n)
 
 
 def scd_hadamard(k: int, n: int) -> Circuit:

@@ -5,10 +5,10 @@ l = s_n*2^(n-1) + ... + s_2*2 + s_1, i.e. qubit t supplies bit t-1 of
 the basis index and qubit n is the leftmost digit of |s_n ... s_1>.
 |0> is the +1 eigenstate of sigma_z.
 
-Unitaries are plain complex ndarrays; states and subspace bases are thin
-validated wrappers whose arrays are read-only. Every operation returns
-new values and never mutates shared state, so all types are safe to hand
-between threads.
+Unitaries are plain complex ndarrays; a state is one validated read-only
+vector and a subspace basis one validated read-only 2^n x k matrix. Every
+operation returns new values and never mutates shared state, so all types
+are safe to hand between threads.
 
 One loop, _propagate, applies gates and collective-noise layers to one
 state or to the columns of a 2^n x k array: the 2^n identity columns for
@@ -19,7 +19,6 @@ matrix of a large register is never needed.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ import numpy as np
 from .circuits import Circuit, Gate, _is_integer
 
 MAX_QUBITS = 14
+MAX_DENSE_OPERATOR_QUBITS = 10  # the one cap on 2^n x 2^n arrays: 4 GB complex at n = 14
 NORM_ATOL = 1e-12
 MATRIX_ATOL = 1e-10
 
@@ -49,7 +49,7 @@ class StateVector:
             raise ValueError(f"amplitude count {amps.size} is not a power of two >= 2")
         _check_register(n)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # `not x <= tol`, so that NaN fails
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -76,10 +76,10 @@ class StateVector:
         return cls.basis(len(bits), int(bits, 2))
 
 
-def _check_register(n: int) -> None:
-    if not _is_integer(n) or not 1 <= n <= MAX_QUBITS:
+def _check_register(n: int, limit: int = MAX_QUBITS) -> None:
+    if not _is_integer(n) or not 1 <= n <= limit:
         raise ValueError(f"register size {n!r} is unsupported: "
-                         f"it must be an integer in 1..{MAX_QUBITS}")
+                         f"it must be an integer in 1..{limit}")
 
 
 def _slices(n: int, assignments: dict[int, int]) -> tuple:
@@ -160,7 +160,7 @@ def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray
     n = circuit.n_qubits if n_qubits is None else n_qubits
     if n < circuit.n_qubits:
         raise ValueError(f"register of {n} qubits is smaller than the circuit's")
-    _check_register(n)
+    _check_register(n, MAX_DENSE_OPERATOR_QUBITS)
     return _propagate(circuit.gates, np.eye(2**n, dtype=complex), n)
 
 
@@ -173,31 +173,32 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Ordered orthonormal set of states spanning a subspace of one register."""
+    """Ordered orthonormal set of states spanning a subspace of one register:
+    the columns of ``matrix``, a read-only 2^n x k array."""
 
     n_qubits: int
-    vectors: tuple[StateVector, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(self.vectors))
-        if not self.vectors:
+        _check_register(self.n_qubits)
+        matrix = np.array(self.matrix, dtype=complex, order="C")
+        if matrix.ndim != 2 or matrix.shape[0] != 2**self.n_qubits:
+            raise ValueError(f"basis matrix of shape {matrix.shape} does not fit a "
+                             f"{self.n_qubits}-qubit register ({2**self.n_qubits} rows)")
+        if matrix.shape[1] == 0:
             raise ValueError("a subspace basis needs at least one vector")
-        if any(v.n_qubits != self.n_qubits for v in self.vectors):
-            raise ValueError("all basis vectors must live on the declared register")
-        gram = self.matrix.conj().T @ self.matrix
-        defect = np.max(np.abs(gram - np.eye(len(self.vectors))))
-        if defect > MATRIX_ATOL:
+        norm_defect = np.max(np.abs(np.linalg.norm(matrix, axis=0) - 1.0))
+        if not norm_defect <= NORM_ATOL:
+            raise ValueError(f"basis column norm deviates from 1 by {norm_defect:.3e}, "
+                             f"beyond {NORM_ATOL}")
+        defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1])))
+        if not defect <= MATRIX_ATOL:
             raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """dim x k read-only array whose columns are the basis vectors."""
-        matrix = np.column_stack([v.amplitudes for v in self.vectors])
         matrix.flags.writeable = False
-        return matrix
+        object.__setattr__(self, "matrix", matrix)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[1]
 
 
 def restrict(op: np.ndarray | Circuit, basis: SubspaceBasis) -> tuple[np.ndarray, float]:

@@ -25,10 +25,10 @@ import numpy as np
 from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _rotations
-from .qft import GateFactory, bit_reversal_permutation, conjugation_factory, dft_matrix, synth_qft
-from .scd import MAX_SCD_LOGICAL, _fallback_columns, scd_factory, scd_logical_basis, synth_qft_scd
+from .qft import BlockCode, GateFactory, bit_reversal_permutation, dft_matrix, synth_qft
+from .scd import (MAX_SCD_LOGICAL, SCD, _fallback_columns, scd_factory, scd_logical_basis,
+                  synth_qft_scd)
 from .statevector import (
-    StateVector,
     SubspaceBasis,
     circuit_unitary,
     global_phase_agreement,
@@ -167,10 +167,11 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
     events = len(basis) * 20
     angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (events, len(model.axes)))
     rotations = _rotations(angles, model)
+    states = basis.matrix.T.copy()  # contiguous rows, so vdot rounds as on a lone state
     worst = 0.0
     for row, out in _batched_rows(basis.n_qubits, events, lambda rows: [rotations[:, :, rows]],
                                   lambda rows: basis.matrix[:, np.array(rows) // 20]):
-        state = basis.vectors[row // 20].amplitudes
+        state = states[row // 20]
         worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, state)) ** 2)))
     return check("logical_state_noise_invariance", tolerance, worst)
 
@@ -225,14 +226,13 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
     )
     # B^dag T^dag G T B = (TB)^dag G (TB) with the same residual norms (T is
     # unitary), so the fallback route restricts the bare gate to the basis TB
-    transformed = _fallback_columns(basis.matrix, n)
-    basis_t = SubspaceBasis(4 * n, tuple(StateVector(col) for col in transformed.T))
+    basis_t = SubspaceBasis(4 * n, _fallback_columns(basis.matrix, n))
 
     def worst(blocks: dict) -> float:
         return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))
 
     # bare gates on the block tops
-    tops = conjugation_factory(n, 4 * n, lambda t: (), lambda t: 4 * t)
+    tops = BlockCode(4, SCD.states).factory(n)
     fb_blocks = gate_blocks(n, basis_t, tops, _THETAS)
     seq_blocks = gate_blocks(n, basis, scd_factory(n), _THETAS)
     agreement = max(_distance(seq_blocks[key][0], fb_blocks[key][0]) for key in seq_blocks)

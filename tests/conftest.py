@@ -1,13 +1,16 @@
 """Shared helpers: random normalized states and independent oracles for gate
-matrices, collective operators and the SCD null space."""
+matrices, collective operators, the SCD null space and the encoded basis
+states."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from dfsqft import Gate, StateVector
 from dfsqft.dfs import NULLSPACE_TOL
+from dfsqft.scd import _BLOCK_STATES
 
 GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/golden"
 
@@ -85,6 +88,26 @@ def collective_operator_oracle(n: int, axis: str) -> np.ndarray:
     for t in range(1, n + 1):
         total += np.kron(np.eye(2 ** (n - t)), np.kron(_PAULI[axis], np.eye(2 ** (t - 1))))
     return total
+
+
+def wcd_logical_state_oracle(bits: str) -> StateVector:
+    """Encoded WCD basis state by bit arithmetic: pair (2t, 2t-1) holds |01>
+    for logical 0 and |10> for logical 1 (leftmost bit: highest logical qubit)."""
+    index = 0
+    for t, c in enumerate(reversed(bits), start=1):
+        b = int(c)
+        index += b * 2 ** (2 * t - 1) + (1 - b) * 2 ** (2 * t - 2)
+    return StateVector.basis(2 * len(bits), index)
+
+
+def scd_logical_state_oracle(bits: str) -> StateVector:
+    """Encoded SCD basis state: the kron of one block state per bit."""
+    return StateVector(functools.reduce(np.kron, (_BLOCK_STATES[int(c)] for c in bits)))
+
+
+def logical_basis_oracle(state, n: int) -> np.ndarray:
+    """One state builder's 2^n encoded states, stacked as columns in logical index order."""
+    return np.column_stack([state(format(l, f"0{n}b")).amplitudes for l in range(2**n)])
 
 
 def collective_nullspace_oracle(n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ PUBLIC_API = [
     "Circuit", "CircuitParseError", "CollectiveModel", "DfsReport",
     "ENDPOINTS_ONLY", "GRANULARITIES", "Gate", "GateFactory", "NoiseEvent", "NoisePolicy",
     "PER_ELEMENTARY_GATE", "PER_LOGICAL_BLOCK", "RunReport", "ScdAngles",
-    "ScdRegister", "StateVector", "SubspaceBasis", "WcdRegister", "__version__", "apply_circuit",
+    "StateVector", "SubspaceBasis", "__version__", "apply_circuit",
     "apply_gate", "apply_noise", "bit_reversal_permutation", "brute_force_max_dfs_dimension",
     "circuit_unitary", "cn", "collective_operator", "cr", "dfs_basis", "dfs_report", "dft_matrix",
     "equal_up_to_global_phase", "eta_max", "fidelity", "global_phase_agreement", "h", "invert",

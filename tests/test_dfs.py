@@ -80,18 +80,18 @@ class TestDfsBasis:
     def test_wcd_two_qubits(self):
         basis = dfs_basis(2, WCD)
         assert len(basis) == 2
-        np.testing.assert_array_equal(basis.vectors[0].amplitudes, StateVector.from_bits("01").amplitudes)
-        np.testing.assert_array_equal(basis.vectors[1].amplitudes, StateVector.from_bits("10").amplitudes)
+        np.testing.assert_array_equal(basis.matrix[:, 0], StateVector.from_bits("01").amplitudes)
+        np.testing.assert_array_equal(basis.matrix[:, 1], StateVector.from_bits("10").amplitudes)
 
     def test_wcd_vectors_annihilated_and_noise_fixed(self):
         for n in (2, 4):
             op = collective_operator(n, "z")
             rng = np.random.default_rng(42)
-            for vec in dfs_basis(n, WCD).vectors:
-                assert np.linalg.norm(op @ vec.amplitudes) < 1e-10
+            for vec in dfs_basis(n, WCD).matrix.T:
+                assert np.linalg.norm(op @ vec) < 1e-10
                 for phi in rng.uniform(0, 2 * math.pi, 20):
-                    evolved = scipy.linalg.expm(-1j * phi * op) @ vec.amplitudes
-                    np.testing.assert_allclose(evolved, vec.amplitudes, atol=1e-12)
+                    evolved = scipy.linalg.expm(-1j * phi * op) @ vec
+                    np.testing.assert_allclose(evolved, vec, atol=1e-12)
 
     def test_scd_four_qubits_contains_logical_states(self):
         basis = dfs_basis(4, SCD)
@@ -107,7 +107,7 @@ class TestDfsBasis:
         assert len(basis) == 1
         singlet = np.zeros(4, dtype=complex)
         singlet[0b01], singlet[0b10] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-        overlap = abs(np.vdot(singlet, basis.vectors[0].amplitudes))
+        overlap = abs(np.vdot(singlet, basis.matrix[:, 0]))
         assert abs(overlap - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dfsqft import (
     Circuit,
     Gate,
-    StateVector,
     SubspaceBasis,
     apply_circuit,
     circuit_unitary,
@@ -62,7 +61,7 @@ def circuits_with_bases(draw):
     else:
         n = draw(st.integers(1, 5))
         indices = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=2**n, unique=True))
-        basis = SubspaceBasis(n, tuple(StateVector.basis(n, i) for i in indices))
+        basis = SubspaceBasis(n, np.eye(2**n)[:, indices])
     return Circuit(n, tuple(draw(st.lists(gates(n), max_size=12)))), basis
 
 

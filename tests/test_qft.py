@@ -30,7 +30,8 @@ from dfsqft import (
     wcd_logical_basis,
     wcd_phase,
 )
-from dfsqft.qft import conjugation_factory, resolve_output_order
+from dfsqft.qft import BlockCode, resolve_output_order
+from dfsqft.wcd import WCD
 
 
 class TestSynthQft:
@@ -100,9 +101,15 @@ class TestDftMatrix:
 
     def test_non_integer_size_rejected(self):
         # 2.5 used to give a 6x6 matrix scaled by 2^-1.25
-        for build in (dft_matrix, synth_qft):
-            with pytest.raises(ValueError, match="n must be an integer in 1..14, got 2.5"):
+        for build, cap in ((dft_matrix, 10), (synth_qft, 14)):
+            with pytest.raises(ValueError, match=f"n must be an integer in 1..{cap}, got 2.5"):
                 build(2.5)
+
+    def test_dense_cap(self):
+        # 2^11 x 2^11 complex is 64 MB, and the array grows 4x per qubit
+        with pytest.raises(ValueError) as info:
+            dft_matrix(11)
+        assert str(info.value) == "n must be an integer in 1..10, got 11"
 
 
 class TestResolveOutputOrder:
@@ -158,7 +165,7 @@ _LOGICAL_MESSAGE = "n_logical must be a positive integer, got "
     (lambda: synth_logical_qft(2.5, trivial_factory(3)), _LOGICAL_MESSAGE + r"2\.5"),
     (lambda: logical_block_boundaries(2.5, trivial_factory(3)), _LOGICAL_MESSAGE + r"2\.5"),
     # True is an int: dft_matrix(True) used to return the 2 x 2 DFT
-    (lambda: dft_matrix(True), r"n must be an integer in 1\.\.14, got True"),
+    (lambda: dft_matrix(True), r"n must be an integer in 1\.\.10, got True"),
     (lambda: synth_qft(True), r"n must be an integer in 1\.\.14, got True"),
     (lambda: trivial_factory(True), _LOGICAL_MESSAGE + "True"),
     (lambda: trivial_factory(2).hadamard(True), r"logical index True out of range 1\.\.2"),
@@ -202,8 +209,11 @@ class TestLogicalSynthesis:
             synth_logical_qft(1, bad)
 
     def test_conjugation_rule(self):
+        code = BlockCode(2, WCD.states, (cn(2, 1), cr(2, 1, 0.3)))
         decoder = lambda t: (cn(2 * t, 2 * t - 1), cr(2 * t, 2 * t - 1, 0.3))
-        gates = conjugation_factory(2, 4, decoder, lambda t: 2 * t)
+        assert code.decode(2) == decoder(2)
+        gates = code.factory(2)
+        assert gates.n_qubits == 4
         assert gates.hadamard(1) == Circuit(4, (*decoder(1), h(2), *invert(Circuit(4, decoder(1)))))
         assert gates.phase(2, 1, 0.7) == Circuit(4, (
             *decoder(1), *decoder(2), p(4, 2, 0.7),
@@ -222,6 +232,10 @@ class TestLogicalSynthesis:
             gates.phase(1, 3, 0.1)
         with pytest.raises(ValueError, match="logical control and target must differ"):
             gates.phase(2, 2, 0.1)
+
+    def test_block_code_refuses_a_misdescribed_block(self):
+        with pytest.raises(ValueError, match=r"needs a 4 x 2 state matrix, got shape \(4, 3\)"):
+            BlockCode(2, np.eye(4)[:, :3])
 
     def test_block_boundaries(self):
         assert logical_block_boundaries(3, trivial_factory(3)) == [1, 2, 3, 4, 5, 6]

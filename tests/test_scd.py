@@ -9,7 +9,6 @@ from dfsqft import (
     Circuit,
     Gate,
     ScdAngles,
-    ScdRegister,
     apply_circuit,
     bit_reversal_permutation,
     circuit_unitary,
@@ -24,6 +23,7 @@ from dfsqft import (
     print_circuit,
     restrict,
     scd_block_transform,
+    scd_factory,
     scd_hadamard,
     scd_logical_basis,
     scd_logical_state,
@@ -31,10 +31,10 @@ from dfsqft import (
     synth_qft,
     synth_qft_scd,
 )
-from dfsqft.qft import conjugation_factory
-from dfsqft.scd import _fallback_columns, resolve_convention
+from dfsqft.qft import BlockCode
+from dfsqft.scd import SCD, _fallback_columns, resolve_convention
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, logical_basis_oracle, scd_logical_state_oracle
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -43,24 +43,30 @@ INV_SQRT12 = 1.0 / math.sqrt(12.0)
 
 class TestRegister:
     def test_layout(self):
-        reg = ScdRegister(2)
-        assert reg.n_physical == 8
-        assert reg.block(1) == (1, 2, 3, 4)
-        assert reg.block(2) == (5, 6, 7, 8)
+        # logical qubit t lives on physical qubits 4t-3 .. 4t; its decoder is
+        # the golden block transform shifted onto them
+        text = (pathlib.Path(GOLDEN_DIR) / "scd_block_transform_1.txt").read_text(encoding="utf-8")
+        golden = parse_circuit(text).gates
+        assert SCD.size == 4
+        assert scd_factory(2).n_qubits == 8
+        for t in (1, 2, 3):
+            shifted = tuple(Gate(g.kind, tuple(q + 4 * (t - 1) for q in g.qubits), g.angle)
+                            for g in golden)
+            assert SCD.decode(t) == shifted
+            assert scd_block_transform(t) == Circuit(4 * t, shifted)
 
     @pytest.mark.parametrize("n", [1.5, 0, "2", True])
     def test_non_integer_or_empty_register_rejected(self, n):
         with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
-            ScdRegister(n)
+            scd_factory(n)
 
     def test_non_integer_index_rejected(self):
-        # block(1.5) used to return (3.0, 4.0, 5.0, 6.0)
         with pytest.raises(ValueError, match=r"logical index 1.5 out of range 1\.\.2"):
-            ScdRegister(2).block(1.5)
+            scd_factory(2).hadamard(1.5)
         with pytest.raises(ValueError, match="logical index must be a positive integer, got 1.5"):
             scd_block_transform(1.5)
         with pytest.raises(ValueError, match=r"logical index True out of range 1\.\.2"):
-            ScdRegister(2).block(True)
+            scd_factory(2).hadamard(True)
         with pytest.raises(ValueError, match="logical index must be a positive integer, got True"):
             scd_block_transform(True)
 
@@ -90,6 +96,12 @@ class TestLogicalStates:
         for idx in (0b0101, 0b0110, 0b1001, 0b1010):
             expected[idx] = -INV_SQRT12
         np.testing.assert_allclose(amps, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_basis_equals_per_state_builder(self, n):
+        # the n-fold kron of the code-state matrix, bit for bit
+        np.testing.assert_array_equal(scd_logical_basis(n).matrix,
+                                      logical_basis_oracle(scd_logical_state_oracle, n))
 
     def test_orthonormal(self):
         zero, one = scd_logical_state("0"), scd_logical_state("1")
@@ -173,7 +185,7 @@ class TestBlockTransform:
 def _logical_hadamard_deviation(block_transform: tuple[Gate, ...]) -> float:
     """Worst amplitude error of H on qubit 4, conjugated by a block transform,
     against the logical Hadamard on the two encoded basis states."""
-    hadamard = conjugation_factory(1, 4, lambda t: block_transform, lambda t: 4).hadamard(1)
+    hadamard = BlockCode(4, SCD.states, block_transform).factory(1).hadamard(1)
     zero, one = scd_logical_state("0"), scd_logical_state("1")
     plus = (zero.amplitudes + one.amplitudes) * INV_SQRT2
     minus = (zero.amplitudes - one.amplitudes) * INV_SQRT2

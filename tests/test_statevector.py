@@ -52,6 +52,12 @@ class TestStateVector:
         with pytest.raises(ValueError, match="norm"):
             StateVector(np.array([1.0, 1.0]))
 
+    def test_nan_refused(self):
+        # a NaN norm compares False against any tolerance
+        with pytest.raises(ValueError, match="norm") as info:
+            StateVector(np.array([np.nan, 0]))
+        assert "\n" not in str(info.value)
+
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError, match="power of two"):
             StateVector(np.array([1.0, 0.0, 0.0]))
@@ -167,6 +173,15 @@ class TestCircuitUnitary:
         with pytest.raises(ValueError, match="smaller"):
             circuit_unitary(Circuit(2, (h(2),)), n_qubits=1)
 
+    def test_dense_cap(self):
+        # 2^11 x 2^11 complex is 64 MB, and the array grows 4x per qubit
+        for call in (lambda: circuit_unitary(Circuit(11)),
+                     lambda: circuit_unitary(Circuit(1), n_qubits=11)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == ("register size 11 is unsupported: "
+                                       "it must be an integer in 1..10")
+
     def test_apply_circuit_matches_matrix(self):
         rng = np.random.default_rng(5)
         circuit = synth_qft(3)
@@ -200,15 +215,42 @@ class TestFidelity:
             fidelity(StateVector.basis(1, 0), StateVector.basis(2, 0))
 
 
+def _refusal(call, match: str) -> None:
+    """call raises a one-line ValueError matching match."""
+    with pytest.raises(ValueError, match=match) as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
 class TestSubspaceBasis:
     def test_orthonormality_enforced(self):
-        v = StateVector.basis(1, 0)
-        with pytest.raises(ValueError, match="orthonormal"):
-            SubspaceBasis(1, (v, v))
+        _refusal(lambda: SubspaceBasis(1, np.array([[1.0, 1.0], [0.0, 0.0]])), "orthonormal")
+        tilted = np.array([[1.0, math.sqrt(0.5)], [0.0, math.sqrt(0.5)]])
+        _refusal(lambda: SubspaceBasis(1, tilted), "orthonormal")
 
     def test_register_consistency(self):
-        with pytest.raises(ValueError, match="register"):
-            SubspaceBasis(2, (StateVector.basis(1, 0),))
+        _refusal(lambda: SubspaceBasis(2, np.array([[1.0], [0.0]])), "register")
+        _refusal(lambda: SubspaceBasis(1, np.array([1.0, 0.0])), "register")
+        _refusal(lambda: SubspaceBasis(1.5, np.eye(2)), "register size 1.5 is unsupported")
+
+    def test_empty_refused(self):
+        _refusal(lambda: SubspaceBasis(1, np.zeros((2, 0))), "at least one vector")
+
+    def test_column_norm_refused(self):
+        # off by 1e-11: the Gram defect, about 2e-11, passes MATRIX_ATOL
+        # (1e-10), so only the per-column norm check can refuse it
+        _refusal(lambda: SubspaceBasis(1, np.array([[1.0 + 1e-11], [0.0]])), "norm")
+
+    def test_nan_refused(self):
+        _refusal(lambda: SubspaceBasis(1, np.array([[np.nan], [0.0]])), "norm")
+
+    def test_matrix_frozen_and_copied(self):
+        columns = np.eye(4)[:, [1, 2]]
+        basis = SubspaceBasis(2, columns)
+        columns[1, 0] = 0.0
+        assert basis.matrix[1, 0] == 1.0 and len(basis) == 2
+        with pytest.raises(ValueError):
+            basis.matrix[0, 0] = 1.0
 
 
 class TestRestrict:
@@ -228,7 +270,7 @@ class TestRestrict:
 
     def test_full_leakage(self):
         # R(pi/2) maps |0> to |1>, entirely outside span{|0>}
-        basis = SubspaceBasis(1, (StateVector.basis(1, 0),))
+        basis = SubspaceBasis(1, np.array([[1.0], [0.0]]))
         _, leakage = restrict(circuit_unitary(Circuit(1, (r(1, math.pi / 2),))), basis)
         assert abs(leakage - 1.0) < 1e-12
 

@@ -14,6 +14,7 @@ from dfsqft import (
     Circuit,
     CollectiveModel,
     NoiseEvent,
+    StateVector,
     apply_noise,
     circuit_unitary,
     cn,
@@ -81,7 +82,7 @@ def per_state_noise_invariance(basis, model, seed):
     """Reference: one state and one event at a time through apply_noise."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for state in basis.vectors:
+    for state in map(StateVector, basis.matrix.T):
         for _ in range(20):
             event = NoiseEvent(tuple(rng.uniform(0.0, 2.0 * math.pi, len(model.axes))))
             worst = max(worst, 1.0 - fidelity(apply_noise(state, event, model), state))

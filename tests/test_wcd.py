@@ -7,7 +7,6 @@ import scipy.linalg
 
 from dfsqft import (
     Circuit,
-    WcdRegister,
     bit_reversal_permutation,
     circuit_unitary,
     cn,
@@ -23,27 +22,32 @@ from dfsqft import (
     synth_qft,
     synth_qft_wcd,
     wcd_encoder_circuit,
+    wcd_factory,
     wcd_hadamard,
     wcd_logical_basis,
     wcd_logical_state,
     wcd_phase,
 )
 
-from conftest import GOLDEN_DIR
+from dfsqft.wcd import WCD
+
+from conftest import GOLDEN_DIR, logical_basis_oracle, wcd_logical_state_oracle
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class TestRegister:
     def test_layout(self):
-        reg = WcdRegister(3)
-        assert reg.n_physical == 6
-        assert reg.pair(1) == (1, 2)
-        assert reg.pair(3) == (5, 6)
+        # logical qubit t lives on physical qubits 2t-1 and 2t; its decoder
+        # is the pair CNOT, high controls low
+        assert WCD.size == 2
+        assert wcd_factory(3).n_qubits == 6
+        for t in range(1, 7):
+            assert WCD.decode(t) == (cn(2 * t, 2 * t - 1),)
         with pytest.raises(ValueError):
-            reg.pair(4)
+            wcd_factory(3).hadamard(4)
 
-    @pytest.mark.parametrize("build", [WcdRegister, wcd_encoder_circuit])
+    @pytest.mark.parametrize("build", [wcd_factory, wcd_encoder_circuit])
     @pytest.mark.parametrize("n", [1.5, 0, "2", True])
     def test_non_integer_or_empty_register_rejected(self, build, n):
         with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
@@ -71,21 +75,27 @@ class TestLogicalStates:
         with pytest.raises(ValueError):
             wcd_logical_state("")
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_equals_per_state_builder(self, n):
+        # the n-fold kron of the code-state matrix, bit for bit
+        np.testing.assert_array_equal(wcd_logical_basis(n).matrix,
+                                      logical_basis_oracle(wcd_logical_state_oracle, n))
+
     def test_states_live_in_zero_sector(self):
         for n in (1, 2, 3):
             op = collective_operator(2 * n, "z")
-            for vec in wcd_logical_basis(n).vectors:
-                assert np.linalg.norm(op @ vec.amplitudes) == 0.0
+            for vec in wcd_logical_basis(n).matrix.T:
+                assert np.linalg.norm(op @ vec) == 0.0
 
     def test_dephasing_invariance(self):
         # 20 random collective-phase strengths fix every encoded basis state
         rng = np.random.default_rng(9)
         for n in (1, 2):
             op = collective_operator(2 * n, "z")
-            for vec in wcd_logical_basis(n).vectors:
+            for vec in wcd_logical_basis(n).matrix.T:
                 for phi in rng.uniform(0, 2 * math.pi, 20):
-                    evolved = scipy.linalg.expm(-1j * phi * op) @ vec.amplitudes
-                    assert abs(abs(np.vdot(evolved, vec.amplitudes)) ** 2 - 1) < 1e-12
+                    evolved = scipy.linalg.expm(-1j * phi * op) @ vec
+                    assert abs(abs(np.vdot(evolved, vec)) ** 2 - 1) < 1e-12
 
 
 class TestLogicalHadamard:
@@ -131,12 +141,11 @@ class TestLogicalHadamard:
         # 1.5 used to give CN(3, 2), straddling two pairs
         with pytest.raises(ValueError, match="logical index 1.5"):
             wcd_hadamard(1.5, 2)
-        # pair(1.5) used to return (2.0, 3.0)
-        with pytest.raises(ValueError, match=r"logical index 1.5 out of range 1\.\.3"):
-            WcdRegister(3).pair(1.5)
-        # True is an int: pair(True) used to return (1, 2)
+        # True is an int: the pair layout used to accept it as logical qubit 1
         with pytest.raises(ValueError, match=r"logical index True out of range 1\.\.3"):
-            WcdRegister(3).pair(True)
+            wcd_factory(3).hadamard(True)
+        with pytest.raises(ValueError, match="logical index must be a positive integer, got 1.5"):
+            WCD.decode(1.5)
 
 
 class TestLogicalPhase:
