@@ -13,6 +13,7 @@ from dfsqft import (
     NoisePolicy,
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
+    PLAIN,
     StateVector,
     apply_circuit,
     logical_block_boundaries,
@@ -23,7 +24,6 @@ from dfsqft import (
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
-    trivial_factory,
     wcd_logical_basis,
     wcd_logical_state,
     wcd_qft_block_boundaries,
@@ -50,9 +50,9 @@ bench("encoded WCD n=2", synth_qft_wcd(2), wcd_logical_state("00"), CollectiveMo
 bench("encoded SCD n=2", synth_qft_scd(2), scd_logical_state("00"), CollectiveModel.SCD,
       scd_qft_block_boundaries(2), scd_logical_basis(2), PER_LOGICAL_BLOCK)
 bench("plain n=2 (z-noise)", synth_qft(2), StateVector.basis(2, 0), CollectiveModel.WCD,
-      logical_block_boundaries(2, trivial_factory(2)), None, PER_LOGICAL_BLOCK)
+      logical_block_boundaries(2, PLAIN), None, PER_LOGICAL_BLOCK)
 bench("plain n=2 (xyz-noise)", synth_qft(2), StateVector.basis(2, 0), CollectiveModel.SCD,
-      logical_block_boundaries(2, trivial_factory(2)), None, PER_LOGICAL_BLOCK)
+      logical_block_boundaries(2, PLAIN), None, PER_LOGICAL_BLOCK)
 
 print("\nnoise at every elementary gate (inside the logical blocks):")
 print("  the block interiors are NOT protected: the pair/block transforms")

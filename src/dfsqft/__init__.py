@@ -45,18 +45,18 @@ from .noise import (
     single_qubit_rotation,
 )
 from .qft import (
-    GateFactory,
+    PLAIN,
+    BlockCode,
     bit_reversal_permutation,
     dft_matrix,
     logical_block_boundaries,
     synth_logical_qft,
     synth_qft,
-    trivial_factory,
 )
 from .scd import (
+    SCD,
     ScdAngles,
     scd_block_transform,
-    scd_factory,
     scd_hadamard,
     scd_logical_basis,
     scd_logical_state,
@@ -79,9 +79,9 @@ from .statevector import (
     unitarity_defect,
 )
 from .wcd import (
+    WCD,
     synth_qft_wcd,
     wcd_encoder_circuit,
-    wcd_factory,
     wcd_hadamard,
     wcd_logical_basis,
     wcd_logical_state,
@@ -101,20 +101,20 @@ __all__ = [
     "circuit_unitary", "fidelity", "restrict", "is_unitary",
     "unitarity_defect", "global_phase_agreement", "equal_up_to_global_phase",
     # qft
-    "dft_matrix", "synth_qft", "synth_logical_qft", "GateFactory",
-    "trivial_factory", "logical_block_boundaries", "bit_reversal_permutation",
+    "dft_matrix", "synth_qft", "synth_logical_qft", "BlockCode",
+    "PLAIN", "logical_block_boundaries", "bit_reversal_permutation",
     # dfs
     "CollectiveModel", "DfsReport", "collective_operator", "dfs_basis",
     "dfs_report", "max_dfs_dimension", "brute_force_max_dfs_dimension",
     "wcd_sector_dimensions", "eta_max", "min_physical_qubits",
     # wcd
     "wcd_logical_state", "wcd_logical_basis", "wcd_hadamard",
-    "wcd_phase", "wcd_encoder_circuit", "wcd_factory", "synth_qft_wcd",
+    "wcd_phase", "wcd_encoder_circuit", "WCD", "synth_qft_wcd",
     "wcd_qft_block_boundaries",
     # scd
     "ScdAngles", "scd_logical_state", "scd_logical_basis",
     "scd_block_transform", "scd_transform_matrix", "scd_hadamard", "scd_phase",
-    "scd_factory", "synth_qft_scd", "scd_qft_block_boundaries",
+    "SCD", "synth_qft_scd", "scd_qft_block_boundaries",
     # noise
     "NoiseEvent", "NoisePolicy", "RunReport", "apply_noise", "noisy_run",
     "sample_event", "single_qubit_rotation", "GRANULARITIES",

@@ -35,11 +35,11 @@ from .noise import (
     RunReport,
     run_trials,
 )
-from .qft import logical_block_boundaries, synth_logical_qft, trivial_factory
-from .scd import MAX_SCD_LOGICAL, scd_factory, scd_logical_basis
+from .qft import PLAIN, logical_block_boundaries, synth_logical_qft
+from .scd import MAX_SCD_LOGICAL, SCD
 from .statevector import MAX_QUBITS, StateVector, apply_circuit
 from .verify import SUITES
-from .wcd import MAX_WCD_LOGICAL, wcd_factory, wcd_logical_basis
+from .wcd import MAX_WCD_LOGICAL, WCD
 
 SCHEMA = "dfsqft/1"
 SEED_ENV_VAR = "DFSQFT_SEED"
@@ -49,18 +49,18 @@ _POLICY_NAMES = {
     "block": PER_LOGICAL_BLOCK,
     "endpoints": ENDPOINTS_ONLY,
 }
-# encoding -> (gate factory, logical basis, the collective model it is immune to)
+# encoding -> (block code, the collective model it is immune to)
 _ENCODINGS = {
-    "plain": (trivial_factory, None, None),
-    "wcd": (wcd_factory, wcd_logical_basis, CollectiveModel.WCD),
-    "scd": (scd_factory, scd_logical_basis, CollectiveModel.SCD),
+    "plain": (PLAIN, None),
+    "wcd": (WCD, CollectiveModel.WCD),
+    "scd": (SCD, CollectiveModel.SCD),
 }
 # largest n per encoding; every command accepts n from 1 up to its cap
 _SYNTH_CAPS = {"plain": MAX_QUBITS, "wcd": MAX_WCD_LOGICAL, "scd": MAX_SCD_LOGICAL}
 _VERIFY_CAPS = {encoding: max_n for encoding, (max_n, _) in SUITES.items()}
 # noise runs simulate the whole physical register of the encoded arm
-_BENCH_CAPS = {encoding: MAX_NOISE_QUBITS // factory(1).n_qubits
-               for encoding, (factory, _, model) in _ENCODINGS.items() if model is not None}
+_BENCH_CAPS = {encoding: MAX_NOISE_QUBITS // code.size
+               for encoding, (code, model) in _ENCODINGS.items() if model is not None}
 # the config-file keys each command reads; any other key is refused
 _CONFIG_KEYS = {
     "verify": ("seed",),
@@ -167,8 +167,8 @@ def _provenance_lines(command: str, config: dict, seed: int | None) -> list[str]
 
 def cmd_synth(args) -> int:
     _check_range(args.encoding, args.n, _SYNTH_CAPS)
-    factory, _, _ = _ENCODINGS[args.encoding]
-    _write_text(args.out, print_circuit(synth_logical_qft(args.n, factory(args.n))))
+    code, _ = _ENCODINGS[args.encoding]
+    _write_text(args.out, print_circuit(synth_logical_qft(args.n, code)))
     return 0
 
 
@@ -210,13 +210,13 @@ def cmd_verify(args, config: dict[str, str]) -> int:
 def _bench_arms(encoding: str, n: int):
     """(name, circuit, block boundaries, input state, code space) of the
     encoded and the plain QFT on logical |0...0>, and the noise model."""
-    factory, logical_basis, model = _ENCODINGS[encoding]
-    basis = logical_basis(n)
+    code, model = _ENCODINGS[encoding]
+    basis = code.basis(n)
     arms = [
-        (name, synth_logical_qft(n, gates), logical_block_boundaries(n, gates), state, code)
-        for name, gates, state, code in (
-            ("encoded", factory(n), StateVector(basis.matrix[:, 0]), basis),
-            ("unencoded", trivial_factory(n), StateVector.basis(n, 0), None),
+        (name, synth_logical_qft(n, arm_code), logical_block_boundaries(n, arm_code), state, space)
+        for name, arm_code, state, space in (
+            ("encoded", code, StateVector(basis.matrix[:, 0]), basis),
+            ("unencoded", PLAIN, StateVector.basis(n, 0), None),
         )
     ]
     return arms, model

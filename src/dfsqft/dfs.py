@@ -178,7 +178,9 @@ def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
     if n % 2:
         return 0  # odd n: no S_z = 0 states
     kernel, lowering = _lowering_matrix(n)
-    rank = np.count_nonzero(np.linalg.eigvalsh(lowering @ lowering.T) > NULLSPACE_TOL)
+    gram = lowering @ lowering.T
+    del lowering  # 82 MB at n = 14: free it before eigvalsh works on the Gram
+    rank = np.count_nonzero(np.linalg.eigvalsh(gram) > NULLSPACE_TOL)
     return kernel.size - int(rank)
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, _is_integer
 from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
@@ -78,8 +78,10 @@ class NoisePolicy:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
         if self.sigma < 0 or not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite and nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not _is_integer(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

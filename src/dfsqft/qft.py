@@ -6,14 +6,16 @@ DFT with rows permuted by ``bit_reversal_permutation`` (the identity at
 n = 1), up to a global phase.
 
 Each encoding (plain, WCD, SCD) is one BlockCode record, from which its
-basis states, code space and logical gates are derived.
+basis states, code space and logical gates are derived; synth_logical_qft
+lays the logical gates of any code out in the QFT order as one circuit.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -32,9 +34,12 @@ def _check_n_logical(n: int) -> None:
         raise ValueError(f"n_logical must be a positive integer, got {n!r}")
 
 
-def _check_index(t: int, n: int) -> None:
-    if not (_is_integer(t) and 1 <= t <= n):
-        raise ValueError(f"logical index {t} out of range 1..{n}")
+def _check_logical(n: int, *indices: int) -> None:
+    """n logical qubits, and each index one of them."""
+    _check_n_logical(n)
+    for t in indices:
+        if not (_is_integer(t) and 1 <= t <= n):
+            raise ValueError(f"logical index {t} out of range 1..{n}")
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -51,9 +56,9 @@ def dft_matrix(n: int) -> np.ndarray:
 
 def synth_qft(n: int) -> Circuit:
     """Swap-free QFT sequence: n Hadamards and n(n-1)/2 controlled phases,
-    the QFT skeleton with physical gates (trivial_factory) as its blocks."""
+    the QFT skeleton on the plain code."""
     _check_size(n, MAX_QUBITS)
-    return synth_logical_qft(n, trivial_factory(n))
+    return synth_logical_qft(n, PLAIN)
 
 
 def bit_reversal_permutation(n: int) -> np.ndarray:
@@ -74,25 +79,14 @@ def resolve_output_order(n: int) -> np.ndarray:
     return bit_reversal_permutation(n)
 
 
-@dataclass(frozen=True)
-class GateFactory:
-    """An encoding, described by its logical gates: ``hadamard(k)`` and
-    ``phase(i, j, theta)`` give the circuit on ``n_qubits`` physical qubits
-    that implements each gate of the QFT skeleton. The skeleton stays fixed
-    (synth_logical_qft); the plain, WCD and SCD encodings differ only in
-    their factory, and each factory is BlockCode.factory of its code."""
-
-    n_qubits: int
-    hadamard: Callable[[int], Circuit]
-    phase: Callable[[int, int, float], Circuit]
-
-
 @dataclass(frozen=True, eq=False)
 class BlockCode:
-    """Logical qubit t on physical qubits size*(t-1)+1 .. size*t. The columns
-    of ``states`` (2^size x 2) are the block's code states |0~>, |1~>;
-    ``decoder``, written on qubits 1..size, maps them onto two basis states
-    that differ only in the block's top qubit, qubit size."""
+    """An encoding: logical qubit t on physical qubits size*(t-1)+1 .. size*t.
+    The columns of ``states`` (2^size x 2) are the block's code states |0~>,
+    |1~>; ``decoder``, written on qubits 1..size, maps them onto two basis
+    states that differ only in the block's top qubit, qubit size. Each
+    logical gate is the physical gate on the top qubits between the decoders
+    of its blocks and their inverses, returned as a gate tuple."""
 
     size: int
     states: np.ndarray
@@ -129,65 +123,47 @@ class BlockCode:
         _check_register(self.size * n)
         return SubspaceBasis(self.size * n, functools.reduce(np.kron, [self.states] * n))
 
-    def factory(self, n: int) -> GateFactory:
-        """Logical gates of n logical qubits: H on top qubit size*k and
-        P(size*i, size*j, theta), each between the decoders of its logical
-        qubits (j's first) and their inverses."""
-        _check_n_logical(n)
-        n_qubits = self.size * n
+    def hadamard(self, k: int) -> tuple[Gate, ...]:
+        """H on logical qubit k: H on top qubit size*k between the decoder
+        of block k and its inverse."""
+        forward = self.decode(k)
+        return forward + (h(self.size * k),) + _inverse(forward)
 
-        def decode(t: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-            _check_index(t, n)
-            gates = self.decode(t)
-            return gates, tuple(g.inverse() for g in reversed(gates))
+    def phase(self, i: int, j: int, theta: float) -> tuple[Gate, ...]:
+        """Controlled phase between logical qubits i and j: P(size*i, size*j,
+        theta) between the decoders of blocks j and i, in that order, and
+        their inverses."""
+        if i == j:
+            raise ValueError("logical control and target must differ")
+        fwd_i, fwd_j = self.decode(i), self.decode(j)
+        return (fwd_j + fwd_i + (p(self.size * i, self.size * j, theta),)
+                + _inverse(fwd_j) + _inverse(fwd_i))
 
-        def hadamard(k: int) -> Circuit:
-            forward, back = decode(k)
-            return Circuit(n_qubits, forward + (h(self.size * k),) + back)
 
-        def phase(i: int, j: int, theta: float) -> Circuit:
-            if i == j:
-                raise ValueError("logical control and target must differ")
-            (fwd_i, back_i), (fwd_j, back_j) = decode(i), decode(j)
-            top_i, top_j = self.size * i, self.size * j
-            return Circuit(n_qubits, fwd_j + fwd_i + (p(top_i, top_j, theta),) + back_j + back_i)
-
-        return GateFactory(n_qubits, hadamard, phase)
+def _inverse(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
+    return tuple(g.inverse() for g in reversed(gates))
 
 
 PLAIN = BlockCode(1, np.eye(2))
 
 
-def trivial_factory(n: int) -> GateFactory:
-    """Physical H and P gates; reproduces the plain QFT."""
-    return PLAIN.factory(n)
-
-
-def _logical_blocks(n: int, factory: GateFactory) -> Iterator[Circuit]:
+def _logical_gates(n: int, code: BlockCode) -> Iterator[tuple[Gate, ...]]:
     """The QFT gate order: from qubit n down to qubit 1, H on qubit k, then
-    P(j, k, pi/2^(k-j)) for j = k-1 .. 1."""
+    P(j, k, pi/2^(k-j)) for j = k-1 .. 1, each one logical gate of code."""
     _check_n_logical(n)
     for k in range(n, 0, -1):
-        yield factory.hadamard(k)
+        yield code.hadamard(k)
         for j in range(k - 1, 0, -1):
-            yield factory.phase(j, k, math.pi / 2 ** (k - j))
+            yield code.phase(j, k, math.pi / 2 ** (k - j))
 
 
-def synth_logical_qft(n: int, factory: GateFactory) -> Circuit:
-    """QFT skeleton with factory-produced blocks substituted for each gate."""
-    gates: list = []
-    for block in _logical_blocks(n, factory):
-        if block.n_qubits != factory.n_qubits:
-            raise ValueError("factory produced a block on the wrong register size")
-        gates.extend(block.gates)
-    return Circuit(factory.n_qubits, tuple(gates))
+def synth_logical_qft(n: int, code: BlockCode) -> Circuit:
+    """QFT skeleton on n blocks of code, with its logical gates substituted
+    for each gate."""
+    gates = tuple(itertools.chain.from_iterable(_logical_gates(n, code)))
+    return Circuit(code.size * n, gates)
 
 
-def logical_block_boundaries(n: int, factory: GateFactory) -> list[int]:
-    """Cumulative gate positions ending each logical block of synth_logical_qft."""
-    ends = []
-    total = 0
-    for block in _logical_blocks(n, factory):
-        total += len(block)
-        ends.append(total)
-    return ends
+def logical_block_boundaries(n: int, code: BlockCode) -> list[int]:
+    """Cumulative gate positions ending each logical gate of synth_logical_qft."""
+    return list(itertools.accumulate(len(gates) for gates in _logical_gates(n, code)))

@@ -6,13 +6,15 @@ built from pair triplets. Both are annihilated by all three collective
 operators, so any rotation applied identically to every qubit leaves
 them exactly fixed.
 
-The encoding is one block code, SCD: its decoder is a 14-gate block
+The encoding is the block code SCD: its decoder is a 14-gate block
 transform that shuttles the logical amplitude onto the block's top
 qubit, and every logical gate is a physical gate on the top qubits
-conjugated by it (qft.BlockCode). The transform is one fixed gate list,
-the paper's product lowered as written. A direct basis-change matrix
-("fallback") provides the same logical action by construction and
-cross-validates the sequence on every verify.
+conjugated by it (qft.BlockCode); scd_hadamard, scd_phase and
+synth_qft_scd are that record's gates and QFT on n logical qubits. The
+transform is one fixed gate list, the paper's product lowered as
+written. A direct basis-change matrix ("fallback") provides the same
+logical action by construction and cross-validates the sequence on
+every verify.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, cn, cr, h, r
-from .qft import BlockCode, GateFactory, _check_size, logical_block_boundaries, synth_logical_qft
+from .qft import BlockCode, _check_logical, _check_size, logical_block_boundaries, synth_logical_qft
 from .statevector import StateVector, SubspaceBasis
 
 MAX_SCD_LOGICAL = 3  # 12 physical qubits
@@ -114,10 +116,11 @@ def resolve_convention() -> Circuit:
     return scd_block_transform(1)
 
 
-def _fallback_block_matrix() -> np.ndarray:
-    """16x16 basis change sending logical |0~>, |1~> to |0000>, |1000> and a
-    deterministic Gram-Schmidt completion (computational candidates in index
-    order) to the remaining basis states."""
+@functools.cache
+def _fallback_block() -> np.ndarray:
+    """Read-only 16x16 basis change sending logical |0~>, |1~> to |0000>,
+    |1000> and a deterministic Gram-Schmidt completion (computational
+    candidates in index order) to the remaining basis states."""
     zero, one = _BLOCK_STATES
     columns: list[np.ndarray | None] = [None] * 16
     columns[0b0000], columns[0b1000] = zero, one
@@ -138,13 +141,7 @@ def _fallback_block_matrix() -> np.ndarray:
     free_slots = [l for l in range(16) if columns[l] is None]
     for slot, vec in zip(free_slots, completion):
         columns[slot] = vec
-    basis = np.column_stack(columns)
-    return basis.conj().T  # unitary sending column l of `basis` to e_l
-
-
-@functools.lru_cache(maxsize=1)
-def _fallback_block_cached() -> np.ndarray:
-    block = _fallback_block_matrix()
+    block = np.column_stack(columns).conj().T  # unitary sending column l to e_l
     block.flags.writeable = False
     return block
 
@@ -152,7 +149,7 @@ def _fallback_block_cached() -> np.ndarray:
 def _fallback_columns(columns: np.ndarray, n: int) -> np.ndarray:
     """scd_transform_matrix(n) @ columns for a 16^n x k array,
     applied one 16x16 block at a time instead of as a dense kron."""
-    block = _fallback_block_cached()
+    block = _fallback_block()
     arr = columns.reshape((16,) * n + columns.shape[1:])
     for axis in range(n):
         arr = np.moveaxis(np.tensordot(block, arr, axes=([1], [axis])), 0, axis)
@@ -164,32 +161,30 @@ def scd_transform_matrix(n: int) -> np.ndarray:
     every encoded basis state to a computational basis state by construction.
     The dense oracle that _fallback_columns is tested against."""
     _check_size(n, MAX_SCD_LOGICAL)
-    return functools.reduce(np.kron, [_fallback_block_cached()] * n)
-
-
-def scd_factory(n: int) -> GateFactory:
-    return SCD.factory(n)
+    return functools.reduce(np.kron, [_fallback_block()] * n)
 
 
 def scd_hadamard(k: int, n: int) -> Circuit:
     """Hadamard on logical qubit k of n: block transform, H on qubit 4k,
     inverse block transform (29 gates)."""
-    return scd_factory(n).hadamard(k)
+    _check_logical(n, k)
+    return Circuit(4 * n, SCD.hadamard(k))
 
 
 def scd_phase(i: int, j: int, theta: float, n: int) -> Circuit:
     """Controlled phase between logical qubits i and j (57 gates):
     both block transforms, P on qubits (4i, 4j), both inverses."""
-    return scd_factory(n).phase(i, j, theta)
+    _check_logical(n, i, j)
+    return Circuit(4 * n, SCD.phase(i, j, theta))
 
 
 def synth_qft_scd(n: int) -> Circuit:
     """Encoded QFT on 4n physical qubits; its restriction to the logical basis
     reproduces the plain n-qubit QFT matrix."""
     _check_size(n, MAX_SCD_LOGICAL)
-    return synth_logical_qft(n, scd_factory(n))
+    return synth_logical_qft(n, SCD)
 
 
 def scd_qft_block_boundaries(n: int) -> list[int]:
     """Gate positions ending each logical block of synth_qft_scd."""
-    return logical_block_boundaries(n, scd_factory(n))
+    return logical_block_boundaries(n, SCD)

@@ -62,7 +62,7 @@ class StateVector:
     def basis(cls, n_qubits: int, index: int) -> StateVector:
         """Computational basis state |index> on n_qubits."""
         _check_register(n_qubits)
-        if not 0 <= index < 2**n_qubits:
+        if not _is_integer(index) or not 0 <= index < 2**n_qubits:
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0

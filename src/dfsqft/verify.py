@@ -25,9 +25,8 @@ import numpy as np
 from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _rotations
-from .qft import BlockCode, GateFactory, bit_reversal_permutation, dft_matrix, synth_qft
-from .scd import (MAX_SCD_LOGICAL, SCD, _fallback_columns, scd_factory, scd_logical_basis,
-                  synth_qft_scd)
+from .qft import BlockCode, bit_reversal_permutation, dft_matrix, synth_qft
+from .scd import MAX_SCD_LOGICAL, SCD, _fallback_columns, synth_qft_scd
 from .statevector import (
     SubspaceBasis,
     circuit_unitary,
@@ -35,7 +34,7 @@ from .statevector import (
     restrict,
     unitarity_defect,
 )
-from .wcd import MAX_WCD_LOGICAL, synth_qft_wcd, wcd_encoder_circuit, wcd_factory, wcd_logical_basis
+from .wcd import MAX_WCD_LOGICAL, WCD, synth_qft_wcd, wcd_encoder_circuit
 
 # Plain verify lowers the whole register to a dense 2^n x 2^n unitary.
 MAX_ORACLE_QUBITS = 8
@@ -79,12 +78,15 @@ def phase_keys(n: int, thetas) -> Iterator[tuple[int, int, float]]:
                 yield from ((i, j, theta) for theta in thetas)
 
 
-def gate_blocks(n: int, basis: SubspaceBasis, gates: GateFactory, thetas) -> dict:
-    """Restrictions (block, leakage) of the factory's logical-gate circuits
-    to the code space, keyed ("h", k) and ("p", i, j, theta)."""
-    blocks = {("h", k): restrict(gates.hadamard(k), basis) for k in range(1, n + 1)}
+def gate_blocks(n: int, basis: SubspaceBasis, code: BlockCode, thetas) -> dict:
+    """Restrictions (block, leakage) of code's logical gates on n logical
+    qubits to the code space, keyed ("h", k) and ("p", i, j, theta)."""
+    def restricted(gates: tuple[Gate, ...]):
+        return restrict(Circuit(basis.n_qubits, gates), basis)
+
+    blocks = {("h", k): restricted(code.hadamard(k)) for k in range(1, n + 1)}
     for i, j, theta in phase_keys(n, thetas):
-        blocks[("p", i, j, theta)] = restrict(gates.phase(i, j, theta), basis)
+        blocks[("p", i, j, theta)] = restricted(code.phase(i, j, theta))
     return blocks
 
 
@@ -107,7 +109,7 @@ def contract(n: int, blocks: dict, kind: str) -> tuple[float, float]:
     return deviation, leakage
 
 
-def _conjugation_deviation(encoder: Circuit, gate: Gate, target: Circuit) -> float:
+def _conjugation_deviation(encoder: Circuit, gate: Gate, target: tuple[Gate, ...]) -> float:
     """Largest entrywise |E^-1 G E - target| for an encoder E (applied first)
     and a physical gate G, with both sides lowered only on the union of
     their supports.
@@ -124,14 +126,14 @@ def _conjugation_deviation(encoder: Circuit, gate: Gate, target: Circuit) -> flo
             support.update(g.qubits)
     forward = Circuit(encoder.n_qubits, tuple(reversed(cone)))
     conjugated = forward + Circuit(encoder.n_qubits, (gate,)) + invert(forward)
-    qubits = sorted(support.union(*(g.qubits for g in target.gates)))
+    qubits = sorted(support.union(*(g.qubits for g in target)))
     label = {q: i for i, q in enumerate(qubits, start=1)}
 
-    def local(circuit: Circuit) -> np.ndarray:
+    def local(gates: tuple[Gate, ...]) -> np.ndarray:
         return circuit_unitary(Circuit(len(qubits), tuple(
-            Gate(g.kind, tuple(label[q] for q in g.qubits), g.angle) for g in circuit.gates)))
+            Gate(g.kind, tuple(label[q] for q in g.qubits), g.angle) for g in gates)))
 
-    return _distance(local(conjugated), local(target))
+    return _distance(local(conjugated.gates), local(target))
 
 
 def _order_name(n: int) -> str:
@@ -189,10 +191,9 @@ def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
 
 
 def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
-    basis = wcd_logical_basis(n)
+    basis = WCD.basis(n)
     encoder = wcd_encoder_circuit(n)
-    gates = wcd_factory(n)
-    blocks = gate_blocks(n, basis, gates, _WCD_THETAS)
+    blocks = gate_blocks(n, basis, WCD, _WCD_THETAS)
     dev_h, leak_h = contract(n, blocks, "h")
     checks = [
         check("logical_hadamard_action", 1e-10, dev_h),
@@ -205,12 +206,12 @@ def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
             check("logical_phase_leakage", 1e-10, leak_p),
         ]
     # the encoder conjugates a physical H or P on the pairs' high qubits into the logical gate
-    conj_h = max(_conjugation_deviation(encoder, h(2 * k), gates.hadamard(k))
+    conj_h = max(_conjugation_deviation(encoder, h(2 * k), WCD.hadamard(k))
                  for k in range(1, n + 1))
     checks.append(check("encoder_conjugation_hadamard", 1e-10, conj_h))
     if n >= 2:
         conj_p = max(_conjugation_deviation(encoder, p(2 * i, 2 * j, theta),
-                                            gates.phase(i, j, theta))
+                                            WCD.phase(i, j, theta))
                      for i, j, theta in phase_keys(n, _THETAS))
         checks.append(check("encoder_conjugation_phase", 1e-10, conj_p))
     checks += qft_restriction_checks(n, synth_qft_wcd(n), basis)
@@ -219,7 +220,7 @@ def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
 
 
 def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
-    basis = scd_logical_basis(n)
+    basis = SCD.basis(n)
     annihilation = max(
         float(np.max(np.linalg.norm(collective_product(axis, basis.matrix), axis=0)))
         for axis in "xyz"
@@ -232,9 +233,8 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
         return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))
 
     # bare gates on the block tops
-    tops = BlockCode(4, SCD.states).factory(n)
-    fb_blocks = gate_blocks(n, basis_t, tops, _THETAS)
-    seq_blocks = gate_blocks(n, basis, scd_factory(n), _THETAS)
+    fb_blocks = gate_blocks(n, basis_t, BlockCode(4, SCD.states), _THETAS)
+    seq_blocks = gate_blocks(n, basis, SCD, _THETAS)
     agreement = max(_distance(seq_blocks[key][0], fb_blocks[key][0]) for key in seq_blocks)
     checks = [
         check("logical_states_orthonormal", 1e-12,

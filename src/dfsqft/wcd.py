@@ -3,18 +3,20 @@
 Logical |0> = |01> and |1> = |10> on each (2t, 2t-1) pair, so every
 logical basis state balances its 0s and 1s and sits in the zero
 eigenspace of the collective S_z: uniform dephasing acts on it as, at
-most, an unobservable global phase. The encoding is one block code, WCD:
+most, an unobservable global phase. The encoding is the block code WCD:
 its decoder, the pair CNOT, maps the pair code to and from a plain
 one-qubit-per-pair layout, and every logical gate is a physical gate on
-the pairs' high qubits conjugated by it (qft.BlockCode).
+the pairs' high qubits conjugated by it (qft.BlockCode). The functions
+below are that record's gates and QFT, checked against a register of n
+logical qubits.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .circuits import Circuit, cn
-from .qft import (BlockCode, GateFactory, _check_n_logical, _check_size, logical_block_boundaries,
-                  synth_logical_qft)
+from .qft import (BlockCode, _check_logical, _check_n_logical, _check_size,
+                  logical_block_boundaries, synth_logical_qft)
 from .statevector import StateVector, SubspaceBasis
 
 MAX_WCD_LOGICAL = 6  # 12 physical qubits
@@ -33,18 +35,16 @@ def wcd_logical_basis(n: int) -> SubspaceBasis:
     return WCD.basis(n)
 
 
-def wcd_factory(n: int) -> GateFactory:
-    return WCD.factory(n)
-
-
 def wcd_hadamard(k: int, n: int) -> Circuit:
     """Hadamard on logical qubit k of n: pair CNOT, physical H, pair CNOT."""
-    return wcd_factory(n).hadamard(k)
+    _check_logical(n, k)
+    return Circuit(2 * n, WCD.hadamard(k))
 
 
 def wcd_phase(i: int, j: int, theta: float, n: int) -> Circuit:
     """Controlled phase between logical qubits i and j: e^{i theta} on |11> only."""
-    return wcd_factory(n).phase(i, j, theta)
+    _check_logical(n, i, j)
+    return Circuit(2 * n, WCD.phase(i, j, theta))
 
 
 def wcd_encoder_circuit(n: int) -> Circuit:
@@ -59,9 +59,9 @@ def synth_qft_wcd(n: int) -> Circuit:
     """Encoded QFT on 2n physical qubits; its restriction to the logical basis
     reproduces the plain n-qubit QFT matrix."""
     _check_size(n, MAX_WCD_LOGICAL)
-    return synth_logical_qft(n, wcd_factory(n))
+    return synth_logical_qft(n, WCD)
 
 
 def wcd_qft_block_boundaries(n: int) -> list[int]:
     """Gate positions ending each logical block of synth_qft_wcd."""
-    return logical_block_boundaries(n, wcd_factory(n))
+    return logical_block_boundaries(n, WCD)

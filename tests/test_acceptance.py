@@ -13,6 +13,7 @@ from dfsqft import (
     CollectiveModel,
     NoisePolicy,
     PER_LOGICAL_BLOCK,
+    PLAIN,
     StateVector,
     apply_circuit,
     brute_force_max_dfs_dimension,
@@ -32,7 +33,6 @@ from dfsqft import (
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
-    trivial_factory,
     wcd_logical_state,
     wcd_qft_block_boundaries,
 )
@@ -172,7 +172,7 @@ def test_criterion_08_noise_robustness_headline():
         plain_ideal = apply_circuit(plain_state, plain)
         results[f"plain-{label}"] = noisy_run(
             plain, plain_state, plain_ideal, policy, model,
-            logical_block_boundaries(2, trivial_factory(2)),
+            logical_block_boundaries(2, PLAIN),
         )
     encoded_ok = all(results[k].mean_fidelity >= 1.0 - 1e-10 for k in ("wcd", "scd"))
     plain_ok = all(results[f"plain-{k}"].mean_fidelity < 0.99 for k in ("wcd", "scd"))

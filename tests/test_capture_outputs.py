@@ -1,7 +1,7 @@
 """tools/capture_outputs.py looks up dfsqft names by string (the logical gate
-builders, the WCD encoder and verify.SUITES), and no other test runs it, so
-these tests make a renamed name fail here rather than only in a comparison
-run."""
+builders, the WCD encoder, the block boundaries and verify.SUITES), and no
+other test runs it, so these tests make a renamed name fail here rather than
+only in a comparison run."""
 import pathlib
 import types
 
@@ -32,6 +32,12 @@ def test_logical_gate_texts_resolve(encoding):
     assert texts[0] == dfsqft.print_circuit(hadamard(1, 1))
     assert texts[1:] == ([dfsqft.print_circuit(dfsqft.wcd_encoder_circuit(1))]
                          if encoding == "wcd" else [])
+
+
+@pytest.mark.parametrize("encoding", ["wcd", "scd"])
+def test_block_boundaries_resolve(encoding):
+    boundaries = getattr(dfsqft, f"{encoding}_qft_block_boundaries")(2)
+    assert CAPTURE.block_boundaries_text(dfsqft, encoding, 2) == " ".join(map(str, boundaries)) + "\n"
 
 
 def test_cli_cases_cover_every_verify_size():

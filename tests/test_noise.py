@@ -10,6 +10,7 @@ from dfsqft import (
     ENDPOINTS_ONLY,
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
+    PLAIN,
     Circuit,
     CollectiveModel,
     NoiseEvent,
@@ -30,7 +31,6 @@ from dfsqft import (
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
-    trivial_factory,
     wcd_logical_basis,
     wcd_logical_state,
     wcd_qft_block_boundaries,
@@ -81,7 +81,7 @@ def _qft_setup(kind, n):
     else:
         model = WCD if kind == "plain-wcd" else SCD
         circuit, state = synth_qft(n), random_state(n, np.random.default_rng(n))
-        bounds, basis = logical_block_boundaries(n, trivial_factory(n)), None
+        bounds, basis = logical_block_boundaries(n, PLAIN), None
     return circuit, state, apply_circuit(state, circuit), model, bounds, basis
 
 
@@ -152,6 +152,16 @@ class TestNoisePolicy:
             NoisePolicy(granularity=PER_LOGICAL_BLOCK, distribution="poisson")
         with pytest.raises(ValueError):
             NoisePolicy(granularity=PER_LOGICAL_BLOCK, distribution="gaussian", sigma=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.5), ("trials", True), ("trials", "3"),
+        ("seed", 1.5), ("seed", True), ("seed", -1),
+    ])
+    def test_non_integer_or_negative_count_rejected(self, field, value):
+        # refused here, before numpy fails inside run_trials or a negative
+        # seed aliases 2**64 - 1; seeds of 2**64 and above stay valid
+        with pytest.raises(ValueError, match=rf"^{field} must be an? .*integer.*, got {value!r}$"):
+            NoisePolicy(granularity=ENDPOINTS_ONLY, **{field: value})
 
 
 class TestNoisyRun:
@@ -304,7 +314,7 @@ class TestNoisyRun:
             run_trials(circuit, state, ideal, policy, WCD, subspace=wcd_logical_basis(1))
 
     def test_plain_block_boundaries_are_per_gate(self):
-        bounds = logical_block_boundaries(2, trivial_factory(2))
+        bounds = logical_block_boundaries(2, PLAIN)
         circuit = synth_qft(2)
         assert bounds == [1, 2, 3]
         state = StateVector.basis(2, 0)

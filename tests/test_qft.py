@@ -15,7 +15,6 @@ from dfsqft import (
     invert,
     logical_block_boundaries,
     p,
-    scd_factory,
     scd_hadamard,
     scd_logical_basis,
     scd_transform_matrix,
@@ -23,14 +22,13 @@ from dfsqft import (
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
-    trivial_factory,
     unitarity_defect,
-    wcd_factory,
     wcd_hadamard,
     wcd_logical_basis,
     wcd_phase,
 )
-from dfsqft.qft import BlockCode, resolve_output_order
+from dfsqft.qft import PLAIN, BlockCode, resolve_output_order
+from dfsqft.scd import SCD
 from dfsqft.wcd import WCD
 
 
@@ -162,13 +160,13 @@ _LOGICAL_MESSAGE = "n_logical must be a positive integer, got "
     (lambda: wcd_logical_basis(2.5), _LOGICAL_MESSAGE + r"2\.5"),
     (lambda: wcd_logical_basis(0), _LOGICAL_MESSAGE + "0"),
     (lambda: scd_logical_basis(2.5), _LOGICAL_MESSAGE + r"2\.5"),
-    (lambda: synth_logical_qft(2.5, trivial_factory(3)), _LOGICAL_MESSAGE + r"2\.5"),
-    (lambda: logical_block_boundaries(2.5, trivial_factory(3)), _LOGICAL_MESSAGE + r"2\.5"),
+    (lambda: synth_logical_qft(2.5, PLAIN), _LOGICAL_MESSAGE + r"2\.5"),
+    (lambda: logical_block_boundaries(2.5, PLAIN), _LOGICAL_MESSAGE + r"2\.5"),
     # True is an int: dft_matrix(True) used to return the 2 x 2 DFT
     (lambda: dft_matrix(True), r"n must be an integer in 1\.\.10, got True"),
     (lambda: synth_qft(True), r"n must be an integer in 1\.\.14, got True"),
-    (lambda: trivial_factory(True), _LOGICAL_MESSAGE + "True"),
-    (lambda: trivial_factory(2).hadamard(True), r"logical index True out of range 1\.\.2"),
+    (lambda: synth_logical_qft(True, PLAIN), _LOGICAL_MESSAGE + "True"),
+    (lambda: wcd_hadamard(True, 2), r"logical index True out of range 1\.\.2"),
 ], ids=["bit_reversal_permutation", "bit_reversal_permutation-negative", "scd_transform_matrix",
         "synth_qft_wcd", "synth_qft_scd", "wcd_logical_basis", "wcd_logical_basis-zero",
         "scd_logical_basis", "synth_logical_qft", "logical_block_boundaries", "dft_matrix-bool",
@@ -180,13 +178,14 @@ def test_non_integer_size_rejected(call, message):
 
 class TestLogicalSynthesis:
     def test_trivial_factory_reproduces_plain(self):
+        # the plain code's logical gates are the physical H and P gates
         for n in range(1, 7):
-            assert synth_logical_qft(n, trivial_factory(n)) == synth_qft(n)
+            assert synth_logical_qft(n, PLAIN) == synth_qft(n)
 
     def test_wcd_factory_structure(self):
         # encoded three-qubit transform: H block on 3, P blocks (2,3), (1,3),
         # H block on 2, P block (1,2), H block on 1
-        circuit = synth_logical_qft(3, wcd_factory(3))
+        circuit = synth_logical_qft(3, WCD)
         expected = (
             wcd_hadamard(3, 3)
             + wcd_phase(2, 3, math.pi / 2, 3)
@@ -199,48 +198,47 @@ class TestLogicalSynthesis:
         assert len(circuit) == 3 * 3 + 3 * 5
 
     def test_scd_factory_single_qubit(self):
-        assert synth_logical_qft(1, scd_factory(1)) == scd_hadamard(1, 1)
-
-    def test_factory_register_mismatch_rejected(self):
-        from dfsqft import GateFactory
-
-        bad = GateFactory(2, hadamard=lambda k: Circuit(3, (h(k),)), phase=None)
-        with pytest.raises(ValueError, match="register"):
-            synth_logical_qft(1, bad)
+        assert synth_logical_qft(1, SCD) == scd_hadamard(1, 1)
 
     def test_conjugation_rule(self):
         code = BlockCode(2, WCD.states, (cn(2, 1), cr(2, 1, 0.3)))
         decoder = lambda t: (cn(2 * t, 2 * t - 1), cr(2 * t, 2 * t - 1, 0.3))
         assert code.decode(2) == decoder(2)
-        gates = code.factory(2)
-        assert gates.n_qubits == 4
-        assert gates.hadamard(1) == Circuit(4, (*decoder(1), h(2), *invert(Circuit(4, decoder(1)))))
-        assert gates.phase(2, 1, 0.7) == Circuit(4, (
+        assert code.hadamard(1) == (*decoder(1), h(2), *invert(Circuit(4, decoder(1))).gates)
+        assert code.phase(2, 1, 0.7) == (
             *decoder(1), *decoder(2), p(4, 2, 0.7),
-            *invert(Circuit(4, decoder(1))), *invert(Circuit(4, decoder(2)))))
+            *invert(Circuit(4, decoder(1))).gates, *invert(Circuit(4, decoder(2))).gates)
+        # the QFT is one circuit on the code's register: 2 blocks of 2 qubits
+        assert synth_logical_qft(2, code) == Circuit(4, (
+            *code.hadamard(2), *code.phase(1, 2, math.pi / 2), *code.hadamard(1)))
 
     def test_conjugation_factory_validates_indices(self):
-        with pytest.raises(ValueError, match="n_logical must be a positive integer"):
-            trivial_factory(0)
-        with pytest.raises(ValueError, match="n_logical must be a positive integer"):
-            trivial_factory(1.5)
-        gates = trivial_factory(2)
+        # the code's gates need positive indices; the register wrappers also
+        # bound them by n
+        for n in (0, 1.5):
+            with pytest.raises(ValueError, match="n_logical must be a positive integer"):
+                synth_logical_qft(n, PLAIN)
+        for k in (0, 1.5, True):
+            with pytest.raises(ValueError, match=f"logical index must be a positive integer, got {k}"):
+                PLAIN.hadamard(k)
         for k in (0, 3):
             with pytest.raises(ValueError, match=f"logical index {k} out of range 1..2"):
-                gates.hadamard(k)
+                wcd_hadamard(k, 2)
         with pytest.raises(ValueError, match="logical index 3 out of range 1..2"):
-            gates.phase(1, 3, 0.1)
+            wcd_phase(1, 3, 0.1, 2)
         with pytest.raises(ValueError, match="logical control and target must differ"):
-            gates.phase(2, 2, 0.1)
+            WCD.phase(2, 2, 0.1)
+        with pytest.raises(ValueError, match="logical control and target must differ"):
+            wcd_phase(2, 2, 0.1, 2)
 
     def test_block_code_refuses_a_misdescribed_block(self):
         with pytest.raises(ValueError, match=r"needs a 4 x 2 state matrix, got shape \(4, 3\)"):
             BlockCode(2, np.eye(4)[:, :3])
 
     def test_block_boundaries(self):
-        assert logical_block_boundaries(3, trivial_factory(3)) == [1, 2, 3, 4, 5, 6]
-        assert logical_block_boundaries(2, wcd_factory(2)) == [3, 8, 11]
-        assert logical_block_boundaries(2, scd_factory(2)) == [29, 86, 115]
+        assert logical_block_boundaries(3, PLAIN) == [1, 2, 3, 4, 5, 6]
+        assert logical_block_boundaries(2, WCD) == [3, 8, 11]
+        assert logical_block_boundaries(2, SCD) == [29, 86, 115]
 
     def test_logical_unitaries_stay_unitary(self):
-        assert unitarity_defect(circuit_unitary(synth_logical_qft(2, wcd_factory(2)))) < 1e-10
+        assert unitarity_defect(circuit_unitary(synth_logical_qft(2, WCD))) < 1e-10

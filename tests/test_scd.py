@@ -23,7 +23,6 @@ from dfsqft import (
     print_circuit,
     restrict,
     scd_block_transform,
-    scd_factory,
     scd_hadamard,
     scd_logical_basis,
     scd_logical_state,
@@ -48,7 +47,7 @@ class TestRegister:
         text = (pathlib.Path(GOLDEN_DIR) / "scd_block_transform_1.txt").read_text(encoding="utf-8")
         golden = parse_circuit(text).gates
         assert SCD.size == 4
-        assert scd_factory(2).n_qubits == 8
+        assert scd_hadamard(1, 2).n_qubits == 8
         for t in (1, 2, 3):
             shifted = tuple(Gate(g.kind, tuple(q + 4 * (t - 1) for q in g.qubits), g.angle)
                             for g in golden)
@@ -58,15 +57,15 @@ class TestRegister:
     @pytest.mark.parametrize("n", [1.5, 0, "2", True])
     def test_non_integer_or_empty_register_rejected(self, n):
         with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
-            scd_factory(n)
+            scd_hadamard(1, n)
 
     def test_non_integer_index_rejected(self):
         with pytest.raises(ValueError, match=r"logical index 1.5 out of range 1\.\.2"):
-            scd_factory(2).hadamard(1.5)
+            scd_hadamard(1.5, 2)
         with pytest.raises(ValueError, match="logical index must be a positive integer, got 1.5"):
             scd_block_transform(1.5)
         with pytest.raises(ValueError, match=r"logical index True out of range 1\.\.2"):
-            scd_factory(2).hadamard(True)
+            scd_hadamard(True, 2)
         with pytest.raises(ValueError, match="logical index must be a positive integer, got True"):
             scd_block_transform(True)
 
@@ -185,7 +184,7 @@ class TestBlockTransform:
 def _logical_hadamard_deviation(block_transform: tuple[Gate, ...]) -> float:
     """Worst amplitude error of H on qubit 4, conjugated by a block transform,
     against the logical Hadamard on the two encoded basis states."""
-    hadamard = BlockCode(4, SCD.states, block_transform).factory(1).hadamard(1)
+    hadamard = Circuit(4, BlockCode(4, SCD.states, block_transform).hadamard(1))
     zero, one = scd_logical_state("0"), scd_logical_state("1")
     plus = (zero.amplitudes + one.amplitudes) * INV_SQRT2
     minus = (zero.amplitudes - one.amplitudes) * INV_SQRT2

@@ -78,8 +78,15 @@ class TestStateVector:
                                              r"it must be an integer in 1\.\.14$"):
             StateVector.basis(n_qubits, 0)
 
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_non_integer_index(self, index):
+        # True would index every amplitude, and 1.5 fail inside numpy
+        with pytest.raises(ValueError, match=rf"^basis index {index} out of range for 2 qubits$"):
+            StateVector.basis(2, index)
+
     def test_numpy_integer_register(self):
         assert StateVector.basis(np.int64(2), 3).n_qubits == 2
+        assert StateVector.basis(2, np.int64(3)).amplitudes[3] == 1.0
 
     def test_amplitudes_frozen(self):
         s = StateVector.basis(1, 0)

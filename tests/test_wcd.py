@@ -22,7 +22,6 @@ from dfsqft import (
     synth_qft,
     synth_qft_wcd,
     wcd_encoder_circuit,
-    wcd_factory,
     wcd_hadamard,
     wcd_logical_basis,
     wcd_logical_state,
@@ -41,13 +40,15 @@ class TestRegister:
         # logical qubit t lives on physical qubits 2t-1 and 2t; its decoder
         # is the pair CNOT, high controls low
         assert WCD.size == 2
-        assert wcd_factory(3).n_qubits == 6
+        assert wcd_hadamard(1, 3).n_qubits == 6
         for t in range(1, 7):
             assert WCD.decode(t) == (cn(2 * t, 2 * t - 1),)
         with pytest.raises(ValueError):
-            wcd_factory(3).hadamard(4)
+            wcd_hadamard(4, 3)
 
-    @pytest.mark.parametrize("build", [wcd_factory, wcd_encoder_circuit])
+    # "wcd_factory" names the logical-gate route: a gate on a register of n pairs
+    @pytest.mark.parametrize("build", [lambda n: wcd_hadamard(1, n), wcd_encoder_circuit],
+                             ids=["wcd_factory", "wcd_encoder_circuit"])
     @pytest.mark.parametrize("n", [1.5, 0, "2", True])
     def test_non_integer_or_empty_register_rejected(self, build, n):
         with pytest.raises(ValueError, match=f"n_logical must be a positive integer, got {n!r}"):
@@ -143,7 +144,7 @@ class TestLogicalHadamard:
             wcd_hadamard(1.5, 2)
         # True is an int: the pair layout used to accept it as logical qubit 1
         with pytest.raises(ValueError, match=r"logical index True out of range 1\.\.3"):
-            wcd_factory(3).hadamard(True)
+            wcd_hadamard(True, 3)
         with pytest.raises(ValueError, match="logical index must be a positive integer, got 1.5"):
             WCD.decode(1.5)
 

@@ -9,7 +9,9 @@ in-process through dfsqft.cli.main, the demos as subprocesses with
 PYTHONPATH=SRC_DIR. The logical gates are hashed per (encoding, n): the
 print_circuit text of every *_hadamard(k, n), of every *_phase(i, j, theta, n)
 over the ordered pairs i != j at the verify angles and, for WCD, of
-wcd_encoder_circuit(n). The script prints one JSON object mapping each
+wcd_encoder_circuit(n); so are the logical-block boundaries
+*_qft_block_boundaries(n), where block-boundary noise strikes. The
+script prints one JSON object mapping each
 output to the sha256 of its bytes; a verify JSON report is hashed without
 its wall-clock duration_s. It exits 1 if any command exits non-zero.
 
@@ -75,6 +77,12 @@ def logical_gate_texts(dfsqft, encoding: str, n: int):
         yield dfsqft.print_circuit(dfsqft.wcd_encoder_circuit(n))
 
 
+def block_boundaries_text(dfsqft, encoding: str, n: int) -> str:
+    """The gate positions ending each logical block of the encoded QFT."""
+    boundaries = getattr(dfsqft, f"{encoding}_qft_block_boundaries")(n)
+    return " ".join(str(b) for b in boundaries) + "\n"
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -108,6 +116,7 @@ def main(argv: list[str]) -> int:
     for encoding, max_n in GATE_SIZES.items():
         for n in range(1, max_n + 1):
             hashes[f"gates {encoding} {n}"] = sha256("".join(logical_gate_texts(dfsqft, encoding, n)))
+            hashes[f"boundaries {encoding} {n}"] = sha256(block_boundaries_text(dfsqft, encoding, n))
 
     env = {**os.environ, "PYTHONPATH": str(src)}
     for demo in sorted((src.parent / "demos").glob("0*.py")):
