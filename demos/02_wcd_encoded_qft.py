@@ -11,6 +11,7 @@ states, logical gates, and the encoded transform.
 import numpy as np
 
 from dfsqft import (
+    WCD,
     CollectiveModel,
     NoiseEvent,
     apply_noise,
@@ -22,14 +23,12 @@ from dfsqft import (
     synth_qft,
     synth_qft_wcd,
     wcd_hadamard,
-    wcd_logical_basis,
-    wcd_logical_state,
 )
 
 # --- logical states -----------------------------------------------------
 # One logical qubit on physical qubits (1, 2): |0>_L = |01>, |1>_L = |10>.
-zero = wcd_logical_state("0")
-one = wcd_logical_state("1")
+zero = WCD.state("0")
+one = WCD.state("1")
 print("|0>_L amplitudes:", zero.amplitudes.real)
 print("|1>_L amplitudes:", one.amplitudes.real)
 
@@ -47,7 +46,7 @@ print("\nlogical Hadamard circuit:")
 print(print_circuit(wcd_hadamard(1, 1)))
 
 # Restricted to the logical basis it is exactly the 2x2 Hadamard.
-block, leakage = restrict(circuit_unitary(wcd_hadamard(1, 1)), wcd_logical_basis(1))
+block, leakage = restrict(circuit_unitary(wcd_hadamard(1, 1)), WCD.basis(1))
 print("restriction:\n", np.round(block.real, 6))
 print("leakage out of the code space:", leakage)
 
@@ -56,7 +55,7 @@ print("leakage out of the code space:", leakage)
 # encoded circuit reproduces the plain two-qubit QFT matrix exactly.
 encoded = synth_qft_wcd(2)
 print(f"\nencoded 2-qubit QFT: {len(encoded)} elementary gates on 4 physical qubits")
-block, leakage = restrict(circuit_unitary(encoded), wcd_logical_basis(2))
+block, leakage = restrict(circuit_unitary(encoded), WCD.basis(2))
 deviation = np.max(np.abs(block - circuit_unitary(synth_qft(2))))
 print("restriction vs plain QFT:", deviation)
 print("leakage:                 ", leakage)

@@ -12,6 +12,7 @@ basis-change matrix ("fallback") cross-validates that sequence.
 import numpy as np
 
 from dfsqft import (
+    SCD,
     CollectiveModel,
     NoiseEvent,
     apply_noise,
@@ -21,16 +22,14 @@ from dfsqft import (
     restrict,
     scd_block_transform,
     scd_hadamard,
-    scd_logical_basis,
-    scd_logical_state,
     scd_transform_matrix,
     synth_qft,
     synth_qft_scd,
 )
 
 # --- the singlet states ---------------------------------------------------
-zero = scd_logical_state("0")  # product of two pair singlets
-one = scd_logical_state("1")  # the orthogonal triplet-pair combination
+zero = SCD.state("0")  # product of two pair singlets
+one = SCD.state("1")  # the orthogonal triplet-pair combination
 print("nonzero amplitudes of |0>_L:")
 for idx in np.flatnonzero(np.abs(zero.amplitudes) > 1e-12):
     print(f"  |{idx:04b}>  {zero.amplitudes[idx].real:+.4f}")
@@ -53,7 +52,7 @@ print("transform sends |0>_L to basis state", format(int(np.argmax(np.abs(image)
 # The fallback matrix is a direct basis change built by Gram-Schmidt; it
 # satisfies the logical-gate contracts by construction and must agree
 # with the gate sequence on the logical block.
-basis = scd_logical_basis(1)
+basis = SCD.basis(1)
 fallback = scd_transform_matrix(1)
 h_phys = circuit_unitary(scd_hadamard(1, 1))
 block_seq, _ = restrict(h_phys, basis)
@@ -64,7 +63,7 @@ print("\nsequence vs fallback logical Hadamard:", np.max(np.abs(block_seq - bloc
 # --- the encoded transform --------------------------------------------------
 encoded = synth_qft_scd(2)
 print(f"\nencoded 2-qubit QFT: {len(encoded)} elementary gates on 8 physical qubits")
-block, leakage = restrict(circuit_unitary(encoded), scd_logical_basis(2))
+block, leakage = restrict(circuit_unitary(encoded), SCD.basis(2))
 deviation = np.max(np.abs(block - circuit_unitary(synth_qft(2))))
 print("restriction vs plain QFT:", deviation)
 print("leakage:                 ", leakage)

@@ -14,19 +14,15 @@ from dfsqft import (
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
     PLAIN,
+    SCD,
+    WCD,
     StateVector,
     apply_circuit,
     logical_block_boundaries,
     noisy_run,
-    scd_logical_basis,
-    scd_logical_state,
-    scd_qft_block_boundaries,
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
-    wcd_logical_basis,
-    wcd_logical_state,
-    wcd_qft_block_boundaries,
 )
 
 TRIALS = 200
@@ -45,10 +41,10 @@ def bench(label, circuit, state, model, bounds, subspace, granularity):
 print(f"uniform collective noise, {TRIALS} trials, seed {SEED}")
 
 print("\nnoise at logical-block boundaries (the protected regime):")
-bench("encoded WCD n=2", synth_qft_wcd(2), wcd_logical_state("00"), CollectiveModel.WCD,
-      wcd_qft_block_boundaries(2), wcd_logical_basis(2), PER_LOGICAL_BLOCK)
-bench("encoded SCD n=2", synth_qft_scd(2), scd_logical_state("00"), CollectiveModel.SCD,
-      scd_qft_block_boundaries(2), scd_logical_basis(2), PER_LOGICAL_BLOCK)
+bench("encoded WCD n=2", synth_qft_wcd(2), WCD.state("00"), CollectiveModel.WCD,
+      logical_block_boundaries(2, WCD), WCD.basis(2), PER_LOGICAL_BLOCK)
+bench("encoded SCD n=2", synth_qft_scd(2), SCD.state("00"), CollectiveModel.SCD,
+      logical_block_boundaries(2, SCD), SCD.basis(2), PER_LOGICAL_BLOCK)
 bench("plain n=2 (z-noise)", synth_qft(2), StateVector.basis(2, 0), CollectiveModel.WCD,
       logical_block_boundaries(2, PLAIN), None, PER_LOGICAL_BLOCK)
 bench("plain n=2 (xyz-noise)", synth_qft(2), StateVector.basis(2, 0), CollectiveModel.SCD,
@@ -59,7 +55,7 @@ print("  the block interiors are NOT protected: the pair/block transforms")
 print("  pass through states outside the code space, so fidelity drops.")
 print("  Dephasing (WCD) scrambles phases only, so the final state stays")
 print("  inside the code space (zero leakage); full rotations (SCD) leak.")
-bench("encoded WCD n=2", synth_qft_wcd(2), wcd_logical_state("00"), CollectiveModel.WCD,
-      None, wcd_logical_basis(2), PER_ELEMENTARY_GATE)
-bench("encoded SCD n=1", synth_qft_scd(1), scd_logical_state("0"), CollectiveModel.SCD,
-      None, scd_logical_basis(1), PER_ELEMENTARY_GATE)
+bench("encoded WCD n=2", synth_qft_wcd(2), WCD.state("00"), CollectiveModel.WCD,
+      None, WCD.basis(2), PER_ELEMENTARY_GATE)
+bench("encoded SCD n=1", synth_qft_scd(1), SCD.state("0"), CollectiveModel.SCD,
+      None, SCD.basis(1), PER_ELEMENTARY_GATE)

@@ -21,11 +21,9 @@ from .circuits import (
 )
 from .dfs import (
     CollectiveModel,
-    DfsReport,
     brute_force_max_dfs_dimension,
     collective_operator,
     dfs_basis,
-    dfs_report,
     eta_max,
     max_dfs_dimension,
     min_physical_qubits,
@@ -55,13 +53,9 @@ from .qft import (
 )
 from .scd import (
     SCD,
-    ScdAngles,
     scd_block_transform,
     scd_hadamard,
-    scd_logical_basis,
-    scd_logical_state,
     scd_phase,
-    scd_qft_block_boundaries,
     scd_transform_matrix,
     synth_qft_scd,
 )
@@ -83,10 +77,7 @@ from .wcd import (
     synth_qft_wcd,
     wcd_encoder_circuit,
     wcd_hadamard,
-    wcd_logical_basis,
-    wcd_logical_state,
     wcd_phase,
-    wcd_qft_block_boundaries,
 )
 
 __version__ = "0.1.0"
@@ -104,17 +95,14 @@ __all__ = [
     "dft_matrix", "synth_qft", "synth_logical_qft", "BlockCode",
     "PLAIN", "logical_block_boundaries", "bit_reversal_permutation",
     # dfs
-    "CollectiveModel", "DfsReport", "collective_operator", "dfs_basis",
-    "dfs_report", "max_dfs_dimension", "brute_force_max_dfs_dimension",
-    "wcd_sector_dimensions", "eta_max", "min_physical_qubits",
+    "CollectiveModel", "collective_operator", "dfs_basis", "max_dfs_dimension",
+    "brute_force_max_dfs_dimension", "wcd_sector_dimensions", "eta_max",
+    "min_physical_qubits",
     # wcd
-    "wcd_logical_state", "wcd_logical_basis", "wcd_hadamard",
-    "wcd_phase", "wcd_encoder_circuit", "WCD", "synth_qft_wcd",
-    "wcd_qft_block_boundaries",
+    "wcd_hadamard", "wcd_phase", "wcd_encoder_circuit", "WCD", "synth_qft_wcd",
     # scd
-    "ScdAngles", "scd_logical_state", "scd_logical_basis",
     "scd_block_transform", "scd_transform_matrix", "scd_hadamard", "scd_phase",
-    "SCD", "synth_qft_scd", "scd_qft_block_boundaries",
+    "SCD", "synth_qft_scd",
     # noise
     "NoiseEvent", "NoisePolicy", "RunReport", "apply_noise", "noisy_run",
     "sample_event", "single_qubit_rotation", "GRANULARITIES",

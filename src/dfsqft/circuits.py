@@ -67,9 +67,13 @@ class Gate:
         if _HAS_ANGLE[self.kind]:
             if self.angle is None:
                 raise ValueError(f"{self.kind} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-            if not math.isfinite(self.angle):
+            try:
+                angle = float(self.angle)
+            except OverflowError:  # an int beyond float range
+                angle = math.inf
+            if not math.isfinite(angle):
                 raise ValueError("gate angle must be finite")
+            object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -171,10 +175,12 @@ def _parse_angle(token: str, lineno: int) -> float:
         return math.pi
     m = _PI_FRACTION.fullmatch(token)
     if m:
-        denom = int(m.group(2))
-        if denom == 0:
-            raise CircuitParseError(lineno, "zero denominator in angle")
-        value = math.pi / denom
+        try:
+            value = math.pi / int(m.group(2))
+        except ZeroDivisionError:
+            raise CircuitParseError(lineno, "zero denominator in angle") from None
+        except (OverflowError, ValueError):  # beyond float range, or int's digit limit
+            raise CircuitParseError(lineno, "angle denominator too large") from None
         return -value if m.group(1) else value
     try:
         return float(token)

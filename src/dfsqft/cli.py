@@ -49,18 +49,17 @@ _POLICY_NAMES = {
     "block": PER_LOGICAL_BLOCK,
     "endpoints": ENDPOINTS_ONLY,
 }
-# encoding -> (block code, the collective model it is immune to)
+# encoding -> (block code, the collective model it is immune to, largest synth n);
+# every command accepts n from 1 up to its cap
 _ENCODINGS = {
-    "plain": (PLAIN, None),
-    "wcd": (WCD, CollectiveModel.WCD),
-    "scd": (SCD, CollectiveModel.SCD),
+    "plain": (PLAIN, None, MAX_QUBITS),
+    "wcd": (WCD, CollectiveModel.WCD, MAX_WCD_LOGICAL),
+    "scd": (SCD, CollectiveModel.SCD, MAX_SCD_LOGICAL),
 }
-# largest n per encoding; every command accepts n from 1 up to its cap
-_SYNTH_CAPS = {"plain": MAX_QUBITS, "wcd": MAX_WCD_LOGICAL, "scd": MAX_SCD_LOGICAL}
 _VERIFY_CAPS = {encoding: max_n for encoding, (max_n, _) in SUITES.items()}
 # noise runs simulate the whole physical register of the encoded arm
 _BENCH_CAPS = {encoding: MAX_NOISE_QUBITS // code.size
-               for encoding, (code, model) in _ENCODINGS.items() if model is not None}
+               for encoding, (code, model, _) in _ENCODINGS.items() if model is not None}
 # the config-file keys each command reads; any other key is refused
 _CONFIG_KEYS = {
     "verify": ("seed",),
@@ -166,8 +165,8 @@ def _provenance_lines(command: str, config: dict, seed: int | None) -> list[str]
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    _check_range(args.encoding, args.n, _SYNTH_CAPS)
-    code, _ = _ENCODINGS[args.encoding]
+    code, _, max_n = _ENCODINGS[args.encoding]
+    _check_range(args.encoding, args.n, {args.encoding: max_n})
     _write_text(args.out, print_circuit(synth_logical_qft(args.n, code)))
     return 0
 
@@ -210,7 +209,7 @@ def cmd_verify(args, config: dict[str, str]) -> int:
 def _bench_arms(encoding: str, n: int):
     """(name, circuit, block boundaries, input state, code space) of the
     encoded and the plain QFT on logical |0...0>, and the noise model."""
-    code, model = _ENCODINGS[encoding]
+    code, model, _ = _ENCODINGS[encoding]
     basis = code.basis(n)
     arms = [
         (name, synth_logical_qft(n, arm_code), logical_block_boundaries(n, arm_code), state, space)
@@ -329,12 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="write a circuit in the text format")
-    synth.add_argument("encoding", choices=["plain", "wcd", "scd"])
+    synth.add_argument("encoding", choices=list(_ENCODINGS))
     synth.add_argument("n", type=int)
     synth.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the invariant suite for one encoding/size")
-    verify.add_argument("encoding", choices=["plain", "wcd", "scd"])
+    verify.add_argument("encoding", choices=list(SUITES))
     verify.add_argument("n", type=int)
     verify.add_argument("--out", default=None)
     verify.add_argument("--seed", type=int, default=None)
@@ -342,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", default=None)
 
     bench = sub.add_parser("noise-bench", help="encoded vs unencoded QFT under collective noise")
-    bench.add_argument("--encoding", choices=["wcd", "scd"], default=None)
+    bench.add_argument("--encoding", choices=list(_BENCH_CAPS), default=None)
     bench.add_argument("--n", type=int, default=None)
     bench.add_argument("--trials", type=int, default=None)
     bench.add_argument("--seed", type=int, default=None)

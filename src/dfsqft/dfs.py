@@ -5,20 +5,20 @@ single summed Pauli S_z, so any one S_z eigenspace is noise-free up to a
 global phase; under SCD the coupling runs through all of S_x, S_y, S_z
 and the noise-free states are their common null space (total spin zero).
 
-Dimensions come two ways on purpose: closed forms (binomials) and brute
-force, by Hamming weight w(l); consumers are expected to cross-check one
-against the other. S_z is diagonal with entry n - 2 w(l) at index l, so
-the WCD sectors are weight counts. A state with S_z = 0 has spin zero
-exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null space
-is that of one 0/1 matrix L from weight n/2 to n/2 + 1 (210 x 252 at
-n = 10), read off the eigenvalues of its Gram matrices. No census builds
-a 2^n x 2^n operator; collective_operator is the dense oracle for tests
-and demos.
+Dimensions come two ways on purpose: closed forms (max_dfs_dimension,
+binomials) and brute force (brute_force_max_dfs_dimension, by Hamming
+weight w(l)); `dfsqft dfs-table` cross-checks one against the other.
+S_z is diagonal with entry n - 2 w(l) at index l, so the WCD sectors are
+weight counts (wcd_sector_dimensions). A state with S_z = 0 has spin
+zero exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null
+space is that of one 0/1 matrix L from weight n/2 to n/2 + 1 (210 x 252
+at n = 10), read off the eigenvalues of its Gram matrices. No census
+builds a 2^n x 2^n operator; collective_operator is the dense oracle for
+tests and demos.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -200,30 +200,3 @@ def min_physical_qubits(m: int, model: CollectiveModel) -> int:
         if max_dfs_dimension(n, model) >= 2**m:
             return n
     raise RuntimeError(f"no register up to n = {MAX_BRUTE_FORCE_QUBITS} fits {m} logical qubits")
-
-
-@dataclass(frozen=True)
-class DfsReport:
-    """Brute-force sector census for one register size and model."""
-
-    n: int
-    model: CollectiveModel
-    labels: tuple[int, ...]  # WCD: S_z eigenvalues; SCD: the single spin-0 label
-    dims: tuple[int, ...]
-    max_dim: int
-
-    def __post_init__(self):
-        if self.max_dim < 1:
-            raise ValueError("a sector census needs at least one nonempty sector")
-
-
-def dfs_report(n: int, model: CollectiveModel) -> DfsReport:
-    if model is CollectiveModel.WCD:
-        sectors = wcd_sector_dimensions(n)
-        labels = tuple(sorted(sectors, reverse=True))
-        dims = tuple(sectors[w] for w in labels)
-        return DfsReport(n, model, labels, dims, max(dims))
-    dim = brute_force_max_dfs_dimension(n, model)
-    if dim == 0:
-        raise ValueError(f"no noise-free sector for scd on {n} qubits")
-    return DfsReport(n, model, (0,), (dim,), dim)

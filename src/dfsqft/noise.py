@@ -25,6 +25,7 @@ its own (seed, trial) stream, so results do not depend on the chunking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
@@ -76,8 +77,9 @@ class NoisePolicy:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-        if self.sigma < 0 or not math.isfinite(self.sigma):
-            raise ValueError("sigma must be finite and nonnegative")
+        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real)
+                or not 0 <= self.sigma < math.inf):  # `not`, so that NaN fails
+            raise ValueError(f"sigma must be a finite nonnegative real, got {self.sigma!r}")
         if not _is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not _is_integer(self.seed) or self.seed < 0:

@@ -93,6 +93,8 @@ class BlockCode:
     decoder: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        if not _is_integer(self.size) or self.size < 1:
+            raise ValueError(f"block size must be a positive integer, got {self.size!r}")
         states = np.array(self.states, dtype=complex)
         if states.shape != (2**self.size, 2):
             raise ValueError(f"a {self.size}-qubit block needs a {2**self.size} x 2 state "

@@ -9,38 +9,26 @@ them exactly fixed.
 The encoding is the block code SCD: its decoder is a 14-gate block
 transform that shuttles the logical amplitude onto the block's top
 qubit, and every logical gate is a physical gate on the top qubits
-conjugated by it (qft.BlockCode); scd_hadamard, scd_phase and
-synth_qft_scd are that record's gates and QFT on n logical qubits. The
+conjugated by it (qft.BlockCode). SCD.state, SCD.basis and
+logical_block_boundaries(n, SCD) give the encoded states, the code space
+and the block layout of the QFT; scd_hadamard, scd_phase and
+synth_qft_scd are the record's gates and QFT on n logical qubits. The
 transform is one fixed gate list, the paper's product lowered as
-written. A direct basis-change matrix ("fallback") provides the same
-logical action by construction and cross-validates the sequence on
-every verify.
+written, with closed-form rotation angles. A direct basis-change matrix
+("fallback") provides the same logical action by construction and
+cross-validates the sequence on every verify.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, cn, cr, h, r
-from .qft import BlockCode, _check_logical, _check_size, logical_block_boundaries, synth_logical_qft
-from .statevector import StateVector, SubspaceBasis
+from .qft import BlockCode, _check_logical, _check_size, synth_logical_qft
 
 MAX_SCD_LOGICAL = 3  # 12 physical qubits
-
-
-@dataclass(frozen=True)
-class ScdAngles:
-    """Rotation angles of the block transform (closed forms, radians)."""
-
-    alpha: float = math.pi - math.asin(1.0 / math.sqrt(3.0))
-    beta1: float = -math.pi + math.asin(1.0 / math.sqrt(3.0))
-    beta2: float = -math.pi / 4.0
-
-
-DEFAULT_ANGLES = ScdAngles()
 
 
 def _singlet_product_block() -> np.ndarray:
@@ -76,9 +64,9 @@ _TRANSFORM_FACTORS = (
     cn(4, 2),
     cn(2, 1),
     cn(2, 4),
-    r(2, DEFAULT_ANGLES.alpha),
-    cr(1, 2, DEFAULT_ANGLES.beta1),
-    cr(2, 1, DEFAULT_ANGLES.beta2),
+    r(2, math.pi - math.asin(1.0 / math.sqrt(3.0))),
+    cr(1, 2, -math.pi + math.asin(1.0 / math.sqrt(3.0))),
+    cr(2, 1, -math.pi / 4.0),
     cn(2, 4),
     cn(1, 3),
     cn(1, 2),
@@ -90,16 +78,6 @@ _TRANSFORM_FACTORS = (
 )
 
 SCD = BlockCode(4, np.column_stack(_BLOCK_STATES), tuple(reversed(_TRANSFORM_FACTORS)))
-
-
-def scd_logical_state(bits: str) -> StateVector:
-    """Encoded basis state; leftmost character is the highest logical qubit."""
-    return SCD.state(bits)
-
-
-def scd_logical_basis(n: int) -> SubspaceBasis:
-    """All 2^n encoded basis states, ordered by logical index."""
-    return SCD.basis(n)
 
 
 def scd_block_transform(k: int) -> Circuit:
@@ -183,8 +161,3 @@ def synth_qft_scd(n: int) -> Circuit:
     reproduces the plain n-qubit QFT matrix."""
     _check_size(n, MAX_SCD_LOGICAL)
     return synth_logical_qft(n, SCD)
-
-
-def scd_qft_block_boundaries(n: int) -> list[int]:
-    """Gate positions ending each logical block of synth_qft_scd."""
-    return logical_block_boundaries(n, SCD)

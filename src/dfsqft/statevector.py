@@ -30,6 +30,7 @@ MAX_QUBITS = 14
 MAX_DENSE_OPERATOR_QUBITS = 10  # the one cap on 2^n x 2^n arrays: 4 GB complex at n = 14
 NORM_ATOL = 1e-12
 MATRIX_ATOL = 1e-10
+_GRAM_CHUNK = 1 << 18  # amplitudes per column chunk of SubspaceBasis's checks (4 MB)
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -155,11 +156,10 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(_propagate(circuit.gates, state.amplitudes, state.n_qubits))
 
 
-def circuit_unitary(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
-    """Lower a circuit to its dense matrix; column l is the circuit applied to |l>."""
-    n = circuit.n_qubits if n_qubits is None else n_qubits
-    if n < circuit.n_qubits:
-        raise ValueError(f"register of {n} qubits is smaller than the circuit's")
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Lower a circuit to its dense matrix; column l is the circuit applied to |l>.
+    Circuit.on_register lowers it on a wider register."""
+    n = circuit.n_qubits
     _check_register(n, MAX_DENSE_OPERATOR_QUBITS)
     return _propagate(circuit.gates, np.eye(2**n, dtype=complex), n)
 
@@ -187,11 +187,20 @@ class SubspaceBasis:
                              f"{self.n_qubits}-qubit register ({2**self.n_qubits} rows)")
         if matrix.shape[1] == 0:
             raise ValueError("a subspace basis needs at least one vector")
-        norm_defect = np.max(np.abs(np.linalg.norm(matrix, axis=0) - 1.0))
+        # column chunks of at most _GRAM_CHUNK amplitudes, so that no
+        # temporary the size of the whole basis is made
+        step = max(1, _GRAM_CHUNK // matrix.shape[0])
+        norm_defects, defects = [], []
+        for first in range(0, matrix.shape[1], step):
+            chunk = matrix[:, first:first + step]
+            norm_defects.append(np.max(np.abs(np.linalg.norm(chunk, axis=0) - 1.0)))
+            gram = chunk.conj().T @ matrix
+            gram[:, first:first + step] -= np.eye(chunk.shape[1])
+            defects.append(np.max(np.abs(gram)))
+        norm_defect, defect = np.max(norm_defects), np.max(defects)
         if not norm_defect <= NORM_ATOL:
             raise ValueError(f"basis column norm deviates from 1 by {norm_defect:.3e}, "
                              f"beyond {NORM_ATOL}")
-        defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1])))
         if not defect <= MATRIX_ATOL:
             raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e})")
         matrix.flags.writeable = False

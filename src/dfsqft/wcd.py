@@ -6,33 +6,23 @@ eigenspace of the collective S_z: uniform dephasing acts on it as, at
 most, an unobservable global phase. The encoding is the block code WCD:
 its decoder, the pair CNOT, maps the pair code to and from a plain
 one-qubit-per-pair layout, and every logical gate is a physical gate on
-the pairs' high qubits conjugated by it (qft.BlockCode). The functions
-below are that record's gates and QFT, checked against a register of n
-logical qubits.
+the pairs' high qubits conjugated by it (qft.BlockCode). WCD.state,
+WCD.basis and logical_block_boundaries(n, WCD) give the encoded states,
+the code space and the block layout of the QFT; the functions below are
+the record's gates and QFT, checked against a register of n logical
+qubits.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .circuits import Circuit, cn
-from .qft import (BlockCode, _check_logical, _check_n_logical, _check_size,
-                  logical_block_boundaries, synth_logical_qft)
-from .statevector import StateVector, SubspaceBasis
+from .qft import BlockCode, _check_logical, _check_n_logical, _check_size, synth_logical_qft
 
 MAX_WCD_LOGICAL = 6  # 12 physical qubits
 
 # code states |01>, |10>; the pair CNOT maps them to |01>, |11>
 WCD = BlockCode(2, np.eye(4)[:, [0b01, 0b10]], (cn(2, 1),))
-
-
-def wcd_logical_state(bits: str) -> StateVector:
-    """Encoded basis state; leftmost character is the highest logical qubit."""
-    return WCD.state(bits)
-
-
-def wcd_logical_basis(n: int) -> SubspaceBasis:
-    """All 2^n encoded basis states, ordered by logical index."""
-    return WCD.basis(n)
 
 
 def wcd_hadamard(k: int, n: int) -> Circuit:
@@ -60,8 +50,3 @@ def synth_qft_wcd(n: int) -> Circuit:
     reproduces the plain n-qubit QFT matrix."""
     _check_size(n, MAX_WCD_LOGICAL)
     return synth_logical_qft(n, WCD)
-
-
-def wcd_qft_block_boundaries(n: int) -> list[int]:
-    """Gate positions ending each logical block of synth_qft_wcd."""
-    return logical_block_boundaries(n, WCD)

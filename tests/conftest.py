@@ -90,7 +90,7 @@ def collective_operator_oracle(n: int, axis: str) -> np.ndarray:
     return total
 
 
-def wcd_logical_state_oracle(bits: str) -> StateVector:
+def wcd_state_oracle(bits: str) -> StateVector:
     """Encoded WCD basis state by bit arithmetic: pair (2t, 2t-1) holds |01>
     for logical 0 and |10> for logical 1 (leftmost bit: highest logical qubit)."""
     index = 0
@@ -100,7 +100,7 @@ def wcd_logical_state_oracle(bits: str) -> StateVector:
     return StateVector.basis(2 * len(bits), index)
 
 
-def scd_logical_state_oracle(bits: str) -> StateVector:
+def scd_state_oracle(bits: str) -> StateVector:
     """Encoded SCD basis state: the kron of one block state per bit."""
     return StateVector(functools.reduce(np.kron, (_BLOCK_STATES[int(c)] for c in bits)))
 

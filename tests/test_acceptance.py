@@ -14,6 +14,8 @@ from dfsqft import (
     NoisePolicy,
     PER_LOGICAL_BLOCK,
     PLAIN,
+    SCD as SCD_CODE,
+    WCD as WCD_CODE,
     StateVector,
     apply_circuit,
     brute_force_max_dfs_dimension,
@@ -26,15 +28,10 @@ from dfsqft import (
     noisy_run,
     p,
     restrict,
-    scd_logical_basis,
-    scd_logical_state,
-    scd_qft_block_boundaries,
     scd_transform_matrix,
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
-    wcd_logical_state,
-    wcd_qft_block_boundaries,
 )
 from dfsqft.verify import SUITES, logical_phase
 
@@ -120,7 +117,7 @@ def test_criterion_05_scd_states():
 def test_criterion_06_scd_logical_gates():
     started = time.perf_counter()
     # fallback route must satisfy both logical-gate contracts unconditionally
-    zero, one = scd_logical_state("0").amplitudes, scd_logical_state("1").amplitudes
+    zero, one = SCD_CODE.state("0").amplitudes, SCD_CODE.state("1").amplitudes
     transform = scd_transform_matrix(1)
     conj_h = transform.conj().T @ circuit_unitary(Circuit(4, (h(4),))) @ transform
     fb_dev = max(
@@ -128,7 +125,7 @@ def test_criterion_06_scd_logical_gates():
         float(np.max(np.abs(conj_h @ one - (zero - one) / math.sqrt(2)))),
     )
     transform2 = scd_transform_matrix(2)
-    basis2 = scd_logical_basis(2)
+    basis2 = SCD_CODE.basis(2)
     for theta in (math.pi / 2, math.pi / 4):
         conj_p = (
             transform2.conj().T
@@ -161,8 +158,8 @@ def test_criterion_08_noise_robustness_headline():
     results = {}
     reruns = {}
     for label, circuit, bounds, state, model in (
-        ("wcd", synth_qft_wcd(2), wcd_qft_block_boundaries(2), wcd_logical_state("00"), WCD),
-        ("scd", synth_qft_scd(2), scd_qft_block_boundaries(2), scd_logical_state("00"), SCD),
+        ("wcd", synth_qft_wcd(2), logical_block_boundaries(2, WCD_CODE), WCD_CODE.state("00"), WCD),
+        ("scd", synth_qft_scd(2), logical_block_boundaries(2, SCD_CODE), SCD_CODE.state("00"), SCD),
     ):
         ideal = apply_circuit(state, circuit)
         results[label] = noisy_run(circuit, state, ideal, policy, model, bounds)

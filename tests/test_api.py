@@ -3,21 +3,19 @@ that drops or adds one fails here."""
 import dfsqft
 
 PUBLIC_API = [
-    "BlockCode", "Circuit", "CircuitParseError", "CollectiveModel", "DfsReport",
+    "BlockCode", "Circuit", "CircuitParseError", "CollectiveModel",
     "ENDPOINTS_ONLY", "GRANULARITIES", "Gate", "NoiseEvent", "NoisePolicy",
-    "PER_ELEMENTARY_GATE", "PER_LOGICAL_BLOCK", "PLAIN", "RunReport", "SCD", "ScdAngles",
+    "PER_ELEMENTARY_GATE", "PER_LOGICAL_BLOCK", "PLAIN", "RunReport", "SCD",
     "StateVector", "SubspaceBasis", "WCD", "__version__", "apply_circuit",
     "apply_gate", "apply_noise", "bit_reversal_permutation", "brute_force_max_dfs_dimension",
-    "circuit_unitary", "cn", "collective_operator", "cr", "dfs_basis", "dfs_report", "dft_matrix",
+    "circuit_unitary", "cn", "collective_operator", "cr", "dfs_basis", "dft_matrix",
     "equal_up_to_global_phase", "eta_max", "fidelity", "global_phase_agreement", "h", "invert",
     "is_unitary", "logical_block_boundaries", "max_dfs_dimension", "min_physical_qubits",
     "noisy_run", "p", "parse_circuit", "print_circuit", "r", "restrict",
-    "sample_event", "scd_block_transform", "scd_hadamard", "scd_logical_basis",
-    "scd_logical_state", "scd_phase", "scd_qft_block_boundaries", "scd_transform_matrix",
+    "sample_event", "scd_block_transform", "scd_hadamard", "scd_phase", "scd_transform_matrix",
     "single_qubit_rotation", "synth_logical_qft", "synth_qft", "synth_qft_scd", "synth_qft_wcd",
     "unitarity_defect", "wcd_encoder_circuit", "wcd_hadamard",
-    "wcd_logical_basis", "wcd_logical_state", "wcd_phase", "wcd_qft_block_boundaries",
-    "wcd_sector_dimensions",
+    "wcd_phase", "wcd_sector_dimensions",
 ]
 
 

@@ -1,5 +1,5 @@
 """tools/capture_outputs.py looks up dfsqft names by string (the logical gate
-builders, the WCD encoder, the block boundaries and verify.SUITES), and no
+builders, the WCD encoder, the block codes and verify.SUITES), and no
 other test runs it, so these tests make a renamed name fail here rather than
 only in a comparison run."""
 import pathlib
@@ -36,7 +36,7 @@ def test_logical_gate_texts_resolve(encoding):
 
 @pytest.mark.parametrize("encoding", ["wcd", "scd"])
 def test_block_boundaries_resolve(encoding):
-    boundaries = getattr(dfsqft, f"{encoding}_qft_block_boundaries")(2)
+    boundaries = dfsqft.logical_block_boundaries(2, getattr(dfsqft, encoding.upper()))
     assert CAPTURE.block_boundaries_text(dfsqft, encoding, 2) == " ".join(map(str, boundaries)) + "\n"
 
 

@@ -61,6 +61,12 @@ class TestGate:
         with pytest.raises(ValueError, match="integers"):
             Gate("H", (True,))
 
+    @pytest.mark.parametrize("angle", [10**400, -(10**400), math.inf, math.nan],
+                             ids=["int-beyond-float", "negative-int-beyond-float", "inf", "nan"])
+    def test_angle_beyond_float_range_is_not_finite(self, angle):
+        with pytest.raises(ValueError, match="^gate angle must be finite$"):
+            Gate("P", (1, 2), angle)
+
     def test_numpy_integer_indices_accepted(self):
         gate = cn(np.int64(2), np.int32(1))
         assert gate == cn(2, 1)
@@ -133,6 +139,12 @@ class TestParse:
             parse_circuit("")
         with pytest.raises(CircuitParseError, match="zero denominator"):
             parse_circuit("qubits 1\nR 1 pi/0\n")
+
+    @pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "beyond-int-digits"])
+    def test_huge_angle_denominator(self, digits):
+        # pi / 10^400 cannot be formed as a float, and int() refuses over 4300 digits
+        with pytest.raises(CircuitParseError, match="^line 2: angle denominator too large$"):
+            parse_circuit("qubits 1\nR 1 pi/" + "9" * digits)
 
 
 class TestPrint:

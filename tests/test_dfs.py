@@ -7,16 +7,15 @@ import pytest
 import scipy.linalg
 
 from dfsqft import (
+    SCD as SCD_CODE,
     CollectiveModel,
     StateVector,
     brute_force_max_dfs_dimension,
     collective_operator,
     dfs_basis,
-    dfs_report,
     eta_max,
     max_dfs_dimension,
     min_physical_qubits,
-    scd_logical_state,
     wcd_sector_dimensions,
 )
 from dfsqft import dfs
@@ -98,7 +97,7 @@ class TestDfsBasis:
         assert len(basis) == 2
         span = basis.matrix
         for bits in ("0", "1"):
-            vec = scd_logical_state(bits).amplitudes
+            vec = SCD_CODE.state(bits).amplitudes
             residual = vec - span @ (span.conj().T @ vec)
             assert np.linalg.norm(residual) < 1e-9
 
@@ -130,6 +129,12 @@ class TestDimensions:
             assert sum(sectors.values()) == 2**n
             for k in range(n + 1):
                 assert sectors[n - 2 * k] == math.comb(n, k)
+
+    def test_wcd_census(self):
+        # S_z eigenvalue -> multiplicity; the largest sector is the noise-free one
+        sectors = wcd_sector_dimensions(4)
+        assert sectors == {4: 1, 2: 4, 0: 6, -2: 4, -4: 1}
+        assert max(sectors.values()) == 6 == brute_force_max_dfs_dimension(4, WCD)
 
     def test_wcd_max_dimension(self):
         assert max_dfs_dimension(2, WCD) == 2
@@ -187,11 +192,9 @@ class TestBruteForceCensus:
         monkeypatch.setattr(dfs, "collective_operator", refuse)
         for n in range(1, 11):
             wcd_sector_dimensions(n)
-            dfs_report(n, WCD)
             for model in (WCD, SCD):
                 assert brute_force_max_dfs_dimension(n, model) == max_dfs_dimension(n, model)
         for n in range(2, 11, 2):
-            dfs_report(n, SCD)
             for model in (WCD, SCD):
                 assert len(dfs_basis(n, model)) == max_dfs_dimension(n, model)
         for model in ("wcd", "scd"):
@@ -297,23 +300,6 @@ class TestMinPhysicalQubits:
             min_physical_qubits(6, WCD)
 
 
-class TestDfsReport:
-    def test_wcd_census(self):
-        report = dfs_report(4, WCD)
-        assert report.max_dim == 6
-        assert sum(report.dims) == 16
-        assert report.labels == (4, 2, 0, -2, -4)
-
-    def test_scd_census(self):
-        report = dfs_report(4, SCD)
-        assert report.labels == (0,)
-        assert report.dims == (2,)
-
-    def test_scd_odd_register_rejected(self):
-        with pytest.raises(ValueError, match="no noise-free sector"):
-            dfs_report(3, SCD)
-
-
 _N_MESSAGE = r"n must be an integer in 1\.\.14, got 2\.5"
 
 
@@ -323,8 +309,6 @@ _N_MESSAGE = r"n must be an integer in 1\.\.14, got 2\.5"
     (lambda: max_dfs_dimension(2.5, SCD), _N_MESSAGE),
     (lambda: brute_force_max_dfs_dimension(2.5, WCD), _N_MESSAGE),
     (lambda: brute_force_max_dfs_dimension(2.5, SCD), _N_MESSAGE),
-    (lambda: dfs_report(2.5, WCD), _N_MESSAGE),
-    (lambda: dfs_report(2.5, SCD), _N_MESSAGE),
     (lambda: dfs_basis(2.5, WCD), _N_MESSAGE),
     (lambda: wcd_sector_dimensions(2.5), _N_MESSAGE),
     (lambda: collective_operator(2.5, "z"), r"n must be an integer in 1\.\.10, got 2\.5"),
@@ -333,7 +317,7 @@ _N_MESSAGE = r"n must be an integer in 1\.\.14, got 2\.5"
     (lambda: brute_force_max_dfs_dimension(True, SCD), r"n must be an integer in 1\.\.14, got True"),
     (lambda: min_physical_qubits(True, WCD), r"m must be an integer in 1\.\.5, got True"),
 ], ids=["min_physical_qubits", "max_dfs_dimension-wcd", "max_dfs_dimension-scd",
-        "brute_force-wcd", "brute_force-scd", "dfs_report-wcd", "dfs_report-scd", "dfs_basis",
+        "brute_force-wcd", "brute_force-scd", "dfs_basis",
         "wcd_sector_dimensions", "collective_operator", "eta_max-wcd", "eta_max-scd",
         "brute_force-bool", "min_physical_qubits-bool"])
 def test_non_integer_size_rejected(call, message):

@@ -11,6 +11,8 @@ from dfsqft import (
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
     PLAIN,
+    SCD as SCD_CODE,
+    WCD as WCD_CODE,
     Circuit,
     CollectiveModel,
     NoiseEvent,
@@ -25,15 +27,9 @@ from dfsqft import (
     logical_block_boundaries,
     noisy_run,
     sample_event,
-    scd_logical_basis,
-    scd_logical_state,
-    scd_qft_block_boundaries,
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
-    wcd_logical_basis,
-    wcd_logical_state,
-    wcd_qft_block_boundaries,
 )
 from dfsqft import noise
 from dfsqft.noise import run_trials
@@ -73,11 +69,11 @@ def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None
 def _qft_setup(kind, n):
     """(circuit, input, ideal output, model, block boundaries, logical subspace)."""
     if kind == "wcd":
-        circuit, state = synth_qft_wcd(n), wcd_logical_state("0" * n)
-        model, bounds, basis = WCD, wcd_qft_block_boundaries(n), wcd_logical_basis(n)
+        circuit, state = synth_qft_wcd(n), WCD_CODE.state("0" * n)
+        model, bounds, basis = WCD, logical_block_boundaries(n, WCD_CODE), WCD_CODE.basis(n)
     elif kind == "scd":
-        circuit, state = synth_qft_scd(n), scd_logical_state("0" * n)
-        model, bounds, basis = SCD, scd_qft_block_boundaries(n), scd_logical_basis(n)
+        circuit, state = synth_qft_scd(n), SCD_CODE.state("0" * n)
+        model, bounds, basis = SCD, logical_block_boundaries(n, SCD_CODE), SCD_CODE.basis(n)
     else:
         model = WCD if kind == "plain-wcd" else SCD
         circuit, state = synth_qft(n), random_state(n, np.random.default_rng(n))
@@ -98,7 +94,7 @@ class TestApplyNoise:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_scd_fixes_logical_state(self):
-        state = scd_logical_state("0")
+        state = SCD_CODE.state("0")
         out = apply_noise(state, NoiseEvent((0.3, 1.1, 2.9)), SCD)
         assert 1.0 - fidelity(out, state) < 1e-10
 
@@ -163,11 +159,19 @@ class TestNoisePolicy:
         with pytest.raises(ValueError, match=rf"^{field} must be an? .*integer.*, got {value!r}$"):
             NoisePolicy(granularity=ENDPOINTS_ONLY, **{field: value})
 
+    @pytest.mark.parametrize("sigma", ["1", 1j, True, -1.0, math.nan, math.inf])
+    def test_non_real_or_bool_sigma_rejected(self, sigma):
+        # a string or complex sigma used to fail on `sigma < 0` with a TypeError,
+        # and True would reach the report as "sigma": true
+        with pytest.raises(ValueError, match=rf"^sigma must be a finite nonnegative real, "
+                                             rf"got {sigma!r}$"):
+            NoisePolicy(granularity=ENDPOINTS_ONLY, distribution="gaussian", sigma=sigma)
+
 
 class TestNoisyRun:
     def _wcd_setup(self, n=2):
         circuit = synth_qft_wcd(n)
-        state = wcd_logical_state("0" * n)
+        state = WCD_CODE.state("0" * n)
         ideal = apply_circuit(state, circuit)
         return circuit, state, ideal
 
@@ -183,8 +187,8 @@ class TestNoisyRun:
         circuit, state, ideal = self._wcd_setup()
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=200, seed=5)
         report = noisy_run(
-            circuit, state, ideal, policy, WCD, wcd_qft_block_boundaries(2),
-            subspace=wcd_logical_basis(2),
+            circuit, state, ideal, policy, WCD, logical_block_boundaries(2, WCD_CODE),
+            subspace=WCD_CODE.basis(2),
         )
         assert report.mean_fidelity >= 1.0 - 1e-10
         assert report.min_fidelity >= 1.0 - 1e-10
@@ -192,20 +196,20 @@ class TestNoisyRun:
 
     def test_block_noise_protects_encoded_scd(self):
         circuit = synth_qft_scd(2)
-        state = scd_logical_state("00")
+        state = SCD_CODE.state("00")
         ideal = apply_circuit(state, circuit)
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=100, seed=5)
         report = noisy_run(
-            circuit, state, ideal, policy, SCD, scd_qft_block_boundaries(2),
-            subspace=scd_logical_basis(2),
+            circuit, state, ideal, policy, SCD, logical_block_boundaries(2, SCD_CODE),
+            subspace=SCD_CODE.basis(2),
         )
         assert report.mean_fidelity >= 1.0 - 1e-10
         assert report.mean_leakage < 1e-10
 
     def test_endpoint_noise_protects_both_encodings(self):
         for circuit, state, model in (
-            (synth_qft_wcd(2), wcd_logical_state("00"), WCD),
-            (synth_qft_scd(1), scd_logical_state("0"), SCD),
+            (synth_qft_wcd(2), WCD_CODE.state("00"), WCD),
+            (synth_qft_scd(1), SCD_CODE.state("0"), SCD),
         ):
             ideal = apply_circuit(state, circuit)
             policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=100, seed=11)
@@ -239,7 +243,7 @@ class TestNoisyRun:
         circuit, state, ideal = self._wcd_setup(2)
         policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, trials=300, seed=4)
         report = noisy_run(
-            circuit, state, ideal, policy, WCD, subspace=wcd_logical_basis(2)
+            circuit, state, ideal, policy, WCD, subspace=WCD_CODE.basis(2)
         )
         assert report.mean_fidelity < 0.9
         assert report.mean_leakage is not None and report.mean_leakage < 1e-10
@@ -249,10 +253,10 @@ class TestNoisyRun:
         # full collective rotations mid-block push intermediate states out of
         # the protected sector for good: both losses must be reported
         circuit = synth_qft_scd(1)
-        state = scd_logical_state("0")
+        state = SCD_CODE.state("0")
         ideal = apply_circuit(state, circuit)
         policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, trials=200, seed=4)
-        report = noisy_run(circuit, state, ideal, policy, SCD, subspace=scd_logical_basis(1))
+        report = noisy_run(circuit, state, ideal, policy, SCD, subspace=SCD_CODE.basis(1))
         assert report.mean_fidelity < 0.9
         assert report.mean_leakage > 0.1
         assert 0.0 <= report.min_fidelity <= report.mean_fidelity <= 1.0
@@ -260,7 +264,7 @@ class TestNoisyRun:
     def test_seed_reproducibility(self):
         circuit, state, ideal = self._wcd_setup()
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=50, seed=99)
-        kwargs = dict(block_boundaries=wcd_qft_block_boundaries(2))
+        kwargs = dict(block_boundaries=logical_block_boundaries(2, WCD_CODE))
         first = noisy_run(circuit, state, ideal, policy, WCD, **kwargs)
         second = noisy_run(circuit, state, ideal, policy, WCD, **kwargs)
         assert first == second
@@ -311,7 +315,7 @@ class TestNoisyRun:
         circuit, state, ideal = self._wcd_setup(2)
         policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=1, seed=0)
         with pytest.raises(ValueError, match="4-qubit circuit does not match a 2-qubit register"):
-            run_trials(circuit, state, ideal, policy, WCD, subspace=wcd_logical_basis(1))
+            run_trials(circuit, state, ideal, policy, WCD, subspace=WCD_CODE.basis(1))
 
     def test_plain_block_boundaries_are_per_gate(self):
         bounds = logical_block_boundaries(2, PLAIN)

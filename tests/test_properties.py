@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfsqft import (
+    WCD,
     Circuit,
     Gate,
     SubspaceBasis,
@@ -18,7 +19,6 @@ from dfsqft import (
     parse_circuit,
     print_circuit,
     restrict,
-    wcd_logical_basis,
 )
 
 from conftest import gate_matrix_oracle, random_state
@@ -56,7 +56,7 @@ def circuits_with_bases(draw):
     """A random circuit and a basis on its register: the WCD code space of 1
     or 2 logical qubits, or a nonempty set of computational states."""
     if draw(st.booleans()):
-        basis = wcd_logical_basis(draw(st.integers(1, 2)))
+        basis = WCD.basis(draw(st.integers(1, 2)))
         n = basis.n_qubits
     else:
         n = draw(st.integers(1, 5))

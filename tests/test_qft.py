@@ -16,7 +16,6 @@ from dfsqft import (
     logical_block_boundaries,
     p,
     scd_hadamard,
-    scd_logical_basis,
     scd_transform_matrix,
     synth_logical_qft,
     synth_qft,
@@ -24,7 +23,6 @@ from dfsqft import (
     synth_qft_wcd,
     unitarity_defect,
     wcd_hadamard,
-    wcd_logical_basis,
     wcd_phase,
 )
 from dfsqft.qft import PLAIN, BlockCode, resolve_output_order
@@ -157,9 +155,9 @@ _LOGICAL_MESSAGE = "n_logical must be a positive integer, got "
     (lambda: scd_transform_matrix(2.5), r"n must be an integer in 1\.\.3, got 2\.5"),
     (lambda: synth_qft_wcd(2.5), r"n must be an integer in 1\.\.6, got 2\.5"),
     (lambda: synth_qft_scd(2.5), r"n must be an integer in 1\.\.3, got 2\.5"),
-    (lambda: wcd_logical_basis(2.5), _LOGICAL_MESSAGE + r"2\.5"),
-    (lambda: wcd_logical_basis(0), _LOGICAL_MESSAGE + "0"),
-    (lambda: scd_logical_basis(2.5), _LOGICAL_MESSAGE + r"2\.5"),
+    (lambda: WCD.basis(2.5), _LOGICAL_MESSAGE + r"2\.5"),
+    (lambda: WCD.basis(0), _LOGICAL_MESSAGE + "0"),
+    (lambda: SCD.basis(2.5), _LOGICAL_MESSAGE + r"2\.5"),
     (lambda: synth_logical_qft(2.5, PLAIN), _LOGICAL_MESSAGE + r"2\.5"),
     (lambda: logical_block_boundaries(2.5, PLAIN), _LOGICAL_MESSAGE + r"2\.5"),
     # True is an int: dft_matrix(True) used to return the 2 x 2 DFT
@@ -168,8 +166,8 @@ _LOGICAL_MESSAGE = "n_logical must be a positive integer, got "
     (lambda: synth_logical_qft(True, PLAIN), _LOGICAL_MESSAGE + "True"),
     (lambda: wcd_hadamard(True, 2), r"logical index True out of range 1\.\.2"),
 ], ids=["bit_reversal_permutation", "bit_reversal_permutation-negative", "scd_transform_matrix",
-        "synth_qft_wcd", "synth_qft_scd", "wcd_logical_basis", "wcd_logical_basis-zero",
-        "scd_logical_basis", "synth_logical_qft", "logical_block_boundaries", "dft_matrix-bool",
+        "synth_qft_wcd", "synth_qft_scd", "WCD.basis", "WCD.basis-zero",
+        "SCD.basis", "synth_logical_qft", "logical_block_boundaries", "dft_matrix-bool",
         "synth_qft-bool", "trivial_factory-bool", "hadamard-index-bool"])
 def test_non_integer_size_rejected(call, message):
     with pytest.raises(ValueError, match=message):
@@ -234,6 +232,16 @@ class TestLogicalSynthesis:
     def test_block_code_refuses_a_misdescribed_block(self):
         with pytest.raises(ValueError, match=r"needs a 4 x 2 state matrix, got shape \(4, 3\)"):
             BlockCode(2, np.eye(4)[:, :3])
+
+    @pytest.mark.parametrize("size,states", [
+        (True, np.eye(2)),  # a bool, with states that would fit size 1
+        (0, np.eye(1)[:, [0, 0]]),  # a 1 x 2 matrix fits 2^0 rows
+        (1.5, np.eye(2)),
+        (-1, np.eye(2)),
+    ], ids=["bool", "zero", "fractional", "negative"])
+    def test_block_code_refuses_a_bad_size(self, size, states):
+        with pytest.raises(ValueError, match=rf"^block size must be a positive integer, got {size!r}$"):
+            BlockCode(size, states)
 
     def test_block_boundaries(self):
         assert logical_block_boundaries(3, PLAIN) == [1, 2, 3, 4, 5, 6]

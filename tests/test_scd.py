@@ -8,7 +8,6 @@ import scipy.linalg
 from dfsqft import (
     Circuit,
     Gate,
-    ScdAngles,
     apply_circuit,
     bit_reversal_permutation,
     circuit_unitary,
@@ -24,8 +23,6 @@ from dfsqft import (
     restrict,
     scd_block_transform,
     scd_hadamard,
-    scd_logical_basis,
-    scd_logical_state,
     scd_phase,
     synth_qft,
     synth_qft_scd,
@@ -33,7 +30,7 @@ from dfsqft import (
 from dfsqft.qft import BlockCode
 from dfsqft.scd import SCD, _fallback_columns, resolve_convention
 
-from conftest import GOLDEN_DIR, logical_basis_oracle, scd_logical_state_oracle
+from conftest import GOLDEN_DIR, logical_basis_oracle, scd_state_oracle
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -72,23 +69,27 @@ class TestRegister:
 
 class TestAngles:
     def test_closed_forms(self):
-        angles = ScdAngles()
-        assert angles.alpha == math.pi - math.asin(INV_SQRT3)
-        assert angles.beta1 == -math.pi + math.asin(INV_SQRT3)
-        assert angles.beta2 == -math.pi / 4
+        # the R and CR gates of the block transform, in application order
+        angles = [(g.kind, g.qubits, g.angle) for g in scd_block_transform(1)
+                  if g.angle is not None]
+        assert angles == [
+            ("CR", (2, 1), -math.pi / 4),
+            ("CR", (1, 2), -math.pi + math.asin(INV_SQRT3)),
+            ("R", (2,), math.pi - math.asin(INV_SQRT3)),
+        ]
 
 
 class TestLogicalStates:
     def test_zero_expansion(self):
         # (|0101> - |0110> - |1001> + |1010>) / 2 in s4 s3 s2 s1 order
-        amps = scd_logical_state("0").amplitudes
+        amps = SCD.state("0").amplitudes
         expected = np.zeros(16, dtype=complex)
         expected[0b0101], expected[0b0110] = 0.5, -0.5
         expected[0b1001], expected[0b1010] = -0.5, 0.5
         np.testing.assert_allclose(amps, expected, atol=1e-15)
 
     def test_one_expansion(self):
-        amps = scd_logical_state("1").amplitudes
+        amps = SCD.state("1").amplitudes
         expected = np.zeros(16, dtype=complex)
         expected[0b0011] = INV_SQRT3
         expected[0b1100] = INV_SQRT3
@@ -99,23 +100,23 @@ class TestLogicalStates:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_equals_per_state_builder(self, n):
         # the n-fold kron of the code-state matrix, bit for bit
-        np.testing.assert_array_equal(scd_logical_basis(n).matrix,
-                                      logical_basis_oracle(scd_logical_state_oracle, n))
+        np.testing.assert_array_equal(SCD.basis(n).matrix,
+                                      logical_basis_oracle(scd_state_oracle, n))
 
     def test_orthonormal(self):
-        zero, one = scd_logical_state("0"), scd_logical_state("1")
+        zero, one = SCD.state("0"), SCD.state("1")
         assert abs(np.linalg.norm(zero.amplitudes) - 1) < 1e-12
         assert abs(np.linalg.norm(one.amplitudes) - 1) < 1e-12
         assert abs(np.vdot(zero.amplitudes, one.amplitudes)) < 1e-12
 
     def test_zero_annihilated_by_sz(self):
         op = collective_operator(4, "z")
-        assert np.linalg.norm(op @ scd_logical_state("0").amplitudes) < 1e-12
+        assert np.linalg.norm(op @ SCD.state("0").amplitudes) < 1e-12
 
     @pytest.mark.parametrize("bits", ["0", "1", "00", "01", "10", "11"])
     def test_annihilated_by_all_collective_operators(self, bits):
         n_physical = 4 * len(bits)
-        state = scd_logical_state(bits).amplitudes
+        state = SCD.state(bits).amplitudes
         for axis in "xyz":
             op = collective_operator(n_physical, axis)
             assert np.linalg.norm(op @ state) < 1e-10
@@ -124,7 +125,7 @@ class TestLogicalStates:
         # full collective rotations, via the dense matrix exponential oracle
         rng = np.random.default_rng(17)
         ops = [collective_operator(4, axis) for axis in "xyz"]
-        state = scd_logical_state("1").amplitudes
+        state = SCD.state("1").amplitudes
         for _ in range(20):
             phis = rng.uniform(0, 2 * math.pi, 3)
             u = scipy.linalg.expm(-1j * sum(f * s for f, s in zip(phis, ops)))
@@ -132,7 +133,7 @@ class TestLogicalStates:
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
-            scd_logical_state("2")
+            SCD.state("2")
 
 
 class TestBlockTransform:
@@ -169,7 +170,7 @@ class TestBlockTransform:
 
     def test_maps_logical_states_to_basis_states(self):
         u = circuit_unitary(scd_block_transform(1))
-        images = [u @ scd_logical_state(b).amplitudes for b in "01"]
+        images = [u @ SCD.state(b).amplitudes for b in "01"]
         peaks = []
         for img in images:
             idx = int(np.argmax(np.abs(img)))
@@ -185,7 +186,7 @@ def _logical_hadamard_deviation(block_transform: tuple[Gate, ...]) -> float:
     """Worst amplitude error of H on qubit 4, conjugated by a block transform,
     against the logical Hadamard on the two encoded basis states."""
     hadamard = Circuit(4, BlockCode(4, SCD.states, block_transform).hadamard(1))
-    zero, one = scd_logical_state("0"), scd_logical_state("1")
+    zero, one = SCD.state("0"), SCD.state("1")
     plus = (zero.amplitudes + one.amplitudes) * INV_SQRT2
     minus = (zero.amplitudes - one.amplitudes) * INV_SQRT2
     return max(np.max(np.abs(apply_circuit(zero, hadamard).amplitudes - plus)),
@@ -227,7 +228,7 @@ class TestTransformMatrix:
 
         u = scd_transform_matrix(1)
         for bits in "01":
-            img = u @ scd_logical_state(bits).amplitudes
+            img = u @ SCD.state(bits).amplitudes
             assert abs(np.max(np.abs(img)) - 1.0) < 1e-12
 
     def test_fallback_unitary(self):
@@ -241,7 +242,7 @@ class TestTransformMatrix:
 
         u = scd_transform_matrix(1)
         conjugated = u.conj().T @ circuit_unitary(Circuit(4, (h(4),))) @ u
-        zero, one = scd_logical_state("0").amplitudes, scd_logical_state("1").amplitudes
+        zero, one = SCD.state("0").amplitudes, SCD.state("1").amplitudes
         np.testing.assert_allclose(conjugated @ zero, (zero + one) * INV_SQRT2, atol=1e-10)
         np.testing.assert_allclose(conjugated @ one, (zero - one) * INV_SQRT2, atol=1e-10)
 
@@ -258,7 +259,7 @@ class TestTransformMatrix:
         # cross-validation: both transforms induce the same logical Hadamard
         from dfsqft import scd_transform_matrix
 
-        basis = scd_logical_basis(1)
+        basis = SCD.basis(1)
         u_fb = scd_transform_matrix(1)
         mid = circuit_unitary(Circuit(4, (h(4),)))
         block_fb, _ = restrict(u_fb.conj().T @ mid @ u_fb, basis)
@@ -272,22 +273,22 @@ class TestLogicalHadamard:
 
     def test_action_on_logical_zero(self):
         u = circuit_unitary(scd_hadamard(1, 1))
-        zero, one = scd_logical_state("0").amplitudes, scd_logical_state("1").amplitudes
+        zero, one = SCD.state("0").amplitudes, SCD.state("1").amplitudes
         np.testing.assert_allclose(u @ zero, (zero + one) * INV_SQRT2, atol=1e-10)
 
     def test_action_on_logical_one(self):
         u = circuit_unitary(scd_hadamard(1, 1))
-        zero, one = scd_logical_state("0").amplitudes, scd_logical_state("1").amplitudes
+        zero, one = SCD.state("0").amplitudes, SCD.state("1").amplitudes
         np.testing.assert_allclose(u @ one, (zero - one) * INV_SQRT2, atol=1e-10)
 
     def test_applied_twice_is_identity_on_logical_states(self):
         u = circuit_unitary(scd_hadamard(1, 1))
-        zero = scd_logical_state("0").amplitudes
+        zero = SCD.state("0").amplitudes
         np.testing.assert_allclose(u @ (u @ zero), zero, atol=1e-10)
 
     def test_leakage(self):
         for n, k in ((1, 1), (2, 1), (2, 2)):
-            _, leakage = restrict(circuit_unitary(scd_hadamard(k, n)), scd_logical_basis(n))
+            _, leakage = restrict(circuit_unitary(scd_hadamard(k, n)), SCD.basis(n))
             assert leakage < 1e-10
 
     def test_index_out_of_range(self):
@@ -306,23 +307,23 @@ class TestLogicalPhase:
 
     def test_phase_on_one_one(self):
         u = circuit_unitary(scd_phase(2, 1, math.pi / 2, 2))
-        state = scd_logical_state("11").amplitudes
+        state = SCD.state("11").amplitudes
         np.testing.assert_allclose(u @ state, np.exp(1j * math.pi / 2) * state, atol=1e-10)
 
     def test_identity_on_zero_zero(self):
         u = circuit_unitary(scd_phase(2, 1, math.pi / 2, 2))
-        state = scd_logical_state("00").amplitudes
+        state = SCD.state("00").amplitudes
         np.testing.assert_allclose(u @ state, state, atol=1e-10)
 
     def test_zero_angle_is_identity(self):
         block, leakage = restrict(
-            circuit_unitary(scd_phase(1, 2, 0.0, 2)), scd_logical_basis(2)
+            circuit_unitary(scd_phase(1, 2, 0.0, 2)), SCD.basis(2)
         )
         np.testing.assert_allclose(block, np.eye(4), atol=1e-10)
         assert leakage < 1e-10
 
     def test_both_branches_both_orders(self):
-        basis = scd_logical_basis(2)
+        basis = SCD.basis(2)
         for i, j in ((1, 2), (2, 1)):
             theta = math.pi / 4
             block, leakage = restrict(circuit_unitary(scd_phase(i, j, theta, 2)), basis)
@@ -356,13 +357,13 @@ class TestEncodedQft:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_restriction_matches_dft(self, n):
-        block, leakage = restrict(circuit_unitary(synth_qft_scd(n)), scd_logical_basis(n))
+        block, leakage = restrict(circuit_unitary(synth_qft_scd(n)), SCD.basis(n))
         target = dft_matrix(n)[bit_reversal_permutation(n)]
         assert 1.0 - global_phase_agreement(target, block) < 1e-10
         assert leakage < 1e-10
 
     def test_restriction_equals_plain_circuit(self):
-        block, _ = restrict(circuit_unitary(synth_qft_scd(2)), scd_logical_basis(2))
+        block, _ = restrict(circuit_unitary(synth_qft_scd(2)), SCD.basis(2))
         np.testing.assert_allclose(block, circuit_unitary(synth_qft(2)), atol=1e-10)
 
     def test_range(self):

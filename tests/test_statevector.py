@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dfsqft import (
+    SCD,
+    WCD,
     Circuit,
     StateVector,
     SubspaceBasis,
@@ -21,12 +24,11 @@ from dfsqft import (
     r,
     restrict,
     scd_hadamard,
-    scd_logical_basis,
     scd_phase,
     synth_qft,
     unitarity_defect,
-    wcd_logical_basis,
 )
+from dfsqft import statevector
 from dfsqft.verify import logical_hadamard, logical_phase, phase_keys
 
 from conftest import gate_matrix_oracle, random_state
@@ -175,15 +177,16 @@ class TestCircuitUnitary:
             assert unitarity_defect(circuit_unitary(synth_qft(n))) < 1e-10
 
     def test_wider_register_embedding(self):
-        u = circuit_unitary(Circuit(1, (h(1),)), n_qubits=2)
+        # a wider register is the circuit's own, through Circuit.on_register
+        u = circuit_unitary(Circuit(1, (h(1),)).on_register(2))
         np.testing.assert_allclose(u, np.kron(np.eye(2), circuit_unitary(Circuit(1, (h(1),)))))
-        with pytest.raises(ValueError, match="smaller"):
-            circuit_unitary(Circuit(2, (h(2),)), n_qubits=1)
+        with pytest.raises(ValueError, match="exceeds a 1-qubit register"):
+            Circuit(2, (h(2),)).on_register(1)
 
     def test_dense_cap(self):
         # 2^11 x 2^11 complex is 64 MB, and the array grows 4x per qubit
         for call in (lambda: circuit_unitary(Circuit(11)),
-                     lambda: circuit_unitary(Circuit(1), n_qubits=11)):
+                     lambda: circuit_unitary(Circuit(1).on_register(11))):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == ("register size 11 is unsupported: "
@@ -251,6 +254,29 @@ class TestSubspaceBasis:
     def test_nan_refused(self):
         _refusal(lambda: SubspaceBasis(1, np.array([[np.nan], [0.0]])), "norm")
 
+    def test_checks_span_column_chunks(self, monkeypatch):
+        # one column per chunk: a defect between chunks, or in the last one, still shows
+        monkeypatch.setattr(statevector, "_GRAM_CHUNK", 4)
+        SubspaceBasis(2, np.eye(4)[:, [0, 1, 3]])
+        tilted = np.eye(4)[:, [0, 1, 2]]
+        tilted[:, 2] = [math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0]
+        _refusal(lambda: SubspaceBasis(2, tilted), "orthonormal")
+        nan = np.eye(4)[:, [0, 1, 2]]
+        nan[3, 2] = np.nan
+        _refusal(lambda: SubspaceBasis(2, nan), "norm")
+
+    def test_checks_hold_no_copy_of_the_whole_basis(self):
+        # 2^12 x 256 complex is 16.8 MB; the validated copy is the only full-size
+        # array, and the column chunks of the checks stay at a few MB
+        columns = np.eye(4096, 256, dtype=complex)
+        tracemalloc.start()
+        try:
+            SubspaceBasis(12, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns.nbytes * 3 // 2
+
     def test_matrix_frozen_and_copied(self):
         columns = np.eye(4)[:, [1, 2]]
         basis = SubspaceBasis(2, columns)
@@ -262,7 +288,7 @@ class TestSubspaceBasis:
 
 class TestRestrict:
     def test_identity_on_singlet_basis(self):
-        basis = scd_logical_basis(1)  # 2 vectors on 4 qubits
+        basis = SCD.basis(1)  # 2 vectors on 4 qubits
         block, leakage = restrict(np.eye(16, dtype=complex), basis)
         np.testing.assert_allclose(block, np.eye(2), atol=1e-12)
         assert leakage < 1e-12
@@ -270,7 +296,7 @@ class TestRestrict:
     def test_wcd_hadamard_restricts_to_hadamard(self):
         from dfsqft import wcd_hadamard
 
-        block, leakage = restrict(circuit_unitary(wcd_hadamard(1, 1)), wcd_logical_basis(1))
+        block, leakage = restrict(circuit_unitary(wcd_hadamard(1, 1)), WCD.basis(1))
         expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         np.testing.assert_allclose(block, expected, atol=1e-10)
         assert leakage < 1e-10
@@ -283,11 +309,11 @@ class TestRestrict:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="match"):
-            restrict(np.eye(4), scd_logical_basis(1))
+            restrict(np.eye(4), SCD.basis(1))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_scd_logical_gate_circuits_match_their_unitaries(self, n):
-        basis = scd_logical_basis(n)
+        basis = SCD.basis(n)
         gates = [(scd_hadamard(k, n), logical_hadamard(n, k)) for k in range(1, n + 1)]
         gates += [(scd_phase(i, j, theta, n), logical_phase(n, i, j, theta))
                   for i, j, theta in phase_keys(n, (math.pi / 2, math.pi / 4))]
@@ -300,14 +326,14 @@ class TestRestrict:
 
     def test_circuit_on_another_register(self):
         with pytest.raises(ValueError, match="does not match a 4-qubit register"):
-            restrict(Circuit(2, (h(1),)), scd_logical_basis(1))
+            restrict(Circuit(2, (h(1),)), SCD.basis(1))
         with pytest.raises(ValueError, match="does not match a 4-qubit register"):
-            restrict(Circuit(8, (h(1),)), scd_logical_basis(1))
+            restrict(Circuit(8, (h(1),)), SCD.basis(1))
 
 
 def test_restricted_block_is_unitary_when_leak_free():
     from dfsqft import synth_qft_wcd
 
-    block, leakage = restrict(circuit_unitary(synth_qft_wcd(2)), wcd_logical_basis(2))
+    block, leakage = restrict(circuit_unitary(synth_qft_wcd(2)), WCD.basis(2))
     assert leakage < 1e-10
     assert is_unitary(block, atol=1e-10)

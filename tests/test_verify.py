@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from dfsqft import (
+    SCD,
+    WCD,
     Circuit,
     CollectiveModel,
     NoiseEvent,
@@ -24,10 +26,8 @@ from dfsqft import (
     invert,
     p,
     r,
-    scd_logical_basis,
     wcd_encoder_circuit,
     wcd_hadamard,
-    wcd_logical_basis,
     wcd_phase,
 )
 from dfsqft import noise, verify
@@ -92,8 +92,8 @@ def per_state_noise_invariance(basis, model, seed):
 @pytest.mark.parametrize("seed", [0, 17, 20])
 @pytest.mark.parametrize(
     "basis,model",
-    [(wcd_logical_basis(n), CollectiveModel.WCD) for n in (1, 2, 3)]
-    + [(scd_logical_basis(n), CollectiveModel.SCD) for n in (1, 2)],
+    [(WCD.basis(n), CollectiveModel.WCD) for n in (1, 2, 3)]
+    + [(SCD.basis(n), CollectiveModel.SCD) for n in (1, 2)],
     ids=["wcd1", "wcd2", "wcd3", "scd1", "scd2"],
 )
 def test_batched_noise_invariance_is_bit_identical_to_per_state_loop(basis, model, seed):
@@ -104,8 +104,8 @@ def test_batched_noise_invariance_is_bit_identical_to_per_state_loop(basis, mode
 @pytest.mark.parametrize("edge", ["divides", "remainder-1", "remainder-step-1"])
 @pytest.mark.parametrize(
     "basis,model",
-    [(wcd_logical_basis(2), CollectiveModel.WCD), (wcd_logical_basis(3), CollectiveModel.WCD),
-     (scd_logical_basis(2), CollectiveModel.SCD)],
+    [(WCD.basis(2), CollectiveModel.WCD), (WCD.basis(3), CollectiveModel.WCD),
+     (SCD.basis(2), CollectiveModel.SCD)],
     ids=["wcd2", "wcd3", "scd2"],
 )
 def test_noise_invariance_is_bit_identical_at_chunk_edges(monkeypatch, basis, model, edge):

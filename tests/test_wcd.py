@@ -23,14 +23,12 @@ from dfsqft import (
     synth_qft_wcd,
     wcd_encoder_circuit,
     wcd_hadamard,
-    wcd_logical_basis,
-    wcd_logical_state,
     wcd_phase,
 )
 
 from dfsqft.wcd import WCD
 
-from conftest import GOLDEN_DIR, logical_basis_oracle, wcd_logical_state_oracle
+from conftest import GOLDEN_DIR, logical_basis_oracle, wcd_state_oracle
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -58,34 +56,34 @@ class TestRegister:
 class TestLogicalStates:
     def test_single_logical_zero_and_one(self):
         np.testing.assert_array_equal(
-            wcd_logical_state("0").amplitudes, [0, 1, 0, 0]  # |01>
+            WCD.state("0").amplitudes, [0, 1, 0, 0]  # |01>
         )
         np.testing.assert_array_equal(
-            wcd_logical_state("1").amplitudes, [0, 0, 1, 0]  # |10>
+            WCD.state("1").amplitudes, [0, 0, 1, 0]  # |10>
         )
 
     def test_two_logical_qubits(self):
         # "01": logical 2 = 0 on qubits (4,3), logical 1 = 1 on qubits (2,1)
         # physical bits s4 s3 s2 s1 = 0 1 1 0
-        state = wcd_logical_state("01")
+        state = WCD.state("01")
         assert np.argmax(np.abs(state.amplitudes)) == 0b0110
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
-            wcd_logical_state("012")
+            WCD.state("012")
         with pytest.raises(ValueError):
-            wcd_logical_state("")
+            WCD.state("")
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_basis_equals_per_state_builder(self, n):
         # the n-fold kron of the code-state matrix, bit for bit
-        np.testing.assert_array_equal(wcd_logical_basis(n).matrix,
-                                      logical_basis_oracle(wcd_logical_state_oracle, n))
+        np.testing.assert_array_equal(WCD.basis(n).matrix,
+                                      logical_basis_oracle(wcd_state_oracle, n))
 
     def test_states_live_in_zero_sector(self):
         for n in (1, 2, 3):
             op = collective_operator(2 * n, "z")
-            for vec in wcd_logical_basis(n).matrix.T:
+            for vec in WCD.basis(n).matrix.T:
                 assert np.linalg.norm(op @ vec) == 0.0
 
     def test_dephasing_invariance(self):
@@ -93,7 +91,7 @@ class TestLogicalStates:
         rng = np.random.default_rng(9)
         for n in (1, 2):
             op = collective_operator(2 * n, "z")
-            for vec in wcd_logical_basis(n).matrix.T:
+            for vec in WCD.basis(n).matrix.T:
                 for phi in rng.uniform(0, 2 * math.pi, 20):
                     evolved = scipy.linalg.expm(-1j * phi * op) @ vec
                     assert abs(abs(np.vdot(evolved, vec)) ** 2 - 1) < 1e-12
@@ -105,28 +103,28 @@ class TestLogicalHadamard:
         assert wcd_hadamard(2, 3) == Circuit(6, (cn(4, 3), h(4), cn(4, 3)))
 
     def test_action_on_logical_zero(self):
-        out = circuit_unitary(wcd_hadamard(1, 1)) @ wcd_logical_state("0").amplitudes
+        out = circuit_unitary(wcd_hadamard(1, 1)) @ WCD.state("0").amplitudes
         expected = INV_SQRT2 * (
-            wcd_logical_state("0").amplitudes + wcd_logical_state("1").amplitudes
+            WCD.state("0").amplitudes + WCD.state("1").amplitudes
         )
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_action_on_logical_one(self):
-        out = circuit_unitary(wcd_hadamard(1, 1)) @ wcd_logical_state("1").amplitudes
+        out = circuit_unitary(wcd_hadamard(1, 1)) @ WCD.state("1").amplitudes
         expected = INV_SQRT2 * (
-            wcd_logical_state("0").amplitudes - wcd_logical_state("1").amplitudes
+            WCD.state("0").amplitudes - WCD.state("1").amplitudes
         )
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_applied_twice_is_logical_identity(self):
         u = circuit_unitary(wcd_hadamard(1, 2))
-        block, leakage = restrict(u @ u, wcd_logical_basis(2))
+        block, leakage = restrict(u @ u, WCD.basis(2))
         np.testing.assert_allclose(block, np.eye(4), atol=1e-10)
         assert leakage < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_restriction_and_leakage(self, n):
-        basis = wcd_logical_basis(n)
+        basis = WCD.basis(n)
         hmat = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         for k in range(1, n + 1):
             block, leakage = restrict(circuit_unitary(wcd_hadamard(k, n)), basis)
@@ -152,23 +150,23 @@ class TestLogicalHadamard:
 class TestLogicalPhase:
     def test_phase_on_one_one(self):
         u = circuit_unitary(wcd_phase(2, 1, math.pi / 2, 2))
-        state = wcd_logical_state("11").amplitudes
+        state = WCD.state("11").amplitudes
         np.testing.assert_allclose(u @ state, np.exp(1j * math.pi / 2) * state, atol=1e-12)
 
     def test_identity_on_other_patterns(self):
         u = circuit_unitary(wcd_phase(2, 1, math.pi / 2, 2))
         for bits in ("00", "01", "10"):
-            state = wcd_logical_state(bits).amplitudes
+            state = WCD.state(bits).amplitudes
             np.testing.assert_allclose(u @ state, state, atol=1e-12)
 
     def test_zero_angle_is_identity(self):
-        block, leakage = restrict(circuit_unitary(wcd_phase(1, 2, 0.0, 2)), wcd_logical_basis(2))
+        block, leakage = restrict(circuit_unitary(wcd_phase(1, 2, 0.0, 2)), WCD.basis(2))
         np.testing.assert_allclose(block, np.eye(4), atol=1e-10)
         assert leakage < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_both_branches_all_pairs(self, n):
-        basis = wcd_logical_basis(n)
+        basis = WCD.basis(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
@@ -210,8 +208,8 @@ class TestEncoderConjugation:
         assert wcd_encoder_circuit(1) == Circuit(2, (cn(2, 1),))
 
     def test_encoder_fixes_logical_zero(self):
-        out = circuit_unitary(wcd_encoder_circuit(1)) @ wcd_logical_state("0").amplitudes
-        np.testing.assert_array_equal(out, wcd_logical_state("0").amplitudes)
+        out = circuit_unitary(wcd_encoder_circuit(1)) @ WCD.state("0").amplitudes
+        np.testing.assert_array_equal(out, WCD.state("0").amplitudes)
 
     def test_hadamard_conjugation_single_pair(self):
         encoder = wcd_encoder_circuit(1)
@@ -259,14 +257,14 @@ class TestEncodedQft:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_restriction_matches_dft(self, n):
-        block, leakage = restrict(circuit_unitary(synth_qft_wcd(n)), wcd_logical_basis(n))
+        block, leakage = restrict(circuit_unitary(synth_qft_wcd(n)), WCD.basis(n))
         target = dft_matrix(n)[bit_reversal_permutation(n)]
         assert 1.0 - global_phase_agreement(target, block) < 1e-10
         assert leakage < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_restriction_equals_plain_circuit(self, n):
-        block, _ = restrict(circuit_unitary(synth_qft_wcd(n)), wcd_logical_basis(n))
+        block, _ = restrict(circuit_unitary(synth_qft_wcd(n)), WCD.basis(n))
         np.testing.assert_allclose(block, circuit_unitary(synth_qft(n)), atol=1e-10)
 
     def test_range(self):
@@ -278,8 +276,8 @@ class TestEncodedQft:
         # the plain transform, compared on logical coordinates
         from dfsqft import apply_circuit
 
-        out = apply_circuit(wcd_logical_state("00"), synth_qft_wcd(2))
-        logical_coords = wcd_logical_basis(2).matrix.conj().T @ out.amplitudes
+        out = apply_circuit(WCD.state("00"), synth_qft_wcd(2))
+        logical_coords = WCD.basis(2).matrix.conj().T @ out.amplitudes
         plain = circuit_unitary(synth_qft(2)) @ np.eye(4)[:, 0]
         np.testing.assert_allclose(logical_coords, plain, atol=1e-12)
 

@@ -10,7 +10,8 @@ PYTHONPATH=SRC_DIR. The logical gates are hashed per (encoding, n): the
 print_circuit text of every *_hadamard(k, n), of every *_phase(i, j, theta, n)
 over the ordered pairs i != j at the verify angles and, for WCD, of
 wcd_encoder_circuit(n); so are the logical-block boundaries
-*_qft_block_boundaries(n), where block-boundary noise strikes. The
+logical_block_boundaries(n, code) of the WCD and SCD block codes, where
+block-boundary noise strikes. The
 script prints one JSON object mapping each
 output to the sha256 of its bytes; a verify JSON report is hashed without
 its wall-clock duration_s. It exits 1 if any command exits non-zero.
@@ -79,7 +80,7 @@ def logical_gate_texts(dfsqft, encoding: str, n: int):
 
 def block_boundaries_text(dfsqft, encoding: str, n: int) -> str:
     """The gate positions ending each logical block of the encoded QFT."""
-    boundaries = getattr(dfsqft, f"{encoding}_qft_block_boundaries")(n)
+    boundaries = dfsqft.logical_block_boundaries(n, getattr(dfsqft, encoding.upper()))
     return " ".join(str(b) for b in boundaries) + "\n"
 
 
