@@ -19,11 +19,14 @@ once: the state carries a trailing trial axis, and each noise event is a
 layer of (2, 2, batch) rotations between the gates. _batched_rows splits
 any such batch into chunks of at most BATCH_AMPLITUDES amplitudes, so
 memory does not grow with the trial count; run_trials and the verify
-noise-invariance check both run through it. Each trial still draws from
-its own (seed, trial) stream, so results do not depend on the chunking.
+noise-invariance check both run through it. Each trial draws from its own
+stream, exactly default_rng([seed, trial]), so results do not depend on
+the chunking; the streams of a whole chunk are seeded at once by
+_seed_words, a vectorized copy of numpy's SeedSequence hash (NEP 19).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -48,6 +51,12 @@ GRANULARITIES = (PER_ELEMENTARY_GATE, PER_LOGICAL_BLOCK, ENDPOINTS_ONLY)
 DISTRIBUTIONS = ("uniform", "gaussian")
 
 _SEED_MASK = 2**64 - 1
+# numpy's SeedSequence constants (NEP 19): a pool of four uint32 words
+_POOL_WORDS = 4
+_WORD_MASK = 2**32 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,13 @@ class NoiseEvent:
         object.__setattr__(self, "phis", tuple(float(x) for x in self.phis))
         if not all(math.isfinite(x) for x in self.phis):
             raise ValueError("noise angles must be finite")
+
+
+def _finite_nonnegative(x: numbers.Real) -> bool:
+    try:
+        return 0 <= float(x) < math.inf  # False for NaN
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -78,7 +94,7 @@ class NoisePolicy:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
         if (isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real)
-                or not 0 <= self.sigma < math.inf):  # `not`, so that NaN fails
+                or not _finite_nonnegative(self.sigma)):
             raise ValueError(f"sigma must be a finite nonnegative real, got {self.sigma!r}")
         if not _is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
@@ -113,6 +129,77 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _seed_words(seed: int, trials: range) -> np.ndarray:
+    """Row j is SeedSequence([seed, trials[j]]).generate_state(4, np.uint64),
+    for a seed and trial indices below 2^64, computed for all rows at once.
+
+    SeedSequence splits each int into its uint32 words, low first (0 is one
+    word), and hashes their concatenation into a pool of four words; a word
+    beyond the entropy hashes as a zero word. So the entropy is the seed's
+    one or two words, then the trial's low and high word, padded with zeros:
+    it always fits the pool, and the hash is the same uint32 arithmetic on
+    every row."""
+    index = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    words = [seed & _WORD_MASK] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(len(index), word, np.uint32) for word in words]
+    entropy += [(index & _WORD_MASK).astype(np.uint32), (index >> 32).astype(np.uint32)]
+    entropy += [np.zeros(len(index), np.uint32)] * (_POOL_WORDS - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _WORD_MASK
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    state = np.empty((len(index), 4), np.uint64)
+    const = _INIT_B
+    for i in range(8):  # 8 uint32 words, read as 4 little-endian uint64 words
+        value = pool[i % _POOL_WORDS] ^ const
+        const = const * _MULT_B & _WORD_MASK
+        value = value * np.uint32(const)
+        value = (value ^ (value >> 16)).astype(np.uint64)
+        if i % 2:
+            state[:, i // 2] |= value << 32
+        else:
+            state[:, i // 2] = value
+    return state
+
+
+@functools.cache
+def _stream_type():
+    """Generator(PCG64(words)) for one row of _seed_words. Built on first
+    use, so that importing the package does not load numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A seed sequence whose generated state is a given row of words."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
+def _trial_streams(seed: int, trials: range) -> list:
+    """default_rng([seed & (2^64 - 1), t]) for each trial t: the same streams."""
+    stream = _stream_type()
+    return [stream(words) for words in _seed_words(seed & _SEED_MASK, trials)]
 
 
 def _draw_angles(rng: np.random.Generator, policy: NoisePolicy, shape) -> np.ndarray:
@@ -220,9 +307,9 @@ def run_trials(
     """Per-trial (fidelities, leakages) arrays; leakages is None without a subspace.
 
     Each trial draws fresh events at the policy's positions and runs the
-    circuit. Per-trial random streams derive from (seed, trial index), so
-    identical policies yield identical arrays. Trials run as a batch
-    through _batched_rows.
+    circuit. Trial t draws from exactly default_rng([seed, t]), so identical
+    policies yield identical arrays; the streams of a chunk are seeded in
+    one pass (_seed_words). Trials run as a batch through _batched_rows.
     """
     n = circuit.n_qubits
     if input_state.n_qubits != n or ideal_output.n_qubits != n:
@@ -235,8 +322,8 @@ def run_trials(
     def noisy_circuit(trials: range) -> list:
         # angles[k, j]: event k of trial j, drawn from the trial's own stream
         shape = (len(positions), len(model.axes))
-        angles = np.stack([_draw_angles(np.random.default_rng([policy.seed & _SEED_MASK, trial]),
-                                        policy, shape) for trial in trials], axis=1)
+        angles = np.stack([_draw_angles(rng, policy, shape)
+                           for rng in _trial_streams(policy.seed, trials)], axis=1)
         # positions[0] is 0: each event precedes the gates up to the next one
         ops = []
         for rotations, start, stop in zip(_rotations(angles, model).transpose(2, 0, 1, 3),
@@ -250,7 +337,7 @@ def run_trials(
     leakages = np.empty(policy.trials) if basis_matrix is not None else None
     for trial, out in _batched_rows(
         n, policy.trials, noisy_circuit,
-        lambda trials: np.repeat(input_state.amplitudes[:, None], len(trials), axis=1),
+        lambda trials: np.broadcast_to(input_state.amplitudes[:, None], (2**n, len(trials))),
     ):
         fidelities[trial] = min(1.0, abs(np.vdot(ideal_output.amplitudes, out)) ** 2)
         if basis_matrix is not None:

@@ -13,9 +13,12 @@ are safe to hand between threads.
 One loop, _propagate, applies gates and collective-noise layers to one
 state or to the columns of a 2^n x k array: the 2^n identity columns for
 circuit_unitary, the k basis columns of a subspace for restrict, and the
-noise module's trials. Verification compares code-space blocks (k x k) or,
-for small gate supports, the unitaries of a few qubits; the 2^n x 2^n
-matrix of a large register is never needed.
+noise module's trials. It copies its input once into one private working
+array and updates that array in place, gate by gate, so the values it
+hands back are new and the caller's array is never written. Verification
+compares code-space blocks (k x k) or, for small gate supports, the
+unitaries of a few qubits; the 2^n x 2^n matrix of a large register is
+never needed.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ NORM_ATOL = 1e-12
 MATRIX_ATOL = 1e-10
 _GRAM_CHUNK = 1 << 18  # amplitudes per column chunk of SubspaceBasis's checks (4 MB)
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_H = 1.0 / math.sqrt(2.0)  # Hadamard entry: not math.sqrt(0.5), which is 1 ulp larger
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,62 +86,96 @@ def _check_register(n: int, limit: int = MAX_QUBITS) -> None:
                          f"it must be an integer in 1..{limit}")
 
 
-def _slices(n: int, assignments: dict[int, int]) -> tuple:
-    # Index tuple over the first n axes; axis n-t carries the bit of qubit t.
-    idx: list = [slice(None)] * n
-    for axis, bit in assignments.items():
-        idx[axis] = bit
-    return tuple(idx)
-
-
-def _apply_1q(arr: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    i0 = _slices(n, {n - qubit: 0})
-    i1 = _slices(n, {n - qubit: 1})
-    out = np.empty_like(arr)
-    out[i0] = u[0, 0] * arr[i0] + u[0, 1] * arr[i1]
-    out[i1] = u[1, 0] * arr[i0] + u[1, 1] * arr[i1]
-    return out
-
-
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _apply_gate_nd(arr: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply one gate to an array whose first n axes are qubit bits (s_n..s_1)."""
-    if gate.kind == "H":
-        return _apply_1q(arr, _HADAMARD, gate.qubits[0], n)
-    if gate.kind == "R":
-        return _apply_1q(arr, _rotation(gate.angle), gate.qubits[0], n)
-    control, target = gate.qubits
-    i10 = _slices(n, {n - control: 1, n - target: 0})
-    i11 = _slices(n, {n - control: 1, n - target: 1})
-    out = arr.copy()
-    if gate.kind == "CN":
-        out[i10], out[i11] = arr[i11], arr[i10]
-    elif gate.kind == "P":
-        out[i11] = arr[i11] * complex(math.cos(gate.angle), math.sin(gate.angle))
-    else:  # CR
-        c, s = math.cos(gate.angle), math.sin(gate.angle)
-        out[i10] = c * arr[i10] - s * arr[i11]
-        out[i11] = s * arr[i10] + c * arr[i11]
-    return out
+def _support_views(work: np.ndarray, scratch: np.ndarray, qubits: tuple, real: bool) -> tuple:
+    """(a0, a1, s0, s1): the halves of the 2^n-row working array where
+    qubits[0] is 0 and 1, or for (control, target) the quarters where they
+    are (1, 0) and (1, 1), and two contiguous scratch arrays of their shape;
+    on the float64 views of both arrays if real. The last axis keeps the
+    columns, so a (k,) stack of coefficients broadcasts over them."""
+    if real:
+        work, scratch = work.view(float), scratch.view(float)
+    columns = work.shape[1]
+    if len(qubits) == 1:
+        parts = work.reshape(-1, 2, 1 << (qubits[0] - 1), columns)
+        a0, a1 = parts[:, 0], parts[:, 1]
+    else:
+        high, low = max(qubits), min(qubits)
+        parts = work.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << (low - 1), columns)
+        a0 = parts[:, 1, :, 0] if qubits[0] == high else parts[:, 0, :, 1]
+        a1 = parts[:, 1, :, 1]
+    size = a0.size
+    return a0, a1, scratch[:size].reshape(a0.shape), scratch[size:2 * size].reshape(a0.shape)
 
 
 def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     """Apply ops in order to one 2^n vector or to each column of a 2^n x k
-    array. An op is a Gate or a noise layer: a (2, 2) unitary, or a (2, 2, k)
-    stack of one per column, on every qubit. The input array is released
-    once the first op has replaced it."""
-    arr = arr.reshape((2,) * n + arr.shape[1:])
+    array, and return the result as a new array of the input's shape. An op
+    is a Gate or a noise layer: a (2, 2) unitary, or a (2, 2, k) stack of
+    one per column, on every qubit.
+
+    The input is copied once into a private C-ordered 2^n x k working array
+    (a vector is a 2^n x 1 batch) and released; each op then updates that
+    array in place, through one scratch array of the same size. Every
+    amplitude rounds as in the out-of-place formulas u[0, 0] * a0 +
+    u[0, 1] * a1 and u[1, 0] * a0 + u[1, 1] * a1: numpy rounds a complex
+    product differently with its operands swapped or with a strided output,
+    so each one is formed u-first into contiguous scratch. H, R and CR have
+    real coefficients and run on the float64 view, and a diagonal noise
+    layer skips its zero off-diagonal products; both can change at most the
+    sign of a zero."""
+    shape = arr.shape
+    work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
+    del arr
+    scratch = np.empty(work.size, dtype=complex)
+    views: dict[tuple, tuple] = {}
+
+    def support(qubits: tuple, real: bool) -> tuple:
+        key = (qubits, real)
+        return views.get(key) or views.setdefault(key, _support_views(work, scratch, *key))
+
     for op in ops:
-        if isinstance(op, Gate):
-            arr = _apply_gate_nd(arr, op, n)
-        else:
+        if not isinstance(op, Gate):
+            diagonal = not (op[0, 1].any() or op[1, 0].any())
             for t in range(1, n + 1):
-                arr = _apply_1q(arr, op, t, n)
-    return arr.reshape((-1,) + arr.shape[n:])
+                a0, a1, s0, s1 = support((t,), False)
+                if diagonal:
+                    np.multiply(op[0, 0], a0, out=s0)
+                    np.copyto(a0, s0)
+                    np.multiply(op[1, 1], a1, out=s1)
+                    np.copyto(a1, s1)
+                    continue
+                np.multiply(op[0, 0], a0, out=s0)
+                np.multiply(op[0, 1], a1, out=s1)
+                np.add(s0, s1, out=s0)
+                np.multiply(op[1, 0], a0, out=s1)
+                np.copyto(a0, s0)
+                np.multiply(op[1, 1], a1, out=s0)
+                np.add(s1, s0, out=a1)
+        elif op.kind == "H":
+            a0, a1, s0, s1 = support(op.qubits, True)
+            np.multiply(_H, a0, out=s0)
+            np.multiply(_H, a1, out=s1)
+            np.add(s0, s1, out=a0)
+            np.subtract(s0, s1, out=a1)
+        elif op.kind in ("R", "CR"):  # [[c, -s], [s, c]] on the halves or the control-1 quarters
+            c, s = math.cos(op.angle), math.sin(op.angle)
+            a0, a1, s0, s1 = support(op.qubits, True)
+            np.multiply(s, a0, out=s0)
+            np.multiply(s, a1, out=s1)
+            np.multiply(c, a0, out=a0)
+            np.subtract(a0, s1, out=a0)
+            np.multiply(c, a1, out=a1)
+            np.add(s0, a1, out=a1)
+        elif op.kind == "CN":
+            a10, a11, s0, _ = support(op.qubits, False)
+            np.copyto(s0, a10)
+            np.copyto(a10, a11)
+            np.copyto(a11, s0)
+        else:  # P: the phase multiplies the (1, 1) quarter, amplitude first
+            _, a11, s0, _ = support(op.qubits, False)
+            np.multiply(a11, complex(math.cos(op.angle), math.sin(op.angle)), out=s0)
+            np.copyto(a11, s0)
+    return work.reshape(shape)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

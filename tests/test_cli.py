@@ -212,6 +212,24 @@ class TestNoiseBench:
         assert len(rows) == 1 + 2 * 4  # header + two arms x trials
         assert rows[1].startswith("encoded,0,")
 
+    # seeded CSVs captured from the copying gate kernel and one default_rng per trial
+    GOLDEN_CSVS = {
+        "noise_wcd2_elementary_gaussian": "--encoding wcd --n 2 --policy elementary "
+                                          "--distribution gaussian --sigma 0.3 --seed 11",
+        "noise_scd1_elementary_uniform": "--encoding scd --n 1 --policy elementary --seed 5",
+        # the plain arm is a one-qubit register
+        "noise_wcd1_endpoints": "--encoding wcd --n 1 --policy endpoints --seed 3",
+        # a seed of two uint32 words
+        "noise_wcd3_block_seed2p40": "--encoding wcd --n 3 --policy block --seed 1099511627783",
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN_CSVS)
+    def test_seeded_csv_matches_golden(self, name, capsys):
+        flags = self.GOLDEN_CSVS[name].split()
+        assert run_cli("noise-bench", *flags, "--trials", "40", "--format", "csv") == 0
+        golden = (pathlib.Path(GOLDEN_DIR) / f"{name}.csv").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
     def test_missing_required_options(self, capsys):
         assert run_cli("noise-bench", "--n", "2") == 1
         assert "encoding" in capsys.readouterr().err

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -166,6 +169,15 @@ class TestNoisePolicy:
         with pytest.raises(ValueError, match=rf"^sigma must be a finite nonnegative real, "
                                              rf"got {sigma!r}$"):
             NoisePolicy(granularity=ENDPOINTS_ONLY, distribution="gaussian", sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [10**400, -(10**400)], ids=["huge", "huge-negative"])
+    def test_int_sigma_beyond_float_range_rejected(self, sigma):
+        # 10**400 compares below math.inf, and a gaussian run then failed
+        # inside numpy with "OverflowError: int too large to convert to float"
+        with pytest.raises(ValueError, match=r"^sigma must be a finite nonnegative real, got -?1"
+                                             r"0{400}$"):
+            NoisePolicy(granularity=ENDPOINTS_ONLY, distribution="gaussian", sigma=sigma)
+        assert NoisePolicy(granularity=ENDPOINTS_ONLY, sigma=10**300).sigma == 10**300
 
 
 class TestNoisyRun:
@@ -347,26 +359,28 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("kind,n", [("wcd", 2), ("scd", 1), ("plain-wcd", 3), ("plain-scd", 2)])
     def test_matches_reference_bit_for_bit(self, granularity, distribution, kind, n):
         circuit, state, ideal, model, bounds, basis = _qft_setup(kind, n)
-        policy = NoisePolicy(granularity=granularity, distribution=distribution, sigma=0.4,
-                             trials=9, seed=2**64 + 31)
-        got = run_trials(circuit, state, ideal, policy, model, bounds, basis)
-        want = reference_trials(circuit, state, ideal, policy, model, bounds, basis)
-        np.testing.assert_array_equal(got[0], want[0])
-        if basis is None:
-            assert got[1] is None
-        else:
-            np.testing.assert_array_equal(got[1], want[1])
+        # 2**64 + 31 masks to a one-word seed, 2**40 + 7 is two uint32 words
+        for seed in (2**64 + 31, 2**40 + 7):
+            policy = NoisePolicy(granularity=granularity, distribution=distribution, sigma=0.4,
+                                 trials=9, seed=seed)
+            got = run_trials(circuit, state, ideal, policy, model, bounds, basis)
+            want = reference_trials(circuit, state, ideal, policy, model, bounds, basis)
+            np.testing.assert_array_equal(got[0], want[0])
+            if basis is None:
+                assert got[1] is None
+            else:
+                np.testing.assert_array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("model", [WCD, SCD])
     @pytest.mark.parametrize("granularity", [PER_ELEMENTARY_GATE, ENDPOINTS_ONLY])
     def test_single_qubit_register_within_rounding(self, model, granularity):
-        # the one-qubit kernel multiplies 0-d values one state at a time but
-        # arrays in a batch; the two round differently in the last bit
+        # a lone one-qubit state runs as a 2 x 1 batch, not as 0-d values,
+        # so it rounds exactly as a column of the trial batch
         circuit, state, ideal, _, bounds, _ = _qft_setup("plain-wcd", 1)
         policy = NoisePolicy(granularity=granularity, trials=50, seed=8)
         got, _ = run_trials(circuit, state, ideal, policy, model, bounds)
         want, _ = reference_trials(circuit, state, ideal, policy, model, bounds)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
         "chunks,extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
@@ -399,3 +413,40 @@ class TestBatchedTrials:
         growth = peak(40 * step) - peak(4 * step)
         outputs = 16 * 36 * step  # one float64 fidelity and one leakage per added trial
         assert growth <= outputs + 16 * 1024
+
+
+class TestTrialStreams:
+    """_seed_words against numpy's own SeedSequence, and the streams it seeds."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("trials", [
+        range(0, 3),
+        range((noise.BATCH_AMPLITUDES >> 8) - 1, (noise.BATCH_AMPLITUDES >> 8) + 2),
+        range(2**32 - 2, 2**32 + 2),
+        range(2**64 - 2, 2**64),
+    ], ids=["first", "chunk-edge", "word-edge", "last"])
+    def test_seed_words_match_seed_sequence(self, seed, trials):
+        want = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials]
+        got = noise._seed_words(seed, trials)
+        assert got.dtype == np.uint64 and got.shape == (len(trials), 4)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("seed", [7, 2**40 + 7, 2**64 + 31])
+    def test_streams_draw_as_default_rng(self, seed, distribution):
+        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, distribution=distribution, sigma=0.4)
+        trials = range(5, 12)
+        for trial, rng in zip(trials, noise._trial_streams(seed, trials)):
+            want = np.random.default_rng([seed % 2**64, trial])
+            np.testing.assert_array_equal(noise._draw_angles(rng, policy, (6, 3)),
+                                          noise._draw_angles(want, policy, (6, 3)))
+
+    def test_import_does_not_load_numpy_random(self):
+        # the streams import numpy.random on first use, not with the package
+        code = "import sys, dfsqft; print('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "False\n"
