@@ -12,7 +12,8 @@ S_z is diagonal with entry n - 2 w(l) at index l, so the WCD sectors are
 weight counts (wcd_sector_dimensions). A state with S_z = 0 has spin
 zero exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null
 space is that of one 0/1 matrix L from weight n/2 to n/2 + 1 (210 x 252
-at n = 10), read off the eigenvalues of its Gram matrices. No census
+at n = 10), read off the eigenvalues of its Gram matrices; the census
+builds the row Gram L L^T from its closed form, without L. No census
 builds a 2^n x 2^n operator; collective_operator is the dense oracle for
 tests and demos.
 """
@@ -32,6 +33,7 @@ MAX_BRUTE_FORCE_QUBITS = 14
 # zero. The nonzero ones are j(j+1) >= 2 for the total spins j >= 1, and the
 # float error stays below 2e-13 for every even n <= 14.
 NULLSPACE_TOL = 1e-9
+_GRAM_CHUNK = 1 << 18  # entries per row chunk of _lowering_gram (2 MB of int64)
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -111,6 +113,26 @@ def _lowering_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     return kernel, lowering
 
 
+def _lowering_gram(n: int) -> np.ndarray:
+    """L L^T for the lowering matrix L of even n, from its closed form.
+
+    Entry (a, b) counts the weight-n/2 indices below both weight-(n/2 + 1)
+    indices a and b: n/2 + 1 on the diagonal, 1 where a & b has weight n/2,
+    0 elsewhere. Built in row chunks of at most _GRAM_CHUNK entries, with
+    w(a & b) read from _weights; equal to lowering @ lowering.T exactly, in
+    the row order of _lowering_matrix.
+    """
+    weights = _weights(n)
+    upper = np.flatnonzero(weights == n // 2 + 1)
+    gram = np.empty((upper.size, upper.size))
+    step = max(1, _GRAM_CHUNK // upper.size)
+    for first in range(0, upper.size, step):
+        rows = upper[first:first + step, None]
+        gram[first:first + step] = weights[rows & upper] == n // 2
+    np.fill_diagonal(gram, n // 2 + 1)
+    return gram
+
+
 def _collective_nullspace(n: int) -> np.ndarray:
     """Orthonormal columns spanning the common null space of S_x, S_y, S_z.
 
@@ -170,18 +192,17 @@ def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
 
     SCD: the nullity of the lowering matrix L, its column count minus the
     number of eigenvalues of the row Gram L L^T (the smaller side) above
-    NULLSPACE_TOL; no singular vectors and no 2^n-row array are built.
+    NULLSPACE_TOL. The Gram comes from its closed form (_lowering_gram), so
+    neither L, singular vectors nor a 2^n x 2^n operator is built.
     """
     _check_size(n, MAX_BRUTE_FORCE_QUBITS)
     if model is CollectiveModel.WCD:
         return max(wcd_sector_dimensions(n).values())
     if n % 2:
         return 0  # odd n: no S_z = 0 states
-    kernel, lowering = _lowering_matrix(n)
-    gram = lowering @ lowering.T
-    del lowering  # 82 MB at n = 14: free it before eigvalsh works on the Gram
-    rank = np.count_nonzero(np.linalg.eigvalsh(gram) > NULLSPACE_TOL)
-    return kernel.size - int(rank)
+    columns = np.count_nonzero(_weights(n) == n // 2)
+    rank = np.count_nonzero(np.linalg.eigvalsh(_lowering_gram(n)) > NULLSPACE_TOL)
+    return int(columns - rank)
 
 
 def eta_max(n: int, model: CollectiveModel) -> Fraction:

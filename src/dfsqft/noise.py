@@ -39,9 +39,14 @@ from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
 MAX_NOISE_QUBITS = 10
-# Amplitudes per chunk in _batched_rows (256 KB per complex array). Of
-# 2^10..2^16 on the benchmark's noise runs, 2^14 was fastest or within 6 % of
-# the fastest; smaller chunks pay per-call overhead, larger ones more memory.
+# Amplitudes per chunk in _batched_rows (256 KB per complex array). Timed
+# with the tiled noise-layer kernel on the benchmark's noise-bench runs (wcd 3
+# and scd 2; two in-process runs of 30 interleaved rounds), 2^12 / 2^13 /
+# 2^15 / 2^16 took 1.42-1.47 / 1.28-1.31 / 0.97-1.12 / 0.97-1.13 x the time
+# of 2^14 at 40 trials of per-gate noise, where every size from 2^14 up runs
+# one chunk (so those spreads are noise), and 1.50 / 1.22 / 0.97 / 1.02-1.05 x
+# at 200 trials of block noise. 2^15 gains 3 % on block noise only, so 2^14
+# stays: smaller chunks pay per-call overhead, larger ones more memory.
 BATCH_AMPLITUDES = 1 << 14
 
 PER_ELEMENTARY_GATE = "per_elementary_gate"

@@ -15,7 +15,10 @@ state or to the columns of a 2^n x k array: the 2^n identity columns for
 circuit_unitary, the k basis columns of a subspace for restrict, and the
 noise module's trials. It copies its input once into one private working
 array and updates that array in place, gate by gate, so the values it
-hands back are new and the caller's array is never written. Verification
+hands back are new and the caller's array is never written. A noise
+layer's per-column coefficients are tiled once per layer into a
+contiguous array the shape of the working array's halves, so every qubit
+of the layer is one or two whole-array ufunc calls. Verification
 compares code-space blocks (k x k) or, for small gate supports, the
 unitaries of a few qubits; the 2^n x 2^n matrix of a large register is
 never needed.
@@ -115,42 +118,73 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
 
     The input is copied once into a private C-ordered 2^n x k working array
     (a vector is a 2^n x 1 batch) and released; each op then updates that
-    array in place, through one scratch array of the same size. Every
-    amplitude rounds as in the out-of-place formulas u[0, 0] * a0 +
-    u[0, 1] * a1 and u[1, 0] * a0 + u[1, 1] * a1: numpy rounds a complex
-    product differently with its operands swapped or with a strided output,
-    so each one is formed u-first into contiguous scratch. H, R and CR have
-    real coefficients and run on the float64 view, and a diagonal noise
-    layer skips its zero off-diagonal products; both can change at most the
-    sign of a zero."""
+    array in place, through scratch the size of the working array (twice
+    that when a noise layer runs on two or more qubits). Every amplitude rounds as in the
+    out-of-place formulas u[0, 0] * a0 + u[0, 1] * a1 and u[1, 0] * a0 +
+    u[1, 1] * a1 on contiguous copies of the halves a0 and a1, so each
+    complex product is formed u-first: numpy rounds it differently with its
+    operands swapped. H, R and CR have real coefficients and run on the
+    float64 view, and a diagonal noise layer skips its zero off-diagonal
+    products; both can change at most the sign of a zero.
+
+    A noise layer's coefficients are copied, once per layer, into a
+    contiguous (2, 2, 2^(n-1), k) tile allocated once per call (a diagonal
+    layer fills only tile[0] with u[0, 0] and u[1, 1]). Qubit t reads the
+    tile reshaped to the shape of its halves, so numpy merges the inner
+    axes of each product instead of looping over a broadcast (k,) row; the
+    halves are one strided view of the working array, so a full layer takes
+    2 ufunc calls per qubit (the four products into scratch, then both sums
+    into the halves) and a diagonal one a single in-place product. On one
+    qubit the layer is one pass and a tile saves nothing, so the
+    coefficients are used as they are: there numpy rounds a one-element
+    product with a contiguous coefficient in another loop than with a
+    broadcast one, and a 1-column layer would change in the last bit."""
     shape = arr.shape
     work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
     del arr
-    scratch = np.empty(work.size, dtype=complex)
+    ops = list(ops)
+    tiled = n > 1 and not all(isinstance(op, Gate) for op in ops)
+    scratch = np.empty(work.size * (2 if tiled else 1), dtype=complex)
+    tile = np.empty((2, 2, work.shape[0] // 2, work.shape[1]), dtype=complex) if tiled else None
     views: dict[tuple, tuple] = {}
 
     def support(qubits: tuple, real: bool) -> tuple:
         key = (qubits, real)
         return views.get(key) or views.setdefault(key, _support_views(work, scratch, *key))
 
+    def layer(t: int) -> tuple:
+        """(halves, products, coefficients) for qubit t: the (2, 2^(n-t),
+        2^(t-1), k) view of the working array whose [0] and [1] are the
+        halves where qubit t is 0 and 1, and the scratch and the tile as
+        (2,) + that shape."""
+        if t not in views:
+            halves = work.reshape(-1, 2, 1 << (t - 1), work.shape[1]).swapaxes(0, 1)
+            shape = (2,) + halves.shape
+            views[t] = halves, scratch.reshape(shape), tile.reshape(shape)
+        return views[t]
+
     for op in ops:
         if not isinstance(op, Gate):
             diagonal = not (op[0, 1].any() or op[1, 0].any())
-            for t in range(1, n + 1):
-                a0, a1, s0, s1 = support((t,), False)
+            if tile is None:  # one qubit, (1, 1, k) halves
+                a0, a1 = work.reshape(1, 2, 1, -1).swapaxes(0, 1)
                 if diagonal:
-                    np.multiply(op[0, 0], a0, out=s0)
-                    np.copyto(a0, s0)
-                    np.multiply(op[1, 1], a1, out=s1)
-                    np.copyto(a1, s1)
-                    continue
-                np.multiply(op[0, 0], a0, out=s0)
-                np.multiply(op[0, 1], a1, out=s1)
-                np.add(s0, s1, out=s0)
-                np.multiply(op[1, 0], a0, out=s1)
-                np.copyto(a0, s0)
-                np.multiply(op[1, 1], a1, out=s0)
-                np.add(s1, s0, out=a1)
+                    a0[...], a1[...] = np.multiply(op[0, 0], a0), np.multiply(op[1, 1], a1)
+                else:
+                    a0[...], a1[...] = (np.multiply(op[0, 0], a0) + np.multiply(op[0, 1], a1),
+                                        np.multiply(op[1, 0], a0) + np.multiply(op[1, 1], a1))
+                continue
+            if diagonal:  # tile[0] holds (u[0, 0], u[1, 1])
+                np.copyto(tile[0], op[(0, 1), (0, 1)].reshape(2, 1, -1))
+            else:
+                np.copyto(tile, op.reshape(2, 2, 1, -1))
+            for t in range(1, n + 1):
+                halves, products, u = layer(t)
+                if diagonal:
+                    np.multiply(u[0], halves, out=halves)
+                else:
+                    np.multiply(u, halves, out=products)
+                    np.add(products[:, 0], products[:, 1], out=halves)
         elif op.kind == "H":
             a0, a1, s0, s1 = support(op.qubits, True)
             np.multiply(_H, a0, out=s0)

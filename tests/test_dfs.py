@@ -202,6 +202,13 @@ class TestBruteForceCensus:
             assert main(["dfs-table", model, "--n-max", "10", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_closed_form_gram_is_exactly_the_product(self, n):
+        _, lowering = dfs._lowering_matrix(n)
+        gram = dfs._lowering_gram(n)
+        assert gram.dtype == lowering.dtype
+        np.testing.assert_array_equal(gram, lowering @ lowering.T)
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_gram_count_equals_svd_rank(self, n):
         kernel, lowering = dfs._lowering_matrix(n)
         svd_count = kernel.size - np.linalg.matrix_rank(lowering, tol=dfs.NULLSPACE_TOL)
@@ -222,7 +229,7 @@ class TestBruteForceCensus:
 
     def test_scd_census_memory_at_ten_qubits(self):
         # the thin SVD of S_x, S_y inside ker S_z peaked near 24 MB; the
-        # lowering matrix is 210 x 252
+        # row Gram of the lowering matrix is 210 x 210
         tracemalloc.start()
         try:
             assert brute_force_max_dfs_dimension(10, SCD) == 42

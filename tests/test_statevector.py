@@ -29,6 +29,8 @@ from dfsqft import (
     unitarity_defect,
 )
 from dfsqft import statevector
+from dfsqft.dfs import CollectiveModel
+from dfsqft.noise import _rotations
 from dfsqft.verify import logical_hadamard, logical_phase, phase_keys
 
 from conftest import gate_matrix_oracle, random_state
@@ -330,6 +332,61 @@ class TestRestrict:
         with pytest.raises(ValueError, match="does not match a 4-qubit register"):
             restrict(Circuit(8, (h(1),)), SCD.basis(1))
 
+
+
+def _layer_reference(layer: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
+    """A noise layer one qubit at a time on contiguous copies of the two
+    halves, u-first: the rounding that _propagate must reproduce."""
+    work = np.array(arr, dtype=complex).reshape(2**n, -1)
+    diagonal = not (layer[0, 1].any() or layer[1, 0].any())
+    for t in range(1, n + 1):
+        parts = work.reshape(-1, 2, 1 << (t - 1), work.shape[1])
+        a0, a1 = parts[:, 0].copy(), parts[:, 1].copy()
+        if diagonal:
+            parts[:, 0] = np.multiply(layer[0, 0], a0)
+            parts[:, 1] = np.multiply(layer[1, 1], a1)
+        else:
+            parts[:, 0] = np.multiply(layer[0, 0], a0) + np.multiply(layer[0, 1], a1)
+            parts[:, 1] = np.multiply(layer[1, 0], a0) + np.multiply(layer[1, 1], a1)
+    return work.reshape(arr.shape)
+
+
+def _random_states(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return states / np.linalg.norm(states, axis=0)
+
+
+class TestNoiseLayerBits:
+    """_propagate applies a noise layer with the bits of the reference, on
+    every register size and column count the noise runs use; a (1, k)
+    coefficient tile at n = 1 fails at k = 1."""
+
+    @pytest.mark.parametrize("model", list(CollectiveModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 40, 64])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_layer(self, n, k, model):
+        rng = np.random.default_rng([n, k, len(model.axes)])
+        axes = len(model.axes)
+        for angles in (rng.uniform(0.0, 2.0 * math.pi, (3, k, axes)),
+                       rng.normal(0.0, 0.3, (3, k, axes))):
+            # the middle event of three, as run_trials hands it over: a strided view
+            layer = _rotations(angles, model).transpose(2, 0, 1, 3)[1]
+            for _ in range(2):
+                arr = _random_states(rng, (2**n, k))
+                got = statevector._propagate([layer], arr, n)
+                expected = _layer_reference(layer, arr, n)
+                np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("model", list(CollectiveModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_layer_on_a_vector(self, n, model):
+        rng = np.random.default_rng([n, len(model.axes)])
+        for _ in range(4):
+            layer = _rotations(rng.uniform(0.0, 2.0 * math.pi, len(model.axes)), model)
+            vector = _random_states(rng, (2**n,))
+            got = statevector._propagate([layer], vector, n)
+            expected = _layer_reference(layer, vector, n)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 def test_restricted_block_is_unitary_when_leak_free():
     from dfsqft import synth_qft_wcd
