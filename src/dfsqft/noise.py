@@ -21,8 +21,14 @@ any such batch into chunks of at most BATCH_AMPLITUDES amplitudes, so
 memory does not grow with the trial count; run_trials and the verify
 noise-invariance check both run through it. Each trial draws from its own
 stream, exactly default_rng([seed, trial]), so results do not depend on
-the chunking; the streams of a whole chunk are seeded at once by
-_seed_words, a vectorized copy of numpy's SeedSequence hash (NEP 19).
+the chunking. A chunk's bookkeeping is vectorized over its trials: its
+streams are seeded at once by _seed_words, a vectorized copy of numpy's
+SeedSequence hash (NEP 19), and its uniform angles are drawn at once by
+_uniform_angles, a vectorized copy of numpy's PCG64 that jumps each stream
+straight to each draw. Gaussian angles are the exception: they come from
+one numpy Generator per trial, as numpy's normal sampler cannot be copied.
+run_trials reduces each chunk's fidelities and leakages in one pass, with
+the bits of one trial at a time.
 """
 from __future__ import annotations
 
@@ -62,6 +68,13 @@ _WORD_MASK = 2**32 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64 (O'Neill 2014): a 128-bit LCG state s -> s * _PCG_MULT + inc, read out
+# by XSL-RR; the uint64 constants keep numpy's integer promotion out of play
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK_128 = 2**128 - 1
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_LOW_32 = np.uint64(_WORD_MASK)
+_ANGLE_SCALE = 2.0 * math.pi / 9007199254740992.0  # uniform(0, 2 pi) per 53-bit draw
 
 
 @dataclass(frozen=True)
@@ -207,12 +220,82 @@ def _trial_streams(seed: int, trials: range) -> list:
     return [stream(words) for words in _seed_words(seed & _SEED_MASK, trials)]
 
 
+def _mul_128(a: tuple, b: tuple) -> tuple:
+    """(high, low) uint64 words of a * b mod 2^128, for (high, low) words;
+    the high word of the low words' product is formed from their 32-bit
+    halves (Warren, Hacker's Delight, mulhu)."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a1, a0, b1, b0 = a_lo >> _U32, a_lo & _LOW_32, b_lo >> _U32, b_lo & _LOW_32
+    t = a1 * b0 + ((a0 * b0) >> _U32)
+    u = a0 * b1 + (t & _LOW_32)
+    high = a1 * b1 + (t >> _U32) + (u >> _U32)
+    high += a_lo * b_hi
+    high += a_hi * b_lo
+    return high, a_lo * b_lo
+
+
+def _add_128(a: tuple, b: tuple) -> tuple:
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+@functools.cache
+def _pcg_jumps(count: int) -> tuple:
+    """(high, low) words of M^i and of M^0 + ... + M^(i-1), the multiplier
+    and increment factor that take a PCG64 state i steps, for i = 2..count + 1.
+    Cached per draw count, as read-only arrays: the Python loop costs about
+    as much as the draws it serves."""
+    power, total, rows = _PCG_MULT, 1, []
+    for _ in range(count):
+        power, total = power * _PCG_MULT & _MASK_128, (total + power) & _MASK_128
+        rows.append((power >> 64, power & _SEED_MASK, total >> 64, total & _SEED_MASK))
+    table = np.array(rows, np.uint64).reshape(count, 4).T.copy()
+    table.setflags(write=False)
+    high_m, low_m, high_g, low_g = table
+    return (high_m, low_m), (high_g, low_g)
+
+
+def _uniform_angles(words: np.ndarray, count: int) -> np.ndarray:
+    """Row j is Generator(PCG64(words[j])).uniform(0, 2 pi, count), computed
+    for all rows at once from the _seed_words rows, without numpy.random.
+
+    PCG64 seeds its state to s_0 = (inc + w0:w1) * M + inc, with inc =
+    w2:w3 << 1 | 1, and steps before each output, so draw m reads s_(m+1) =
+    M^(m+2) (w0:w1 + inc) + (M^0 + ... + M^(m+1)) inc mod 2^128. Its output
+    is the XSL-RR of that state, and a draw is 2 pi times its top 53 bits
+    over 2^53, as in numpy's random_uniform (the scale by 2^-53 is exact, so
+    one product by 2 pi / 2^53 rounds alike)."""
+    words = words[:, :, None]
+    increment = (words[:, 2] << _U1 | words[:, 3] >> _U63, words[:, 3] << _U1 | _U1)
+    with np.errstate(over="ignore"):
+        start = _add_128((words[:, 0], words[:, 1]), increment)
+        power, total = _pcg_jumps(count)
+        high, low = _add_128(_mul_128(power, start), _mul_128(total, increment))
+        low ^= high
+        high >>= _U58
+        out = low >> high
+        out |= low << ((_U64 - high) & _U63)
+        out >>= _U11
+    return out.astype(float) * _ANGLE_SCALE
+
+
 def _draw_angles(rng: np.random.Generator, policy: NoisePolicy, shape) -> np.ndarray:
     # One bulk draw of a given shape yields the same numbers, in row-major
     # order, as the equivalent run of smaller draws from the same stream.
     if policy.distribution == "uniform":
         return rng.uniform(0.0, 2.0 * math.pi, shape)
     return rng.normal(0.0, policy.sigma, shape)
+
+
+def _trial_angles(policy: NoisePolicy, trials: range, shape: tuple) -> np.ndarray:
+    """angles[j]: trial trials[j]'s draw of the given shape from its stream,
+    default_rng([seed, trial]). Uniform draws are computed for the whole
+    chunk at once; gaussian ones come from one generator per trial, as
+    numpy's normal sampler is a ziggurat whose tables it does not expose."""
+    if policy.distribution == "uniform":
+        words = _seed_words(policy.seed & _SEED_MASK, trials)
+        return _uniform_angles(words, math.prod(shape)).reshape(len(trials), *shape)
+    return np.stack([_draw_angles(rng, policy, shape) for rng in _trial_streams(policy.seed, trials)])
 
 
 def sample_event(rng: np.random.Generator, model: CollectiveModel, policy: NoisePolicy) -> NoiseEvent:
@@ -269,15 +352,46 @@ def apply_noise(state: StateVector, event: NoiseEvent, model: CollectiveModel) -
 
 
 def _batched_rows(n: int, count: int, ops: Callable[[range], list],
-                  inputs: Callable[[range], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-    """(column, output) for columns 0..count-1, in chunks of at most
+                  inputs: Callable[[range], np.ndarray]) -> Iterator[tuple[range, np.ndarray]]:
+    """(chunk, rows) for columns 0..count-1, in chunks of at most
     BATCH_AMPLITUDES amplitudes: chunk c, a range of columns, runs the
-    2^n x len(c) array inputs(c) through ops(c). Each output is its own
-    contiguous row, so reducing one at a time rounds as a one-column run."""
+    2^n x len(c) array inputs(c) through ops(c), and rows[j] is the output
+    of column c[j]. The rows are one C-ordered len(c) x 2^n array, so each
+    output is a contiguous row and reduces as a one-column run would."""
     step = max(1, BATCH_AMPLITUDES >> n)
     for first in range(0, count, step):
         chunk = range(first, min(first + step, count))
-        yield from zip(chunk, _propagate(ops(chunk), inputs(chunk), n).T.copy())
+        yield chunk, _propagate(ops(chunk), inputs(chunk), n).T.copy()
+
+
+def _stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a[j] * b[j]) for each row j, as one BLAS dot per row: the dot of
+    a lone pair of vectors, whatever their strides."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _fidelities(ideal: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """min(1, |<ideal|row>|^2) per row, rounded as on one row at a time:
+    the BLAS dot of conj(ideal) and the row (the very sums of np.vdot's
+    conjugating dot), its modulus as hypot, as the scalar abs takes it
+    (array np.abs rounds otherwise), and the square as C pow(x, 2), as a
+    scalar ** 2 takes it (numpy's array power rounds it as x * x)."""
+    overlaps = _stacked_dots(ideal.conj(), rows)
+    moduli = np.hypot(overlaps.real, overlaps.imag)
+    return np.minimum(np.fromiter((math.pow(x, 2.0) for x in moduli.tolist()), float,
+                                  len(moduli)), 1.0)
+
+
+def _leakages(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|row - B B^H row| per row, rounded as np.linalg.norm on one row at a
+    time: each projection is the BLAS gemv of a lone vector (through B^H as
+    the F-ordered view basis.conj().T; a C-ordered copy rounds otherwise),
+    and the squared norm is the dot of the real parts plus that of the
+    imaginary parts."""
+    coefficients = np.matmul(basis.conj().T, rows[:, :, None])
+    residual = rows - np.matmul(basis, coefficients)[:, :, 0]
+    return np.sqrt(_stacked_dots(residual.real, residual.real)
+                   + _stacked_dots(residual.imag, residual.imag))
 
 
 def _noise_positions(policy: NoisePolicy, n_gates: int, block_boundaries) -> list[int]:
@@ -313,8 +427,10 @@ def run_trials(
 
     Each trial draws fresh events at the policy's positions and runs the
     circuit. Trial t draws from exactly default_rng([seed, t]), so identical
-    policies yield identical arrays; the streams of a chunk are seeded in
-    one pass (_seed_words). Trials run as a batch through _batched_rows.
+    policies yield identical arrays; a chunk's angles are drawn in one pass
+    (_trial_angles). Trials run as a batch through _batched_rows, and each
+    chunk's rows are reduced at once (_fidelities, _leakages), rounding as
+    one row at a time would.
     """
     n = circuit.n_qubits
     if input_state.n_qubits != n or ideal_output.n_qubits != n:
@@ -326,9 +442,7 @@ def run_trials(
 
     def noisy_circuit(trials: range) -> list:
         # angles[k, j]: event k of trial j, drawn from the trial's own stream
-        shape = (len(positions), len(model.axes))
-        angles = np.stack([_draw_angles(rng, policy, shape)
-                           for rng in _trial_streams(policy.seed, trials)], axis=1)
+        angles = _trial_angles(policy, trials, (len(positions), len(model.axes))).swapaxes(0, 1)
         # positions[0] is 0: each event precedes the gates up to the next one
         ops = []
         for rotations, start, stop in zip(_rotations(angles, model).transpose(2, 0, 1, 3),
@@ -336,17 +450,15 @@ def run_trials(
             ops += [rotations, *circuit.gates[start:stop]]
         return ops
 
-    basis_matrix = subspace.matrix if subspace is not None else None
-    basis_adjoint = basis_matrix.conj().T if basis_matrix is not None else None
     fidelities = np.empty(policy.trials)
-    leakages = np.empty(policy.trials) if basis_matrix is not None else None
-    for trial, out in _batched_rows(
+    leakages = np.empty(policy.trials) if subspace is not None else None
+    for trials, rows in _batched_rows(
         n, policy.trials, noisy_circuit,
         lambda trials: np.broadcast_to(input_state.amplitudes[:, None], (2**n, len(trials))),
     ):
-        fidelities[trial] = min(1.0, abs(np.vdot(ideal_output.amplitudes, out)) ** 2)
-        if basis_matrix is not None:
-            leakages[trial] = np.linalg.norm(out - basis_matrix @ (basis_adjoint @ out))
+        fidelities[trials.start:trials.stop] = _fidelities(ideal_output.amplitudes, rows)
+        if subspace is not None:
+            leakages[trials.start:trials.stop] = _leakages(subspace.matrix, rows)
     return fidelities, leakages
 
 

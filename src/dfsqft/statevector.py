@@ -205,10 +205,13 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
             np.copyto(s0, a10)
             np.copyto(a10, a11)
             np.copyto(a11, s0)
-        else:  # P: the phase multiplies the (1, 1) quarter, amplitude first
-            _, a11, s0, _ = support(op.qubits, False)
-            np.multiply(a11, complex(math.cos(op.angle), math.sin(op.angle)), out=s0)
-            np.copyto(a11, s0)
+        else:  # P: the phase multiplies the (1, 1) quarter in place, amplitude first
+            _, a11, _, _ = support(op.qubits, False)
+            phase = complex(math.cos(op.angle), math.sin(op.angle))
+            if a11.size > 1:
+                np.multiply(a11, phase, out=a11)
+            else:  # numpy rounds a lone product written in place in another loop
+                a11[...] = np.multiply(a11, phase)
     return work.reshape(shape)
 
 

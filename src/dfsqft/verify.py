@@ -171,10 +171,10 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
     rotations = _rotations(angles, model)
     states = basis.matrix.T.copy()  # contiguous rows, so vdot rounds as on a lone state
     worst = 0.0
-    for row, out in _batched_rows(basis.n_qubits, events, lambda rows: [rotations[:, :, rows]],
-                                  lambda rows: basis.matrix[:, np.array(rows) // 20]):
-        state = states[row // 20]
-        worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, state)) ** 2)))
+    for chunk, outs in _batched_rows(basis.n_qubits, events, lambda rows: [rotations[:, :, rows]],
+                                     lambda rows: basis.matrix[:, np.array(rows) // 20]):
+        for row, out in zip(chunk, outs):
+            worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, states[row // 20])) ** 2)))
     return check("logical_state_noise_invariance", tolerance, worst)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from dfsqft import (
     NoiseEvent,
     NoisePolicy,
     StateVector,
+    SubspaceBasis,
     apply_circuit,
     apply_gate,
     apply_noise,
@@ -419,19 +421,30 @@ class TestTrialStreams:
     """_seed_words against numpy's own SeedSequence, and the streams it seeds."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("trials", [
+    TRIALS = pytest.mark.parametrize("trials", [
         range(0, 3),
         range((noise.BATCH_AMPLITUDES >> 8) - 1, (noise.BATCH_AMPLITUDES >> 8) + 2),
         range(2**32 - 2, 2**32 + 2),
         range(2**64 - 2, 2**64),
     ], ids=["first", "chunk-edge", "word-edge", "last"])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @TRIALS
     def test_seed_words_match_seed_sequence(self, seed, trials):
         want = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials]
         got = noise._seed_words(seed, trials)
         assert got.dtype == np.uint64 and got.shape == (len(trials), 4)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("count", [1, 3, 12, 351])
+    @pytest.mark.parametrize("seed", SEEDS)
+    @TRIALS
+    def test_uniform_angles_match_default_rng(self, seed, trials, count):
+        want = np.array([np.random.default_rng([seed, t]).uniform(0.0, 2.0 * math.pi, count)
+                         for t in trials])
+        got = noise._uniform_angles(noise._seed_words(seed, trials), count)
+        assert got.shape == (len(trials), count)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
     @pytest.mark.parametrize("seed", [7, 2**40 + 7, 2**64 + 31])
@@ -444,9 +457,55 @@ class TestTrialStreams:
                                           noise._draw_angles(want, policy, (6, 3)))
 
     def test_import_does_not_load_numpy_random(self):
-        # the streams import numpy.random on first use, not with the package
-        code = "import sys, dfsqft; print('numpy.random' in sys.modules)"
+        # nor does a uniform run; the gaussian streams import it on first use
+        code = textwrap.dedent("""
+            import sys, dfsqft
+            from dfsqft.noise import run_trials
+            state = dfsqft.StateVector([1, 0, 0, 0])
+            circuit = dfsqft.synth_qft(2)
+            print('numpy.random' in sys.modules)
+            for distribution in ("uniform", "gaussian"):
+                policy = dfsqft.NoisePolicy(granularity=dfsqft.ENDPOINTS_ONLY,
+                                            distribution=distribution, sigma=0.3, trials=3)
+                run_trials(circuit, state, dfsqft.apply_circuit(state, circuit), policy,
+                           dfsqft.CollectiveModel.WCD)
+                print('numpy.random' in sys.modules)
+        """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
-        assert out == "False\n"
+        assert out == "False\nFalse\nTrue\n"
+
+
+class TestChunkReductions:
+    """run_trials reduces a chunk's rows at once, with the bits of one row at
+    a time: min(1, |<ideal|row>|^2) and |row - B B^H row|."""
+
+    @staticmethod
+    def _check(ideal: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> None:
+        fidelities = [min(1.0, abs(np.vdot(ideal, row)) ** 2) for row in rows]
+        leakages = [np.linalg.norm(row - basis @ (basis.conj().T @ row)) for row in rows]
+        np.testing.assert_array_equal(noise._fidelities(ideal, rows).view(np.uint64),
+                                      np.array(fidelities).view(np.uint64))
+        np.testing.assert_array_equal(noise._leakages(basis, rows).view(np.uint64),
+                                      np.array(leakages).view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40, 64, 200])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_rows(self, n, k):
+        rng = np.random.default_rng([n, k])
+        columns = max(1, 2**n // 3)
+        isometry = np.linalg.qr(rng.normal(size=(2**n, columns))
+                                + 1j * rng.normal(size=(2**n, columns)))[0]
+        basis = SubspaceBasis(n, isometry).matrix
+        rows = rng.normal(size=(k, 2**n)) + 1j * rng.normal(size=(k, 2**n))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        self._check(random_state(n, rng).amplitudes, basis, rows)
+
+    @pytest.mark.parametrize("overlap", [
+        0.19573885587375342 - 0.6787233316998788j,  # np.abs rounds its modulus down
+        0.8060503826503107,  # squared as x * x, it rounds up
+    ])
+    def test_rounding_witnesses(self, overlap):
+        rows = np.array([[overlap, math.sqrt(1.0 - abs(overlap) ** 2)]], dtype=complex)
+        self._check(np.array([1.0 + 0j, 0.0]), np.array([[1.0 + 0j], [0.0]]), rows)

@@ -351,6 +351,18 @@ def _layer_reference(layer: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
     return work.reshape(arr.shape)
 
 
+def _phase_reference(i: int, j: int, angle: float, arr: np.ndarray, n: int) -> np.ndarray:
+    """P(i, j, angle) in two passes: the (1, 1) quarter times the phase into
+    a contiguous array, amplitude first, then copied back."""
+    work = np.array(arr, dtype=complex).reshape(2**n, -1)
+    high, low = max(i, j), min(i, j)
+    quarter = work.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << (low - 1), work.shape[1])[:, 1, :, 1]
+    product = np.empty(quarter.shape, dtype=complex)
+    np.multiply(quarter, complex(math.cos(angle), math.sin(angle)), out=product)
+    quarter[...] = product
+    return work.reshape(arr.shape)
+
+
 def _random_states(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return states / np.linalg.norm(states, axis=0)
@@ -387,6 +399,24 @@ class TestNoiseLayerBits:
             got = statevector._propagate([layer], vector, n)
             expected = _layer_reference(layer, vector, n)
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+class TestPhaseGateBits:
+    """A P gate multiplies the (1, 1) quarter in place with the bits of the
+    product formed into contiguous scratch and copied back."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 40, 64])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_in_place_phase(self, n, k):
+        rng = np.random.default_rng([n, k])
+        arr = _random_states(rng, (2**n, k))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    angle = rng.uniform(0.0, 2.0 * math.pi)
+                    got = statevector._propagate([p(i, j, angle)], arr, n)
+                    expected = _phase_reference(i, j, angle, arr, n)
+                    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 def test_restricted_block_is_unitary_when_leak_free():
     from dfsqft import synth_qft_wcd

@@ -35,11 +35,22 @@ BENCH_SIZES = {"wcd": 3, "scd": 2}
 SYNTH_SIZES = {"plain": 14, "wcd": 6, "scd": 3}
 GATE_SIZES = {"wcd": 6, "scd": 3}
 GATE_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
+NOISES = (["--distribution", "uniform"], ["--distribution", "gaussian", "--sigma", "0.3"])
+# Enough block-noise trials that the largest noise-bench runs take several
+# chunks of noise.BATCH_AMPLITUDES (scd 2: three of 64 trials and one of 8).
+MULTI_CHUNK_TRIALS = 200
+
+
+def noise_bench_argv(encoding: str, n: int, policy: str, noise: list[str], trials: int):
+    return ["noise-bench", "--encoding", encoding, "--n", str(n), "--policy", policy, *noise,
+            "--trials", str(trials), "--seed", "5", "--format", "csv"]
 
 
 def cli_cases(suites):
     """(name, argv) of every captured CLI run; verify runs every size that
-    the package's verify suites (dfsqft.verify.SUITES) accept."""
+    the package's verify suites (dfsqft.verify.SUITES) accept, noise-bench
+    every captured size at 30 trials and the largest one again at
+    MULTI_CHUNK_TRIALS of block noise."""
     for encoding, (max_n, _) in suites.items():
         for n in range(1, max_n + 1):
             for fmt in ("json", "csv"):
@@ -48,12 +59,12 @@ def cli_cases(suites):
     for encoding, max_n in BENCH_SIZES.items():
         for n in range(1, max_n + 1):
             for policy in ("elementary", "block", "endpoints"):
-                for noise in (["--distribution", "uniform"],
-                              ["--distribution", "gaussian", "--sigma", "0.3"]):
-                    argv = ["noise-bench", "--encoding", encoding, "--n", str(n),
-                            "--policy", policy, *noise, "--trials", "30", "--seed", "5",
-                            "--format", "csv"]
+                for noise in NOISES:
+                    argv = noise_bench_argv(encoding, n, policy, noise, 30)
                     yield " ".join(argv[1:]), argv
+        for noise in NOISES:
+            argv = noise_bench_argv(encoding, max_n, "block", noise, MULTI_CHUNK_TRIALS)
+            yield " ".join(argv[1:]), argv
     for encoding, max_n in SYNTH_SIZES.items():
         for n in range(1, max_n + 1):
             yield f"synth {encoding} {n}", ["synth", encoding, str(n)]
