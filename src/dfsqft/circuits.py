@@ -41,6 +41,16 @@ def _is_integer(value) -> bool:
     return True
 
 
+def _check_size(value, name: str, limit: int | None = None) -> int:
+    """value as an int, if it is an integer in 1..limit (any positive
+    integer without a limit); the one size check of the package."""
+    if _is_integer(value) and value >= 1 and (limit is None or value <= limit):
+        return _index(value)
+    if limit is None:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer in 1..{limit}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One elementary gate; two-qubit kinds store (control, target)."""
@@ -111,13 +121,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        try:
-            n_qubits = _index(self.n_qubits)
-        except TypeError:
-            n_qubits = 0
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "n_qubits", _check_size(self.n_qubits, "n_qubits"))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.qubits) > self.n_qubits:

@@ -255,38 +255,43 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
     started = time.perf_counter()
 
     arms, model = _bench_arms(encoding, n)
-    csv_lines = _provenance_lines("noise-bench", resolved, seed)
-    csv_lines.append("arm,trial,fidelity,leakage")
-    summaries = {}
+    results = []  # (arm name, fidelities, leakages)
     for name, circuit, bounds, input_state, basis in arms:
         ideal = apply_circuit(input_state, circuit)
         try:
-            fidelities, leakages = run_trials(
+            results.append((name, *run_trials(
                 circuit, input_state, ideal, policy, model, bounds, subspace=basis
-            )
+            )))
         except OverflowError:
             raise RangeError(f"sigma {policy.sigma!r} is too large: "
                              "the noise angles overflow") from None
         except (ValueError, MemoryError) as exc:  # numpy refuses a per-trial array that large
             raise RangeError(f"cannot run {policy.trials} trials: {exc}") from None
-        summaries[name] = RunReport.from_trials(fidelities, leakages, policy).to_dict()
-        for trial in range(policy.trials):
-            leak = "" if leakages is None else repr(float(leakages[trial]))
-            csv_lines.append(f"{name},{trial},{float(fidelities[trial])!r},{leak}")
-
     duration = time.perf_counter() - started
-    json_report = _report_skeleton("noise-bench", resolved, seed)
-    json_report["duration_s"] = duration
-    json_report["arms"] = summaries
 
-    csv_text = "\n".join(csv_lines) + "\n"
-    json_text = json.dumps(json_report, indent=2) + "\n"
+    # each text is rendered only if it is written
+    def csv_text() -> str:
+        lines = _provenance_lines("noise-bench", resolved, seed)
+        lines.append("arm,trial,fidelity,leakage")
+        for name, fidelities, leakages in results:
+            leaks = [""] * policy.trials if leakages is None else map(repr, leakages.tolist())
+            lines += [f"{name},{trial},{fidelity!r},{leak}"
+                      for trial, (fidelity, leak) in enumerate(zip(fidelities.tolist(), leaks))]
+        return "\n".join(lines) + "\n"
+
+    def json_text() -> str:
+        report = _report_skeleton("noise-bench", resolved, seed)
+        report["duration_s"] = duration
+        report["arms"] = {name: RunReport.from_trials(fidelities, leakages, policy).to_dict()
+                          for name, fidelities, leakages in results}
+        return json.dumps(report, indent=2) + "\n"
+
     if args.out is not None:
-        _write_text(args.out + ".csv", csv_text)
-        _write_text(args.out + ".json", json_text)
+        _write_text(args.out + ".csv", csv_text())
+        _write_text(args.out + ".json", json_text())
     else:
         fmt = getattr(args, "format", None) or "json"
-        sys.stdout.write(csv_text if fmt == "csv" else json_text)
+        sys.stdout.write(csv_text() if fmt == "csv" else json_text())
     return 0
 
 

@@ -12,10 +12,11 @@ S_z is diagonal with entry n - 2 w(l) at index l, so the WCD sectors are
 weight counts (wcd_sector_dimensions). A state with S_z = 0 has spin
 zero exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null
 space is that of one 0/1 matrix L from weight n/2 to n/2 + 1 (210 x 252
-at n = 10), read off the eigenvalues of its Gram matrices; the census
-builds the row Gram L L^T from its closed form, without L. No census
-builds a 2^n x 2^n operator; collective_operator is the dense oracle for
-tests and demos.
+at n = 10), read off the eigenvalues of its Gram matrices. The census
+(the row Gram L L^T) and dfs_basis (the column Gram L^T L) read them from
+one closed form, _lowering_gram, and never build L. No census builds a
+2^n x 2^n operator; collective_operator is the dense oracle for tests and
+demos.
 """
 from __future__ import annotations
 
@@ -25,15 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qft import _check_size
-from .statevector import MAX_DENSE_OPERATOR_QUBITS, SubspaceBasis
+from .circuits import _check_size
+from .statevector import MAX_DENSE_OPERATOR_QUBITS, SubspaceBasis, _GRAM_CHUNK
 
 MAX_BRUTE_FORCE_QUBITS = 14
 # A Gram eigenvalue of the lowering matrix (L L^T or L^T L) <= NULLSPACE_TOL is
 # zero. The nonzero ones are j(j+1) >= 2 for the total spins j >= 1, and the
 # float error stays below 2e-13 for every even n <= 14.
 NULLSPACE_TOL = 1e-9
-_GRAM_CHUNK = 1 << 18  # entries per row chunk of _lowering_gram (2 MB of int64)
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -59,7 +59,7 @@ def collective_operator(n: int, axis: str) -> np.ndarray:
     Built by index arithmetic: bit t of the index is qubit t+1, and the Pauli
     on that qubit sends column l to row l (z) or l with bit t flipped (x, y).
     """
-    _check_size(n, MAX_DENSE_OPERATOR_QUBITS)
+    _check_size(n, "n", MAX_DENSE_OPERATOR_QUBITS)
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     sigma = _PAULI[axis]
@@ -93,44 +93,30 @@ def collective_product(axis: str, columns: np.ndarray) -> np.ndarray:
 
 def _weights(n: int) -> np.ndarray:
     """Hamming weight w(l) of every index l in 0..2^n - 1, by index arithmetic."""
-    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
+    _check_size(n, "n", MAX_BRUTE_FORCE_QUBITS)
     return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
 
 
-def _lowering_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(weight-n/2 indices, block of S_- = (S_x - i S_y)/2 from them to weight n/2 + 1).
+def _lowering_gram(n: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of one weight layer, Gram) for the lowering matrix L of even
+    n, the 0/1 block of S_- = (S_x - i S_y)/2 from weight n/2 to n/2 + 1
+    (S_- sets one 0 bit): L^T L at weight n/2, L L^T at weight n/2 + 1.
 
-    S_- flips one 0 bit to 1 with amplitude 1, so the block is a real 0/1
-    matrix; rows and columns follow their weight layer's indices ascending.
+    Entry (a, b) counts the indices of the other layer one bit away from
+    both a and b: weight on the diagonal, 1 where w(a & b) = weight - 1, 0
+    elsewhere. Built from this closed form, without L, in row chunks of at
+    most _GRAM_CHUNK entries, with w(a & b) read from _weights; rows and
+    columns follow the layer's indices ascending.
     """
     weights = _weights(n)
-    kernel = np.flatnonzero(weights == n // 2)
-    upper = np.flatnonzero(weights == n // 2 + 1)
-    lowering = np.zeros((upper.size, kernel.size))
-    for t in range(n):
-        free = np.flatnonzero(((kernel >> t) & 1) == 0)
-        lowering[np.searchsorted(upper, kernel[free] | (1 << t)), free] = 1
-    return kernel, lowering
-
-
-def _lowering_gram(n: int) -> np.ndarray:
-    """L L^T for the lowering matrix L of even n, from its closed form.
-
-    Entry (a, b) counts the weight-n/2 indices below both weight-(n/2 + 1)
-    indices a and b: n/2 + 1 on the diagonal, 1 where a & b has weight n/2,
-    0 elsewhere. Built in row chunks of at most _GRAM_CHUNK entries, with
-    w(a & b) read from _weights; equal to lowering @ lowering.T exactly, in
-    the row order of _lowering_matrix.
-    """
-    weights = _weights(n)
-    upper = np.flatnonzero(weights == n // 2 + 1)
-    gram = np.empty((upper.size, upper.size))
-    step = max(1, _GRAM_CHUNK // upper.size)
-    for first in range(0, upper.size, step):
-        rows = upper[first:first + step, None]
-        gram[first:first + step] = weights[rows & upper] == n // 2
-    np.fill_diagonal(gram, n // 2 + 1)
-    return gram
+    layer = np.flatnonzero(weights == weight)
+    gram = np.empty((layer.size, layer.size))
+    step = max(1, _GRAM_CHUNK // layer.size)
+    for first in range(0, layer.size, step):
+        rows = layer[first:first + step, None]
+        gram[first:first + step] = weights[rows & layer] == weight - 1
+    np.fill_diagonal(gram, weight)
+    return layer, gram
 
 
 def _collective_nullspace(n: int) -> np.ndarray:
@@ -138,13 +124,13 @@ def _collective_nullspace(n: int) -> np.ndarray:
 
     Every such vector lies in ker S_z, spanned by the weight-n/2 states, and
     there spin zero means L v = 0 for the lowering matrix L: the
-    eigenvectors of the column Gram L^T L whose eigenvalues are at most
-    NULLSPACE_TOL, embedded back into the 2^n amplitudes.
+    eigenvectors of the column Gram L^T L (_lowering_gram) whose eigenvalues
+    are at most NULLSPACE_TOL, embedded back into the 2^n amplitudes.
     """
     if n % 2:
         return np.zeros((2**n, 0), dtype=complex)  # odd n: no S_z = 0 states
-    kernel, lowering = _lowering_matrix(n)
-    values, vectors = np.linalg.eigh(lowering.T @ lowering)
+    kernel, gram = _lowering_gram(n, n // 2)
+    values, vectors = np.linalg.eigh(gram)
     zero = values <= NULLSPACE_TOL
     null = np.zeros((2**n, np.count_nonzero(zero)), dtype=complex)
     null[kernel] = vectors[:, zero]
@@ -160,7 +146,7 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
     eigenvectors of the lowering matrix's column Gram L^T L whose
     eigenvalues are at most NULLSPACE_TOL.
     """
-    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
+    _check_size(n, "n", MAX_BRUTE_FORCE_QUBITS)
     if n % 2:
         raise ValueError(f"the canonical {model.value} sector needs even n, got {n}")
     if model is CollectiveModel.WCD:
@@ -173,7 +159,7 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
 
 def max_dfs_dimension(n: int, model: CollectiveModel) -> int:
     """Largest noise-free sector dimension (closed form; 0 means no sector)."""
-    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
+    _check_size(n, "n", MAX_BRUTE_FORCE_QUBITS)
     if model is CollectiveModel.WCD:
         return math.comb(n, n // 2)
     if n % 2:
@@ -195,13 +181,14 @@ def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
     NULLSPACE_TOL. The Gram comes from its closed form (_lowering_gram), so
     neither L, singular vectors nor a 2^n x 2^n operator is built.
     """
-    _check_size(n, MAX_BRUTE_FORCE_QUBITS)
+    _check_size(n, "n", MAX_BRUTE_FORCE_QUBITS)
     if model is CollectiveModel.WCD:
         return max(wcd_sector_dimensions(n).values())
     if n % 2:
         return 0  # odd n: no S_z = 0 states
     columns = np.count_nonzero(_weights(n) == n // 2)
-    rank = np.count_nonzero(np.linalg.eigvalsh(_lowering_gram(n)) > NULLSPACE_TOL)
+    _, gram = _lowering_gram(n, n // 2 + 1)
+    rank = np.count_nonzero(np.linalg.eigvalsh(gram) > NULLSPACE_TOL)
     return int(columns - rank)
 
 
@@ -216,7 +203,7 @@ def eta_max(n: int, model: CollectiveModel) -> Fraction:
 def min_physical_qubits(m: int, model: CollectiveModel) -> int:
     """Smallest register whose largest noise-free sector fits m logical qubits
     (for m <= 5 at most 10: SCD 4/6/8/10/10, WCD 2/4/5/6/7)."""
-    _check_size(m, 5, "m")
+    _check_size(m, "m", 5)
     for n in range(1, MAX_BRUTE_FORCE_QUBITS + 1):
         if max_dfs_dimension(n, model) >= 2**m:
             return n

@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuits import Circuit, _is_integer
+from .circuits import Circuit, _check_size, _is_integer
 from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
@@ -338,15 +338,10 @@ def single_qubit_rotation(event: NoiseEvent, model: CollectiveModel) -> np.ndarr
     return _rotations(np.array(event.phis), model)
 
 
-def _check_noise_register(n: int) -> None:
-    if n > MAX_NOISE_QUBITS:
-        raise ValueError(f"register of {n} qubits is too large for noise (max {MAX_NOISE_QUBITS})")
-
-
 def apply_noise(state: StateVector, event: NoiseEvent, model: CollectiveModel) -> StateVector:
     """Apply exp(-i * sum_a phi_a S_a); exact identity (up to a global phase,
     which is exactly 1 for spin-zero sectors) on decoherence-free states."""
-    _check_noise_register(state.n_qubits)
+    _check_size(state.n_qubits, "noise register size", MAX_NOISE_QUBITS)
     rotation = single_qubit_rotation(event, model)
     return StateVector(_propagate([rotation], state.amplitudes, state.n_qubits))
 
@@ -437,7 +432,7 @@ def run_trials(
         raise ValueError("circuit, input, and ideal output must share one register size")
     if subspace is not None and subspace.n_qubits != n:
         raise ValueError(f"{n}-qubit circuit does not match a {subspace.n_qubits}-qubit register")
-    _check_noise_register(n)
+    _check_size(n, "noise register size", MAX_NOISE_QUBITS)
     positions = _noise_positions(policy, len(circuit), block_boundaries)
 
     def noisy_circuit(trials: range) -> list:

@@ -19,24 +19,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuits import Circuit, Gate, _is_integer, h, p
-from .statevector import (MAX_DENSE_OPERATOR_QUBITS, MAX_QUBITS, StateVector, SubspaceBasis,
-                          _check_register)
-
-
-def _check_size(n: int, limit: int, name: str = "n") -> None:
-    if not _is_integer(n) or not 1 <= n <= limit:
-        raise ValueError(f"{name} must be an integer in 1..{limit}, got {n!r}")
-
-
-def _check_n_logical(n: int) -> None:
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"n_logical must be a positive integer, got {n!r}")
+from .circuits import Circuit, Gate, _check_size, _is_integer, h, p
+from .statevector import MAX_DENSE_OPERATOR_QUBITS, MAX_QUBITS, StateVector, SubspaceBasis
 
 
 def _check_logical(n: int, *indices: int) -> None:
     """n logical qubits, and each index one of them."""
-    _check_n_logical(n)
+    _check_size(n, "n_logical")
     for t in indices:
         if not (_is_integer(t) and 1 <= t <= n):
             raise ValueError(f"logical index {t} out of range 1..{n}")
@@ -48,7 +37,7 @@ def dft_matrix(n: int) -> np.ndarray:
     The phase argument is reduced mod 2^n in integer arithmetic before
     exponentiation, keeping entries accurate to ~1e-15 at any supported n.
     """
-    _check_size(n, MAX_DENSE_OPERATOR_QUBITS)
+    _check_size(n, "n", MAX_DENSE_OPERATOR_QUBITS)
     dim = 2**n
     k = np.arange(dim)
     return np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
@@ -57,7 +46,7 @@ def dft_matrix(n: int) -> np.ndarray:
 def synth_qft(n: int) -> Circuit:
     """Swap-free QFT sequence: n Hadamards and n(n-1)/2 controlled phases,
     the QFT skeleton on the plain code."""
-    _check_size(n, MAX_QUBITS)
+    _check_size(n, "n", MAX_QUBITS)
     return synth_logical_qft(n, PLAIN)
 
 
@@ -65,7 +54,7 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     """Index map l -> reversal of l's n-bit string: synth_qft(n) emits
     Fourier coefficient l at slot perm[l], so its unitary equals
     dft_matrix(n)[perm] up to a global phase (perm is an involution)."""
-    _check_size(n, MAX_QUBITS)
+    _check_size(n, "n", MAX_QUBITS)
     index = np.arange(2**n, dtype=np.int64)
     perm = np.zeros_like(index)
     for t in range(n):
@@ -93,8 +82,7 @@ class BlockCode:
     decoder: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if not _is_integer(self.size) or self.size < 1:
-            raise ValueError(f"block size must be a positive integer, got {self.size!r}")
+        _check_size(self.size, "block size")
         states = np.array(self.states, dtype=complex)
         if states.shape != (2**self.size, 2):
             raise ValueError(f"a {self.size}-qubit block needs a {2**self.size} x 2 state "
@@ -104,8 +92,7 @@ class BlockCode:
 
     def decode(self, t: int) -> tuple[Gate, ...]:
         """The decoder shifted onto block t."""
-        if not _is_integer(t) or t < 1:
-            raise ValueError(f"logical index must be a positive integer, got {t!r}")
+        _check_size(t, "logical index")
         shift = self.size * (t - 1)
         return tuple(Gate(g.kind, tuple(q + shift for q in g.qubits), g.angle)
                      for g in self.decoder)
@@ -115,14 +102,14 @@ class BlockCode:
         select; the leftmost character is the highest logical qubit."""
         if not bits or any(c not in "01" for c in bits):
             raise ValueError(f"bit string must be nonempty over 0/1, got {bits!r}")
-        _check_register(self.size * len(bits))
+        _check_size(self.size * len(bits), "register size", MAX_QUBITS)
         return StateVector(functools.reduce(np.kron, (self.states[:, int(c)] for c in bits)))
 
     def basis(self, n: int) -> SubspaceBasis:
         """All 2^n encoded basis states, ordered by logical index: the n-fold
         kron of the code-state matrix."""
-        _check_n_logical(n)
-        _check_register(self.size * n)
+        _check_size(n, "n_logical")
+        _check_size(self.size * n, "register size", MAX_QUBITS)
         return SubspaceBasis(self.size * n, functools.reduce(np.kron, [self.states] * n))
 
     def hadamard(self, k: int) -> tuple[Gate, ...]:
@@ -152,7 +139,7 @@ PLAIN = BlockCode(1, np.eye(2))
 def _logical_gates(n: int, code: BlockCode) -> Iterator[tuple[Gate, ...]]:
     """The QFT gate order: from qubit n down to qubit 1, H on qubit k, then
     P(j, k, pi/2^(k-j)) for j = k-1 .. 1, each one logical gate of code."""
-    _check_n_logical(n)
+    _check_size(n, "n_logical")
     for k in range(n, 0, -1):
         yield code.hadamard(k)
         for j in range(k - 1, 0, -1):

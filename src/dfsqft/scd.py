@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, cn, cr, h, r
-from .qft import BlockCode, _check_logical, _check_size, synth_logical_qft
+from .circuits import Circuit, _check_size, cn, cr, h, r
+from .qft import BlockCode, _check_logical, synth_logical_qft
 
 MAX_SCD_LOGICAL = 3  # 12 physical qubits
 
@@ -138,7 +138,7 @@ def scd_transform_matrix(n: int) -> np.ndarray:
     """Dense kron of the fallback basis change over n logical blocks: sends
     every encoded basis state to a computational basis state by construction.
     The dense oracle that _fallback_columns is tested against."""
-    _check_size(n, MAX_SCD_LOGICAL)
+    _check_size(n, "n", MAX_SCD_LOGICAL)
     return functools.reduce(np.kron, [_fallback_block()] * n)
 
 
@@ -159,5 +159,5 @@ def scd_phase(i: int, j: int, theta: float, n: int) -> Circuit:
 def synth_qft_scd(n: int) -> Circuit:
     """Encoded QFT on 4n physical qubits; its restriction to the logical basis
     reproduces the plain n-qubit QFT matrix."""
-    _check_size(n, MAX_SCD_LOGICAL)
+    _check_size(n, "n", MAX_SCD_LOGICAL)
     return synth_logical_qft(n, SCD)

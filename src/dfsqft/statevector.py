@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, _is_integer
+from .circuits import Circuit, Gate, _check_size, _is_integer
 
 MAX_QUBITS = 14
 MAX_DENSE_OPERATOR_QUBITS = 10  # the one cap on 2^n x 2^n arrays: 4 GB complex at n = 14
@@ -54,7 +54,7 @@ class StateVector:
         n = amps.size.bit_length() - 1
         if amps.size < 2 or amps.size != 2**n:
             raise ValueError(f"amplitude count {amps.size} is not a power of two >= 2")
-        _check_register(n)
+        _check_size(n, "register size", MAX_QUBITS)
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_ATOL:  # `not x <= tol`, so that NaN fails
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
@@ -68,7 +68,7 @@ class StateVector:
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> StateVector:
         """Computational basis state |index> on n_qubits."""
-        _check_register(n_qubits)
+        _check_size(n_qubits, "register size", MAX_QUBITS)
         if not _is_integer(index) or not 0 <= index < 2**n_qubits:
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
         amps = np.zeros(2**n_qubits, dtype=complex)
@@ -81,12 +81,6 @@ class StateVector:
         if not bits or any(c not in "01" for c in bits):
             raise ValueError(f"bit string must be nonempty over 0/1, got {bits!r}")
         return cls.basis(len(bits), int(bits, 2))
-
-
-def _check_register(n: int, limit: int = MAX_QUBITS) -> None:
-    if not _is_integer(n) or not 1 <= n <= limit:
-        raise ValueError(f"register size {n!r} is unsupported: "
-                         f"it must be an integer in 1..{limit}")
 
 
 def _support_views(work: np.ndarray, scratch: np.ndarray, qubits: tuple, real: bool) -> tuple:
@@ -234,7 +228,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Lower a circuit to its dense matrix; column l is the circuit applied to |l>.
     Circuit.on_register lowers it on a wider register."""
     n = circuit.n_qubits
-    _check_register(n, MAX_DENSE_OPERATOR_QUBITS)
+    _check_size(n, "register size", MAX_DENSE_OPERATOR_QUBITS)
     return _propagate(circuit.gates, np.eye(2**n, dtype=complex), n)
 
 
@@ -254,7 +248,7 @@ class SubspaceBasis:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_register(self.n_qubits)
+        _check_size(self.n_qubits, "register size", MAX_QUBITS)
         matrix = np.array(self.matrix, dtype=complex, order="C")
         if matrix.ndim != 2 or matrix.shape[0] != 2**self.n_qubits:
             raise ValueError(f"basis matrix of shape {matrix.shape} does not fit a "

@@ -9,8 +9,9 @@ index, independently of the circuits under test.
 Every encoded check runs on the k code-space columns (restrict), on a few
 qubits (encoder conjugation compares unitaries on the union of two
 circuits' supports, at most 16 x 16), or on the logical register (the DFT
-oracle); no suite lowers a circuit on its physical register to a dense
-unitary.
+oracle); no encoded suite lowers a circuit on its physical register to a
+dense unitary. The plain suite does, so its largest n is the one cap on
+2^n x 2^n arrays, statevector.MAX_DENSE_OPERATOR_QUBITS.
 
 SUITES maps each encoding to (largest n, run); the CLI dispatches through
 it and the acceptance suite reads the same runs.
@@ -24,10 +25,11 @@ import numpy as np
 
 from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
-from .noise import _batched_rows, _rotations
+from .noise import _batched_rows, _fidelities, _rotations
 from .qft import BlockCode, bit_reversal_permutation, dft_matrix, synth_qft
 from .scd import MAX_SCD_LOGICAL, SCD, _fallback_columns, synth_qft_scd
 from .statevector import (
+    MAX_DENSE_OPERATOR_QUBITS,
     SubspaceBasis,
     circuit_unitary,
     global_phase_agreement,
@@ -35,9 +37,6 @@ from .statevector import (
     unitarity_defect,
 )
 from .wcd import MAX_WCD_LOGICAL, WCD, synth_qft_wcd, wcd_encoder_circuit
-
-# Plain verify lowers the whole register to a dense 2^n x 2^n unitary.
-MAX_ORACLE_QUBITS = 8
 
 # Controlled-phase angles of the logical-gate checks; WCD also checks pi/8.
 _WCD_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -165,16 +164,18 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
 
     Row 20 * j + e of the one angle draw is event e of state j, the order of
     one draw per event. The events run as one batch through the noise
-    module's _batched_rows, so memory does not grow with the code space."""
+    module's _batched_rows, so memory does not grow with the code space, and
+    each chunk reduces at once through the noise module's _fidelities, as
+    run_trials does."""
     events = len(basis) * 20
     angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (events, len(model.axes)))
     rotations = _rotations(angles, model)
-    states = basis.matrix.T.copy()  # contiguous rows, so vdot rounds as on a lone state
+    states = basis.matrix.T.copy()  # contiguous rows, so each dot rounds as on a lone state
     worst = 0.0
     for chunk, outs in _batched_rows(basis.n_qubits, events, lambda rows: [rotations[:, :, rows]],
                                      lambda rows: basis.matrix[:, np.array(rows) // 20]):
-        for row, out in zip(chunk, outs):
-            worst = max(worst, 1.0 - min(1.0, float(abs(np.vdot(out, states[row // 20])) ** 2)))
+        fidelities = _fidelities(states[np.array(chunk) // 20], outs)
+        worst = max(worst, 1.0 - float(np.min(fidelities)))
     return check("logical_state_noise_invariance", tolerance, worst)
 
 
@@ -250,7 +251,7 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
 
 
 SUITES = {
-    "plain": (MAX_ORACLE_QUBITS, _verify_plain),
+    "plain": (MAX_DENSE_OPERATOR_QUBITS, _verify_plain),
     "wcd": (MAX_WCD_LOGICAL, _verify_wcd),
     "scd": (MAX_SCD_LOGICAL, _verify_scd),
 }

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, cn
-from .qft import BlockCode, _check_logical, _check_n_logical, _check_size, synth_logical_qft
+from .circuits import Circuit, _check_size, cn
+from .qft import BlockCode, _check_logical, synth_logical_qft
 
 MAX_WCD_LOGICAL = 6  # 12 physical qubits
 
@@ -41,12 +41,12 @@ def wcd_encoder_circuit(n: int) -> Circuit:
     """The pair decoders of logical qubits n .. 1 (high controls low);
     conjugating physical H or P gates on the high qubits by this circuit
     yields the logical gates above."""
-    _check_n_logical(n)
+    _check_size(n, "n_logical")
     return Circuit(2 * n, tuple(g for t in range(n, 0, -1) for g in WCD.decode(t)))
 
 
 def synth_qft_wcd(n: int) -> Circuit:
     """Encoded QFT on 2n physical qubits; its restriction to the logical basis
     reproduces the plain n-qubit QFT matrix."""
-    _check_size(n, MAX_WCD_LOGICAL)
+    _check_size(n, "n", MAX_WCD_LOGICAL)
     return synth_logical_qft(n, WCD)

@@ -1,6 +1,6 @@
 """Shared helpers: random normalized states and independent oracles for gate
-matrices, collective operators, the SCD null space and the encoded basis
-states."""
+matrices, collective operators, the SCD null space, the lowering matrix and
+the encoded basis states."""
 from __future__ import annotations
 
 import functools
@@ -117,3 +117,18 @@ def collective_nullspace_oracle(n: int) -> np.ndarray:
     _, singulars, vh = np.linalg.svd(stacked)
     rank = int(np.sum(singulars > NULLSPACE_TOL))
     return vh[rank:].conj().T
+
+
+def lowering_matrix_oracle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weight-n/2 indices, weight-(n/2 + 1) indices, L) for even n, where L
+    is the block of S_- = (S_x - i S_y)/2 from the first layer to the second.
+    S_- sets one 0 bit with amplitude 1, so L is a real 0/1 matrix; rows and
+    columns follow their layer's indices ascending."""
+    weights = np.array([bin(l).count("1") for l in range(2**n)])
+    kernel = np.flatnonzero(weights == n // 2)
+    upper = np.flatnonzero(weights == n // 2 + 1)
+    lowering = np.zeros((upper.size, kernel.size))
+    for t in range(n):
+        free = np.flatnonzero(((kernel >> t) & 1) == 0)
+        lowering[np.searchsorted(upper, kernel[free] | (1 << t)), free] = 1
+    return kernel, upper, lowering

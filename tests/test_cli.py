@@ -100,7 +100,7 @@ _SCD_CHECKS = [
 ]
 # The ordered (name, tolerance) checks of each (encoding, n).
 VERIFY_INVENTORY = {
-    **{("plain", n): _PLAIN_CHECKS for n in range(1, 9)},
+    **{("plain", n): _PLAIN_CHECKS for n in range(1, 11)},
     ("wcd", 1): _WCD_1_CHECKS,
     **{("wcd", n): _WCD_CHECKS for n in range(2, 7)},
     **{("scd", n): _SCD_CHECKS for n in range(1, 4)},
@@ -124,6 +124,12 @@ class TestVerify:
         assert {"version", "config", "seed", "duration_s"} <= report.keys()
         inventory = [(c["name"], c["tolerance"]) for c in report["checks"]]
         assert inventory == VERIFY_INVENTORY[encoding, n]
+
+    def test_plain_cap_is_the_dense_operator_cap(self, capsys):
+        # plain verify lowers the register to one dense unitary, so
+        # statevector.MAX_DENSE_OPERATOR_QUBITS is its cap
+        assert run_cli("verify", "plain", "11") == 1
+        assert capsys.readouterr().err == "error: plain supports n in 1..10, got 11\n"
 
     def test_plain_single_qubit_is_hadamard_check(self, capsys):
         assert run_cli("verify", "plain", "1") == 0

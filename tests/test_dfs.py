@@ -21,7 +21,7 @@ from dfsqft import (
 from dfsqft import dfs
 from dfsqft.cli import main
 
-from conftest import collective_nullspace_oracle, collective_operator_oracle
+from conftest import collective_nullspace_oracle, collective_operator_oracle, lowering_matrix_oracle
 
 WCD = CollectiveModel.WCD
 SCD = CollectiveModel.SCD
@@ -172,10 +172,10 @@ class TestBruteForceCensus:
 
     @pytest.mark.parametrize("n", range(2, 11, 2))
     def test_lowering_matrix_is_the_weight_layer_block_of_s_minus(self, n):
-        kernel, lowering = dfs._lowering_matrix(n)
-        upper = np.flatnonzero(dfs._weights(n) == n // 2 + 1)
+        kernel, upper, lowering = lowering_matrix_oracle(n)
         s_minus = (collective_operator(n, "x") - 1j * collective_operator(n, "y")) / 2
         np.testing.assert_array_equal(kernel, np.flatnonzero(dfs._weights(n) == n // 2))
+        np.testing.assert_array_equal(upper, np.flatnonzero(dfs._weights(n) == n // 2 + 1))
         np.testing.assert_array_equal(lowering, s_minus[np.ix_(upper, kernel)])
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -203,14 +203,18 @@ class TestBruteForceCensus:
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_closed_form_gram_is_exactly_the_product(self, n):
-        _, lowering = dfs._lowering_matrix(n)
-        gram = dfs._lowering_gram(n)
-        assert gram.dtype == lowering.dtype
-        np.testing.assert_array_equal(gram, lowering @ lowering.T)
+        # L^T L on the weight-n/2 layer, L L^T on the weight-(n/2 + 1) layer
+        kernel, upper, lowering = lowering_matrix_oracle(n)
+        for weight, indices, product in ((n // 2, kernel, lowering.T @ lowering),
+                                         (n // 2 + 1, upper, lowering @ lowering.T)):
+            layer, gram = dfs._lowering_gram(n, weight)
+            np.testing.assert_array_equal(layer, indices)
+            assert gram.dtype == product.dtype
+            np.testing.assert_array_equal(gram, product)
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_gram_count_equals_svd_rank(self, n):
-        kernel, lowering = dfs._lowering_matrix(n)
+        kernel, _, lowering = lowering_matrix_oracle(n)
         svd_count = kernel.size - np.linalg.matrix_rank(lowering, tol=dfs.NULLSPACE_TOL)
         assert brute_force_max_dfs_dimension(n, SCD) == svd_count
 
@@ -218,7 +222,7 @@ class TestBruteForceCensus:
     def test_gram_eigenvalues_are_zero_or_at_least_two(self, n):
         # nonzero eigenvalues are j(j+1) for total spin j >= 1, so
         # NULLSPACE_TOL = 1e-9 sits far from both float error and 2
-        _, lowering = dfs._lowering_matrix(n)
+        _, _, lowering = lowering_matrix_oracle(n)
         rows = np.linalg.eigvalsh(lowering @ lowering.T)
         columns = np.linalg.eigvalsh(lowering.T @ lowering)
         assert rows.min() >= 2 - 1e-9

@@ -127,9 +127,10 @@ class TestApplyNoise:
         state = StateVector.basis(n, 0)
         circuit = Circuit(n, (h(1),))
         policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=1, seed=0)
-        with pytest.raises(ValueError, match=f"{n} qubits is too large for noise"):
+        message = rf"^noise register size must be an integer in 1\.\.10, got {n}$"
+        with pytest.raises(ValueError, match=message):
             apply_noise(state, NoiseEvent((0.1,)), WCD)
-        with pytest.raises(ValueError, match=f"{n} qubits is too large for noise"):
+        with pytest.raises(ValueError, match=message):
             run_trials(circuit, state, apply_circuit(state, circuit), policy, WCD)
 
     def test_zero_event_is_identity(self):

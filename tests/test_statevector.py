@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,19 +68,20 @@ class TestStateVector:
             StateVector(np.array([1.0, 0.0, 0.0]))
 
     def test_register_cap(self):
-        with pytest.raises(ValueError, match="unsupported"):
+        cap = r"^register size must be an integer in 1\.\.14, got "
+        with pytest.raises(ValueError, match=cap + "15$"):
             StateVector.basis(15, 0)
         # 2^60 amplitudes cannot be allocated: only a check made first gives this error
-        with pytest.raises(ValueError, match="unsupported"):
+        with pytest.raises(ValueError, match=cap + "60$"):
             StateVector.basis(60, 0)
-        with pytest.raises(ValueError, match="unsupported"):
+        with pytest.raises(ValueError, match=cap + "60$"):
             StateVector.from_bits("0" * 60)
 
     @pytest.mark.parametrize("n_qubits", [-1, 0, 1.5, True])
     def test_register_below_one_or_fractional(self, n_qubits):
         # 2**-1 is 0.5, so the check must come before any 2**n
-        with pytest.raises(ValueError, match=r"^register size .* is unsupported: "
-                                             r"it must be an integer in 1\.\.14$"):
+        with pytest.raises(ValueError, match=r"^register size must be an integer in 1\.\.14, "
+                                             rf"got {re.escape(repr(n_qubits))}$"):
             StateVector.basis(n_qubits, 0)
 
     @pytest.mark.parametrize("index", [1.5, True, "1"])
@@ -191,8 +193,7 @@ class TestCircuitUnitary:
                      lambda: circuit_unitary(Circuit(1).on_register(11))):
             with pytest.raises(ValueError) as info:
                 call()
-            assert str(info.value) == ("register size 11 is unsupported: "
-                                       "it must be an integer in 1..10")
+            assert str(info.value) == "register size must be an integer in 1..10, got 11"
 
     def test_apply_circuit_matches_matrix(self):
         rng = np.random.default_rng(5)
@@ -243,7 +244,8 @@ class TestSubspaceBasis:
     def test_register_consistency(self):
         _refusal(lambda: SubspaceBasis(2, np.array([[1.0], [0.0]])), "register")
         _refusal(lambda: SubspaceBasis(1, np.array([1.0, 0.0])), "register")
-        _refusal(lambda: SubspaceBasis(1.5, np.eye(2)), "register size 1.5 is unsupported")
+        _refusal(lambda: SubspaceBasis(1.5, np.eye(2)),
+                 r"^register size must be an integer in 1\.\.14, got 1\.5$")
 
     def test_empty_refused(self):
         _refusal(lambda: SubspaceBasis(1, np.zeros((2, 0))), "at least one vector")
