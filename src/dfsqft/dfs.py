@@ -12,11 +12,12 @@ S_z is diagonal with entry n - 2 w(l) at index l, so the WCD sectors are
 weight counts (wcd_sector_dimensions). A state with S_z = 0 has spin
 zero exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null
 space is that of one 0/1 matrix L from weight n/2 to n/2 + 1 (210 x 252
-at n = 10), read off the eigenvalues of its Gram matrices. The census
-(the row Gram L L^T) and dfs_basis (the column Gram L^T L) read them from
-one closed form, _lowering_gram, and never build L. No census builds a
-2^n x 2^n operator; collective_operator is the dense oracle for tests and
-demos.
+at n = 10). Both Gram matrices come from one closed form, _lowering_gram,
+and L is never built. dfs_basis takes the eigenvectors of the column Gram
+L^T L. The census needs only the rank of the row Gram L L^T: one Cholesky
+of L L^T - NULLSPACE_TOL * I certifies full row rank, and only when it
+fails are the eigenvalues counted. No census builds a 2^n x 2^n operator;
+collective_operator is the dense oracle for tests and demos.
 """
 from __future__ import annotations
 
@@ -32,7 +33,9 @@ from .statevector import MAX_DENSE_OPERATOR_QUBITS, SubspaceBasis, _GRAM_CHUNK
 MAX_BRUTE_FORCE_QUBITS = 14
 # A Gram eigenvalue of the lowering matrix (L L^T or L^T L) <= NULLSPACE_TOL is
 # zero. The nonzero ones are j(j+1) >= 2 for the total spins j >= 1, and the
-# float error stays below 2e-13 for every even n <= 14.
+# float error stays below 2e-13 for every even n <= 14. The census shifts the
+# row Gram's diagonal down by it, so a Cholesky that succeeds proves every
+# eigenvalue above it.
 NULLSPACE_TOL = 1e-9
 
 _PAULI = {
@@ -134,6 +137,7 @@ def _collective_nullspace(n: int) -> np.ndarray:
     zero = values <= NULLSPACE_TOL
     null = np.zeros((2**n, np.count_nonzero(zero)), dtype=complex)
     null[kernel] = vectors[:, zero]
+    null.flags.writeable = False  # handed to SubspaceBasis, which then keeps it uncopied
     return null
 
 
@@ -153,6 +157,7 @@ def dfs_basis(n: int, model: CollectiveModel) -> SubspaceBasis:
         kernel = np.flatnonzero(_weights(n) == n // 2)
         states = np.zeros((2**n, kernel.size), dtype=complex)
         states[kernel, np.arange(kernel.size)] = 1.0
+        states.flags.writeable = False
         return SubspaceBasis(n, states)
     return SubspaceBasis(n, _collective_nullspace(n))
 
@@ -177,9 +182,16 @@ def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
     """Same quantity as max_dfs_dimension, but measured on the operators themselves.
 
     SCD: the nullity of the lowering matrix L, its column count minus the
-    number of eigenvalues of the row Gram L L^T (the smaller side) above
-    NULLSPACE_TOL. The Gram comes from its closed form (_lowering_gram), so
-    neither L, singular vectors nor a 2^n x 2^n operator is built.
+    rank of the row Gram L L^T (the smaller side), the number of its
+    eigenvalues above NULLSPACE_TOL. The Gram comes from its closed form
+    (_lowering_gram), so neither L, singular vectors nor a 2^n x 2^n
+    operator is built. Its diagonal is shifted down by NULLSPACE_TOL in
+    place; if the Cholesky factorization of the shifted Gram succeeds, it
+    is positive definite, every eigenvalue is above the tolerance and the
+    rank is the row count. This certificate holds for every even n <= 14.
+    Only when the factorization fails is the diagonal restored and the
+    eigenvalues (eigvalsh) counted: a rank-deficient Gram is the fault the
+    brute force exists to report.
     """
     _check_size(n, "n", MAX_BRUTE_FORCE_QUBITS)
     if model is CollectiveModel.WCD:
@@ -188,7 +200,14 @@ def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
         return 0  # odd n: no S_z = 0 states
     columns = np.count_nonzero(_weights(n) == n // 2)
     _, gram = _lowering_gram(n, n // 2 + 1)
-    rank = np.count_nonzero(np.linalg.eigvalsh(gram) > NULLSPACE_TOL)
+    diagonal = gram.diagonal().copy()
+    np.fill_diagonal(gram, diagonal - NULLSPACE_TOL)  # in place: no second N x N array
+    try:
+        np.linalg.cholesky(gram)
+        rank = len(gram)  # gram - NULLSPACE_TOL * I is positive definite
+    except np.linalg.LinAlgError:
+        np.fill_diagonal(gram, diagonal)
+        rank = np.count_nonzero(np.linalg.eigvalsh(gram) > NULLSPACE_TOL)
     return int(columns - rank)
 
 

@@ -365,13 +365,14 @@ def _stacked_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _fidelities(ideal: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """min(1, |<ideal|row>|^2) per row, rounded as on one row at a time:
-    the BLAS dot of conj(ideal) and the row (the very sums of np.vdot's
+def _fidelities(bra: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """min(1, |<ideal|row>|^2) per row, given bra = conj(ideal) (one row, or
+    one per row), conjugated once by the caller; rounded as on one row at a
+    time: the BLAS dot of bra and the row (the very sums of np.vdot's
     conjugating dot), its modulus as hypot, as the scalar abs takes it
     (array np.abs rounds otherwise), and the square as C pow(x, 2), as a
     scalar ** 2 takes it (numpy's array power rounds it as x * x)."""
-    overlaps = _stacked_dots(ideal.conj(), rows)
+    overlaps = _stacked_dots(bra, rows)
     moduli = np.hypot(overlaps.real, overlaps.imag)
     return np.minimum(np.fromiter((math.pow(x, 2.0) for x in moduli.tolist()), float,
                                   len(moduli)), 1.0)
@@ -445,13 +446,14 @@ def run_trials(
             ops += [rotations, *circuit.gates[start:stop]]
         return ops
 
+    bra = ideal_output.amplitudes.conj()
     fidelities = np.empty(policy.trials)
     leakages = np.empty(policy.trials) if subspace is not None else None
     for trials, rows in _batched_rows(
         n, policy.trials, noisy_circuit,
         lambda trials: np.broadcast_to(input_state.amplitudes[:, None], (2**n, len(trials))),
     ):
-        fidelities[trials.start:trials.stop] = _fidelities(ideal_output.amplitudes, rows)
+        fidelities[trials.start:trials.stop] = _fidelities(bra, rows)
         if subspace is not None:
             leakages[trials.start:trials.stop] = _leakages(subspace.matrix, rows)
     return fidelities, leakages

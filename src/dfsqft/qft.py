@@ -23,6 +23,17 @@ from .circuits import Circuit, Gate, _check_size, _is_integer, h, p
 from .statevector import MAX_DENSE_OPERATOR_QUBITS, MAX_QUBITS, StateVector, SubspaceBasis
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, the very same products, written into a
+    read-only array of its own (np.kron returns a reshaped view), which
+    SubspaceBasis then keeps without a copy."""
+    out = np.empty((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), dtype=complex)
+    np.multiply(a[:, None, :, None], b[None, :, None, :],
+                out=out.reshape(a.shape[0], b.shape[0], a.shape[1], b.shape[1]))
+    out.flags.writeable = False
+    return out
+
+
 def _check_logical(n: int, *indices: int) -> None:
     """n logical qubits, and each index one of them."""
     _check_size(n, "n_logical")
@@ -110,7 +121,7 @@ class BlockCode:
         kron of the code-state matrix."""
         _check_size(n, "n_logical")
         _check_size(self.size * n, "register size", MAX_QUBITS)
-        return SubspaceBasis(self.size * n, functools.reduce(np.kron, [self.states] * n))
+        return SubspaceBasis(self.size * n, functools.reduce(_kron, [self.states] * n))
 
     def hadamard(self, k: int) -> tuple[Gate, ...]:
         """H on logical qubit k: H on top qubit size*k between the decoder

@@ -126,12 +126,15 @@ def _fallback_block() -> np.ndarray:
 
 def _fallback_columns(columns: np.ndarray, n: int) -> np.ndarray:
     """scd_transform_matrix(n) @ columns for a 16^n x k array,
-    applied one 16x16 block at a time instead of as a dense kron."""
+    applied one 16x16 block at a time instead of as a dense kron. The
+    result is a fresh C-ordered array that owns its data."""
     block = _fallback_block()
     arr = columns.reshape((16,) * n + columns.shape[1:])
     for axis in range(n):
         arr = np.moveaxis(np.tensordot(block, arr, axes=([1], [axis])), 0, axis)
-    return arr.reshape(columns.shape)
+    out = np.empty(columns.shape, dtype=arr.dtype)
+    out.reshape(arr.shape)[...] = arr  # the copy a reshape of the strided arr would make
+    return out
 
 
 def scd_transform_matrix(n: int) -> np.ndarray:

@@ -242,14 +242,22 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Ordered orthonormal set of states spanning a subspace of one register:
-    the columns of ``matrix``, a read-only 2^n x k array."""
+    the columns of ``matrix``, a read-only 2^n x k array.
+
+    The matrix is kept as given when it is already a complex, C-ordered,
+    read-only array that owns its data, as the package's builders hand it
+    over; anything else, a caller's writeable array included, is copied."""
 
     n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
         _check_size(self.n_qubits, "register size", MAX_QUBITS)
-        matrix = np.array(self.matrix, dtype=complex, order="C")
+        matrix = self.matrix
+        if not (type(matrix) is np.ndarray and matrix.dtype == complex
+                and matrix.flags.c_contiguous and matrix.flags.owndata
+                and not matrix.flags.writeable):
+            matrix = np.array(matrix, dtype=complex, order="C")
         if matrix.ndim != 2 or matrix.shape[0] != 2**self.n_qubits:
             raise ValueError(f"basis matrix of shape {matrix.shape} does not fit a "
                              f"{self.n_qubits}-qubit register ({2**self.n_qubits} rows)")

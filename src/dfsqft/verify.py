@@ -166,15 +166,16 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
     one draw per event. The events run as one batch through the noise
     module's _batched_rows, so memory does not grow with the code space, and
     each chunk reduces at once through the noise module's _fidelities, as
-    run_trials does."""
+    run_trials does, from bras conjugated once per check."""
     events = len(basis) * 20
     angles = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (events, len(model.axes)))
     rotations = _rotations(angles, model)
-    states = basis.matrix.T.copy()  # contiguous rows, so each dot rounds as on a lone state
+    # conjugated in one pass into contiguous rows, so each dot rounds as on a lone state
+    bras = np.conjugate(basis.matrix.T, order="C")
     worst = 0.0
     for chunk, outs in _batched_rows(basis.n_qubits, events, lambda rows: [rotations[:, :, rows]],
                                      lambda rows: basis.matrix[:, np.array(rows) // 20]):
-        fidelities = _fidelities(states[np.array(chunk) // 20], outs)
+        fidelities = _fidelities(bras[np.array(chunk) // 20], outs)
         worst = max(worst, 1.0 - float(np.min(fidelities)))
     return check("logical_state_noise_invariance", tolerance, worst)
 
@@ -228,7 +229,9 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
     )
     # B^dag T^dag G T B = (TB)^dag G (TB) with the same residual norms (T is
     # unitary), so the fallback route restricts the bare gate to the basis TB
-    basis_t = SubspaceBasis(4 * n, _fallback_columns(basis.matrix, n))
+    columns_t = _fallback_columns(basis.matrix, n)
+    columns_t.flags.writeable = False  # SubspaceBasis keeps it uncopied
+    basis_t = SubspaceBasis(4 * n, columns_t)
 
     def worst(blocks: dict) -> float:
         return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from dfsqft import Circuit, parse_circuit, print_circuit, synth_qft, synth_qft_scd, synth_qft_wcd
@@ -400,7 +401,13 @@ class TestDfsTable:
         assert capsys.readouterr().err == "error: n-max must be in 1..14, got 15\n"
 
     @pytest.mark.parametrize("model", ["wcd", "scd"])
-    def test_brute_force_matches_closed_form_to_fourteen_qubits(self, tmp_path, model):
+    def test_brute_force_matches_closed_form_to_fourteen_qubits(self, tmp_path, monkeypatch,
+                                                                model):
+        # the Cholesky certificate decides every row: no eigensolve runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran: the rank certificate failed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         out = tmp_path / f"{model}.csv"
         assert run_cli("dfs-table", model, "--n-max", "14", "--out", str(out)) == 0
         rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith(("#", "n,"))]

@@ -115,6 +115,19 @@ class TestDfsBasis:
         for axis in "xyz":
             assert np.max(np.abs(dfs.collective_product(axis, columns))) < 1e-12
 
+    def test_wcd_basis_is_built_once(self):
+        # 2^12 x 924 complex is 60.6 MB; SubspaceBasis keeps the frozen array
+        # dfs_basis hands over, so no second full copy is made
+        tracemalloc.start()
+        try:
+            basis = dfs_basis(12, WCD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.matrix.nbytes == 4096 * 924 * 16
+        assert peak < 1.25 * basis.matrix.nbytes
+        assert basis.matrix.flags.owndata and not basis.matrix.flags.writeable
+
     def test_odd_register_rejected(self):
         with pytest.raises(ValueError, match="even"):
             dfs_basis(3, WCD)
@@ -230,6 +243,28 @@ class TestBruteForceCensus:
         assert np.max(np.abs(columns[zero])) < 1e-12
         assert columns[~zero].min() >= 2 - 1e-9
         np.testing.assert_allclose(np.sort(columns[~zero]), rows, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_rank_deficient_gram_falls_back_to_counting_eigenvalues(self, n, monkeypatch):
+        # fed the column Gram L^T L, which has the spin-zero null space, the
+        # Cholesky certificate fails and the eigenvalues are counted
+        real_gram, real_eigvalsh = dfs._lowering_gram, np.linalg.eigvalsh
+        layer, column_gram = real_gram(n, n // 2)
+        rank = np.linalg.matrix_rank(column_gram, tol=dfs.NULLSPACE_TOL)
+        solves = []
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            solves.append(a.copy())
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(dfs, "_lowering_gram", lambda n_, weight: real_gram(n_, n_ // 2))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        assert rank < layer.size
+        assert brute_force_max_dfs_dimension(n, SCD) == layer.size - rank
+        assert layer.size - rank == max_dfs_dimension(n, SCD)
+        # the eigensolve saw the Gram itself, its diagonal shift undone
+        assert len(solves) == 1
+        np.testing.assert_array_equal(solves[0], column_gram)
 
     def test_scd_census_memory_at_ten_qubits(self):
         # the thin SVD of S_x, S_y inside ker S_z peaked near 24 MB; the

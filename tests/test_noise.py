@@ -486,7 +486,7 @@ class TestChunkReductions:
     def _check(ideal: np.ndarray, basis: np.ndarray, rows: np.ndarray) -> None:
         fidelities = [min(1.0, abs(np.vdot(ideal, row)) ** 2) for row in rows]
         leakages = [np.linalg.norm(row - basis @ (basis.conj().T @ row)) for row in rows]
-        np.testing.assert_array_equal(noise._fidelities(ideal, rows).view(np.uint64),
+        np.testing.assert_array_equal(noise._fidelities(ideal.conj(), rows).view(np.uint64),
                                       np.array(fidelities).view(np.uint64))
         np.testing.assert_array_equal(noise._leakages(basis, rows).view(np.uint64),
                                       np.array(leakages).view(np.uint64))

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -288,6 +289,39 @@ class TestSubspaceBasis:
         assert basis.matrix[1, 0] == 1.0 and len(basis) == 2
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 1.0
+
+    def test_writeable_complex_array_is_copied_not_frozen(self):
+        # complex, C-ordered and owning its data: only writeability demands the copy
+        columns = np.ascontiguousarray(np.eye(4, dtype=complex)[:, [1, 2]])
+        assert columns.flags.owndata and columns.flags.c_contiguous
+        basis = SubspaceBasis(2, columns)
+        assert columns.flags.writeable
+        assert not np.shares_memory(basis.matrix, columns)
+        columns[1, 0] = 0.0
+        assert basis.matrix[1, 0] == 1.0
+
+    def test_frozen_array_of_its_own_is_kept(self):
+        columns = np.eye(4, dtype=complex)[:, [1, 2]].copy()
+        columns.flags.writeable = False
+        assert SubspaceBasis(2, columns).matrix is columns
+
+    @pytest.mark.parametrize("columns", [
+        np.eye(4)[:, [1, 2]],  # real
+        np.asfortranarray(np.eye(4, dtype=complex)[:, [1, 2]]),  # F-ordered
+        np.eye(4, dtype=complex)[:, 1:3],  # a view
+    ], ids=["real", "fortran", "view"])
+    def test_frozen_array_kept_only_when_complex_c_ordered_and_owned(self, columns):
+        columns.flags.writeable = False
+        matrix = SubspaceBasis(2, columns).matrix
+        assert matrix.flags.owndata and matrix.flags.c_contiguous and matrix.dtype == complex
+        assert not np.shares_memory(matrix, columns)
+
+    @pytest.mark.parametrize("code, n", [(WCD, 1), (WCD, 3), (SCD, 2)])
+    def test_block_code_basis_is_one_owned_kron(self, code, n):
+        matrix = code.basis(n).matrix
+        assert matrix.flags.owndata and not matrix.flags.writeable
+        expected = functools.reduce(np.kron, [code.states] * n)
+        assert matrix.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestRestrict:

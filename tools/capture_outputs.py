@@ -50,7 +50,8 @@ def cli_cases(suites):
     """(name, argv) of every captured CLI run; verify runs every size that
     the package's verify suites (dfsqft.verify.SUITES) accept, noise-bench
     every captured size at 30 trials and the largest one again at
-    MULTI_CHUNK_TRIALS of block noise."""
+    MULTI_CHUNK_TRIALS of block noise, and dfs-table runs to n = 10 and to
+    the brute-force cap, n = 14."""
     for encoding, (max_n, _) in suites.items():
         for n in range(1, max_n + 1):
             for fmt in ("json", "csv"):
@@ -70,6 +71,7 @@ def cli_cases(suites):
             yield f"synth {encoding} {n}", ["synth", encoding, str(n)]
     for model in ("wcd", "scd"):
         yield f"dfs-table {model}", ["dfs-table", model, "--n-max", "10"]
+        yield f"dfs-table {model} 14", ["dfs-table", model, "--n-max", "14"]
 
 
 def logical_gate_texts(dfsqft, encoding: str, n: int):
