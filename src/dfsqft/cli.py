@@ -28,7 +28,6 @@ from .dfs import (
 )
 from .noise import (
     ENDPOINTS_ONLY,
-    MAX_NOISE_QUBITS,
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
     NoisePolicy,
@@ -57,9 +56,9 @@ _ENCODINGS = {
     "scd": (SCD, CollectiveModel.SCD, MAX_SCD_LOGICAL),
 }
 _VERIFY_CAPS = {encoding: max_n for encoding, (max_n, _) in SUITES.items()}
-# noise runs simulate the whole physical register of the encoded arm
-_BENCH_CAPS = {encoding: MAX_NOISE_QUBITS // code.size
-               for encoding, (code, model, _) in _ENCODINGS.items() if model is not None}
+# noise runs take every encoded size that synth does
+_BENCH_CAPS = {encoding: max_n
+               for encoding, (_, model, max_n) in _ENCODINGS.items() if model is not None}
 # the config-file keys each command reads; any other key is refused
 _CONFIG_KEYS = {
     "verify": ("seed",),

@@ -100,18 +100,18 @@ def _weights(n: int) -> np.ndarray:
     return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
 
 
-def _lowering_gram(n: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
+def _lowering_gram(weights: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
     """(indices of one weight layer, Gram) for the lowering matrix L of even
-    n, the 0/1 block of S_- = (S_x - i S_y)/2 from weight n/2 to n/2 + 1
-    (S_- sets one 0 bit): L^T L at weight n/2, L L^T at weight n/2 + 1.
+    n, given weights = _weights(n): the 0/1 block of S_- = (S_x - i S_y)/2
+    from weight n/2 to n/2 + 1 (S_- sets one 0 bit), L^T L at weight n/2,
+    L L^T at weight n/2 + 1.
 
     Entry (a, b) counts the indices of the other layer one bit away from
     both a and b: weight on the diagonal, 1 where w(a & b) = weight - 1, 0
     elsewhere. Built from this closed form, without L, in row chunks of at
-    most _GRAM_CHUNK entries, with w(a & b) read from _weights; rows and
+    most _GRAM_CHUNK entries, with w(a & b) read from weights; rows and
     columns follow the layer's indices ascending.
     """
-    weights = _weights(n)
     layer = np.flatnonzero(weights == weight)
     gram = np.empty((layer.size, layer.size))
     step = max(1, _GRAM_CHUNK // layer.size)
@@ -132,7 +132,7 @@ def _collective_nullspace(n: int) -> np.ndarray:
     """
     if n % 2:
         return np.zeros((2**n, 0), dtype=complex)  # odd n: no S_z = 0 states
-    kernel, gram = _lowering_gram(n, n // 2)
+    kernel, gram = _lowering_gram(_weights(n), n // 2)
     values, vectors = np.linalg.eigh(gram)
     zero = values <= NULLSPACE_TOL
     null = np.zeros((2**n, np.count_nonzero(zero)), dtype=complex)
@@ -198,8 +198,9 @@ def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:
         return max(wcd_sector_dimensions(n).values())
     if n % 2:
         return 0  # odd n: no S_z = 0 states
-    columns = np.count_nonzero(_weights(n) == n // 2)
-    _, gram = _lowering_gram(n, n // 2 + 1)
+    weights = _weights(n)
+    columns = np.count_nonzero(weights == n // 2)
+    _, gram = _lowering_gram(weights, n // 2 + 1)
     diagonal = gram.diagonal().copy()
     np.fill_diagonal(gram, diagonal - NULLSPACE_TOL)  # in place: no second N x N array
     try:

@@ -26,9 +26,14 @@ streams are seeded at once by _seed_words, a vectorized copy of numpy's
 SeedSequence hash (NEP 19), and its uniform angles are drawn at once by
 _uniform_angles, a vectorized copy of numpy's PCG64 that jumps each stream
 straight to each draw. Gaussian angles are the exception: they come from
-one numpy Generator per trial, as numpy's normal sampler cannot be copied.
-run_trials reduces each chunk's fidelities and leakages in one pass, with
-the bits of one trial at a time.
+default_rng([seed, trial]) itself, one Generator per trial, as numpy's
+normal sampler cannot be copied. run_trials reduces each chunk's
+fidelities and leakages in one pass, with the bits of one trial at a time.
+
+The module has no register cap of its own: apply_noise and run_trials take
+StateVectors, which statevector.MAX_QUBITS caps, so noise runs reach every
+register that the encodings synthesize and verify (12 qubits for wcd 6 and
+scd 3).
 """
 from __future__ import annotations
 
@@ -40,11 +45,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuits import Circuit, _check_size, _is_integer
+from .circuits import Circuit, _is_integer
 from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
-MAX_NOISE_QUBITS = 10
 # Amplitudes per chunk in _batched_rows (256 KB per complex array). Timed
 # with the tiled noise-layer kernel on the benchmark's noise-bench runs (wcd 3
 # and scd 2; two in-process runs of 30 interleaved rounds), 2^12 / 2^13 /
@@ -53,6 +57,13 @@ MAX_NOISE_QUBITS = 10
 # one chunk (so those spreads are noise), and 1.50 / 1.22 / 0.97 / 1.02-1.05 x
 # at 200 trials of block noise. 2^15 gains 3 % on block noise only, so 2^14
 # stays: smaller chunks pay per-call overhead, larger ones more memory.
+# Re-timed at 12 qubits, where a chunk is 4 trials (wcd 6 and scd 3, 200 trials
+# of block and 40 of per-gate noise; five interleaved in-process rounds at one
+# BLAS thread on a shared 2-CPU x86_64 VM, where 2^14's own runs spread 0.85-
+# 1.30 x its median): 2^12 and 2^13 took 1.2-2.5 x that median everywhere,
+# while 2^15 / 2^16 took 0.73-0.97 / 0.72-0.99 x on wcd 6 but 0.86-1.42 /
+# 0.90-1.54 x on scd 3 (slowest under per-gate noise). No size wins on every
+# run, so 2^14 stays.
 BATCH_AMPLITUDES = 1 << 14
 
 PER_ELEMENTARY_GATE = "per_elementary_gate"
@@ -193,33 +204,6 @@ def _seed_words(seed: int, trials: range) -> np.ndarray:
     return state
 
 
-@functools.cache
-def _stream_type():
-    """Generator(PCG64(words)) for one row of _seed_words. Built on first
-    use, so that importing the package does not load numpy.random."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        """A seed sequence whose generated state is a given row of words."""
-
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return lambda words: Generator(PCG64(SeedWords(words)))
-
-
-def _trial_streams(seed: int, trials: range) -> list:
-    """default_rng([seed & (2^64 - 1), t]) for each trial t: the same streams."""
-    stream = _stream_type()
-    return [stream(words) for words in _seed_words(seed & _SEED_MASK, trials)]
-
-
 def _mul_128(a: tuple, b: tuple) -> tuple:
     """(high, low) uint64 words of a * b mod 2^128, for (high, low) words;
     the high word of the low words' product is formed from their 32-bit
@@ -290,12 +274,14 @@ def _draw_angles(rng: np.random.Generator, policy: NoisePolicy, shape) -> np.nda
 def _trial_angles(policy: NoisePolicy, trials: range, shape: tuple) -> np.ndarray:
     """angles[j]: trial trials[j]'s draw of the given shape from its stream,
     default_rng([seed, trial]). Uniform draws are computed for the whole
-    chunk at once; gaussian ones come from one generator per trial, as
-    numpy's normal sampler is a ziggurat whose tables it does not expose."""
+    chunk at once; gaussian ones are drawn from that very generator, one per
+    trial, as numpy's normal sampler is a ziggurat whose tables it does not
+    expose. numpy.random is imported only then."""
+    seed = policy.seed & _SEED_MASK
     if policy.distribution == "uniform":
-        words = _seed_words(policy.seed & _SEED_MASK, trials)
-        return _uniform_angles(words, math.prod(shape)).reshape(len(trials), *shape)
-    return np.stack([_draw_angles(rng, policy, shape) for rng in _trial_streams(policy.seed, trials)])
+        angles = _uniform_angles(_seed_words(seed, trials), math.prod(shape))
+        return angles.reshape(len(trials), *shape)
+    return np.stack([_draw_angles(np.random.default_rng([seed, t]), policy, shape) for t in trials])
 
 
 def sample_event(rng: np.random.Generator, model: CollectiveModel, policy: NoisePolicy) -> NoiseEvent:
@@ -341,7 +327,6 @@ def single_qubit_rotation(event: NoiseEvent, model: CollectiveModel) -> np.ndarr
 def apply_noise(state: StateVector, event: NoiseEvent, model: CollectiveModel) -> StateVector:
     """Apply exp(-i * sum_a phi_a S_a); exact identity (up to a global phase,
     which is exactly 1 for spin-zero sectors) on decoherence-free states."""
-    _check_size(state.n_qubits, "noise register size", MAX_NOISE_QUBITS)
     rotation = single_qubit_rotation(event, model)
     return StateVector(_propagate([rotation], state.amplitudes, state.n_qubits))
 
@@ -433,7 +418,6 @@ def run_trials(
         raise ValueError("circuit, input, and ideal output must share one register size")
     if subspace is not None and subspace.n_qubits != n:
         raise ValueError(f"{n}-qubit circuit does not match a {subspace.n_qubits}-qubit register")
-    _check_size(n, "noise register size", MAX_NOISE_QUBITS)
     positions = _noise_positions(policy, len(circuit), block_boundaries)
 
     def noisy_circuit(trials: range) -> list:

@@ -6,12 +6,10 @@ fields. A check passes when its deviation is at most its tolerance. The
 expected logical actions are built by index arithmetic on the logical basis
 index, independently of the circuits under test.
 
-Every encoded check runs on the k code-space columns (restrict), on a few
-qubits (encoder conjugation compares unitaries on the union of two
-circuits' supports, at most 16 x 16), or on the logical register (the DFT
-oracle); no encoded suite lowers a circuit on its physical register to a
-dense unitary. The plain suite does, so its largest n is the one cap on
-2^n x 2^n arrays, statevector.MAX_DENSE_OPERATOR_QUBITS.
+Every encoded check runs on the k code-space columns (restrict) or on the
+logical register (the DFT oracle); no encoded suite lowers a circuit on its
+physical register to a dense unitary. The plain suite does, so its largest
+n is the one cap on 2^n x 2^n arrays, statevector.MAX_DENSE_OPERATOR_QUBITS.
 
 SUITES maps each encoding to (largest n, run); the CLI dispatches through
 it and the acceptance suite reads the same runs.
@@ -23,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuits import Circuit, Gate, h, invert, p, parse_circuit, print_circuit
+from .circuits import Circuit, Gate, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _fidelities, _rotations
 from .qft import BlockCode, bit_reversal_permutation, dft_matrix, synth_qft
@@ -36,7 +34,7 @@ from .statevector import (
     restrict,
     unitarity_defect,
 )
-from .wcd import MAX_WCD_LOGICAL, WCD, synth_qft_wcd, wcd_encoder_circuit
+from .wcd import MAX_WCD_LOGICAL, WCD, synth_qft_wcd
 
 # Controlled-phase angles of the logical-gate checks; WCD also checks pi/8.
 _WCD_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -108,33 +106,6 @@ def contract(n: int, blocks: dict, kind: str) -> tuple[float, float]:
     return deviation, leakage
 
 
-def _conjugation_deviation(encoder: Circuit, gate: Gate, target: tuple[Gate, ...]) -> float:
-    """Largest entrywise |E^-1 G E - target| for an encoder E (applied first)
-    and a physical gate G, with both sides lowered only on the union of
-    their supports.
-
-    Walking E backwards from G, a gate outside the support grown so far
-    commutes with everything between it and its inverse and cancels, so
-    only G's light cone is kept; this is exact for any circuits. Identity
-    on the other qubits adds only exact zeros and repeated entries."""
-    support = set(gate.qubits)
-    cone = []
-    for g in reversed(encoder.gates):
-        if support.intersection(g.qubits):
-            cone.append(g)
-            support.update(g.qubits)
-    forward = Circuit(encoder.n_qubits, tuple(reversed(cone)))
-    conjugated = forward + Circuit(encoder.n_qubits, (gate,)) + invert(forward)
-    qubits = sorted(support.union(*(g.qubits for g in target)))
-    label = {q: i for i, q in enumerate(qubits, start=1)}
-
-    def local(gates: tuple[Gate, ...]) -> np.ndarray:
-        return circuit_unitary(Circuit(len(qubits), tuple(
-            Gate(g.kind, tuple(label[q] for q in g.qubits), g.angle) for g in gates)))
-
-    return _distance(local(conjugated.gates), local(target))
-
-
 def _order_name(n: int) -> str:
     """The report name of the QFT's output order; bit reversal is the identity at n = 1."""
     return "identity" if n == 1 else "bit-reversal"
@@ -194,7 +165,6 @@ def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
 
 def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
     basis = WCD.basis(n)
-    encoder = wcd_encoder_circuit(n)
     blocks = gate_blocks(n, basis, WCD, _WCD_THETAS)
     dev_h, leak_h = contract(n, blocks, "h")
     checks = [
@@ -207,15 +177,6 @@ def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
             check("logical_phase_action", 1e-10, dev_p),
             check("logical_phase_leakage", 1e-10, leak_p),
         ]
-    # the encoder conjugates a physical H or P on the pairs' high qubits into the logical gate
-    conj_h = max(_conjugation_deviation(encoder, h(2 * k), WCD.hadamard(k))
-                 for k in range(1, n + 1))
-    checks.append(check("encoder_conjugation_hadamard", 1e-10, conj_h))
-    if n >= 2:
-        conj_p = max(_conjugation_deviation(encoder, p(2 * i, 2 * j, theta),
-                                            WCD.phase(i, j, theta))
-                     for i, j, theta in phase_keys(n, _THETAS))
-        checks.append(check("encoder_conjugation_phase", 1e-10, conj_p))
     checks += qft_restriction_checks(n, synth_qft_wcd(n), basis)
     checks.append(noise_invariance_check(basis, CollectiveModel.WCD, seed, 1e-12))
     return checks, {"output_order": _order_name(n)}

@@ -81,15 +81,6 @@ def test_criterion_02_wcd_logical_phase():
     _report(2, "WCD logical phase", worst < 1e-10, f"deviation {worst:.2e}", elapsed, 1.0)
 
 
-def test_criterion_03_wcd_conjugation_identities():
-    started = time.perf_counter()
-    worst = _worst("wcd", (1, 2, 3))
-    worst = max(worst["encoder_conjugation_hadamard"], worst["encoder_conjugation_phase"])
-    elapsed = time.perf_counter() - started
-    _report(3, "WCD encoder conjugation identities", worst < 1e-10,
-            f"max matrix deviation {worst:.2e} (up to 64-dim)", elapsed, 5.0)
-
-
 def test_criterion_04_wcd_encoded_qft():
     started = time.perf_counter()
     worst = _worst("wcd", (1, 2, 3))

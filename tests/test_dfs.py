@@ -220,7 +220,7 @@ class TestBruteForceCensus:
         kernel, upper, lowering = lowering_matrix_oracle(n)
         for weight, indices, product in ((n // 2, kernel, lowering.T @ lowering),
                                          (n // 2 + 1, upper, lowering @ lowering.T)):
-            layer, gram = dfs._lowering_gram(n, weight)
+            layer, gram = dfs._lowering_gram(dfs._weights(n), weight)
             np.testing.assert_array_equal(layer, indices)
             assert gram.dtype == product.dtype
             np.testing.assert_array_equal(gram, product)
@@ -249,7 +249,7 @@ class TestBruteForceCensus:
         # fed the column Gram L^T L, which has the spin-zero null space, the
         # Cholesky certificate fails and the eigenvalues are counted
         real_gram, real_eigvalsh = dfs._lowering_gram, np.linalg.eigvalsh
-        layer, column_gram = real_gram(n, n // 2)
+        layer, column_gram = real_gram(dfs._weights(n), n // 2)
         rank = np.linalg.matrix_rank(column_gram, tol=dfs.NULLSPACE_TOL)
         solves = []
 
@@ -257,7 +257,8 @@ class TestBruteForceCensus:
             solves.append(a.copy())
             return real_eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(dfs, "_lowering_gram", lambda n_, weight: real_gram(n_, n_ // 2))
+        monkeypatch.setattr(dfs, "_lowering_gram",
+                            lambda weights, weight: real_gram(weights, n // 2))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         assert rank < layer.size
         assert brute_force_max_dfs_dimension(n, SCD) == layer.size - rank
@@ -265,6 +266,18 @@ class TestBruteForceCensus:
         # the eigensolve saw the Gram itself, its diagonal shift undone
         assert len(solves) == 1
         np.testing.assert_array_equal(solves[0], column_gram)
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_census_computes_the_weights_once(self, n, monkeypatch):
+        real_weights, calls = dfs._weights, []
+
+        def counting_weights(n_):
+            calls.append(n_)
+            return real_weights(n_)
+
+        monkeypatch.setattr(dfs, "_weights", counting_weights)
+        assert brute_force_max_dfs_dimension(n, SCD) == max_dfs_dimension(n, SCD)
+        assert calls == [n]
 
     def test_scd_census_memory_at_ten_qubits(self):
         # the thin SVD of S_x, S_y inside ker S_z peaked near 24 MB; the

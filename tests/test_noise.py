@@ -121,17 +121,16 @@ class TestApplyNoise:
         with pytest.raises(ValueError, match="angle"):
             apply_noise(StateVector.basis(1, 0), NoiseEvent((0.1, 0.2, 0.3)), WCD)
 
-    def test_register_too_large(self):
-        # one cap for single events and for trials
-        n = noise.MAX_NOISE_QUBITS + 1
-        state = StateVector.basis(n, 0)
-        circuit = Circuit(n, (h(1),))
-        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=1, seed=0)
-        message = rf"^noise register size must be an integer in 1\.\.10, got {n}$"
-        with pytest.raises(ValueError, match=message):
-            apply_noise(state, NoiseEvent((0.1,)), WCD)
-        with pytest.raises(ValueError, match=message):
-            run_trials(circuit, state, apply_circuit(state, circuit), policy, WCD)
+    def test_twelve_qubit_register_is_accepted(self):
+        # StateVector's cap is the only one: wcd 6 and scd 3 are 12-qubit registers
+        state = WCD_CODE.state("101101")
+        out = apply_noise(state, NoiseEvent((0.7,)), WCD)
+        assert 1.0 - fidelity(out, state) < 1e-12
+        circuit = Circuit(12, (h(1),))
+        ideal = apply_circuit(state, circuit)
+        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=2, seed=0)
+        fidelities, leakages = run_trials(circuit, state, ideal, policy, WCD)
+        assert fidelities.shape == (2,) and leakages is None
 
     def test_zero_event_is_identity(self):
         state = random_state(2, np.random.default_rng(1))
@@ -294,7 +293,14 @@ class TestNoisyRun:
         np.testing.assert_array_equal(fid_short, fid_long[:10])
 
     def test_prefix_stable_across_chunk_edges(self):
-        circuit, state, ideal = self._wcd_setup()
+        self._check_prefix_across_chunk_edges(2)
+
+    def test_prefix_stable_across_chunk_edges_twelve_qubits(self):
+        # wcd 6: a 12-qubit register, 4 trials a chunk
+        self._check_prefix_across_chunk_edges(6)
+
+    def _check_prefix_across_chunk_edges(self, n):
+        circuit, state, ideal = self._wcd_setup(n)
         step = noise.BATCH_AMPLITUDES >> circuit.n_qubits
         runs = {}
         for trials in (step + 1, 2 * step + 1):
@@ -419,7 +425,8 @@ class TestBatchedTrials:
 
 
 class TestTrialStreams:
-    """_seed_words against numpy's own SeedSequence, and the streams it seeds."""
+    """_seed_words against numpy's own SeedSequence, and each trial's angles
+    against its default_rng([seed, trial]) stream."""
 
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
     TRIALS = pytest.mark.parametrize("trials", [
@@ -450,12 +457,14 @@ class TestTrialStreams:
     @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
     @pytest.mark.parametrize("seed", [7, 2**40 + 7, 2**64 + 31])
     def test_streams_draw_as_default_rng(self, seed, distribution):
-        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, distribution=distribution, sigma=0.4)
+        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, distribution=distribution, sigma=0.4,
+                             seed=seed)
         trials = range(5, 12)
-        for trial, rng in zip(trials, noise._trial_streams(seed, trials)):
+        got = noise._trial_angles(policy, trials, (6, 3))
+        assert got.shape == (len(trials), 6, 3)
+        for row, trial in zip(got, trials):
             want = np.random.default_rng([seed % 2**64, trial])
-            np.testing.assert_array_equal(noise._draw_angles(rng, policy, (6, 3)),
-                                          noise._draw_angles(want, policy, (6, 3)))
+            np.testing.assert_array_equal(row, noise._draw_angles(want, policy, (6, 3)))
 
     def test_import_does_not_load_numpy_random(self):
         # nor does a uniform run; the gaussian streams import it on first use

@@ -11,10 +11,14 @@ print_circuit text of every *_hadamard(k, n), of every *_phase(i, j, theta, n)
 over the ordered pairs i != j at the verify angles and, for WCD, of
 wcd_encoder_circuit(n); so are the logical-block boundaries
 logical_block_boundaries(n, code) of the WCD and SCD block codes, where
-block-boundary noise strikes. The
-script prints one JSON object mapping each
-output to the sha256 of its bytes; a verify JSON report is hashed without
-its wall-clock duration_s. It exits 1 if any command exits non-zero.
+block-boundary noise strikes. The noise-bench CSVs cover wcd 1..3 and
+scd 1..2 at 30 trials, wcd 3 and scd 2 again at 200 trials of block noise
+(several chunks), and the 12-qubit wcd 6 and scd 3 at 4 trials, under
+every policy and both distributions. The script prints one JSON object
+mapping each output to the sha256 of its bytes; a verify JSON report is
+hashed without its wall-clock duration_s. It exits 1 if any command exits
+non-zero; a tree that refuses a size still hashes that run's (empty)
+output.
 
 To check a change, run it on a `git archive` copy of the parent commit and
 on the change, then diff the two JSON files.
@@ -32,6 +36,11 @@ import subprocess
 import sys
 
 BENCH_SIZES = {"wcd": 3, "scd": 2}
+# The largest noise-bench size of each encoding, a 12-qubit register, run at
+# few trials (four per chunk of noise.BATCH_AMPLITUDES there).
+LARGEST_BENCH_SIZES = {"wcd": 6, "scd": 3}
+LARGEST_BENCH_TRIALS = 4
+POLICIES = ("elementary", "block", "endpoints")
 SYNTH_SIZES = {"plain": 14, "wcd": 6, "scd": 3}
 GATE_SIZES = {"wcd": 6, "scd": 3}
 GATE_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
@@ -49,9 +58,10 @@ def noise_bench_argv(encoding: str, n: int, policy: str, noise: list[str], trial
 def cli_cases(suites):
     """(name, argv) of every captured CLI run; verify runs every size that
     the package's verify suites (dfsqft.verify.SUITES) accept, noise-bench
-    every captured size at 30 trials and the largest one again at
-    MULTI_CHUNK_TRIALS of block noise, and dfs-table runs to n = 10 and to
-    the brute-force cap, n = 14."""
+    every size of BENCH_SIZES at 30 trials and the largest one again at
+    MULTI_CHUNK_TRIALS of block noise, and each encoding's largest size at
+    LARGEST_BENCH_TRIALS, and dfs-table runs to n = 10 and to the
+    brute-force cap, n = 14."""
     for encoding, (max_n, _) in suites.items():
         for n in range(1, max_n + 1):
             for fmt in ("json", "csv"):
@@ -59,13 +69,18 @@ def cli_cases(suites):
                        ["verify", encoding, str(n), "--seed", "17", "--format", fmt])
     for encoding, max_n in BENCH_SIZES.items():
         for n in range(1, max_n + 1):
-            for policy in ("elementary", "block", "endpoints"):
+            for policy in POLICIES:
                 for noise in NOISES:
                     argv = noise_bench_argv(encoding, n, policy, noise, 30)
                     yield " ".join(argv[1:]), argv
         for noise in NOISES:
             argv = noise_bench_argv(encoding, max_n, "block", noise, MULTI_CHUNK_TRIALS)
             yield " ".join(argv[1:]), argv
+    for encoding, n in LARGEST_BENCH_SIZES.items():
+        for policy in POLICIES:
+            for noise in NOISES:
+                argv = noise_bench_argv(encoding, n, policy, noise, LARGEST_BENCH_TRIALS)
+                yield " ".join(argv[1:]), argv
     for encoding, max_n in SYNTH_SIZES.items():
         for n in range(1, max_n + 1):
             yield f"synth {encoding} {n}", ["synth", encoding, str(n)]
