@@ -14,12 +14,13 @@ from dfsqft import (
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
     PLAIN,
+    RunReport,
     SCD,
     WCD,
     StateVector,
     apply_circuit,
     logical_block_boundaries,
-    noisy_run,
+    run_trials,
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
@@ -32,7 +33,9 @@ SEED = 7
 def bench(label, circuit, state, model, bounds, subspace, granularity):
     ideal = apply_circuit(state, circuit)
     policy = NoisePolicy(granularity=granularity, trials=TRIALS, seed=SEED)
-    report = noisy_run(circuit, state, ideal, policy, model, bounds, subspace=subspace)
+    report = RunReport.from_trials(
+        *run_trials(circuit, state, ideal, policy, model, bounds, subspace=subspace), policy
+    )
     leak = "      -" if report.mean_leakage is None else f"{report.mean_leakage:7.1e}"
     print(f"  {label:<22s} mean {report.mean_fidelity:.12f}   min {report.min_fidelity:.3f}   leakage {leak}")
     return report

@@ -38,9 +38,8 @@ from .noise import (
     NoisePolicy,
     RunReport,
     apply_noise,
-    noisy_run,
+    run_trials,
     sample_event,
-    single_qubit_rotation,
 )
 from .qft import (
     PLAIN,
@@ -65,10 +64,8 @@ from .statevector import (
     apply_circuit,
     apply_gate,
     circuit_unitary,
-    equal_up_to_global_phase,
     fidelity,
     global_phase_agreement,
-    is_unitary,
     restrict,
     unitarity_defect,
 )
@@ -89,8 +86,8 @@ __all__ = [
     "invert", "parse_circuit", "print_circuit",
     # statevector
     "StateVector", "SubspaceBasis", "apply_gate", "apply_circuit",
-    "circuit_unitary", "fidelity", "restrict", "is_unitary",
-    "unitarity_defect", "global_phase_agreement", "equal_up_to_global_phase",
+    "circuit_unitary", "fidelity", "restrict", "unitarity_defect",
+    "global_phase_agreement",
     # qft
     "dft_matrix", "synth_qft", "synth_logical_qft", "BlockCode",
     "PLAIN", "logical_block_boundaries", "bit_reversal_permutation",
@@ -104,7 +101,7 @@ __all__ = [
     "scd_block_transform", "scd_transform_matrix", "scd_hadamard", "scd_phase",
     "SCD", "synth_qft_scd",
     # noise
-    "NoiseEvent", "NoisePolicy", "RunReport", "apply_noise", "noisy_run",
-    "sample_event", "single_qubit_rotation", "GRANULARITIES",
-    "PER_ELEMENTARY_GATE", "PER_LOGICAL_BLOCK", "ENDPOINTS_ONLY",
+    "NoiseEvent", "NoisePolicy", "RunReport", "apply_noise", "run_trials",
+    "sample_event", "GRANULARITIES", "PER_ELEMENTARY_GATE", "PER_LOGICAL_BLOCK",
+    "ENDPOINTS_ONLY",
 ]

@@ -145,9 +145,13 @@ class Circuit:
         return Circuit(n_qubits, self.gates)
 
 
+def _inverse(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
+    return tuple(g.inverse() for g in reversed(gates))
+
+
 def invert(circuit: Circuit) -> Circuit:
     """Exact inverse: reversed gate order with every gate inverted."""
-    return Circuit(circuit.n_qubits, tuple(g.inverse() for g in reversed(circuit.gates)))
+    return Circuit(circuit.n_qubits, _inverse(circuit.gates))
 
 
 class CircuitParseError(ValueError):

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .circuits import print_circuit
@@ -281,7 +282,7 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
     def json_text() -> str:
         report = _report_skeleton("noise-bench", resolved, seed)
         report["duration_s"] = duration
-        report["arms"] = {name: RunReport.from_trials(fidelities, leakages, policy).to_dict()
+        report["arms"] = {name: asdict(RunReport.from_trials(fidelities, leakages, policy))
                           for name, fidelities, leakages in results}
         return json.dumps(report, indent=2) + "\n"
 

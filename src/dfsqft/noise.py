@@ -28,7 +28,9 @@ _uniform_angles, a vectorized copy of numpy's PCG64 that jumps each stream
 straight to each draw. Gaussian angles are the exception: they come from
 default_rng([seed, trial]) itself, one Generator per trial, as numpy's
 normal sampler cannot be copied. run_trials reduces each chunk's
-fidelities and leakages in one pass, with the bits of one trial at a time.
+fidelities and leakages in one pass, with the bits of one trial at a time,
+and returns the per-trial arrays; RunReport.from_trials(*run_trials(...),
+policy) aggregates them.
 
 The module has no register cap of its own: apply_noise and run_trials take
 StateVectors, which statevector.MAX_QUBITS caps, so noise runs reach every
@@ -40,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -73,11 +75,23 @@ GRANULARITIES = (PER_ELEMENTARY_GATE, PER_LOGICAL_BLOCK, ENDPOINTS_ONLY)
 DISTRIBUTIONS = ("uniform", "gaussian")
 
 _SEED_MASK = 2**64 - 1
-# numpy's SeedSequence constants (NEP 19): a pool of four uint32 words
-_POOL_WORDS = 4
 _WORD_MASK = 2**32 - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(2, count, 1) uint32: the xor and the multiply constant of each of
+    count hashmix steps, where each step's constant is the last one times mult."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD_MASK)
+    return np.array([consts[:-1], consts[1:]], np.uint32)[:, :, None]
+
+
+# numpy's SeedSequence (NEP 19) on a pool of four uint32 words: the constants
+# of its 16 pool steps (4 that hash the entropy words, then 3 per source word)
+# and of its 8 output steps, which do not depend on the data
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64 (O'Neill 2014): a 128-bit LCG state s -> s * _PCG_MULT + inc, read out
 # by XSL-RR; the uint64 constants keep numpy's integer promotion out of play
@@ -133,7 +147,8 @@ class NoisePolicy:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Ensemble fidelity statistics for one noisy-circuit experiment."""
+    """Ensemble fidelity statistics for one noisy-circuit experiment;
+    dataclasses.asdict gives its JSON record."""
 
     mean_fidelity: float
     min_fidelity: float
@@ -156,8 +171,10 @@ class RunReport:
             policy=policy,
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (words ^ xor) * mult
+    return value ^ (value >> 16)
 
 
 def _seed_words(seed: int, trials: range) -> np.ndarray:
@@ -169,39 +186,23 @@ def _seed_words(seed: int, trials: range) -> np.ndarray:
     beyond the entropy hashes as a zero word. So the entropy is the seed's
     one or two words, then the trial's low and high word, padded with zeros:
     it always fits the pool, and the hash is the same uint32 arithmetic on
-    every row."""
+    every row. The pool is one (4, k) array: each source word mixes into the
+    other three in one step, and the output is one (8, k) hash of the pool
+    read twice, paired into uint64 words low word first."""
     index = np.arange(trials.start, trials.stop, dtype=np.uint64)
     words = [seed & _WORD_MASK] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(len(index), word, np.uint32) for word in words]
-    entropy += [(index & _WORD_MASK).astype(np.uint32), (index >> 32).astype(np.uint32)]
-    entropy += [np.zeros(len(index), np.uint32)] * (_POOL_WORDS - len(entropy))
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _WORD_MASK
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> 16)
-    state = np.empty((len(index), 4), np.uint64)
-    const = _INIT_B
-    for i in range(8):  # 8 uint32 words, read as 4 little-endian uint64 words
-        value = pool[i % _POOL_WORDS] ^ const
-        const = const * _MULT_B & _WORD_MASK
-        value = value * np.uint32(const)
-        value = (value ^ (value >> 16)).astype(np.uint64)
-        if i % 2:
-            state[:, i // 2] |= value << 32
-        else:
-            state[:, i // 2] = value
-    return state
+    pool = np.zeros((4, len(index)), np.uint32)
+    pool[:len(words)] = np.array(words, np.uint32)[:, None]
+    pool[len(words)], pool[len(words) + 1] = index & _WORD_MASK, index >> 32
+    xor, mult = _POOL_HASH
+    pool = _hashmix(pool, xor[:4], mult[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], xor[steps], mult[steps])
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = _hashmix(np.tile(pool, (2, 1)), *_OUTPUT_HASH).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
 
 
 def _mul_128(a: tuple, b: tuple) -> tuple:
@@ -315,19 +316,15 @@ def _rotations(phis: np.ndarray, model: CollectiveModel) -> np.ndarray:
     return u
 
 
-def single_qubit_rotation(event: NoiseEvent, model: CollectiveModel) -> np.ndarray:
-    """2x2 unitary exp(-i * phi . sigma) for the event's angle vector."""
+def apply_noise(state: StateVector, event: NoiseEvent, model: CollectiveModel) -> StateVector:
+    """Apply exp(-i * sum_a phi_a S_a), the one-qubit rotation exp(-i * phi .
+    sigma) on every qubit; exact identity (up to a global phase, which is
+    exactly 1 for spin-zero sectors) on decoherence-free states."""
     if len(event.phis) != len(model.axes):
         raise ValueError(
             f"{model.value} events carry {len(model.axes)} angle(s), got {len(event.phis)}"
         )
-    return _rotations(np.array(event.phis), model)
-
-
-def apply_noise(state: StateVector, event: NoiseEvent, model: CollectiveModel) -> StateVector:
-    """Apply exp(-i * sum_a phi_a S_a); exact identity (up to a global phase,
-    which is exactly 1 for spin-zero sectors) on decoherence-free states."""
-    rotation = single_qubit_rotation(event, model)
+    rotation = _rotations(np.array(event.phis), model)
     return StateVector(_propagate([rotation], state.amplitudes, state.n_qubits))
 
 
@@ -363,13 +360,13 @@ def _fidelities(bra: np.ndarray, rows: np.ndarray) -> np.ndarray:
                                   len(moduli)), 1.0)
 
 
-def _leakages(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """|row - B B^H row| per row, rounded as np.linalg.norm on one row at a
-    time: each projection is the BLAS gemv of a lone vector (through B^H as
-    the F-ordered view basis.conj().T; a C-ordered copy rounds otherwise),
-    and the squared norm is the dot of the real parts plus that of the
-    imaginary parts."""
-    coefficients = np.matmul(basis.conj().T, rows[:, :, None])
+def _leakages(basis: np.ndarray, adjoint: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|row - B B^H row| per row, given adjoint = basis.conj().T, the
+    F-ordered view conjugated once by the caller (a C-ordered copy rounds
+    otherwise); rounded as np.linalg.norm on one row at a time: each
+    projection is the BLAS gemv of a lone vector, and the squared norm is
+    the dot of the real parts plus that of the imaginary parts."""
+    coefficients = np.matmul(adjoint, rows[:, :, None])
     residual = rows - np.matmul(basis, coefficients)[:, :, 0]
     return np.sqrt(_stacked_dots(residual.real, residual.real)
                    + _stacked_dots(residual.imag, residual.imag))
@@ -411,7 +408,8 @@ def run_trials(
     policies yield identical arrays; a chunk's angles are drawn in one pass
     (_trial_angles). Trials run as a batch through _batched_rows, and each
     chunk's rows are reduced at once (_fidelities, _leakages), rounding as
-    one row at a time would.
+    one row at a time would; the ideal output and the code space are
+    conjugated once per call.
     """
     n = circuit.n_qubits
     if input_state.n_qubits != n or ideal_output.n_qubits != n:
@@ -431,6 +429,7 @@ def run_trials(
         return ops
 
     bra = ideal_output.amplitudes.conj()
+    adjoint = None if subspace is None else subspace.matrix.conj().T
     fidelities = np.empty(policy.trials)
     leakages = np.empty(policy.trials) if subspace is not None else None
     for trials, rows in _batched_rows(
@@ -439,21 +438,6 @@ def run_trials(
     ):
         fidelities[trials.start:trials.stop] = _fidelities(bra, rows)
         if subspace is not None:
-            leakages[trials.start:trials.stop] = _leakages(subspace.matrix, rows)
+            leakages[trials.start:trials.stop] = _leakages(subspace.matrix, adjoint, rows)
     return fidelities, leakages
 
-
-def noisy_run(
-    circuit: Circuit,
-    input_state: StateVector,
-    ideal_output: StateVector,
-    policy: NoisePolicy,
-    model: CollectiveModel,
-    block_boundaries: list[int] | None = None,
-    subspace: SubspaceBasis | None = None,
-) -> RunReport:
-    """Aggregate run_trials into ensemble statistics; deterministic under the seed."""
-    fidelities, leakages = run_trials(
-        circuit, input_state, ideal_output, policy, model, block_boundaries, subspace
-    )
-    return RunReport.from_trials(fidelities, leakages, policy)

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuits import Circuit, Gate, _check_size, _is_integer, h, p
+from .circuits import Circuit, Gate, _check_size, _inverse, _is_integer, h, p
 from .statevector import MAX_DENSE_OPERATOR_QUBITS, MAX_QUBITS, StateVector, SubspaceBasis
 
 
@@ -138,10 +138,6 @@ class BlockCode:
         fwd_i, fwd_j = self.decode(i), self.decode(j)
         return (fwd_j + fwd_i + (p(self.size * i, self.size * j, theta),)
                 + _inverse(fwd_j) + _inverse(fwd_i))
-
-
-def _inverse(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
-    return tuple(g.inverse() for g in reversed(gates))
 
 
 PLAIN = BlockCode(1, np.eye(2))

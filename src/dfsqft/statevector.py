@@ -6,9 +6,11 @@ the basis index and qubit n is the leftmost digit of |s_n ... s_1>.
 |0> is the +1 eigenstate of sigma_z.
 
 Unitaries are plain complex ndarrays; a state is one validated read-only
-vector and a subspace basis one validated read-only 2^n x k matrix. Every
-operation returns new values and never mutates shared state, so all types
-are safe to hand between threads.
+vector and a subspace basis one validated read-only 2^n x k matrix (a
+state from a bit string is qft.PLAIN.state(bits)). unitarity_defect and
+global_phase_agreement return deviations, which callers compare with their
+own tolerances. Every operation returns new values and never mutates shared
+state, so all types are safe to hand between threads.
 
 One loop, _propagate, applies gates and collective-noise layers to one
 state or to the columns of a 2^n x k array: the 2^n identity columns for
@@ -74,13 +76,6 @@ class StateVector:
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(amps)
-
-    @classmethod
-    def from_bits(cls, bits: str) -> StateVector:
-        """Basis state |s_n ... s_1> from its bit string (qubit n leftmost)."""
-        if not bits or any(c not in "01" for c in bits):
-            raise ValueError(f"bit string must be nonempty over 0/1, got {bits!r}")
-        return cls.basis(len(bits), int(bits, 2))
 
 
 def _support_views(work: np.ndarray, scratch: np.ndarray, qubits: tuple, real: bool) -> tuple:
@@ -321,16 +316,8 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))))
 
 
-def is_unitary(matrix: np.ndarray, atol: float = MATRIX_ATOL) -> bool:
-    return unitarity_defect(matrix) <= atol
-
-
 def global_phase_agreement(a: np.ndarray, b: np.ndarray) -> float:
     """|tr(a^dag b)| / dim: equals 1 iff a = e^{i phi} b for unitary a, b."""
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
     return float(abs(np.trace(a.conj().T @ b)) / a.shape[0])
-
-
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = MATRIX_ATOL) -> bool:
-    return global_phase_agreement(a, b) >= 1.0 - atol

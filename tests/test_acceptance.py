@@ -3,37 +3,29 @@ stated tolerance, one printed pass/fail line per criterion.
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
-import math
 import time
 
-import numpy as np
-
 from dfsqft import (
-    Circuit,
     CollectiveModel,
     NoisePolicy,
     PER_LOGICAL_BLOCK,
     PLAIN,
+    RunReport,
     SCD as SCD_CODE,
     WCD as WCD_CODE,
     StateVector,
     apply_circuit,
     brute_force_max_dfs_dimension,
-    circuit_unitary,
     eta_max,
-    h,
     logical_block_boundaries,
     max_dfs_dimension,
     min_physical_qubits,
-    noisy_run,
-    p,
-    restrict,
-    scd_transform_matrix,
+    run_trials,
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
 )
-from dfsqft.verify import SUITES, logical_phase
+from dfsqft.verify import SUITES
 
 from fractions import Fraction
 
@@ -107,27 +99,10 @@ def test_criterion_05_scd_states():
 
 def test_criterion_06_scd_logical_gates():
     started = time.perf_counter()
-    # fallback route must satisfy both logical-gate contracts unconditionally
-    zero, one = SCD_CODE.state("0").amplitudes, SCD_CODE.state("1").amplitudes
-    transform = scd_transform_matrix(1)
-    conj_h = transform.conj().T @ circuit_unitary(Circuit(4, (h(4),))) @ transform
-    fb_dev = max(
-        float(np.max(np.abs(conj_h @ zero - (zero + one) / math.sqrt(2)))),
-        float(np.max(np.abs(conj_h @ one - (zero - one) / math.sqrt(2)))),
-    )
-    transform2 = scd_transform_matrix(2)
-    basis2 = SCD_CODE.basis(2)
-    for theta in (math.pi / 2, math.pi / 4):
-        conj_p = (
-            transform2.conj().T
-            @ circuit_unitary(Circuit(8, (p(4 * 2, 4 * 1, theta),)))
-            @ transform2
-        )
-        block, leakage = restrict(conj_p, basis2)
-        fb_dev = max(fb_dev, float(np.max(np.abs(block - logical_phase(2, 2, 1, theta)))), leakage)
-
-    # gate-sequence route: the block transform as written
-    seq_dev = _worst("scd", (1, 2))["logical_gates_sequence"]
+    # both routes, on every H and every ordered P pair at both angles: the
+    # fallback transform around the bare gates, and the block transform as written
+    worst = _worst("scd", (1, 2))
+    fb_dev, seq_dev = worst["logical_gates_fallback"], worst["logical_gates_sequence"]
     passed = fb_dev < 1e-10 and seq_dev < 1e-10
     detail = f"fallback deviation {fb_dev:.2e}; sequence deviation {seq_dev:.2e}"
     elapsed = time.perf_counter() - started
@@ -153,15 +128,17 @@ def test_criterion_08_noise_robustness_headline():
         ("scd", synth_qft_scd(2), logical_block_boundaries(2, SCD_CODE), SCD_CODE.state("00"), SCD),
     ):
         ideal = apply_circuit(state, circuit)
-        results[label] = noisy_run(circuit, state, ideal, policy, model, bounds)
-        reruns[label] = noisy_run(circuit, state, ideal, policy, model, bounds)
+        results[label], reruns[label] = (
+            RunReport.from_trials(*run_trials(circuit, state, ideal, policy, model, bounds), policy)
+            for _ in range(2)
+        )
         plain = synth_qft(2)
         plain_state = StateVector.basis(2, 0)
         plain_ideal = apply_circuit(plain_state, plain)
-        results[f"plain-{label}"] = noisy_run(
+        results[f"plain-{label}"] = RunReport.from_trials(*run_trials(
             plain, plain_state, plain_ideal, policy, model,
             logical_block_boundaries(2, PLAIN),
-        )
+        ), policy)
     encoded_ok = all(results[k].mean_fidelity >= 1.0 - 1e-10 for k in ("wcd", "scd"))
     plain_ok = all(results[f"plain-{k}"].mean_fidelity < 0.99 for k in ("wcd", "scd"))
     deterministic = all(results[k] == reruns[k] for k in ("wcd", "scd"))

@@ -7,9 +7,9 @@ import pytest
 import scipy.linalg
 
 from dfsqft import (
+    PLAIN,
     SCD as SCD_CODE,
     CollectiveModel,
-    StateVector,
     brute_force_max_dfs_dimension,
     collective_operator,
     dfs_basis,
@@ -33,7 +33,7 @@ class TestCollectiveOperator:
 
     def test_two_qubit_z_annihilates_balanced_state(self):
         op = collective_operator(2, "z")
-        np.testing.assert_allclose(op @ StateVector.from_bits("01").amplitudes, 0, atol=1e-15)
+        np.testing.assert_allclose(op @ PLAIN.state("01").amplitudes, 0, atol=1e-15)
 
     def test_two_qubit_x_matrix_element(self):
         # <00| S_x |01> = 1 (single bit flip)
@@ -79,8 +79,8 @@ class TestDfsBasis:
     def test_wcd_two_qubits(self):
         basis = dfs_basis(2, WCD)
         assert len(basis) == 2
-        np.testing.assert_array_equal(basis.matrix[:, 0], StateVector.from_bits("01").amplitudes)
-        np.testing.assert_array_equal(basis.matrix[:, 1], StateVector.from_bits("10").amplitudes)
+        np.testing.assert_array_equal(basis.matrix[:, 0], PLAIN.state("01").amplitudes)
+        np.testing.assert_array_equal(basis.matrix[:, 1], PLAIN.state("10").amplitudes)
 
     def test_wcd_vectors_annihilated_and_noise_fixed(self):
         for n in (2, 4):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -21,6 +23,7 @@ from dfsqft import (
     CollectiveModel,
     NoiseEvent,
     NoisePolicy,
+    RunReport,
     StateVector,
     SubspaceBasis,
     apply_circuit,
@@ -30,14 +33,13 @@ from dfsqft import (
     fidelity,
     h,
     logical_block_boundaries,
-    noisy_run,
+    run_trials,
     sample_event,
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
 )
 from dfsqft import noise
-from dfsqft.noise import run_trials
 
 from conftest import random_state
 
@@ -88,14 +90,14 @@ def _qft_setup(kind, n):
 
 class TestApplyNoise:
     def test_wcd_fixes_balanced_basis_state(self):
-        state = StateVector.from_bits("01")
+        state = PLAIN.state("01")
         out = apply_noise(state, NoiseEvent((1.234,)), WCD)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_wcd_phases_all_zero_state(self):
         phi = 0.77
-        out = apply_noise(StateVector.from_bits("00"), NoiseEvent((phi,)), WCD)
-        expected = np.exp(-2j * phi) * StateVector.from_bits("00").amplitudes
+        out = apply_noise(PLAIN.state("00"), NoiseEvent((phi,)), WCD)
+        expected = np.exp(-2j * phi) * PLAIN.state("00").amplitudes
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
 
     def test_scd_fixes_logical_state(self):
@@ -194,16 +196,16 @@ class TestNoisyRun:
         policy = NoisePolicy(
             granularity=PER_ELEMENTARY_GATE, distribution="gaussian", sigma=0.0, trials=1, seed=3
         )
-        report = noisy_run(circuit, state, ideal, policy, WCD)
+        report = RunReport.from_trials(*run_trials(circuit, state, ideal, policy, WCD), policy)
         assert 1.0 - report.mean_fidelity < 1e-10
 
     def test_block_noise_protects_encoded_wcd(self):
         circuit, state, ideal = self._wcd_setup()
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=200, seed=5)
-        report = noisy_run(
+        report = RunReport.from_trials(*run_trials(
             circuit, state, ideal, policy, WCD, logical_block_boundaries(2, WCD_CODE),
             subspace=WCD_CODE.basis(2),
-        )
+        ), policy)
         assert report.mean_fidelity >= 1.0 - 1e-10
         assert report.min_fidelity >= 1.0 - 1e-10
         assert report.mean_leakage < 1e-10
@@ -213,10 +215,10 @@ class TestNoisyRun:
         state = SCD_CODE.state("00")
         ideal = apply_circuit(state, circuit)
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=100, seed=5)
-        report = noisy_run(
+        report = RunReport.from_trials(*run_trials(
             circuit, state, ideal, policy, SCD, logical_block_boundaries(2, SCD_CODE),
             subspace=SCD_CODE.basis(2),
-        )
+        ), policy)
         assert report.mean_fidelity >= 1.0 - 1e-10
         assert report.mean_leakage < 1e-10
 
@@ -227,7 +229,9 @@ class TestNoisyRun:
         ):
             ideal = apply_circuit(state, circuit)
             policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=100, seed=11)
-            report = noisy_run(circuit, state, ideal, policy, model)
+            report = RunReport.from_trials(
+                *run_trials(circuit, state, ideal, policy, model), policy
+            )
             assert report.mean_fidelity >= 1.0 - 1e-10
 
     def test_plain_qft_degrades(self):
@@ -235,7 +239,7 @@ class TestNoisyRun:
         state = StateVector.basis(2, 0)
         ideal = apply_circuit(state, circuit)
         policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, trials=200, seed=2)
-        report = noisy_run(circuit, state, ideal, policy, WCD)
+        report = RunReport.from_trials(*run_trials(circuit, state, ideal, policy, WCD), policy)
         assert report.mean_fidelity < 0.99
 
     def test_plain_single_qubit_matches_quadrature(self):
@@ -245,7 +249,7 @@ class TestNoisyRun:
         state = StateVector.basis(1, 0)
         ideal = apply_circuit(state, circuit)
         policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, trials=2000, seed=13)
-        report = noisy_run(circuit, state, ideal, policy, WCD)
+        report = RunReport.from_trials(*run_trials(circuit, state, ideal, policy, WCD), policy)
         exact, _ = scipy.integrate.quad(lambda t: math.cos(t) ** 2 / (2 * math.pi), 0, 2 * math.pi)
         assert abs(exact - 0.5) < 1e-12
         assert abs(report.mean_fidelity - exact) < 0.04  # ~5 sigma at 2000 trials
@@ -256,9 +260,9 @@ class TestNoisyRun:
         # genuinely zero, and the report must show exactly that
         circuit, state, ideal = self._wcd_setup(2)
         policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, trials=300, seed=4)
-        report = noisy_run(
+        report = RunReport.from_trials(*run_trials(
             circuit, state, ideal, policy, WCD, subspace=WCD_CODE.basis(2)
-        )
+        ), policy)
         assert report.mean_fidelity < 0.9
         assert report.mean_leakage is not None and report.mean_leakage < 1e-10
         assert 0.0 <= report.min_fidelity <= report.mean_fidelity <= 1.0
@@ -270,7 +274,9 @@ class TestNoisyRun:
         state = SCD_CODE.state("0")
         ideal = apply_circuit(state, circuit)
         policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, trials=200, seed=4)
-        report = noisy_run(circuit, state, ideal, policy, SCD, subspace=SCD_CODE.basis(1))
+        report = RunReport.from_trials(
+            *run_trials(circuit, state, ideal, policy, SCD, subspace=SCD_CODE.basis(1)), policy
+        )
         assert report.mean_fidelity < 0.9
         assert report.mean_leakage > 0.1
         assert 0.0 <= report.min_fidelity <= report.mean_fidelity <= 1.0
@@ -279,8 +285,10 @@ class TestNoisyRun:
         circuit, state, ideal = self._wcd_setup()
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=50, seed=99)
         kwargs = dict(block_boundaries=logical_block_boundaries(2, WCD_CODE))
-        first = noisy_run(circuit, state, ideal, policy, WCD, **kwargs)
-        second = noisy_run(circuit, state, ideal, policy, WCD, **kwargs)
+        first, second = (
+            RunReport.from_trials(*run_trials(circuit, state, ideal, policy, WCD, **kwargs), policy)
+            for _ in range(2)
+        )
         assert first == second
 
     def test_trial_streams_are_prefix_stable(self):
@@ -313,12 +321,10 @@ class TestNoisyRun:
         circuit = synth_qft(2)
         state = StateVector.basis(2, 0)
         ideal = apply_circuit(state, circuit)
+        policies = [NoisePolicy(granularity=ENDPOINTS_ONLY, trials=20, seed=s) for s in (1, 2)]
         reports = [
-            noisy_run(
-                circuit, state, ideal,
-                NoisePolicy(granularity=ENDPOINTS_ONLY, trials=20, seed=s), WCD,
-            )
-            for s in (1, 2)
+            RunReport.from_trials(*run_trials(circuit, state, ideal, policy, WCD), policy)
+            for policy in policies
         ]
         assert reports[0].mean_fidelity != reports[1].mean_fidelity
 
@@ -326,11 +332,11 @@ class TestNoisyRun:
         circuit, state, ideal = self._wcd_setup()
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=1, seed=0)
         with pytest.raises(ValueError, match="boundaries"):
-            noisy_run(circuit, state, ideal, policy, WCD, block_boundaries=None)
+            run_trials(circuit, state, ideal, policy, WCD, block_boundaries=None)
         with pytest.raises(ValueError, match="partition"):
-            noisy_run(circuit, state, ideal, policy, WCD, block_boundaries=[3, 2])
+            run_trials(circuit, state, ideal, policy, WCD, block_boundaries=[3, 2])
         with pytest.raises(ValueError, match="partition"):
-            noisy_run(circuit, state, ideal, policy, WCD, block_boundaries=[3, 8])
+            run_trials(circuit, state, ideal, policy, WCD, block_boundaries=[3, 8])
 
     def test_subspace_on_another_register_is_refused_up_front(self):
         circuit, state, ideal = self._wcd_setup(2)
@@ -345,16 +351,16 @@ class TestNoisyRun:
         state = StateVector.basis(2, 0)
         ideal = apply_circuit(state, circuit)
         policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, trials=5, seed=1)
-        report = noisy_run(circuit, state, ideal, policy, WCD, bounds)
+        report = RunReport.from_trials(
+            *run_trials(circuit, state, ideal, policy, WCD, bounds), policy
+        )
         assert report.trials == 5
 
     def test_report_dict_roundtrips_to_json(self):
-        import json
-
         circuit, state, ideal = self._wcd_setup()
         policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=3, seed=0)
-        report = noisy_run(circuit, state, ideal, policy, WCD)
-        payload = json.loads(json.dumps(report.to_dict()))
+        report = RunReport.from_trials(*run_trials(circuit, state, ideal, policy, WCD), policy)
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert payload["trials"] == 3
         assert payload["mean_leakage"] is None
         assert payload["policy"]["granularity"] == ENDPOINTS_ONLY
@@ -404,6 +410,25 @@ class TestBatchedTrials:
         want = reference_trials(circuit, state, ideal, policy, model, bounds, basis)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+
+    def test_code_space_is_conjugated_once_per_run(self, monkeypatch):
+        # every chunk's leakages read one B^H, the F-ordered view made up front
+        circuit, state, ideal, model, bounds, basis = _qft_setup("scd", 1)
+        monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 2**6)
+        leakages, adjoints = noise._leakages, []
+
+        def spy(matrix, adjoint, rows):
+            adjoints.append(adjoint)
+            return leakages(matrix, adjoint, rows)
+
+        monkeypatch.setattr(noise, "_leakages", spy)
+        trials = 3 * (noise.BATCH_AMPLITUDES >> circuit.n_qubits)
+        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=trials, seed=3)
+        run_trials(circuit, state, ideal, policy, model, bounds, basis)
+        assert len(adjoints) == 3
+        assert all(adjoint is adjoints[0] for adjoint in adjoints)
+        assert adjoints[0].flags.f_contiguous
+        np.testing.assert_array_equal(adjoints[0], basis.matrix.conj().T)
 
     def test_memory_does_not_grow_with_trials(self):
         circuit, state, ideal, model, _, basis = _qft_setup("scd", 2)
@@ -497,7 +522,7 @@ class TestChunkReductions:
         leakages = [np.linalg.norm(row - basis @ (basis.conj().T @ row)) for row in rows]
         np.testing.assert_array_equal(noise._fidelities(ideal.conj(), rows).view(np.uint64),
                                       np.array(fidelities).view(np.uint64))
-        np.testing.assert_array_equal(noise._leakages(basis, rows).view(np.uint64),
+        np.testing.assert_array_equal(noise._leakages(basis, basis.conj().T, rows).view(np.uint64),
                                       np.array(leakages).view(np.uint64))
 
     @pytest.mark.parametrize("k", [1, 2, 7, 40, 64, 200])
