@@ -39,7 +39,6 @@ from .noise import (
     RunReport,
     apply_noise,
     run_trials,
-    sample_event,
 )
 from .qft import (
     PLAIN,
@@ -62,7 +61,6 @@ from .statevector import (
     StateVector,
     SubspaceBasis,
     apply_circuit,
-    apply_gate,
     circuit_unitary,
     fidelity,
     global_phase_agreement,
@@ -85,7 +83,7 @@ __all__ = [
     "Gate", "Circuit", "CircuitParseError", "h", "cn", "r", "p", "cr",
     "invert", "parse_circuit", "print_circuit",
     # statevector
-    "StateVector", "SubspaceBasis", "apply_gate", "apply_circuit",
+    "StateVector", "SubspaceBasis", "apply_circuit",
     "circuit_unitary", "fidelity", "restrict", "unitarity_defect",
     "global_phase_agreement",
     # qft
@@ -102,6 +100,5 @@ __all__ = [
     "SCD", "synth_qft_scd",
     # noise
     "NoiseEvent", "NoisePolicy", "RunReport", "apply_noise", "run_trials",
-    "sample_event", "GRANULARITIES", "PER_ELEMENTARY_GATE", "PER_LOGICAL_BLOCK",
-    "ENDPOINTS_ONLY",
+    "GRANULARITIES", "PER_ELEMENTARY_GATE", "PER_LOGICAL_BLOCK", "ENDPOINTS_ONLY",
 ]

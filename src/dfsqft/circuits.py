@@ -140,10 +140,6 @@ class Circuit:
             raise ValueError("cannot concatenate circuits on different register sizes")
         return Circuit(self.n_qubits, self.gates + other.gates)
 
-    def on_register(self, n_qubits: int) -> Circuit:
-        """Same gate sequence declared on a wider register."""
-        return Circuit(n_qubits, self.gates)
-
 
 def _inverse(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
     return tuple(g.inverse() for g in reversed(gates))

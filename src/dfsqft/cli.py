@@ -37,7 +37,7 @@ from .noise import (
 )
 from .qft import PLAIN, logical_block_boundaries, synth_logical_qft
 from .scd import MAX_SCD_LOGICAL, SCD
-from .statevector import MAX_QUBITS, StateVector, apply_circuit
+from .statevector import MAX_QUBITS, apply_circuit
 from .verify import SUITES
 from .wcd import MAX_WCD_LOGICAL, WCD
 
@@ -56,7 +56,6 @@ _ENCODINGS = {
     "wcd": (WCD, CollectiveModel.WCD, MAX_WCD_LOGICAL),
     "scd": (SCD, CollectiveModel.SCD, MAX_SCD_LOGICAL),
 }
-_VERIFY_CAPS = {encoding: max_n for encoding, (max_n, _) in SUITES.items()}
 # noise runs take every encoded size that synth does
 _BENCH_CAPS = {encoding: max_n
                for encoding, (_, model, max_n) in _ENCODINGS.items() if model is not None}
@@ -175,10 +174,10 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args, config: dict[str, str]) -> int:
     encoding, n = args.encoding, args.n
-    _check_range(encoding, n, _VERIFY_CAPS)
+    max_n, run = SUITES[encoding]
+    _check_range(encoding, n, {encoding: max_n})
     seed = _resolve_seed(args, config)
     started = time.perf_counter()
-    _, run = SUITES[encoding]
     checks, extra = run(n, seed)
     report = _report_skeleton("verify", {"encoding": encoding, "n": n}, seed)
     report["duration_s"] = time.perf_counter() - started
@@ -210,13 +209,10 @@ def _bench_arms(encoding: str, n: int):
     """(name, circuit, block boundaries, input state, code space) of the
     encoded and the plain QFT on logical |0...0>, and the noise model."""
     code, model, _ = _ENCODINGS[encoding]
-    basis = code.basis(n)
     arms = [
-        (name, synth_logical_qft(n, arm_code), logical_block_boundaries(n, arm_code), state, space)
-        for name, arm_code, state, space in (
-            ("encoded", code, StateVector(basis.matrix[:, 0]), basis),
-            ("unencoded", PLAIN, StateVector.basis(n, 0), None),
-        )
+        (name, synth_logical_qft(n, arm_code), logical_block_boundaries(n, arm_code),
+         arm_code.state("0" * n), space)
+        for name, arm_code, space in (("encoded", code, code.basis(n)), ("unencoded", PLAIN, None))
     ]
     return arms, model
 

@@ -27,10 +27,11 @@ SeedSequence hash (NEP 19), and its uniform angles are drawn at once by
 _uniform_angles, a vectorized copy of numpy's PCG64 that jumps each stream
 straight to each draw. Gaussian angles are the exception: they come from
 default_rng([seed, trial]) itself, one Generator per trial, as numpy's
-normal sampler cannot be copied. run_trials reduces each chunk's
-fidelities and leakages in one pass, with the bits of one trial at a time,
-and returns the per-trial arrays; RunReport.from_trials(*run_trials(...),
-policy) aggregates them.
+normal sampler cannot be copied. _trial_angles is the module's one
+sampler; apply_noise takes a NoiseEvent of angles that the caller drew.
+run_trials reduces each chunk's fidelities and leakages in one pass, with
+the bits of one trial at a time, and returns the per-trial arrays;
+RunReport.from_trials(*run_trials(...), policy) aggregates them.
 
 The module has no register cap of its own: apply_noise and run_trials take
 StateVectors, which statevector.MAX_QUBITS caps, so noise runs reach every
@@ -264,30 +265,19 @@ def _uniform_angles(words: np.ndarray, count: int) -> np.ndarray:
     return out.astype(float) * _ANGLE_SCALE
 
 
-def _draw_angles(rng: np.random.Generator, policy: NoisePolicy, shape) -> np.ndarray:
-    # One bulk draw of a given shape yields the same numbers, in row-major
-    # order, as the equivalent run of smaller draws from the same stream.
-    if policy.distribution == "uniform":
-        return rng.uniform(0.0, 2.0 * math.pi, shape)
-    return rng.normal(0.0, policy.sigma, shape)
-
-
 def _trial_angles(policy: NoisePolicy, trials: range, shape: tuple) -> np.ndarray:
     """angles[j]: trial trials[j]'s draw of the given shape from its stream,
-    default_rng([seed, trial]). Uniform draws are computed for the whole
-    chunk at once; gaussian ones are drawn from that very generator, one per
-    trial, as numpy's normal sampler is a ziggurat whose tables it does not
-    expose. numpy.random is imported only then."""
+    default_rng([seed, trial]), which holds in row-major order the numbers
+    that a run of smaller draws from that stream yields. Uniform draws are
+    computed for the whole chunk at once; gaussian ones are drawn from that
+    very generator, one per trial, as numpy's normal sampler is a ziggurat
+    whose tables it does not expose. numpy.random is imported only then."""
     seed = policy.seed & _SEED_MASK
     if policy.distribution == "uniform":
         angles = _uniform_angles(_seed_words(seed, trials), math.prod(shape))
         return angles.reshape(len(trials), *shape)
-    return np.stack([_draw_angles(np.random.default_rng([seed, t]), policy, shape) for t in trials])
-
-
-def sample_event(rng: np.random.Generator, model: CollectiveModel, policy: NoisePolicy) -> NoiseEvent:
-    """Draw one event's angles from the policy's distribution."""
-    return NoiseEvent(tuple(_draw_angles(rng, policy, len(model.axes))))
+    return np.stack([np.random.default_rng([seed, t]).normal(0.0, policy.sigma, shape)
+                     for t in trials])
 
 
 def _rotations(phis: np.ndarray, model: CollectiveModel) -> np.ndarray:

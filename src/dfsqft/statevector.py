@@ -204,14 +204,6 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     return work.reshape(shape)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """New state with one gate applied; amplitudes mix only across the gate's support."""
-    n = state.n_qubits
-    if max(gate.qubits) > n:
-        raise ValueError(f"gate {gate.kind} on qubits {gate.qubits} exceeds {n}-qubit state")
-    return StateVector(_propagate([gate], state.amplitudes, n))
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Fold a whole circuit over a state (application order)."""
     if circuit.n_qubits != state.n_qubits:
@@ -220,8 +212,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Lower a circuit to its dense matrix; column l is the circuit applied to |l>.
-    Circuit.on_register lowers it on a wider register."""
+    """Lower a circuit to its dense matrix; column l is the circuit applied to |l>."""
     n = circuit.n_qubits
     _check_size(n, "register size", MAX_DENSE_OPERATOR_QUBITS)
     return _propagate(circuit.gates, np.eye(2**n, dtype=complex), n)

@@ -190,9 +190,7 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
     )
     # B^dag T^dag G T B = (TB)^dag G (TB) with the same residual norms (T is
     # unitary), so the fallback route restricts the bare gate to the basis TB
-    columns_t = _fallback_columns(basis.matrix, n)
-    columns_t.flags.writeable = False  # SubspaceBasis keeps it uncopied
-    basis_t = SubspaceBasis(4 * n, columns_t)
+    basis_t = SubspaceBasis(4 * n, _fallback_columns(basis.matrix, n))
 
     def worst(blocks: dict) -> float:
         return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))

@@ -1,16 +1,23 @@
-"""tools/capture_outputs.py looks up dfsqft names by string (the logical gate
-builders, the WCD encoder, the block codes and verify.SUITES), and no
-other test runs it, so these tests make a renamed name fail here rather than
-only in a comparison run."""
+"""tools/capture_outputs.py hashes every output that a behaviour-preserving
+change must keep byte-identical, and tests/golden/capture_hashes.json pins
+those hashes. The tool looks up dfsqft names by string (the logical gate
+builders, the WCD encoder, the block codes, verify.SUITES and the register
+caps), so these tests also make a renamed name fail here."""
+import json
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
 import dfsqft
+from dfsqft.cli import _ENCODINGS
 from dfsqft.verify import SUITES
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "capture_outputs.py"
+PINNED = ROOT / "tests" / "golden" / "capture_hashes.json"
 
 
 def _load_tool() -> types.ModuleType:
@@ -41,7 +48,19 @@ def test_block_boundaries_resolve(encoding):
 
 
 def test_cli_cases_cover_every_verify_size():
-    captured = {name for name, argv in CAPTURE.cli_cases(SUITES) if argv[0] == "verify"}
-    assert captured == {f"verify {encoding} {n} {fmt}"
-                        for encoding, (max_n, _) in SUITES.items()
-                        for n in range(1, max_n + 1) for fmt in ("json", "csv")}
+    cases = list(CAPTURE.cli_cases(SUITES, CAPTURE.synth_sizes(dfsqft)))
+    assert {name for name, argv in cases if argv[0] == "verify"} == {
+        f"verify {encoding} {n} {fmt}" for encoding, (max_n, _) in SUITES.items()
+        for n in range(1, max_n + 1) for fmt in ("json", "csv")}
+    assert {name for name, argv in cases if argv[0] == "synth"} == {
+        f"synth {encoding} {n}" for encoding, (_, _, max_n) in _ENCODINGS.items()
+        for n in range(1, max_n + 1)}
+
+
+def test_outputs_match_the_pinned_hashes():
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src")], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    got, want = json.loads(run.stdout), json.loads(PINNED.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []

@@ -27,14 +27,12 @@ from dfsqft import (
     StateVector,
     SubspaceBasis,
     apply_circuit,
-    apply_gate,
     apply_noise,
     collective_operator,
     fidelity,
     h,
     logical_block_boundaries,
     run_trials,
-    sample_event,
     synth_qft,
     synth_qft_scd,
     synth_qft_wcd,
@@ -62,9 +60,12 @@ def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None
         out = state
         for pos in range(n_gates + 1):
             if pos in positions:
-                out = apply_noise(out, sample_event(rng, model, policy), model)
+                k = len(model.axes)
+                angles = (rng.uniform(0.0, 2.0 * math.pi, k) if policy.distribution == "uniform"
+                          else rng.normal(0.0, policy.sigma, k))
+                out = apply_noise(out, NoiseEvent(tuple(angles)), model)
             if pos < n_gates:
-                out = apply_gate(out, circuit.gates[pos])
+                out = apply_circuit(out, Circuit(out.n_qubits, (circuit.gates[pos],)))
         fidelities.append(fidelity(ideal, out))
         if subspace is not None:
             b = subspace.matrix
@@ -488,8 +489,10 @@ class TestTrialStreams:
         got = noise._trial_angles(policy, trials, (6, 3))
         assert got.shape == (len(trials), 6, 3)
         for row, trial in zip(got, trials):
-            want = np.random.default_rng([seed % 2**64, trial])
-            np.testing.assert_array_equal(row, noise._draw_angles(want, policy, (6, 3)))
+            rng = np.random.default_rng([seed % 2**64, trial])
+            want = (rng.uniform(0.0, 2.0 * math.pi, (6, 3)) if distribution == "uniform"
+                    else rng.normal(0.0, 0.4, (6, 3)))
+            np.testing.assert_array_equal(row, want)
 
     def test_import_does_not_load_numpy_random(self):
         # nor does a uniform run; the gaussian streams import it on first use

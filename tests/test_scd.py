@@ -8,6 +8,7 @@ import scipy.linalg
 from dfsqft import (
     Circuit,
     Gate,
+    SubspaceBasis,
     apply_circuit,
     bit_reversal_permutation,
     circuit_unitary,
@@ -255,6 +256,13 @@ class TestTransformMatrix:
                                    scd_transform_matrix(n) @ columns,
                                    rtol=0, atol=1e-14)
 
+    def test_fallback_columns_are_frozen_and_kept_by_subspace_basis(self):
+        # verify's fallback route builds its SubspaceBasis on them without a copy
+        columns = _fallback_columns(SCD.basis(2).matrix, 2)
+        assert columns.flags.owndata and columns.flags.c_contiguous
+        assert not columns.flags.writeable
+        assert SubspaceBasis(8, columns).matrix is columns
+
     def test_sequence_and_fallback_agree_on_logical_blocks(self):
         # cross-validation: both transforms induce the same logical Hadamard
         from dfsqft import scd_transform_matrix
@@ -338,7 +346,7 @@ class TestLogicalPhase:
     def test_explicit_sequence_both_orders(self):
         # T_j, T_i, P(4i, 4j), T_j^-1, T_i^-1 with T_t the block transform of t
         def transform(t):
-            return scd_block_transform(t).on_register(8)
+            return Circuit(8, scd_block_transform(t).gates)
 
         for i, j in ((1, 2), (2, 1)):
             expected = (transform(j) + transform(i) + Circuit(8, (p(4 * i, 4 * j, 0.3),))

@@ -14,7 +14,6 @@ from dfsqft import (
     StateVector,
     SubspaceBasis,
     apply_circuit,
-    apply_gate,
     circuit_unitary,
     cn,
     cr,
@@ -103,34 +102,35 @@ class TestStateVector:
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = apply_gate(PLAIN.state("0"), h(1))
+        out = apply_circuit(PLAIN.state("0"), Circuit(1, (h(1),)))
         np.testing.assert_allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
 
     def test_controlled_phase(self):
         theta = 0.7
-        out = apply_gate(PLAIN.state("11"), p(1, 2, theta))
+        out = apply_circuit(PLAIN.state("11"), Circuit(2, (p(1, 2, theta),)))
         np.testing.assert_allclose(out.amplitudes[3], np.exp(1j * theta), atol=1e-15)
-        out = apply_gate(PLAIN.state("01"), p(1, 2, theta))
+        out = apply_circuit(PLAIN.state("01"), Circuit(2, (p(1, 2, theta),)))
         np.testing.assert_array_equal(out.amplitudes, PLAIN.state("01").amplitudes)
 
     def test_rotation_on_zero(self):
         alpha = 0.3
-        out = apply_gate(PLAIN.state("0"), r(1, alpha))
+        out = apply_circuit(PLAIN.state("0"), Circuit(1, (r(1, alpha),)))
         np.testing.assert_allclose(out.amplitudes, [math.cos(alpha), math.sin(alpha)], atol=1e-15)
 
     def test_controlled_rotation_idle_when_control_clear(self):
-        out = apply_gate(PLAIN.state("01"), cr(2, 1, 1.0))
+        out = apply_circuit(PLAIN.state("01"), Circuit(2, (cr(2, 1, 1.0),)))
         np.testing.assert_array_equal(out.amplitudes, PLAIN.state("01").amplitudes)
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            apply_gate(StateVector.basis(1, 0), h(2))
+        state = StateVector.basis(1, 0)
+        with pytest.raises(ValueError, match="exceeds a 1-qubit register"):
+            apply_circuit(state, Circuit(state.n_qubits, (h(2),)))
 
     @pytest.mark.parametrize("gate", GATE_SAMPLES, ids=lambda g: f"{g.kind}{g.qubits}")
     def test_norm_preserved_on_random_states(self, gate):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            out = apply_gate(random_state(3, rng), gate)
+            out = apply_circuit(random_state(3, rng), Circuit(3, (gate,)))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("gate", GATE_SAMPLES, ids=lambda g: f"{g.kind}{g.qubits}")
@@ -139,7 +139,7 @@ class TestApplyGate:
         unitary = circuit_unitary(Circuit(3, (gate,)))
         for _ in range(100):
             state = random_state(3, rng)
-            via_gate = apply_gate(state, gate).amplitudes
+            via_gate = apply_circuit(state, Circuit(3, (gate,))).amplitudes
             via_matrix = unitary @ state.amplitudes
             np.testing.assert_allclose(via_gate, via_matrix, atol=1e-12)
 
@@ -150,7 +150,8 @@ class TestApplyGate:
         for _ in range(20):
             state = random_state(3, rng)
             np.testing.assert_allclose(
-                apply_gate(state, gate).amplitudes, oracle @ state.amplitudes, atol=1e-12
+                apply_circuit(state, Circuit(3, (gate,))).amplitudes, oracle @ state.amplitudes,
+                atol=1e-12,
             )
 
     def test_disjoint_supports_commute(self):
@@ -182,19 +183,18 @@ class TestCircuitUnitary:
             assert unitarity_defect(circuit_unitary(synth_qft(n))) < 1e-10
 
     def test_wider_register_embedding(self):
-        # a wider register is the circuit's own, through Circuit.on_register
-        u = circuit_unitary(Circuit(1, (h(1),)).on_register(2))
-        np.testing.assert_allclose(u, np.kron(np.eye(2), circuit_unitary(Circuit(1, (h(1),)))))
+        # a wider register is the circuit's own: the same gates on a larger Circuit
+        narrow = Circuit(1, (h(1),))
+        u = circuit_unitary(Circuit(2, narrow.gates))
+        np.testing.assert_allclose(u, np.kron(np.eye(2), circuit_unitary(narrow)))
         with pytest.raises(ValueError, match="exceeds a 1-qubit register"):
-            Circuit(2, (h(2),)).on_register(1)
+            Circuit(1, (h(2),))
 
     def test_dense_cap(self):
         # 2^11 x 2^11 complex is 64 MB, and the array grows 4x per qubit
-        for call in (lambda: circuit_unitary(Circuit(11)),
-                     lambda: circuit_unitary(Circuit(1).on_register(11))):
-            with pytest.raises(ValueError) as info:
-                call()
-            assert str(info.value) == "register size must be an integer in 1..10, got 11"
+        with pytest.raises(ValueError) as info:
+            circuit_unitary(Circuit(11))
+        assert str(info.value) == "register size must be an integer in 1..10, got 11"
 
     def test_apply_circuit_matches_matrix(self):
         rng = np.random.default_rng(5)

@@ -13,15 +13,21 @@ wcd_encoder_circuit(n); so are the logical-block boundaries
 logical_block_boundaries(n, code) of the WCD and SCD block codes, where
 block-boundary noise strikes. The noise-bench CSVs cover wcd 1..3 and
 scd 1..2 at 30 trials, wcd 3 and scd 2 again at 200 trials of block noise
-(several chunks), and the 12-qubit wcd 6 and scd 3 at 4 trials, under
-every policy and both distributions. The script prints one JSON object
+(several chunks), and each encoding's largest size (a 12-qubit register:
+wcd 6 and scd 3 today) at 4 trials, under every policy and both
+distributions. The verify, synth, gate and largest noise-bench sizes are
+read from the package (verify.SUITES and the register caps), so a tree
+hashes every size it accepts. The script prints one JSON object
 mapping each output to the sha256 of its bytes; a verify JSON report is
 hashed without its wall-clock duration_s. It exits 1 if any command exits
 non-zero; a tree that refuses a size still hashes that run's (empty)
 output.
 
-To check a change, run it on a `git archive` copy of the parent commit and
-on the change, then diff the two JSON files.
+tests/golden/capture_hashes.json holds the hashes of the current tree, and
+tests/test_capture_outputs.py compares a fresh run with it. A change that
+moves an output on purpose regenerates that file with this script and names
+the moved keys; to compare two trees, run the script on a `git archive`
+copy of each and diff the two JSON files.
 """
 from __future__ import annotations
 
@@ -36,13 +42,10 @@ import subprocess
 import sys
 
 BENCH_SIZES = {"wcd": 3, "scd": 2}
-# The largest noise-bench size of each encoding, a 12-qubit register, run at
-# few trials (four per chunk of noise.BATCH_AMPLITUDES there).
-LARGEST_BENCH_SIZES = {"wcd": 6, "scd": 3}
+# Each encoding's largest noise-bench size, a 12-qubit register, runs at few
+# trials (four per chunk of noise.BATCH_AMPLITUDES there).
 LARGEST_BENCH_TRIALS = 4
 POLICIES = ("elementary", "block", "endpoints")
-SYNTH_SIZES = {"plain": 14, "wcd": 6, "scd": 3}
-GATE_SIZES = {"wcd": 6, "scd": 3}
 GATE_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
 NOISES = (["--distribution", "uniform"], ["--distribution", "gaussian", "--sigma", "0.3"])
 # Enough block-noise trials that the largest noise-bench runs take several
@@ -55,13 +58,21 @@ def noise_bench_argv(encoding: str, n: int, policy: str, noise: list[str], trial
             "--trials", str(trials), "--seed", "5", "--format", "csv"]
 
 
-def cli_cases(suites):
+def synth_sizes(dfsqft) -> dict[str, int]:
+    """The largest synth size of each encoding, read from the package's caps:
+    statevector.MAX_QUBITS, wcd.MAX_WCD_LOGICAL and scd.MAX_SCD_LOGICAL."""
+    return {"plain": dfsqft.statevector.MAX_QUBITS, "wcd": dfsqft.wcd.MAX_WCD_LOGICAL,
+            "scd": dfsqft.scd.MAX_SCD_LOGICAL}
+
+
+def cli_cases(suites, synth_caps):
     """(name, argv) of every captured CLI run; verify runs every size that
     the package's verify suites (dfsqft.verify.SUITES) accept, noise-bench
     every size of BENCH_SIZES at 30 trials and the largest one again at
-    MULTI_CHUNK_TRIALS of block noise, and each encoding's largest size at
-    LARGEST_BENCH_TRIALS, and dfs-table runs to n = 10 and to the
-    brute-force cap, n = 14."""
+    MULTI_CHUNK_TRIALS of block noise, and each encoding's largest size
+    (synth_caps, from synth_sizes) at LARGEST_BENCH_TRIALS, synth every size
+    up to synth_caps, and dfs-table runs to n = 10 and to the brute-force
+    cap, n = 14."""
     for encoding, (max_n, _) in suites.items():
         for n in range(1, max_n + 1):
             for fmt in ("json", "csv"):
@@ -76,12 +87,13 @@ def cli_cases(suites):
         for noise in NOISES:
             argv = noise_bench_argv(encoding, max_n, "block", noise, MULTI_CHUNK_TRIALS)
             yield " ".join(argv[1:]), argv
-    for encoding, n in LARGEST_BENCH_SIZES.items():
+    for encoding in ("wcd", "scd"):
+        n = synth_caps[encoding]
         for policy in POLICIES:
             for noise in NOISES:
                 argv = noise_bench_argv(encoding, n, policy, noise, LARGEST_BENCH_TRIALS)
                 yield " ".join(argv[1:]), argv
-    for encoding, max_n in SYNTH_SIZES.items():
+    for encoding, max_n in synth_caps.items():
         for n in range(1, max_n + 1):
             yield f"synth {encoding} {n}", ["synth", encoding, str(n)]
     for model in ("wcd", "scd"):
@@ -129,7 +141,8 @@ def main(argv: list[str]) -> int:
 
     hashes = {}
     failed = []
-    for name, cli_argv in cli_cases(SUITES):
+    caps = synth_sizes(dfsqft)
+    for name, cli_argv in cli_cases(SUITES, caps):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(cli_argv)
@@ -142,8 +155,8 @@ def main(argv: list[str]) -> int:
         if code != 0:
             failed.append(name)
 
-    for encoding, max_n in GATE_SIZES.items():
-        for n in range(1, max_n + 1):
+    for encoding in ("wcd", "scd"):
+        for n in range(1, caps[encoding] + 1):
             hashes[f"gates {encoding} {n}"] = sha256("".join(logical_gate_texts(dfsqft, encoding, n)))
             hashes[f"boundaries {encoding} {n}"] = sha256(block_boundaries_text(dfsqft, encoding, n))
 
