@@ -28,6 +28,7 @@ from .dfs import (
     min_physical_qubits,
 )
 from .noise import (
+    DISTRIBUTIONS,
     ENDPOINTS_ONLY,
     PER_ELEMENTARY_GATE,
     PER_LOGICAL_BLOCK,
@@ -71,11 +72,9 @@ class RangeError(ValueError):
     """Bad argument, option value or file (exit code 1, not a usage error)."""
 
 
-def _check_range(name: str, value: int, caps: dict[str, int]) -> None:
-    if name not in caps:
-        raise RangeError(f"unknown encoding {name!r}")
-    if not 1 <= value <= caps[name]:
-        raise RangeError(f"{name} supports n in 1..{caps[name]}, got {value}")
+def _check_range(name: str, value: int, max_n: int) -> None:
+    if not 1 <= value <= max_n:
+        raise RangeError(f"{name} supports n in 1..{max_n}, got {value}")
 
 
 def _load_config(args) -> dict[str, str]:
@@ -165,7 +164,7 @@ def _provenance_lines(command: str, config: dict, seed: int | None) -> list[str]
 
 def cmd_synth(args) -> int:
     code, _, max_n = _ENCODINGS[args.encoding]
-    _check_range(args.encoding, args.n, {args.encoding: max_n})
+    _check_range(args.encoding, args.n, max_n)
     _write_text(args.out, print_circuit(synth_logical_qft(args.n, code)))
     return 0
 
@@ -175,7 +174,7 @@ def cmd_synth(args) -> int:
 def cmd_verify(args, config: dict[str, str]) -> int:
     encoding, n = args.encoding, args.n
     max_n, run = SUITES[encoding]
-    _check_range(encoding, n, {encoding: max_n})
+    _check_range(encoding, n, max_n)
     seed = _resolve_seed(args, config)
     started = time.perf_counter()
     checks, extra = run(n, seed)
@@ -222,7 +221,9 @@ def cmd_noise_bench(args, config: dict[str, str]) -> int:
     n = _resolve_option(args, "n", config, int, None)
     if encoding is None or n is None:
         raise RangeError("noise-bench needs --encoding and --n (flags or config file)")
-    _check_range(encoding, n, _BENCH_CAPS)
+    if encoding not in _BENCH_CAPS:
+        raise RangeError(f"unknown encoding {encoding!r}")
+    _check_range(encoding, n, _BENCH_CAPS[encoding])
     seed = _resolve_seed(args, config)
     policy_name = _resolve_option(args, "policy", config, str, "block")
     if policy_name not in _POLICY_NAMES:
@@ -347,14 +348,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=None)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--policy", choices=sorted(_POLICY_NAMES), default=None)
-    bench.add_argument("--distribution", choices=["uniform", "gaussian"], default=None)
+    bench.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
     bench.add_argument("--sigma", type=float, default=None)
     bench.add_argument("--out", default=None, help="prefix: writes PREFIX.csv and PREFIX.json")
     bench.add_argument("--format", choices=["json", "csv"], default=None)
     bench.add_argument("--config", default=None)
 
     table = sub.add_parser("dfs-table", help="sector dimensions and encoding efficiency per n")
-    table.add_argument("model", choices=["wcd", "scd"])
+    table.add_argument("model", choices=[model.value for model in CollectiveModel])
     table.add_argument("--n-max", dest="n_max", type=int, default=None)
     table.add_argument("--out", default=None)
     table.add_argument("--config", default=None)

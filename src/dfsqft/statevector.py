@@ -17,13 +17,11 @@ state or to the columns of a 2^n x k array: the 2^n identity columns for
 circuit_unitary, the k basis columns of a subspace for restrict, and the
 noise module's trials. It copies its input once into one private working
 array and updates that array in place, gate by gate, so the values it
-hands back are new and the caller's array is never written. A noise
-layer's per-column coefficients are tiled once per layer into a
-contiguous array the shape of the working array's halves, so every qubit
-of the layer is one or two whole-array ufunc calls. Verification
-compares code-space blocks (k x k) or, for small gate supports, the
-unitaries of a few qubits; the 2^n x 2^n matrix of a large register is
-never needed.
+hands back are new and the caller's array is never written; H, R, CR and
+each qubit of a full noise layer are one 2x2 step of two whole-array ufunc
+calls. Verification compares code-space blocks (k x k) or, for small gate
+supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a large
+register is never needed.
 """
 from __future__ import annotations
 
@@ -78,25 +76,26 @@ class StateVector:
         return cls(amps)
 
 
-def _support_views(work: np.ndarray, scratch: np.ndarray, qubits: tuple, real: bool) -> tuple:
-    """(a0, a1, s0, s1): the halves of the 2^n-row working array where
-    qubits[0] is 0 and 1, or for (control, target) the quarters where they
-    are (1, 0) and (1, 1), and two contiguous scratch arrays of their shape;
-    on the float64 views of both arrays if real. The last axis keeps the
+def _halves(array: np.ndarray, qubits: tuple) -> np.ndarray:
+    """The (2, ...) view of a 2^n-row array whose [0] and [1] are the rows
+    where qubits[0] is 0 and 1, or for (control, target) the quarters where
+    the control is 1 and the target 0 and 1. The last axis keeps the
     columns, so a (k,) stack of coefficients broadcasts over them."""
-    if real:
-        work, scratch = work.view(float), scratch.view(float)
-    columns = work.shape[1]
+    columns = array.shape[1]
     if len(qubits) == 1:
-        parts = work.reshape(-1, 2, 1 << (qubits[0] - 1), columns)
-        a0, a1 = parts[:, 0], parts[:, 1]
-    else:
-        high, low = max(qubits), min(qubits)
-        parts = work.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << (low - 1), columns)
-        a0 = parts[:, 1, :, 0] if qubits[0] == high else parts[:, 0, :, 1]
-        a1 = parts[:, 1, :, 1]
-    size = a0.size
-    return a0, a1, scratch[:size].reshape(a0.shape), scratch[size:2 * size].reshape(a0.shape)
+        return array.reshape(-1, 2, 1 << (qubits[0] - 1), columns).swapaxes(0, 1)
+    high, low = max(qubits), min(qubits)
+    parts = array.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << (low - 1), columns)
+    if qubits[0] == high:  # the control-1 rows, target bit on axis 2
+        return parts[:, 1].transpose(2, 0, 1, 3, 4)
+    return parts[:, :, :, 1].transpose(1, 0, 2, 3, 4)
+
+
+def _mix(u: np.ndarray, halves: np.ndarray, products: np.ndarray) -> None:
+    """halves[i] = u[i, 0] * halves[0] + u[i, 1] * halves[1] in place: the
+    four products, u-first, into scratch, then both sums into the halves."""
+    np.multiply(u, halves, out=products)
+    np.add(products[:, 0], products[:, 1], out=halves)
 
 
 def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
@@ -107,56 +106,57 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
 
     The input is copied once into a private C-ordered 2^n x k working array
     (a vector is a 2^n x 1 batch) and released; each op then updates that
-    array in place, through scratch the size of the working array (twice
-    that when a noise layer runs on two or more qubits). Every amplitude rounds as in the
-    out-of-place formulas u[0, 0] * a0 + u[0, 1] * a1 and u[1, 0] * a0 +
-    u[1, 1] * a1 on contiguous copies of the halves a0 and a1, so each
-    complex product is formed u-first: numpy rounds it differently with its
-    operands swapped. H, R and CR have real coefficients and run on the
-    float64 view, and a diagonal noise layer skips its zero off-diagonal
-    products; both can change at most the sign of a zero.
+    array in place, through scratch twice the size of the working array.
+    Every amplitude rounds as in the out-of-place formulas u[0, 0] * a0 +
+    u[0, 1] * a1 and u[1, 0] * a0 + u[1, 1] * a1 on contiguous copies of
+    the halves a0 and a1, so each complex product is formed u-first: numpy
+    rounds it differently with its operands swapped. H, R and CR, and every
+    full noise layer, take one 2x2 step, _mix: the four products into
+    scratch, then both sums into the halves, 2 ufunc calls. H ([[h, h],
+    [h, -h]]), R and CR ([[c, -s], [s, c]]) have real coefficients and run
+    on the float64 view, where (-h) * a is exactly -(h * a) and x + (-y)
+    exactly x - y; a diagonal noise layer skips its zero off-diagonal
+    products, which can change at most the sign of a zero.
 
     A noise layer's coefficients are copied, once per layer, into a
-    contiguous (2, 2, 2^(n-1), k) tile allocated once per call (a diagonal
-    layer fills only tile[0] with u[0, 0] and u[1, 1]). Qubit t reads the
-    tile reshaped to the shape of its halves, so numpy merges the inner
-    axes of each product instead of looping over a broadcast (k,) row; the
-    halves are one strided view of the working array, so a full layer takes
-    2 ufunc calls per qubit (the four products into scratch, then both sums
-    into the halves) and a diagonal one a single in-place product. On one
-    qubit the layer is one pass and a tile saves nothing, so the
-    coefficients are used as they are: there numpy rounds a one-element
-    product with a contiguous coefficient in another loop than with a
-    broadcast one, and a 1-column layer would change in the last bit."""
+    contiguous (2, 2, 2^(n-1), k) tile, allocated once per call and only
+    when a noise layer is present (a diagonal layer fills only tile[0] with
+    u[0, 0] and u[1, 1]). Qubit t reads the tile reshaped to the shape of
+    its products, so numpy merges the inner axes of each product instead
+    of looping over a broadcast (k,) row; a diagonal layer is a single
+    in-place product per qubit. On one qubit the layer is one pass and a
+    tile saves nothing, so the coefficients are used as they are: there
+    numpy rounds a one-element product with a contiguous coefficient in
+    another loop than with a broadcast one, and a 1-column layer would
+    change in the last bit."""
     shape = arr.shape
     work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
     del arr
     ops = list(ops)
     tiled = n > 1 and not all(isinstance(op, Gate) for op in ops)
-    scratch = np.empty(work.size * (2 if tiled else 1), dtype=complex)
+    scratch = np.empty(2 * work.size, dtype=complex)
     tile = np.empty((2, 2, work.shape[0] // 2, work.shape[1]), dtype=complex) if tiled else None
     views: dict[tuple, tuple] = {}
 
     def support(qubits: tuple, real: bool) -> tuple:
+        """(halves, products, tile): the halves of the working array on
+        qubits, the scratch as (2,) + their shape, and the tile in that
+        shape for one qubit of a noise run (else None); on the float64
+        views if real."""
         key = (qubits, real)
-        return views.get(key) or views.setdefault(key, _support_views(work, scratch, *key))
-
-    def layer(t: int) -> tuple:
-        """(halves, products, coefficients) for qubit t: the (2, 2^(n-t),
-        2^(t-1), k) view of the working array whose [0] and [1] are the
-        halves where qubit t is 0 and 1, and the scratch and the tile as
-        (2,) + that shape."""
-        if t not in views:
-            halves = work.reshape(-1, 2, 1 << (t - 1), work.shape[1]).swapaxes(0, 1)
+        if key not in views:
+            halves = _halves(work.view(float) if real else work, qubits)
             shape = (2,) + halves.shape
-            views[t] = halves, scratch.reshape(shape), tile.reshape(shape)
-        return views[t]
+            products = (scratch.view(float) if real else scratch)[:2 * halves.size].reshape(shape)
+            noise = tiled and not real and len(qubits) == 1
+            views[key] = halves, products, tile.reshape(shape) if noise else None
+        return views[key]
 
     for op in ops:
         if not isinstance(op, Gate):
             diagonal = not (op[0, 1].any() or op[1, 0].any())
             if tile is None:  # one qubit, (1, 1, k) halves
-                a0, a1 = work.reshape(1, 2, 1, -1).swapaxes(0, 1)
+                a0, a1 = support((1,), False)[0]
                 if diagonal:
                     a0[...], a1[...] = np.multiply(op[0, 0], a0), np.multiply(op[1, 1], a1)
                 else:
@@ -168,34 +168,25 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
             else:
                 np.copyto(tile, op.reshape(2, 2, 1, -1))
             for t in range(1, n + 1):
-                halves, products, u = layer(t)
+                halves, products, u = support((t,), False)
                 if diagonal:
                     np.multiply(u[0], halves, out=halves)
                 else:
-                    np.multiply(u, halves, out=products)
-                    np.add(products[:, 0], products[:, 1], out=halves)
-        elif op.kind == "H":
-            a0, a1, s0, s1 = support(op.qubits, True)
-            np.multiply(_H, a0, out=s0)
-            np.multiply(_H, a1, out=s1)
-            np.add(s0, s1, out=a0)
-            np.subtract(s0, s1, out=a1)
-        elif op.kind in ("R", "CR"):  # [[c, -s], [s, c]] on the halves or the control-1 quarters
-            c, s = math.cos(op.angle), math.sin(op.angle)
-            a0, a1, s0, s1 = support(op.qubits, True)
-            np.multiply(s, a0, out=s0)
-            np.multiply(s, a1, out=s1)
-            np.multiply(c, a0, out=a0)
-            np.subtract(a0, s1, out=a0)
-            np.multiply(c, a1, out=a1)
-            np.add(s0, a1, out=a1)
-        elif op.kind == "CN":
-            a10, a11, s0, _ = support(op.qubits, False)
-            np.copyto(s0, a10)
-            np.copyto(a10, a11)
-            np.copyto(a11, s0)
+                    _mix(u, halves, products)
+        elif op.kind in ("H", "R", "CR"):  # on the halves or the control-1 quarters
+            if op.kind == "H":
+                u = np.array([[_H, _H], [_H, -_H]])
+            else:
+                c, s = math.cos(op.angle), math.sin(op.angle)
+                u = np.array([[c, -s], [s, c]])
+            halves, products, _ = support(op.qubits, True)
+            _mix(u.reshape((2, 2) + (1,) * (halves.ndim - 1)), halves, products)
+        elif op.kind == "CN":  # swap the control-1 quarters through scratch
+            halves, products, _ = support(op.qubits, False)
+            np.copyto(products[0], halves)
+            np.copyto(halves, products[0, ::-1])
         else:  # P: the phase multiplies the (1, 1) quarter in place, amplitude first
-            _, a11, _, _ = support(op.qubits, False)
+            a11 = support(op.qubits, False)[0][1]
             phase = complex(math.cos(op.angle), math.sin(op.angle))
             if a11.size > 1:
                 np.multiply(a11, phase, out=a11)

@@ -299,6 +299,27 @@ class TestNoiseBench:
         assert run_cli("noise-bench", "--encoding", "scd", "--n", "4") == 1
         assert capsys.readouterr().err == "error: scd supports n in 1..3, got 4\n"
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ("encoding=plain\nn=1\n", "error: unknown encoding 'plain'\n"),
+            ("policy=bogus\n", "error: policy must be one of "
+                               "['block', 'elementary', 'endpoints'], got 'bogus'\n"),
+        ],
+        ids=["encoding-plain", "policy-bogus"],
+    )
+    def test_config_only_value_is_refused(self, tmp_path, capsys, config, message):
+        # argparse's choices never see a value that only the config file gives
+        path = tmp_path / "bench.cfg"
+        path.write_text(config)
+        argv = ["noise-bench", "--config", str(path)]
+        if "encoding" not in config:
+            argv += ["--encoding", "wcd", "--n", "1"]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     @pytest.mark.parametrize("encoding,n", [("wcd", 6), ("scd", 3)])
     def test_block_protection_on_twelve_qubits(self, encoding, n, capsys):
         # noise-bench reaches the largest encoded size that synth and verify take

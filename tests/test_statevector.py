@@ -399,6 +399,36 @@ def _phase_reference(i: int, j: int, angle: float, arr: np.ndarray, n: int) -> n
     return work.reshape(arr.shape)
 
 
+def _gate_reference(gate, arr: np.ndarray, n: int) -> np.ndarray:
+    """An H, R, CR or CN gate by out-of-place formulas on contiguous copies
+    of the halves a0 and a1 (for CR and CN the quarters where the control is
+    1), H, R and CR on the float64 view; P by _phase_reference."""
+    if gate.kind == "P":
+        return _phase_reference(*gate.qubits, gate.angle, arr, n)
+    work = np.array(arr, dtype=complex).reshape(2**n, -1)
+    view = work if gate.kind == "CN" else work.view(float)
+    every = slice(None)
+    if len(gate.qubits) == 1:
+        parts = view.reshape(-1, 2, 1 << (gate.qubits[0] - 1), view.shape[1])
+        at0, at1 = (every, 0), (every, 1)
+    else:
+        control, target = gate.qubits
+        high, low = max(control, target), min(control, target)
+        parts = view.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << (low - 1), view.shape[1])
+        at0 = (every, 1, every, 0) if control == high else (every, 0, every, 1)
+        at1 = (every, 1, every, 1)
+    a0, a1 = parts[at0].copy(), parts[at1].copy()
+    if gate.kind == "H":
+        h_ = statevector._H
+        parts[at0], parts[at1] = h_ * a0 + h_ * a1, h_ * a0 - h_ * a1
+    elif gate.kind == "CN":
+        parts[at0], parts[at1] = a1, a0
+    else:
+        c, s = math.cos(gate.angle), math.sin(gate.angle)
+        parts[at0], parts[at1] = c * a0 - s * a1, s * a0 + c * a1
+    return work.reshape(arr.shape)
+
+
 def _random_states(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return states / np.linalg.norm(states, axis=0)
@@ -452,6 +482,99 @@ class TestPhaseGateBits:
                     got = statevector._propagate([p(i, j, angle)], arr, n)
                     expected = _phase_reference(i, j, angle, arr, n)
                     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _every_gate(n: int, rng: np.random.Generator) -> list:
+    """H and R on every qubit, CR and CN on every ordered pair."""
+    gates = []
+    for i in range(1, n + 1):
+        gates += [h(i), r(i, rng.uniform(0.0, 2.0 * math.pi))]
+        for j in range(1, n + 1):
+            if i != j:
+                gates += [cr(i, j, rng.uniform(0.0, 2.0 * math.pi)), cn(i, j)]
+    return gates
+
+
+class TestGateBits:
+    """H, R, CR and CN update the working array in place with the bits of
+    the out-of-place formulas on contiguous copies of the halves."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_halves_by_index_arithmetic(self, n):
+        columns = 3
+        rows = np.arange(2**n)
+        array = rows[:, None] * columns + np.arange(columns)
+
+        def bit(q: int) -> np.ndarray:
+            return (rows >> (q - 1)) & 1
+
+        # (qubits, the rows both halves are drawn from); qubits[-1] splits them
+        supports = [((i,), rows >= 0) for i in range(1, n + 1)]
+        supports += [((i, j), bit(i) == 1) for i in range(1, n + 1)
+                     for j in range(1, n + 1) if i != j]
+        for qubits, selected in supports:
+            halves = statevector._halves(array, qubits)
+            assert np.shares_memory(halves, array)
+            for b in (0, 1):
+                expected = rows[selected & (bit(qubits[-1]) == b)]
+                np.testing.assert_array_equal(
+                    halves[b].reshape(-1, columns), expected[:, None] * columns + np.arange(columns))
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 3, 40, 64], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_gate(self, n, k):
+        rng = np.random.default_rng([n, k or 0])
+        arr = _random_states(rng, (2**n,) if k is None else (2**n, k))
+        for gate in _every_gate(n, rng):
+            got = statevector._propagate([gate], arr, n)
+            expected = _gate_reference(gate, arr, n)
+            assert got.shape == arr.shape
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64),
+                                          err_msg=f"{gate}")
+
+    @pytest.mark.parametrize("k", [None, 3], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_gate_list(self, n, k):
+        """A whole list reuses each support's views: it matches the gates
+        folded one at a time."""
+        rng = np.random.default_rng([n, k or 0, 1])
+        gates = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
+                                       for j in range(1, n + 1) if i != j]
+        gates = [gates[i] for i in rng.permutation(len(gates))] * 2
+        arr = _random_states(rng, (2**n,) if k is None else (2**n, k))
+        expected = arr
+        for gate in gates:
+            expected = _gate_reference(gate, expected, n)
+        got = statevector._propagate(gates, arr, n)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestKernelMemory:
+    """At n = 10 _propagate holds its working array and scratch twice that
+    size, plus a coefficient tile of twice the size only when a noise layer
+    runs."""
+
+    # 4 MB of work, so the few hundred kB of numpy's fixed ufunc buffers
+    # (a P or CN on low qubits) stay inside the 0.25x margins
+    N, K = 10, 256
+    WORK = 2**N * K * 16  # bytes of the complex working array
+
+    def _peak(self, ops) -> int:
+        arr = _random_states(np.random.default_rng(5), (2**self.N, self.K))
+        tracemalloc.start()
+        try:
+            statevector._propagate(ops, arr, self.N)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_gates_allocate_no_tile(self):
+        assert self._peak(synth_qft(self.N).gates) < 3.25 * self.WORK
+
+    def test_a_noise_layer_adds_one_tile(self):
+        rng = np.random.default_rng(6)
+        layer = _rotations(rng.uniform(0.0, 2.0 * math.pi, (self.K, 3)), CollectiveModel.SCD)
+        assert self._peak(list(synth_qft(self.N).gates) + [layer]) < 5.25 * self.WORK
 
 
 def test_restricted_block_is_unitary_when_leak_free():
