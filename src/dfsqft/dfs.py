@@ -9,10 +9,12 @@ Dimensions come two ways on purpose: closed forms (max_dfs_dimension,
 binomials) and brute force (brute_force_max_dfs_dimension, by Hamming
 weight w(l)); `dfsqft dfs-table` cross-checks one against the other.
 S_z is diagonal with entry n - 2 w(l) at index l, so the WCD sectors are
-weight counts (wcd_sector_dimensions). A state with S_z = 0 has spin
-zero exactly when S_- = (S_x - i S_y)/2 annihilates it, so the SCD null
-space is that of one 0/1 matrix L from weight n/2 to n/2 + 1 (210 x 252
-at n = 10). Both Gram matrices come from one closed form, _lowering_gram,
+weight counts (wcd_sector_dimensions, one bincount). The weights of all
+2^14 indices are one read-only table, built once at import by doubling;
+every census reads a view of its first 2^n entries. A state with S_z = 0
+has spin zero exactly when S_- = (S_x - i S_y)/2 annihilates it, so the
+SCD null space is that of one 0/1 matrix L from weight n/2 to n/2 + 1
+(210 x 252 at n = 10). Both Gram matrices come from one closed form, _lowering_gram,
 and L is never built. dfs_basis takes the eigenvectors of the column Gram
 L^T L. The census needs only the rank of the row Gram L L^T: one Cholesky
 of L L^T - NULLSPACE_TOL * I certifies full row rank, and only when it
@@ -94,10 +96,25 @@ def collective_product(axis: str, columns: np.ndarray) -> np.ndarray:
     return total
 
 
+def _weight_table(n_max: int) -> np.ndarray:
+    """Read-only Hamming weights of 0..2^n_max - 1, by doubling: the indices
+    l + 2^t with l < 2^t have one bit more than l. Signed, so that callers
+    can form n - 2 w."""
+    table = np.zeros(1, dtype=np.intp)
+    for _ in range(n_max):
+        table = np.concatenate((table, table + 1))
+    table.flags.writeable = False
+    return table
+
+
+_WEIGHTS = _weight_table(MAX_BRUTE_FORCE_QUBITS)  # 128 KB, built once at import
+
+
 def _weights(n: int) -> np.ndarray:
-    """Hamming weight w(l) of every index l in 0..2^n - 1, by index arithmetic."""
+    """Hamming weight w(l) of every index l in 0..2^n - 1: a read-only view
+    of the first 2^n entries of the one table, so no call allocates."""
     _check_size(n, "n", MAX_BRUTE_FORCE_QUBITS)
-    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return _WEIGHTS[:2**n]
 
 
 def _lowering_gram(weights: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +190,10 @@ def max_dfs_dimension(n: int, model: CollectiveModel) -> int:
 
 
 def wcd_sector_dimensions(n: int) -> dict[int, int]:
-    """S_z eigenvalue -> multiplicity, counted on the diagonal n - 2 w(l) (brute force)."""
-    values, counts = np.unique(n - 2 * _weights(n), return_counts=True)
-    return {int(w): int(c) for w, c in zip(values, counts)}
+    """S_z eigenvalue -> multiplicity, counted on the diagonal n - 2 w(l)
+    (brute force): one bincount of the weights, keys ascending."""
+    counts = np.bincount(_weights(n), minlength=n + 1)
+    return {int(n - 2 * w): int(counts[w]) for w in range(n, -1, -1)}
 
 
 def brute_force_max_dfs_dimension(n: int, model: CollectiveModel) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -91,6 +91,8 @@ class BlockCode:
     size: int
     states: np.ndarray
     decoder: tuple[Gate, ...] = ()
+    # block t -> (decode(t), its inverse), filled once t has passed its check
+    _decoders: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _check_size(self.size, "block size")
@@ -101,12 +103,20 @@ class BlockCode:
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
 
+    def _decoder_pair(self, t: int) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+        """(the decoder shifted onto block t, its inverse), built once per
+        block; gates are frozen, so the tuples are shared."""
+        t = _check_size(t, "logical index")  # before the lookup: True == 1
+        if t not in self._decoders:
+            shift = self.size * (t - 1)
+            forward = tuple(Gate(g.kind, tuple(q + shift for q in g.qubits), g.angle)
+                            for g in self.decoder)
+            self._decoders[t] = forward, _inverse(forward)
+        return self._decoders[t]
+
     def decode(self, t: int) -> tuple[Gate, ...]:
         """The decoder shifted onto block t."""
-        _check_size(t, "logical index")
-        shift = self.size * (t - 1)
-        return tuple(Gate(g.kind, tuple(q + shift for q in g.qubits), g.angle)
-                     for g in self.decoder)
+        return self._decoder_pair(t)[0]
 
     def state(self, bits: str) -> StateVector:
         """Encoded basis state: the kron of the code columns that the bits
@@ -126,8 +136,8 @@ class BlockCode:
     def hadamard(self, k: int) -> tuple[Gate, ...]:
         """H on logical qubit k: H on top qubit size*k between the decoder
         of block k and its inverse."""
-        forward = self.decode(k)
-        return forward + (h(self.size * k),) + _inverse(forward)
+        forward, inverse = self._decoder_pair(k)
+        return forward + (h(self.size * k),) + inverse
 
     def phase(self, i: int, j: int, theta: float) -> tuple[Gate, ...]:
         """Controlled phase between logical qubits i and j: P(size*i, size*j,
@@ -135,9 +145,8 @@ class BlockCode:
         their inverses."""
         if i == j:
             raise ValueError("logical control and target must differ")
-        fwd_i, fwd_j = self.decode(i), self.decode(j)
-        return (fwd_j + fwd_i + (p(self.size * i, self.size * j, theta),)
-                + _inverse(fwd_j) + _inverse(fwd_i))
+        (fwd_i, inv_i), (fwd_j, inv_j) = self._decoder_pair(i), self._decoder_pair(j)
+        return fwd_j + fwd_i + (p(self.size * i, self.size * j, theta),) + inv_j + inv_i
 
 
 PLAIN = BlockCode(1, np.eye(2))

@@ -17,9 +17,10 @@ state or to the columns of a 2^n x k array: the 2^n identity columns for
 circuit_unitary, the k basis columns of a subspace for restrict, and the
 noise module's trials. It copies its input once into one private working
 array and updates that array in place, gate by gate, so the values it
-hands back are new and the caller's array is never written; H, R, CR and
+hands back are new and the caller's array is never written; R, CR and
 each qubit of a full noise layer are one 2x2 step of two whole-array ufunc
-calls. Verification compares code-space blocks (k x k) or, for small gate
+calls, and H is its two distinct products, then their sum and difference.
+Verification compares code-space blocks (k x k) or, for small gate
 supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a large
 register is never needed.
 """
@@ -110,13 +111,15 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     Every amplitude rounds as in the out-of-place formulas u[0, 0] * a0 +
     u[0, 1] * a1 and u[1, 0] * a0 + u[1, 1] * a1 on contiguous copies of
     the halves a0 and a1, so each complex product is formed u-first: numpy
-    rounds it differently with its operands swapped. H, R and CR, and every
+    rounds it differently with its operands swapped. R and CR, and every
     full noise layer, take one 2x2 step, _mix: the four products into
     scratch, then both sums into the halves, 2 ufunc calls. H ([[h, h],
-    [h, -h]]), R and CR ([[c, -s], [s, c]]) have real coefficients and run
-    on the float64 view, where (-h) * a is exactly -(h * a) and x + (-y)
-    exactly x - y; a diagonal noise layer skips its zero off-diagonal
-    products, which can change at most the sign of a zero.
+    [h, -h]]) has only two distinct products, h * a0 and h * a1: one
+    product into scratch, then their sum and difference into the halves,
+    3 ufunc calls. H, R and CR ([[c, -s], [s, c]]) have real coefficients
+    and run on the float64 view, where (-h) * a is exactly -(h * a) and
+    x + (-y) exactly x - y; a diagonal noise layer skips its zero
+    off-diagonal products, which can change at most the sign of a zero.
 
     A noise layer's coefficients are copied, once per layer, into a
     contiguous (2, 2, 2^(n-1), k) tile, allocated once per call and only
@@ -173,12 +176,14 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
                     np.multiply(u[0], halves, out=halves)
                 else:
                     _mix(u, halves, products)
-        elif op.kind in ("H", "R", "CR"):  # on the halves or the control-1 quarters
-            if op.kind == "H":
-                u = np.array([[_H, _H], [_H, -_H]])
-            else:
-                c, s = math.cos(op.angle), math.sin(op.angle)
-                u = np.array([[c, -s], [s, c]])
+        elif op.kind == "H":  # the two distinct products, then their sum and difference
+            halves, products, _ = support(op.qubits, True)
+            np.multiply(_H, halves, out=products[0])
+            np.add(products[0, 0], products[0, 1], out=halves[0])
+            np.subtract(products[0, 0], products[0, 1], out=halves[1])
+        elif op.kind in ("R", "CR"):  # on the halves or the control-1 quarters
+            c, s = math.cos(op.angle), math.sin(op.angle)
+            u = np.array([[c, -s], [s, c]])
             halves, products, _ = support(op.qubits, True)
             _mix(u.reshape((2, 2) + (1,) * (halves.ndim - 1)), halves, products)
         elif op.kind == "CN":  # swap the control-1 quarters through scratch

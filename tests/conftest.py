@@ -119,14 +119,18 @@ def collective_nullspace_oracle(n: int) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def lowering_matrix_oracle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weight-n/2 indices, weight-(n/2 + 1) indices, L) for even n, where L
-    is the block of S_- = (S_x - i S_y)/2 from the first layer to the second.
-    S_- sets one 0 bit with amplitude 1, so L is a real 0/1 matrix; rows and
-    columns follow their layer's indices ascending."""
+def lowering_matrix_oracle(n: int, weight: int | None = None
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weight-(w - 1) indices, weight-w indices, L), where L is the block of
+    S_- = (S_x - i S_y)/2 from the first layer to the second and w is weight,
+    by default n/2 + 1 (for even n, from the S_z = 0 layer up). S_- sets one
+    0 bit with amplitude 1, so L is a real 0/1 matrix; rows and columns
+    follow their layer's indices ascending."""
+    if weight is None:
+        weight = n // 2 + 1
     weights = np.array([bin(l).count("1") for l in range(2**n)])
-    kernel = np.flatnonzero(weights == n // 2)
-    upper = np.flatnonzero(weights == n // 2 + 1)
+    kernel = np.flatnonzero(weights == weight - 1)
+    upper = np.flatnonzero(weights == weight)
     lowering = np.zeros((upper.size, kernel.size))
     for t in range(n):
         free = np.flatnonzero(((kernel >> t) & 1) == 0)

@@ -137,11 +137,12 @@ class TestDfsBasis:
 
 class TestDimensions:
     def test_wcd_sectors_are_binomials(self):
-        for n in range(1, 9):
+        # S_z eigenvalue n - 2k -> C(n, k), plain ints, keys ascending
+        for n in range(1, 15):
             sectors = wcd_sector_dimensions(n)
-            assert sum(sectors.values()) == 2**n
-            for k in range(n + 1):
-                assert sectors[n - 2 * k] == math.comb(n, k)
+            assert sectors == {n - 2 * k: math.comb(n, k) for k in range(n + 1)}
+            assert list(sectors) == list(range(-n, n + 1, 2))
+            assert all(type(k) is int and type(v) is int for k, v in sectors.items())
 
     def test_wcd_census(self):
         # S_z eigenvalue -> multiplicity; the largest sector is the noise-free one
@@ -225,6 +226,22 @@ class TestBruteForceCensus:
             assert gram.dtype == product.dtype
             np.testing.assert_array_equal(gram, product)
 
+    @pytest.mark.parametrize("n", range(2, 11, 2))
+    def test_closed_form_gram_at_every_weight(self, n):
+        # layer w's Gram is L_w L_w^T for the block L_w of S_- into it, and
+        # L_{w+1}^T L_{w+1} + (2w - n) I for the block out of it
+        weights = dfs._weights(n)
+        for weight in range(n + 1):
+            _, upper, into = lowering_matrix_oracle(n, weight)
+            layer, gram = dfs._lowering_gram(weights, weight)
+            np.testing.assert_array_equal(layer, upper)
+            assert gram.dtype == into.dtype
+            np.testing.assert_array_equal(gram, into @ into.T)
+            if weight < n:
+                _, _, out = lowering_matrix_oracle(n, weight + 1)
+                shift = (2 * weight - n) * np.eye(layer.size)
+                np.testing.assert_array_equal(gram, out.T @ out + shift)
+
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_gram_count_equals_svd_rank(self, n):
         kernel, _, lowering = lowering_matrix_oracle(n)
@@ -289,6 +306,42 @@ class TestBruteForceCensus:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestWeightTable:
+    """_weights(n) is a read-only view of one table built at import, and the
+    WCD sectors are one bincount of it."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_weights_are_the_popcounts(self, n):
+        expected = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+        np.testing.assert_array_equal(dfs._weights(n), expected)
+
+    @pytest.mark.parametrize("n", [1, 7, 14])
+    def test_weights_are_a_signed_read_only_view_of_one_table(self, n):
+        weights = dfs._weights(n)
+        assert np.issubdtype(weights.dtype, np.signedinteger)  # callers form n - 2 w
+        assert np.shares_memory(weights, dfs._weights(14))
+        with pytest.raises(ValueError):
+            weights[0] = 1
+        assert dfs._weights(14)[0] == 0
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_weights_allocate_no_table(self):
+        # a view, not the 2^14 x 14 broadcast (2.1 MB) of a per-call popcount
+        assert self._peak(lambda: dfs._weights(14)) < 1024
+
+    def test_sector_count_memory(self):
+        # one bincount: no broadcast, no sort of the 2^14 diagonal entries
+        assert self._peak(lambda: wcd_sector_dimensions(14)) < 256 * 1024
 
 
 class TestEfficiency:

@@ -210,6 +210,20 @@ class TestLogicalSynthesis:
         assert synth_logical_qft(2, code) == Circuit(4, (
             *code.hadamard(2), *code.phase(1, 2, math.pi / 2), *code.hadamard(1)))
 
+    def test_decoders_are_built_once_per_block(self):
+        code = BlockCode(2, WCD.states, (cn(2, 1), cr(2, 1, 0.3)))
+        forward = code.decode(np.int64(3))
+        assert code.decode(3) is forward
+        assert all(type(q) is int for g in forward for q in g.qubits)
+        # every logical gate on block 3 reuses the same decoder and inverse
+        first, second = code.hadamard(3), code.phase(3, 1, 0.7)
+        assert all(a is b for a, b in zip(first[:2], second[2:4]))
+        assert all(a is b for a, b in zip(first[3:], second[-2:]))
+        # the cache is per code: another code on the same states builds its own
+        assert BlockCode(2, WCD.states, (cn(2, 1),)).decode(3) == (cn(6, 5),)
+        with pytest.raises(ValueError, match="logical index must be a positive integer, got True"):
+            code.decode(True)
+
     def test_conjugation_factory_validates_indices(self):
         # the code's gates need positive indices; the register wrappers also
         # bound them by n
