@@ -19,19 +19,16 @@ once: the state carries a trailing trial axis, and each noise event is a
 layer of (2, 2, batch) rotations between the gates. _batched_rows splits
 any such batch into chunks of at most BATCH_AMPLITUDES amplitudes, so
 memory does not grow with the trial count; run_trials and the verify
-noise-invariance check both run through it. Each trial draws from its own
-stream, exactly default_rng([seed, trial]), so results do not depend on
-the chunking. A chunk's bookkeeping is vectorized over its trials: its
-streams are seeded at once by _seed_words, a vectorized copy of numpy's
-SeedSequence hash (NEP 19), and its uniform angles are drawn at once by
-_uniform_angles, a vectorized copy of numpy's PCG64 that jumps each stream
-straight to each draw. Gaussian angles are the exception: they come from
-default_rng([seed, trial]) itself, one Generator per trial, as numpy's
-normal sampler cannot be copied. _trial_angles is the module's one
-sampler; apply_noise takes a NoiseEvent of angles that the caller drew.
-run_trials reduces each chunk's fidelities and leakages in one pass, with
-the bits of one trial at a time, and returns the per-trial arrays;
-RunReport.from_trials(*run_trials(...), policy) aggregates them.
+noise-invariance check both run through it, and both draw their angles
+from one stream per run, default_rng(seed), read row by row. In run_trials
+row t of one (trials, positions, axes) draw holds trial t's angles, and
+each chunk draws the next rows; numpy's uniform and normal samplers read
+the stream in row-major order, so results do not depend on the chunking,
+and a shorter run is a prefix of a longer one. apply_noise takes a
+NoiseEvent of angles that the caller drew. run_trials reduces each chunk's
+fidelities and leakages in one pass, with the bits of one trial at a time,
+and returns the per-trial arrays; RunReport.from_trials(*run_trials(...),
+policy) aggregates them.
 
 The module has no register cap of its own: apply_noise and run_trials take
 StateVectors, which statevector.MAX_QUBITS caps, so noise runs reach every
@@ -40,7 +37,6 @@ scd 3).
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,34 +70,6 @@ PER_LOGICAL_BLOCK = "per_logical_block"
 ENDPOINTS_ONLY = "endpoints_only"
 GRANULARITIES = (PER_ELEMENTARY_GATE, PER_LOGICAL_BLOCK, ENDPOINTS_ONLY)
 DISTRIBUTIONS = ("uniform", "gaussian")
-
-_SEED_MASK = 2**64 - 1
-_WORD_MASK = 2**32 - 1
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """(2, count, 1) uint32: the xor and the multiply constant of each of
-    count hashmix steps, where each step's constant is the last one times mult."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _WORD_MASK)
-    return np.array([consts[:-1], consts[1:]], np.uint32)[:, :, None]
-
-
-# numpy's SeedSequence (NEP 19) on a pool of four uint32 words: the constants
-# of its 16 pool steps (4 that hash the entropy words, then 3 per source word)
-# and of its 8 output steps, which do not depend on the data
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64 (O'Neill 2014): a 128-bit LCG state s -> s * _PCG_MULT + inc, read out
-# by XSL-RR; the uint64 constants keep numpy's integer promotion out of play
-_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
-_MASK_128 = 2**128 - 1
-_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
-_LOW_32 = np.uint64(_WORD_MASK)
-_ANGLE_SCALE = 2.0 * math.pi / 9007199254740992.0  # uniform(0, 2 pi) per 53-bit draw
-
 
 @dataclass(frozen=True)
 class NoiseEvent:
@@ -171,113 +139,6 @@ class RunReport:
             trials=policy.trials,
             policy=policy,
         )
-
-
-def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (words ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _seed_words(seed: int, trials: range) -> np.ndarray:
-    """Row j is SeedSequence([seed, trials[j]]).generate_state(4, np.uint64),
-    for a seed and trial indices below 2^64, computed for all rows at once.
-
-    SeedSequence splits each int into its uint32 words, low first (0 is one
-    word), and hashes their concatenation into a pool of four words; a word
-    beyond the entropy hashes as a zero word. So the entropy is the seed's
-    one or two words, then the trial's low and high word, padded with zeros:
-    it always fits the pool, and the hash is the same uint32 arithmetic on
-    every row. The pool is one (4, k) array: each source word mixes into the
-    other three in one step, and the output is one (8, k) hash of the pool
-    read twice, paired into uint64 words low word first."""
-    index = np.arange(trials.start, trials.stop, dtype=np.uint64)
-    words = [seed & _WORD_MASK] + ([seed >> 32] if seed >> 32 else [])
-    pool = np.zeros((4, len(index)), np.uint32)
-    pool[:len(words)] = np.array(words, np.uint32)[:, None]
-    pool[len(words)], pool[len(words) + 1] = index & _WORD_MASK, index >> 32
-    xor, mult = _POOL_HASH
-    pool = _hashmix(pool, xor[:4], mult[:4])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        steps = slice(4 + 3 * src, 7 + 3 * src)
-        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], xor[steps], mult[steps])
-        pool[dst] = mixed ^ (mixed >> 16)
-    out = _hashmix(np.tile(pool, (2, 1)), *_OUTPUT_HASH).astype(np.uint64)
-    return (out[0::2] | out[1::2] << 32).T
-
-
-def _mul_128(a: tuple, b: tuple) -> tuple:
-    """(high, low) uint64 words of a * b mod 2^128, for (high, low) words;
-    the high word of the low words' product is formed from their 32-bit
-    halves (Warren, Hacker's Delight, mulhu)."""
-    (a_hi, a_lo), (b_hi, b_lo) = a, b
-    a1, a0, b1, b0 = a_lo >> _U32, a_lo & _LOW_32, b_lo >> _U32, b_lo & _LOW_32
-    t = a1 * b0 + ((a0 * b0) >> _U32)
-    u = a0 * b1 + (t & _LOW_32)
-    high = a1 * b1 + (t >> _U32) + (u >> _U32)
-    high += a_lo * b_hi
-    high += a_hi * b_lo
-    return high, a_lo * b_lo
-
-
-def _add_128(a: tuple, b: tuple) -> tuple:
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < a[1]), low
-
-
-@functools.cache
-def _pcg_jumps(count: int) -> tuple:
-    """(high, low) words of M^i and of M^0 + ... + M^(i-1), the multiplier
-    and increment factor that take a PCG64 state i steps, for i = 2..count + 1.
-    Cached per draw count, as read-only arrays: the Python loop costs about
-    as much as the draws it serves."""
-    power, total, rows = _PCG_MULT, 1, []
-    for _ in range(count):
-        power, total = power * _PCG_MULT & _MASK_128, (total + power) & _MASK_128
-        rows.append((power >> 64, power & _SEED_MASK, total >> 64, total & _SEED_MASK))
-    table = np.array(rows, np.uint64).reshape(count, 4).T.copy()
-    table.setflags(write=False)
-    high_m, low_m, high_g, low_g = table
-    return (high_m, low_m), (high_g, low_g)
-
-
-def _uniform_angles(words: np.ndarray, count: int) -> np.ndarray:
-    """Row j is Generator(PCG64(words[j])).uniform(0, 2 pi, count), computed
-    for all rows at once from the _seed_words rows, without numpy.random.
-
-    PCG64 seeds its state to s_0 = (inc + w0:w1) * M + inc, with inc =
-    w2:w3 << 1 | 1, and steps before each output, so draw m reads s_(m+1) =
-    M^(m+2) (w0:w1 + inc) + (M^0 + ... + M^(m+1)) inc mod 2^128. Its output
-    is the XSL-RR of that state, and a draw is 2 pi times its top 53 bits
-    over 2^53, as in numpy's random_uniform (the scale by 2^-53 is exact, so
-    one product by 2 pi / 2^53 rounds alike)."""
-    words = words[:, :, None]
-    increment = (words[:, 2] << _U1 | words[:, 3] >> _U63, words[:, 3] << _U1 | _U1)
-    with np.errstate(over="ignore"):
-        start = _add_128((words[:, 0], words[:, 1]), increment)
-        power, total = _pcg_jumps(count)
-        high, low = _add_128(_mul_128(power, start), _mul_128(total, increment))
-        low ^= high
-        high >>= _U58
-        out = low >> high
-        out |= low << ((_U64 - high) & _U63)
-        out >>= _U11
-    return out.astype(float) * _ANGLE_SCALE
-
-
-def _trial_angles(policy: NoisePolicy, trials: range, shape: tuple) -> np.ndarray:
-    """angles[j]: trial trials[j]'s draw of the given shape from its stream,
-    default_rng([seed, trial]), which holds in row-major order the numbers
-    that a run of smaller draws from that stream yields. Uniform draws are
-    computed for the whole chunk at once; gaussian ones are drawn from that
-    very generator, one per trial, as numpy's normal sampler is a ziggurat
-    whose tables it does not expose. numpy.random is imported only then."""
-    seed = policy.seed & _SEED_MASK
-    if policy.distribution == "uniform":
-        angles = _uniform_angles(_seed_words(seed, trials), math.prod(shape))
-        return angles.reshape(len(trials), *shape)
-    return np.stack([np.random.default_rng([seed, t]).normal(0.0, policy.sigma, shape)
-                     for t in trials])
 
 
 def _rotations(phis: np.ndarray, model: CollectiveModel) -> np.ndarray:
@@ -394,12 +255,13 @@ def run_trials(
     """Per-trial (fidelities, leakages) arrays; leakages is None without a subspace.
 
     Each trial draws fresh events at the policy's positions and runs the
-    circuit. Trial t draws from exactly default_rng([seed, t]), so identical
-    policies yield identical arrays; a chunk's angles are drawn in one pass
-    (_trial_angles). Trials run as a batch through _batched_rows, and each
-    chunk's rows are reduced at once (_fidelities, _leakages), rounding as
-    one row at a time would; the ideal output and the code space are
-    conjugated once per call.
+    circuit. The run reads one stream, default_rng(seed), at call time: each
+    chunk draws its trials' angles as the next rows of one (trials,
+    positions, axes) draw, so identical policies yield identical arrays,
+    whatever the chunking, and a shorter run is a prefix of a longer one.
+    Trials run as a batch through _batched_rows, and each chunk's rows are
+    reduced at once (_fidelities, _leakages), rounding as one row at a time
+    would; the ideal output and the code space are conjugated once per call.
     """
     n = circuit.n_qubits
     if input_state.n_qubits != n or ideal_output.n_qubits != n:
@@ -407,10 +269,14 @@ def run_trials(
     if subspace is not None and subspace.n_qubits != n:
         raise ValueError(f"{n}-qubit circuit does not match a {subspace.n_qubits}-qubit register")
     positions = _noise_positions(policy, len(circuit), block_boundaries)
+    rng = np.random.default_rng(policy.seed)
 
     def noisy_circuit(trials: range) -> list:
-        # angles[k, j]: event k of trial j, drawn from the trial's own stream
-        angles = _trial_angles(policy, trials, (len(positions), len(model.axes))).swapaxes(0, 1)
+        # the chunk's rows of the run's draw (_batched_rows asks for the chunks
+        # in order); angles[k, j] is event k of trial j
+        shape = (len(trials), len(positions), len(model.axes))
+        angles = (rng.uniform(0.0, 2.0 * math.pi, shape) if policy.distribution == "uniform"
+                  else rng.normal(0.0, policy.sigma, shape)).swapaxes(0, 1)
         # positions[0] is 0: each event precedes the gates up to the next one
         ops = []
         for rotations, start, stop in zip(_rotations(angles, model).transpose(2, 0, 1, 3),

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import textwrap
 import tracemalloc
 
 import numpy as np
@@ -46,7 +45,9 @@ SCD = CollectiveModel.SCD
 
 
 def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None, subspace=None):
-    """run_trials one trial at a time, from public functions only."""
+    """run_trials one trial at a time, from public functions only: the run's
+    one default_rng(seed) draws each event's angles, in trial order and then
+    position order."""
     n_gates = len(circuit)
     if policy.granularity == PER_ELEMENTARY_GATE:
         positions = set(range(n_gates + 1))
@@ -55,8 +56,8 @@ def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None
     else:
         positions = {0, *block_boundaries}
     fidelities, leakages = [], []
-    for trial in range(policy.trials):
-        rng = np.random.default_rng([policy.seed % 2**64, trial])
+    rng = np.random.default_rng(policy.seed)
+    for _ in range(policy.trials):
         out = state
         for pos in range(n_gates + 1):
             if pos in positions:
@@ -162,8 +163,8 @@ class TestNoisePolicy:
         ("seed", 1.5), ("seed", True), ("seed", -1),
     ])
     def test_non_integer_or_negative_count_rejected(self, field, value):
-        # refused here, before numpy fails inside run_trials or a negative
-        # seed aliases 2**64 - 1; seeds of 2**64 and above stay valid
+        # refused here, before numpy fails inside run_trials; seeds of 2**64
+        # and above stay valid
         with pytest.raises(ValueError, match=rf"^{field} must be an? .*integer.*, got {value!r}$"):
             NoisePolicy(granularity=ENDPOINTS_ONLY, **{field: value})
 
@@ -293,7 +294,7 @@ class TestNoisyRun:
         assert first == second
 
     def test_trial_streams_are_prefix_stable(self):
-        # (seed, trial) substreams: a shorter run is a prefix of a longer one
+        # one stream read row by row: a shorter run is a prefix of a longer one
         circuit, state, ideal = self._wcd_setup()
         short = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=10, seed=21)
         long = NoisePolicy(granularity=ENDPOINTS_ONLY, trials=40, seed=21)
@@ -375,7 +376,7 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("kind,n", [("wcd", 2), ("scd", 1), ("plain-wcd", 3), ("plain-scd", 2)])
     def test_matches_reference_bit_for_bit(self, granularity, distribution, kind, n):
         circuit, state, ideal, model, bounds, basis = _qft_setup(kind, n)
-        # 2**64 + 31 masks to a one-word seed, 2**40 + 7 is two uint32 words
+        # a seed above 2**64, and one of two uint32 words
         for seed in (2**64 + 31, 2**40 + 7):
             policy = NoisePolicy(granularity=granularity, distribution=distribution, sigma=0.4,
                                  trials=9, seed=seed)
@@ -451,68 +452,98 @@ class TestBatchedTrials:
 
 
 class TestTrialStreams:
-    """_seed_words against numpy's own SeedSequence, and each trial's angles
-    against its default_rng([seed, trial]) stream."""
+    """Each run reads one stream, default_rng(seed), row by row: the angles do
+    not depend on the chunking, and a shorter run is a prefix of a longer one."""
 
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
-    TRIALS = pytest.mark.parametrize("trials", [
-        range(0, 3),
-        range((noise.BATCH_AMPLITUDES >> 8) - 1, (noise.BATCH_AMPLITUDES >> 8) + 2),
-        range(2**32 - 2, 2**32 + 2),
-        range(2**64 - 2, 2**64),
-    ], ids=["first", "chunk-edge", "word-edge", "last"])
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @TRIALS
-    def test_seed_words_match_seed_sequence(self, seed, trials):
-        want = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials]
-        got = noise._seed_words(seed, trials)
-        assert got.dtype == np.uint64 and got.shape == (len(trials), 4)
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("count", [1, 3, 12, 351])
-    @pytest.mark.parametrize("seed", SEEDS)
-    @TRIALS
-    def test_uniform_angles_match_default_rng(self, seed, trials, count):
-        want = np.array([np.random.default_rng([seed, t]).uniform(0.0, 2.0 * math.pi, count)
-                         for t in trials])
-        got = noise._uniform_angles(noise._seed_words(seed, trials), count)
-        assert got.shape == (len(trials), count)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    @staticmethod
+    def _run(distribution, trials, seed=21):
+        circuit, state, ideal, model, bounds, basis = _qft_setup("wcd", 2)
+        policy = NoisePolicy(granularity=PER_ELEMENTARY_GATE, distribution=distribution,
+                             sigma=0.3, trials=trials, seed=seed)
+        return run_trials(circuit, state, ideal, policy, model, bounds, basis)
 
     @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
     @pytest.mark.parametrize("seed", [7, 2**40 + 7, 2**64 + 31])
-    def test_streams_draw_as_default_rng(self, seed, distribution):
-        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, distribution=distribution, sigma=0.4,
-                             seed=seed)
-        trials = range(5, 12)
-        got = noise._trial_angles(policy, trials, (6, 3))
-        assert got.shape == (len(trials), 6, 3)
-        for row, trial in zip(got, trials):
-            rng = np.random.default_rng([seed % 2**64, trial])
-            want = (rng.uniform(0.0, 2.0 * math.pi, (6, 3)) if distribution == "uniform"
-                    else rng.normal(0.0, 0.4, (6, 3)))
-            np.testing.assert_array_equal(row, want)
+    def test_streams_draw_as_default_rng(self, monkeypatch, seed, distribution):
+        # every chunk's angles are the next rows of one (trials, events, axes) draw
+        circuit, state, ideal, model, bounds, _ = _qft_setup("scd", 1)
+        monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 2**6)
+        rotations, drawn = noise._rotations, []
+
+        def spy(phis, model):
+            drawn.append(phis.swapaxes(0, 1))
+            return rotations(phis, model)
+
+        monkeypatch.setattr(noise, "_rotations", spy)
+        policy = NoisePolicy(granularity=PER_LOGICAL_BLOCK, distribution=distribution,
+                             sigma=0.4, trials=13, seed=seed)
+        run_trials(circuit, state, ideal, policy, model, bounds)
+        assert [len(rows) for rows in drawn] == [4, 4, 4, 1]
+        shape = (13, len(bounds) + 1, 3)
+        rng = np.random.default_rng(seed)
+        want = (rng.uniform(0.0, 2.0 * math.pi, shape) if distribution == "uniform"
+                else rng.normal(0.0, 0.4, shape))
+        np.testing.assert_array_equal(np.concatenate(drawn), want)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_output_does_not_depend_on_chunk_size(self, monkeypatch, distribution):
+        # wcd 2: 4 qubits, so 2^6 holds 4 trials a chunk and 2^16 all 37 in one
+        runs = []
+        for log_size in (6, 8, 10, 14, 16):
+            monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 2**log_size)
+            runs.append(self._run(distribution, 37))
+        for fidelities, leakages in runs[1:]:
+            np.testing.assert_array_equal(fidelities.view(np.uint64), runs[0][0].view(np.uint64))
+            np.testing.assert_array_equal(leakages.view(np.uint64), runs[0][1].view(np.uint64))
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("log_size", [6, 14])
+    def test_shorter_run_is_a_prefix(self, monkeypatch, distribution, log_size):
+        monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 2**log_size)
+        short, long = self._run(distribution, 13), self._run(distribution, 37)
+        np.testing.assert_array_equal(short[0].view(np.uint64), long[0][:13].view(np.uint64))
+        np.testing.assert_array_equal(short[1].view(np.uint64), long[1][:13].view(np.uint64))
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_seeds_above_two_to_the_64_do_not_alias(self, distribution):
+        # default_rng takes the whole seed; nothing masks it to 64 bits
+        low, high = self._run(distribution, 8, seed=31), self._run(distribution, 8, seed=2**64 + 31)
+        assert not np.any(low[0] == high[0])
 
     def test_import_does_not_load_numpy_random(self):
-        # nor does a uniform run; the gaussian streams import it on first use
-        code = textwrap.dedent("""
-            import sys, dfsqft
-            from dfsqft.noise import run_trials
-            state = dfsqft.StateVector([1, 0, 0, 0])
-            circuit = dfsqft.synth_qft(2)
-            print('numpy.random' in sys.modules)
-            for distribution in ("uniform", "gaussian"):
-                policy = dfsqft.NoisePolicy(granularity=dfsqft.ENDPOINTS_ONLY,
-                                            distribution=distribution, sigma=0.3, trials=3)
-                run_trials(circuit, state, dfsqft.apply_circuit(state, circuit), policy,
-                           dfsqft.CollectiveModel.WCD)
-                print('numpy.random' in sys.modules)
-        """)
+        # run_trials loads it on first use
+        code = "import sys, dfsqft; print('numpy.random' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
-        assert out == "False\nFalse\nTrue\n"
+        assert out == "False\n"
+
+
+class TestExactExpectations:
+    """The plain QFT on |0...0> under WCD endpoint noise: the first event only
+    phases |0...0>, the QFT makes |+...+>, and the last event's angle phi
+    leaves F = cos(phi)^(2n). So E[F] = C(2n, n) / 4^n for uniform angles and
+    4^-n sum_k C(2n, k) exp(-2 (n - k)^2 sigma^2) for gaussian ones."""
+
+    SIGMA = 0.3
+
+    @classmethod
+    def _exact(cls, n, distribution):
+        if distribution == "uniform":
+            return math.comb(2 * n, n) / 4**n
+        return sum(math.comb(2 * n, k) * math.exp(-2 * (n - k) ** 2 * cls.SIGMA**2)
+                   for k in range(2 * n + 1)) / 4**n
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mean_fidelity_within_four_standard_errors(self, n, distribution, seed):
+        circuit, state = synth_qft(n), StateVector.basis(n, 0)
+        policy = NoisePolicy(granularity=ENDPOINTS_ONLY, distribution=distribution,
+                             sigma=self.SIGMA, trials=4000, seed=seed)
+        fidelities, _ = run_trials(circuit, state, apply_circuit(state, circuit), policy, WCD)
+        error = np.std(fidelities, ddof=1) / math.sqrt(policy.trials)
+        assert abs(np.mean(fidelities) - self._exact(n, distribution)) <= 4 * error
 
 
 class TestChunkReductions:
