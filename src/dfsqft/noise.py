@@ -49,20 +49,17 @@ from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
 # Amplitudes per chunk in _batched_rows (256 KB per complex array). Timed
-# with the tiled noise-layer kernel on the benchmark's noise-bench runs (wcd 3
-# and scd 2; two in-process runs of 30 interleaved rounds), 2^12 / 2^13 /
-# 2^15 / 2^16 took 1.42-1.47 / 1.28-1.31 / 0.97-1.12 / 0.97-1.13 x the time
-# of 2^14 at 40 trials of per-gate noise, where every size from 2^14 up runs
-# one chunk (so those spreads are noise), and 1.50 / 1.22 / 0.97 / 1.02-1.05 x
-# at 200 trials of block noise. 2^15 gains 3 % on block noise only, so 2^14
-# stays: smaller chunks pay per-call overhead, larger ones more memory.
-# Re-timed at 12 qubits, where a chunk is 4 trials (wcd 6 and scd 3, 200 trials
-# of block and 40 of per-gate noise; five interleaved in-process rounds at one
-# BLAS thread on a shared 2-CPU x86_64 VM, where 2^14's own runs spread 0.85-
-# 1.30 x its median): 2^12 and 2^13 took 1.2-2.5 x that median everywhere,
-# while 2^15 / 2^16 took 0.73-0.97 / 0.72-0.99 x on wcd 6 but 0.86-1.42 /
-# 0.90-1.54 x on scd 3 (slowest under per-gate noise). No size wins on every
-# run, so 2^14 stays.
+# with the top-first full noise layer on a qubit-reversed working array, by
+# the median of interleaved in-process noise-bench runs at one BLAS thread
+# on a shared 2-CPU x86_64 VM. On the benchmark's runs (wcd 3 and scd 2, 30
+# rounds), 2^13 / 2^15 took 0.94 / 0.94 x (wcd 3) and 1.84 / 1.00 x (scd 2)
+# the time of 2^14 at 40 trials of per-gate noise, where wcd 3 runs one chunk
+# at all three sizes and scd 2 splits in two at 2^13 only, and 1.10 / 1.01 x
+# and 1.27 / 1.01 x at 200 trials of block noise. At 12 qubits (wcd 6 and
+# scd 3, five rounds), where a 2^14 chunk is 4 trials, 2^13 took 1.25-2.06 x
+# everywhere, while 2^15 took 0.78 / 0.86 x on wcd 6 (block / per-gate) but
+# 1.07 / 1.08 x on scd 3. No size wins on every run, so 2^14 stays: smaller
+# chunks pay per-call overhead, larger ones more memory.
 BATCH_AMPLITUDES = 1 << 14
 
 PER_ELEMENTARY_GATE = "per_elementary_gate"

@@ -17,9 +17,15 @@ state or to the columns of a 2^n x k array: the 2^n identity columns for
 circuit_unitary, the k basis columns of a subspace for restrict, and the
 noise module's trials. It copies its input once into one private working
 array and updates that array in place, gate by gate, so the values it
-hands back are new and the caller's array is never written; R, CR and
-each qubit of a full noise layer are one 2x2 step of two whole-array ufunc
-calls, and H is its two distinct products, then their sum and difference.
+hands back are new and the caller's array is never written; R and CR are
+one 2x2 step of two whole-array ufunc calls, H is its two distinct
+products, then their sum and difference, and a full noise layer is n such
+steps, each on the top row bit. A run with a full (off-diagonal) noise
+layer keeps its working array with the qubits in reverse order, qubit 1 on
+the top row bit: each step mixes the top qubit from contiguous halves and
+writes it back as the lowest bit, so the n steps take qubits 1..n in turn
+and restore the order. Gate-only and dephasing-only runs keep the caller's
+order.
 Verification compares code-space blocks (k x k) or, for small gate
 supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a large
 register is never needed.
@@ -92,11 +98,20 @@ def _halves(array: np.ndarray, qubits: tuple) -> np.ndarray:
     return parts[:, :, :, 1].transpose(1, 0, 2, 3, 4)
 
 
-def _mix(u: np.ndarray, halves: np.ndarray, products: np.ndarray) -> None:
-    """halves[i] = u[i, 0] * halves[0] + u[i, 1] * halves[1] in place: the
-    four products, u-first, into scratch, then both sums into the halves."""
+def _mix(u: np.ndarray, halves: np.ndarray, products: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = u[i, 0] * halves[0] + u[i, 1] * halves[1]: the four
+    products, u-first, into scratch, then both sums into out, which may be
+    the halves themselves."""
     np.multiply(u, halves, out=products)
-    np.add(products[:, 0], products[:, 1], out=halves)
+    np.add(products[:, 0], products[:, 1], out=out)
+
+
+def _copy_reversed(source: np.ndarray, target: np.ndarray, n: int) -> None:
+    """Copy a 2^n vector or 2^n x k array into a 2^n x k target with the
+    order of its qubits reversed: row s_n ... s_1 goes to row s_1 ... s_n."""
+    bits = (2,) * n + (-1,)
+    np.copyto(target.reshape(bits).transpose(tuple(range(n - 1, -1, -1)) + (n,)),
+              source.reshape(bits))
 
 
 def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
@@ -111,32 +126,51 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     Every amplitude rounds as in the out-of-place formulas u[0, 0] * a0 +
     u[0, 1] * a1 and u[1, 0] * a0 + u[1, 1] * a1 on contiguous copies of
     the halves a0 and a1, so each complex product is formed u-first: numpy
-    rounds it differently with its operands swapped. R and CR, and every
-    full noise layer, take one 2x2 step, _mix: the four products into
-    scratch, then both sums into the halves, 2 ufunc calls. H ([[h, h],
-    [h, -h]]) has only two distinct products, h * a0 and h * a1: one
-    product into scratch, then their sum and difference into the halves,
-    3 ufunc calls. H, R and CR ([[c, -s], [s, c]]) have real coefficients
-    and run on the float64 view, where (-h) * a is exactly -(h * a) and
-    x + (-y) exactly x - y; a diagonal noise layer skips its zero
-    off-diagonal products, which can change at most the sign of a zero.
+    rounds it differently with its operands swapped. R and CR take one 2x2
+    step, _mix: the four products into scratch, then both sums back into the
+    halves, 2 ufunc calls. H ([[h, h], [h, -h]]) has only two distinct
+    products, h * a0 and h * a1: one product into scratch, then their sum
+    and difference into the halves, 3 ufunc calls. H, R and CR ([[c, -s],
+    [s, c]]) have real coefficients and run on the float64 view, where
+    (-h) * a is exactly -(h * a) and x + (-y) exactly x - y; a diagonal
+    noise layer skips its zero off-diagonal products, which can change at
+    most the sign of a zero.
 
     A noise layer's coefficients are copied, once per layer, into a
     contiguous (2, 2, 2^(n-1), k) tile, allocated once per call and only
     when a noise layer is present (a diagonal layer fills only tile[0] with
-    u[0, 0] and u[1, 1]). Qubit t reads the tile reshaped to the shape of
-    its products, so numpy merges the inner axes of each product instead
-    of looping over a broadcast (k,) row; a diagonal layer is a single
-    in-place product per qubit. On one qubit the layer is one pass and a
-    tile saves nothing, so the coefficients are used as they are: there
-    numpy rounds a one-element product with a contiguous coefficient in
-    another loop than with a broadcast one, and a 1-column layer would
-    change in the last bit."""
+    u[0, 0] and u[1, 1]), so numpy merges the inner axes of each product
+    instead of looping over a broadcast (k,) row. A diagonal layer is a
+    single in-place product per qubit, qubit t reading the tile reshaped to
+    the shape of its halves. When the ops hold a full (off-diagonal) layer,
+    the working array keeps its qubits in reverse order, qubit 1 on the top
+    row bit: the input is copied in by _copy_reversed, gates and diagonal
+    layers find qubit q on row bit n + 1 - q, and the result is copied back
+    to the caller's order into the first half of scratch, which the
+    returned array views. A full layer is then n identical 2x2 steps: the
+    four products of the top qubit's contiguous halves into scratch, then
+    both sums into the rows where the lowest bit is 0 and 1, which moves
+    the next qubit to the top. The steps mix qubits 1..n in order, every
+    amplitude getting the u-first products and the sums of a step in
+    place, and n of them restore the order. Gate-only and dephasing-only
+    runs keep the caller's order. On one qubit
+    the layer is one pass and a tile saves nothing, so the coefficients are
+    used as they are: there numpy rounds a one-element product with a
+    contiguous coefficient in another loop than with a broadcast one, and a
+    1-column layer would change in the last bit."""
     shape = arr.shape
-    work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
-    del arr
     ops = list(ops)
-    tiled = n > 1 and not all(isinstance(op, Gate) for op in ops)
+    # per op: None for a gate, else whether the noise layer is diagonal
+    diagonals = [None if isinstance(op, Gate) else not (op[0, 1].any() or op[1, 0].any())
+                 for op in ops]
+    tiled = n > 1 and diagonals.count(None) < len(ops)
+    reverse = tiled and False in diagonals
+    if reverse:
+        work = np.empty((2**n, arr.size >> n), dtype=complex)
+        _copy_reversed(arr, work, n)
+    else:
+        work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
+    del arr
     scratch = np.empty(2 * work.size, dtype=complex)
     tile = np.empty((2, 2, work.shape[0] // 2, work.shape[1]), dtype=complex) if tiled else None
     views: dict[tuple, tuple] = {}
@@ -148,16 +182,21 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
         views if real."""
         key = (qubits, real)
         if key not in views:
-            halves = _halves(work.view(float) if real else work, qubits)
+            rows = tuple(n + 1 - q for q in qubits) if reverse else qubits
+            halves = _halves(work.view(float) if real else work, rows)
             shape = (2,) + halves.shape
             products = (scratch.view(float) if real else scratch)[:2 * halves.size].reshape(shape)
             noise = tiled and not real and len(qubits) == 1
             views[key] = halves, products, tile.reshape(shape) if noise else None
         return views[key]
 
-    for op in ops:
-        if not isinstance(op, Gate):
-            diagonal = not (op[0, 1].any() or op[1, 0].any())
+    if reverse:  # a full layer's step reads the top halves and writes the bottom bit
+        top = work.reshape(2, -1, work.shape[1])
+        bottom = work.reshape(-1, 2, work.shape[1]).swapaxes(0, 1)
+        top_products = scratch.reshape((2,) + top.shape)
+
+    for op, diagonal in zip(ops, diagonals):
+        if diagonal is not None:  # a noise layer
             if tile is None:  # one qubit, (1, 1, k) halves
                 a0, a1 = support((1,), False)[0]
                 if diagonal:
@@ -165,17 +204,15 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
                 else:
                     a0[...], a1[...] = (np.multiply(op[0, 0], a0) + np.multiply(op[0, 1], a1),
                                         np.multiply(op[1, 0], a0) + np.multiply(op[1, 1], a1))
-                continue
-            if diagonal:  # tile[0] holds (u[0, 0], u[1, 1])
+            elif diagonal:  # tile[0] holds (u[0, 0], u[1, 1])
                 np.copyto(tile[0], op[(0, 1), (0, 1)].reshape(2, 1, -1))
-            else:
-                np.copyto(tile, op.reshape(2, 2, 1, -1))
-            for t in range(1, n + 1):
-                halves, products, u = support((t,), False)
-                if diagonal:
+                for t in range(1, n + 1):
+                    halves, _, u = support((t,), False)
                     np.multiply(u[0], halves, out=halves)
-                else:
-                    _mix(u, halves, products)
+            else:  # qubits 1..n, each mixed on the top bit and moved to the bottom
+                np.copyto(tile, op.reshape(2, 2, 1, -1))
+                for _ in range(n):
+                    _mix(tile, top, top_products, bottom)
         elif op.kind == "H":  # the two distinct products, then their sum and difference
             halves, products, _ = support(op.qubits, True)
             np.multiply(_H, halves, out=products[0])
@@ -185,7 +222,7 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
             c, s = math.cos(op.angle), math.sin(op.angle)
             u = np.array([[c, -s], [s, c]])
             halves, products, _ = support(op.qubits, True)
-            _mix(u.reshape((2, 2) + (1,) * (halves.ndim - 1)), halves, products)
+            _mix(u.reshape((2, 2) + (1,) * (halves.ndim - 1)), halves, products, halves)
         elif op.kind == "CN":  # swap the control-1 quarters through scratch
             halves, products, _ = support(op.qubits, False)
             np.copyto(products[0], halves)
@@ -197,6 +234,10 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
                 np.multiply(a11, phase, out=a11)
             else:  # numpy rounds a lone product written in place in another loop
                 a11[...] = np.multiply(a11, phase)
+    if reverse:  # back to the caller's order
+        result = scratch[:work.size].reshape(work.shape)
+        _copy_reversed(work, result, n)
+        work = result
     return work.reshape(shape)
 
 

@@ -436,12 +436,13 @@ def _random_states(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 class TestNoiseLayerBits:
     """_propagate applies a noise layer with the bits of the reference, on
-    every register size and column count the noise runs use; a (1, k)
+    every register size and column count the noise runs use (up to the
+    12-qubit wcd 6 and scd 3 runs, whose chunks hold 4 trials); a (1, k)
     coefficient tile at n = 1 fails at k = 1."""
 
     @pytest.mark.parametrize("model", list(CollectiveModel), ids=lambda m: m.value)
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 40, 64])
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in (1, 2, 3, 7, 40, 64)]
+                             + [(n, k) for n in range(9, 13) for k in (1, 4)])
     def test_stacked_layer(self, n, k, model):
         rng = np.random.default_rng([n, k, len(model.axes)])
         axes = len(model.axes)
@@ -547,6 +548,40 @@ class TestGateBits:
             expected = _gate_reference(gate, expected, n)
         got = statevector._propagate(gates, arr, n)
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestLayoutAcrossOps:
+    """A list with a full noise layer runs on the qubit-reversed working
+    array, which a gate-only list or a lone layer never crosses: op lists
+    as run_trials builds them under per-gate noise, full SCD and diagonal
+    WCD layers between gates of every kind, match the same ops folded one
+    _propagate call at a time."""
+
+    GATES = 32  # per list: every gate and support up to n = 3, a random sample beyond
+
+    @pytest.mark.parametrize("k", [None, 1, 4, 40], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_noisy_op_list(self, n, k):
+        rng = np.random.default_rng([n, k or 0, 2])
+        gates = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
+                                       for j in range(1, n + 1) if i != j]
+        gates = [gates[i] for i in rng.permutation(len(gates))[:self.GATES]]
+        columns = () if k is None else (k,)
+
+        def layer(g: int) -> np.ndarray:  # full SCD and diagonal WCD layers in turn
+            model = (CollectiveModel.SCD, CollectiveModel.WCD)[g % 2]
+            return _rotations(rng.uniform(0.0, 2.0 * math.pi, columns + (len(model.axes),)), model)
+
+        ops = [op for g, gate in enumerate(gates) for op in (layer(g), gate)] + [layer(len(gates))]
+        arr = _random_states(rng, (2**n,) + columns)
+        # as run_trials hands the ops over, and with a gate first and last
+        for case in (ops, ops[1:-1]):
+            expected = arr
+            for op in case:
+                expected = statevector._propagate([op], expected, n)
+            got = statevector._propagate(case, arr, n)
+            assert got.shape == arr.shape
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestKernelMemory:
