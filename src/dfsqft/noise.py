@@ -16,7 +16,14 @@ honestly.
 
 Ensemble runs push many trials through the simulator's one gate loop at
 once: the state carries a trailing trial axis, and each noise event is a
-layer of (2, 2, batch) rotations between the gates. _batched_rows splits
+layer of (2, 2, batch) rotations between the gates. The loop applies no
+layer at once: it composes each layer onto a pending rotation per qubit and
+applies a qubit's rotation only when a gate touches that qubit, or at the
+end. Noise after every gate thus costs one one-qubit step per qubit a gate
+touches, not n steps per event. The result differs from applying each event
+to every qubit in turn only by rounding (below 1e-13 on every noise-bench
+run); a lone event, as apply_noise applies it, runs qubit by qubit, qubit 1
+first, with the same bits as that order. _batched_rows splits
 any such batch into chunks of at most BATCH_AMPLITUDES amplitudes, so
 memory does not grow with the trial count; run_trials and the verify
 noise-invariance check both run through it, and both draw their angles
@@ -49,17 +56,15 @@ from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
 # Amplitudes per chunk in _batched_rows (256 KB per complex array). Timed
-# with the top-first full noise layer on a qubit-reversed working array, by
-# the median of interleaved in-process noise-bench runs at one BLAS thread
-# on a shared 2-CPU x86_64 VM. On the benchmark's runs (wcd 3 and scd 2, 30
-# rounds), 2^13 / 2^15 took 0.94 / 0.94 x (wcd 3) and 1.84 / 1.00 x (scd 2)
-# the time of 2^14 at 40 trials of per-gate noise, where wcd 3 runs one chunk
-# at all three sizes and scd 2 splits in two at 2^13 only, and 1.10 / 1.01 x
-# and 1.27 / 1.01 x at 200 trials of block noise. At 12 qubits (wcd 6 and
-# scd 3, five rounds), where a 2^14 chunk is 4 trials, 2^13 took 1.25-2.06 x
-# everywhere, while 2^15 took 0.78 / 0.86 x on wcd 6 (block / per-gate) but
-# 1.07 / 1.08 x on scd 3. No size wins on every run, so 2^14 stays: smaller
-# chunks pay per-call overhead, larger ones more memory.
+# with the pending-frame noise kernel, by the median of interleaved
+# in-process noise-bench runs at one BLAS thread on a shared 2-CPU x86_64
+# VM, against 2^14. On the benchmark's runs (30 rounds), 2^13 / 2^15 took
+# 1.00 / 1.00 x (wcd 3) and 1.44 / 1.01 x (scd 2) at 40 trials of per-gate
+# noise, and 1.11 / 1.02 x and 1.28 / 0.98 x at 200 trials of block noise.
+# At 12 qubits (five rounds), where a 2^14 chunk is 4 trials, 2^13 took
+# 1.47-1.64 x everywhere, while 2^15 took 0.72 / 0.81 x on wcd 6 (block /
+# per-gate) and 0.95 / 0.93 x on scd 3. 2^15 would pay at 12 qubits only,
+# for twice the memory of every run, so 2^14 stays.
 BATCH_AMPLITUDES = 1 << 14
 
 PER_ELEMENTARY_GATE = "per_elementary_gate"

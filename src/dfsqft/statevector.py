@@ -16,16 +16,13 @@ One loop, _propagate, applies gates and collective-noise layers to one
 state or to the columns of a 2^n x k array: the 2^n identity columns for
 circuit_unitary, the k basis columns of a subspace for restrict, and the
 noise module's trials. It copies its input once into one private working
-array and updates that array in place, gate by gate, so the values it
-hands back are new and the caller's array is never written; R and CR are
-one 2x2 step of two whole-array ufunc calls, H is its two distinct
-products, then their sum and difference, and a full noise layer is n such
-steps, each on the top row bit. A run with a full (off-diagonal) noise
-layer keeps its working array with the qubits in reverse order, qubit 1 on
-the top row bit: each step mixes the top qubit from contiguous halves and
-writes it back as the lowest bit, so the n steps take qubits 1..n in turn
-and restore the order. Gate-only and dephasing-only runs keep the caller's
-order.
+array, in the caller's qubit order, and updates that array in place, gate
+by gate, so the values it hands back are new and the caller's array is
+never written; R and CR are one 2x2 step of two whole-array ufunc calls, H
+is its two distinct products, then their sum and difference. A noise layer,
+the same rotation on every qubit, touches no amplitude: it is composed onto
+a pending 2x2 frame per qubit, and a qubit's frame is applied, one such
+step, only when a gate touches that qubit or the ops end.
 Verification compares code-space blocks (k x k) or, for small gate
 supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a large
 register is never needed.
@@ -98,20 +95,22 @@ def _halves(array: np.ndarray, qubits: tuple) -> np.ndarray:
     return parts[:, :, :, 1].transpose(1, 0, 2, 3, 4)
 
 
-def _mix(u: np.ndarray, halves: np.ndarray, products: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = u[i, 0] * halves[0] + u[i, 1] * halves[1]: the four
-    products, u-first, into scratch, then both sums into out, which may be
-    the halves themselves."""
+def _mix(u: np.ndarray, halves: np.ndarray, products: np.ndarray) -> None:
+    """halves[i] <- u[i, 0] * halves[0] + u[i, 1] * halves[1]: the four
+    products, u-first, into scratch, then both sums back into the halves."""
     np.multiply(u, halves, out=products)
-    np.add(products[:, 0], products[:, 1], out=out)
+    np.add(products[:, 0], products[:, 1], out=halves)
 
 
-def _copy_reversed(source: np.ndarray, target: np.ndarray, n: int) -> None:
-    """Copy a 2^n vector or 2^n x k array into a 2^n x k target with the
-    order of its qubits reversed: row s_n ... s_1 goes to row s_1 ... s_n."""
-    bits = (2,) * n + (-1,)
-    np.copyto(target.reshape(bits).transpose(tuple(range(n - 1, -1, -1)) + (n,)),
-              source.reshape(bits))
+def _compose(u: np.ndarray, frames: np.ndarray) -> None:
+    """frames[g] <- u @ frames[g] in place, for a (2, 2, k) layer u and
+    (m, 2, 2, k) frames: all eight products u[i, l] * frames[g, l, j], u
+    first, in one multiply, then the sum over l. The multiply has at least
+    eight elements, so numpy rounds every product in its one vector loop,
+    whatever k or the strides of u (a one-element multiply takes another
+    loop and rounds differently)."""
+    products = np.multiply(u[None, :, :, None], frames[:, None])
+    np.add(products[:, :, 0], products[:, :, 1], out=frames)
 
 
 def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
@@ -121,58 +120,64 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     one per column, on every qubit.
 
     The input is copied once into a private C-ordered 2^n x k working array
-    (a vector is a 2^n x 1 batch) and released; each op then updates that
-    array in place, through scratch twice the size of the working array.
-    Every amplitude rounds as in the out-of-place formulas u[0, 0] * a0 +
-    u[0, 1] * a1 and u[1, 0] * a0 + u[1, 1] * a1 on contiguous copies of
-    the halves a0 and a1, so each complex product is formed u-first: numpy
-    rounds it differently with its operands swapped. R and CR take one 2x2
-    step, _mix: the four products into scratch, then both sums back into the
+    (a vector is a 2^n x 1 batch) in the caller's qubit order and released;
+    each op then updates that array in place, through scratch twice the
+    size of the working array, and the working array is the result. Every
+    amplitude rounds as in the out-of-place formulas u[0, 0] * a0 + u[0, 1]
+    * a1 and u[1, 0] * a0 + u[1, 1] * a1 on contiguous copies of the halves
+    a0 and a1, so each complex product is formed u-first: numpy rounds it
+    differently with its operands swapped. R and CR take one 2x2 step,
+    _mix: the four products into scratch, then both sums back into the
     halves, 2 ufunc calls. H ([[h, h], [h, -h]]) has only two distinct
     products, h * a0 and h * a1: one product into scratch, then their sum
     and difference into the halves, 3 ufunc calls. H, R and CR ([[c, -s],
     [s, c]]) have real coefficients and run on the float64 view, where
-    (-h) * a is exactly -(h * a) and x + (-y) exactly x - y; a diagonal
-    noise layer skips its zero off-diagonal products, which can change at
-    most the sign of a zero.
+    (-h) * a is exactly -(h * a) and x + (-y) exactly x - y.
 
-    A noise layer's coefficients are copied, once per layer, into a
-    contiguous (2, 2, 2^(n-1), k) tile, allocated once per call and only
-    when a noise layer is present (a diagonal layer fills only tile[0] with
-    u[0, 0] and u[1, 1]), so numpy merges the inner axes of each product
-    instead of looping over a broadcast (k,) row. A diagonal layer is a
-    single in-place product per qubit, qubit t reading the tile reshaped to
-    the shape of its halves. When the ops hold a full (off-diagonal) layer,
-    the working array keeps its qubits in reverse order, qubit 1 on the top
-    row bit: the input is copied in by _copy_reversed, gates and diagonal
-    layers find qubit q on row bit n + 1 - q, and the result is copied back
-    to the caller's order into the first half of scratch, which the
-    returned array views. A full layer is then n identical 2x2 steps: the
-    four products of the top qubit's contiguous halves into scratch, then
-    both sums into the rows where the lowest bit is 0 and 1, which moves
-    the next qubit to the top. The steps mix qubits 1..n in order, every
-    amplitude getting the u-first products and the sums of a step in
-    place, and n of them restore the order. Gate-only and dephasing-only
-    runs keep the caller's order. On one qubit
-    the layer is one pass and a tile saves nothing, so the coefficients are
-    used as they are: there numpy rounds a one-element product with a
-    contiguous coefficient in another loop than with a broadcast one, and a
-    1-column layer would change in the last bit."""
+    A noise layer touches no amplitude. It is the same rotation on every
+    qubit, and rotations on different qubits commute, so each qubit keeps a
+    pending 2x2 frame per column, the product of the layers since its last
+    flush, newest on the left. A flush applies a qubit's frame to its halves
+    in one _mix, or, for a diagonal frame (dephasing layers only), as one
+    in-place product with (u[0, 0], u[1, 1]), which skips the zero
+    off-diagonal products and so can change at most the sign of a zero.
+    The flush rule: just before a gate, the gate's pending qubits in
+    ascending order; after the last op, every pending qubit, qubit 1 first.
+    A lone layer is thus n one-qubit steps, qubit 1 first, and under
+    per-gate noise a layer costs one step per qubit that the next gate
+    touches. Qubits pending since the same layer share one frame, so the
+    (n, 2, 2, k) frames array holds one frame per such group, packed at
+    its front: a layer is composed onto every group's frame at once
+    (_compose, frame <- u @ frame) and starts a group, with a copy of its
+    coefficients, for the qubits with nothing pending.
+
+    A flush reads its frame from a contiguous (2, 2, 2^(n-1), k) tile,
+    allocated once per call and only when a noise layer is present (a
+    diagonal frame fills only tile[0] with its u[0, 0] and u[1, 1]), so
+    numpy merges the inner axes of each product instead of looping over a
+    broadcast (k,) row. The tile holds one group's frame, keyed by its
+    (first, last) layers, and is refilled only when a flush needs another
+    frame: once for a lone layer. On one qubit a flush is one pass and a
+    tile saves nothing, so the coefficients are used as they are, a
+    one-layer frame being that layer itself: there numpy rounds a
+    one-element product with a contiguous coefficient in another loop than
+    with a broadcast one, and a 1-column layer would change in the last
+    bit."""
     shape = arr.shape
     ops = list(ops)
-    # per op: None for a gate, else whether the noise layer is diagonal
-    diagonals = [None if isinstance(op, Gate) else not (op[0, 1].any() or op[1, 0].any())
-                 for op in ops]
-    tiled = n > 1 and diagonals.count(None) < len(ops)
-    reverse = tiled and False in diagonals
-    if reverse:
-        work = np.empty((2**n, arr.size >> n), dtype=complex)
-        _copy_reversed(arr, work, n)
-    else:
-        work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
+    work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
     del arr
     scratch = np.empty(2 * work.size, dtype=complex)
-    tile = np.empty((2, 2, work.shape[0] // 2, work.shape[1]), dtype=complex) if tiled else None
+    noisy = not all(isinstance(op, Gate) for op in ops)
+    # one frame per group of qubits pending since the same layer, packed in
+    # frames[:len(groups)]; groups[g] is that group's first layer
+    frames = np.empty((n, 2, 2, work.shape[1]), dtype=complex) if noisy else None
+    groups: list[int] = []
+    tile = (np.empty((2, 2, work.shape[0] // 2, work.shape[1]), dtype=complex)
+            if noisy and n > 1 else None)
+    pending: list = [None] * n  # per qubit: the first layer of its frame, None when clear
+    layer = None  # index of the latest noise layer
+    filled = None  # (first layer, last layer, diagonal) of the frame in the tile
     views: dict[tuple, tuple] = {}
 
     def support(qubits: tuple, real: bool) -> tuple:
@@ -182,38 +187,62 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
         views if real."""
         key = (qubits, real)
         if key not in views:
-            rows = tuple(n + 1 - q for q in qubits) if reverse else qubits
-            halves = _halves(work.view(float) if real else work, rows)
+            halves = _halves(work.view(float) if real else work, qubits)
             shape = (2,) + halves.shape
             products = (scratch.view(float) if real else scratch)[:2 * halves.size].reshape(shape)
-            noise = tiled and not real and len(qubits) == 1
+            noise = tile is not None and not real and len(qubits) == 1
             views[key] = halves, products, tile.reshape(shape) if noise else None
         return views[key]
 
-    if reverse:  # a full layer's step reads the top halves and writes the bottom bit
-        top = work.reshape(2, -1, work.shape[1])
-        bottom = work.reshape(-1, 2, work.shape[1]).swapaxes(0, 1)
-        top_products = scratch.reshape((2,) + top.shape)
-
-    for op, diagonal in zip(ops, diagonals):
-        if diagonal is not None:  # a noise layer
-            if tile is None:  # one qubit, (1, 1, k) halves
-                a0, a1 = support((1,), False)[0]
-                if diagonal:
-                    a0[...], a1[...] = np.multiply(op[0, 0], a0), np.multiply(op[1, 1], a1)
+    def flush(q: int) -> None:
+        """Apply qubit q's pending frame to its halves and clear it."""
+        nonlocal filled
+        first, pending[q - 1] = pending[q - 1], None
+        g = groups.index(first)
+        frame = frames[g]
+        if tile is None:  # one qubit, (1, 1, k) halves
+            u = ops[first] if first == layer else frame
+            a0, a1 = support((1,), False)[0]
+            if not (u[0, 1].any() or u[1, 0].any()):
+                a0[...], a1[...] = np.multiply(u[0, 0], a0), np.multiply(u[1, 1], a1)
+            else:
+                a0[...], a1[...] = (np.multiply(u[0, 0], a0) + np.multiply(u[0, 1], a1),
+                                    np.multiply(u[1, 0], a0) + np.multiply(u[1, 1], a1))
+        else:
+            if filled is None or filled[:2] != (first, layer):
+                diagonal = not frame.reshape(4, -1)[1:3].any()  # frame[0, 1] and frame[1, 0]
+                if diagonal:  # tile[0] holds (u[0, 0], u[1, 1])
+                    np.copyto(tile[0], frame[(0, 1), (0, 1)].reshape(2, 1, -1))
                 else:
-                    a0[...], a1[...] = (np.multiply(op[0, 0], a0) + np.multiply(op[0, 1], a1),
-                                        np.multiply(op[1, 0], a0) + np.multiply(op[1, 1], a1))
-            elif diagonal:  # tile[0] holds (u[0, 0], u[1, 1])
-                np.copyto(tile[0], op[(0, 1), (0, 1)].reshape(2, 1, -1))
-                for t in range(1, n + 1):
-                    halves, _, u = support((t,), False)
-                    np.multiply(u[0], halves, out=halves)
-            else:  # qubits 1..n, each mixed on the top bit and moved to the bottom
-                np.copyto(tile, op.reshape(2, 2, 1, -1))
-                for _ in range(n):
-                    _mix(tile, top, top_products, bottom)
-        elif op.kind == "H":  # the two distinct products, then their sum and difference
+                    np.copyto(tile, frame.reshape(2, 2, 1, -1))
+                filled = (first, layer, diagonal)
+            halves, products, u = support((q,), False)
+            if filled[2]:
+                np.multiply(u[0], halves, out=halves)
+            else:
+                _mix(u, halves, products)
+        if first not in pending:  # the group is flushed: the last group takes its place
+            frames[g], groups[g] = frames[len(groups) - 1], groups[-1]
+            groups.pop()
+
+    for index, op in enumerate(ops):
+        if not isinstance(op, Gate):  # a noise layer: compose it onto every pending frame
+            u = op.reshape(2, 2, -1)
+            if groups:
+                _compose(u, frames[:len(groups)])
+            fresh = [q for q in range(n) if pending[q] is None]
+            if fresh:  # the clear qubits start a group with this layer's coefficients
+                np.copyto(frames[len(groups)], u)
+                groups.append(index)
+                for q in fresh:
+                    pending[q] = index
+            layer = index
+            continue
+        if groups:  # the gate's pending frames first
+            for q in sorted(op.qubits):
+                if pending[q - 1] is not None:
+                    flush(q)
+        if op.kind == "H":  # the two distinct products, then their sum and difference
             halves, products, _ = support(op.qubits, True)
             np.multiply(_H, halves, out=products[0])
             np.add(products[0, 0], products[0, 1], out=halves[0])
@@ -222,7 +251,7 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
             c, s = math.cos(op.angle), math.sin(op.angle)
             u = np.array([[c, -s], [s, c]])
             halves, products, _ = support(op.qubits, True)
-            _mix(u.reshape((2, 2) + (1,) * (halves.ndim - 1)), halves, products, halves)
+            _mix(u.reshape((2, 2) + (1,) * (halves.ndim - 1)), halves, products)
         elif op.kind == "CN":  # swap the control-1 quarters through scratch
             halves, products, _ = support(op.qubits, False)
             np.copyto(products[0], halves)
@@ -234,10 +263,9 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
                 np.multiply(a11, phase, out=a11)
             else:  # numpy rounds a lone product written in place in another loop
                 a11[...] = np.multiply(a11, phase)
-    if reverse:  # back to the caller's order
-        result = scratch[:work.size].reshape(work.shape)
-        _copy_reversed(work, result, n)
-        work = result
+    for q in range(1, n + 1):  # what is still pending, qubit 1 first
+        if pending[q - 1] is not None:
+            flush(q)
     return work.reshape(shape)
 
 

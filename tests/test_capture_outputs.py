@@ -57,6 +57,14 @@ def test_cli_cases_cover_every_verify_size():
         for n in range(1, max_n + 1)}
 
 
+def test_differences_name_moved_added_and_removed_keys():
+    old = {"a": "1", "b": "2", "c": "3"}
+    new = {"a": "1", "b": "9", "d": "4"}
+    assert CAPTURE.differences(old, new) == [
+        "moved b", "added d", "removed c", "1 of 3 keys identical"]
+    assert CAPTURE.differences(new, new) == ["3 of 3 keys identical"]
+
+
 def test_outputs_match_the_pinned_hashes():
     run = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src")], cwd=ROOT,
                          capture_output=True, text=True, timeout=300, check=False)

@@ -217,7 +217,7 @@ class TestNoiseBench:
         assert len(rows) == 1 + 2 * 4  # header + two arms x trials
         assert rows[1].startswith("encoded,0,")
 
-    # seeded CSVs captured from the copying gate kernel and one default_rng per run
+    # seeded CSVs captured with the pending-frame noise kernel and one default_rng per run
     GOLDEN_CSVS = {
         "noise_wcd2_elementary_gaussian": "--encoding wcd --n 2 --policy elementary "
                                           "--distribution gaussian --sigma 0.3 --seed 11",

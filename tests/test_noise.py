@@ -37,6 +37,7 @@ from dfsqft import (
     synth_qft_wcd,
 )
 from dfsqft import noise
+from dfsqft.statevector import _propagate
 
 from conftest import random_state
 
@@ -44,10 +45,15 @@ WCD = CollectiveModel.WCD
 SCD = CollectiveModel.SCD
 
 
-def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None, subspace=None):
-    """run_trials one trial at a time, from public functions only: the run's
-    one default_rng(seed) draws each event's angles, in trial order and then
-    position order."""
+def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None, subspace=None,
+                     *, fold=False):
+    """run_trials one trial at a time: the run's one default_rng(seed) draws
+    each event's angles, in trial order and then position order, and each
+    trial runs its op list, every event's (2, 2) rotation before the gates up
+    to the next one, through _propagate as a lone state (a one-trial batch).
+    With fold=True each event and gate runs on its own instead, through the
+    public apply_noise and apply_circuit, so each layer acts at once: equal
+    to within rounding."""
     n_gates = len(circuit)
     if policy.granularity == PER_ELEMENTARY_GATE:
         positions = set(range(n_gates + 1))
@@ -58,15 +64,23 @@ def reference_trials(circuit, state, ideal, policy, model, block_boundaries=None
     fidelities, leakages = [], []
     rng = np.random.default_rng(policy.seed)
     for _ in range(policy.trials):
-        out = state
+        out, ops = state, []
         for pos in range(n_gates + 1):
             if pos in positions:
                 k = len(model.axes)
                 angles = (rng.uniform(0.0, 2.0 * math.pi, k) if policy.distribution == "uniform"
                           else rng.normal(0.0, policy.sigma, k))
-                out = apply_noise(out, NoiseEvent(tuple(angles)), model)
+                if fold:
+                    out = apply_noise(out, NoiseEvent(tuple(angles)), model)
+                else:
+                    ops.append(noise._rotations(angles, model))
             if pos < n_gates:
-                out = apply_circuit(out, Circuit(out.n_qubits, (circuit.gates[pos],)))
+                if fold:
+                    out = apply_circuit(out, Circuit(out.n_qubits, (circuit.gates[pos],)))
+                else:
+                    ops.append(circuit.gates[pos])
+        if not fold:
+            out = StateVector(_propagate(ops, state.amplitudes, state.n_qubits))
         fidelities.append(fidelity(ideal, out))
         if subspace is not None:
             b = subspace.matrix
@@ -369,7 +383,8 @@ class TestNoisyRun:
 
 
 class TestBatchedTrials:
-    """run_trials against the one-trial-at-a-time reference built from public functions."""
+    """run_trials against one-trial runs of the same op lists, bit for bit,
+    and against the public event-by-event fold to within rounding."""
 
     @pytest.mark.parametrize("granularity", [PER_ELEMENTARY_GATE, PER_LOGICAL_BLOCK, ENDPOINTS_ONLY])
     @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
@@ -382,11 +397,15 @@ class TestBatchedTrials:
                                  trials=9, seed=seed)
             got = run_trials(circuit, state, ideal, policy, model, bounds, basis)
             want = reference_trials(circuit, state, ideal, policy, model, bounds, basis)
+            folded = reference_trials(circuit, state, ideal, policy, model, bounds, basis,
+                                      fold=True)
             np.testing.assert_array_equal(got[0], want[0])
+            assert np.max(np.abs(got[0] - folded[0])) <= 1e-13
             if basis is None:
                 assert got[1] is None
             else:
                 np.testing.assert_array_equal(got[1], want[1])
+                assert np.max(np.abs(got[1] - folded[1])) <= 1e-13
 
     @pytest.mark.parametrize("model", [WCD, SCD])
     @pytest.mark.parametrize("granularity", [PER_ELEMENTARY_GATE, ENDPOINTS_ONLY])

@@ -11,6 +11,7 @@ from dfsqft import (
     SCD,
     WCD,
     Circuit,
+    Gate,
     StateVector,
     SubspaceBasis,
     apply_circuit,
@@ -27,6 +28,7 @@ from dfsqft import (
     scd_hadamard,
     scd_phase,
     synth_qft,
+    synth_qft_scd,
     unitarity_defect,
 )
 from dfsqft import statevector
@@ -370,21 +372,66 @@ class TestRestrict:
 
 
 
-def _layer_reference(layer: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
-    """A noise layer one qubit at a time on contiguous copies of the two
-    halves, u-first: the rounding that _propagate must reproduce."""
+def _qubit_reference(u: np.ndarray, arr: np.ndarray, t: int, n: int) -> np.ndarray:
+    """A (2, 2) or (2, 2, k) rotation on qubit t by out-of-place formulas on
+    contiguous copies of the two halves, u-first; a diagonal u skips its
+    zero off-diagonal products."""
     work = np.array(arr, dtype=complex).reshape(2**n, -1)
-    diagonal = not (layer[0, 1].any() or layer[1, 0].any())
-    for t in range(1, n + 1):
-        parts = work.reshape(-1, 2, 1 << (t - 1), work.shape[1])
-        a0, a1 = parts[:, 0].copy(), parts[:, 1].copy()
-        if diagonal:
-            parts[:, 0] = np.multiply(layer[0, 0], a0)
-            parts[:, 1] = np.multiply(layer[1, 1], a1)
-        else:
-            parts[:, 0] = np.multiply(layer[0, 0], a0) + np.multiply(layer[0, 1], a1)
-            parts[:, 1] = np.multiply(layer[1, 0], a0) + np.multiply(layer[1, 1], a1)
+    parts = work.reshape(-1, 2, 1 << (t - 1), work.shape[1])
+    a0, a1 = parts[:, 0].copy(), parts[:, 1].copy()
+    if not (u[0, 1].any() or u[1, 0].any()):
+        parts[:, 0] = np.multiply(u[0, 0], a0)
+        parts[:, 1] = np.multiply(u[1, 1], a1)
+    else:
+        parts[:, 0] = np.multiply(u[0, 0], a0) + np.multiply(u[0, 1], a1)
+        parts[:, 1] = np.multiply(u[1, 0], a0) + np.multiply(u[1, 1], a1)
     return work.reshape(arr.shape)
+
+
+def _layer_reference(layer: np.ndarray, arr: np.ndarray, n: int) -> np.ndarray:
+    """A noise layer one qubit at a time, qubit 1 first: the rounding that
+    _propagate must reproduce for a lone layer."""
+    for t in range(1, n + 1):
+        arr = _qubit_reference(layer, arr, t, n)
+    return arr
+
+
+def _compose_reference(u: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """u @ frame for one column's (2, 2) matrices, entry by entry: the sum of
+    the two products u[i, l] * frame[l, j], each formed u-first by numpy on
+    two-element rows (a one-element product rounds in another loop)."""
+    out = np.empty((2, 2), dtype=complex)
+    for i in (0, 1):
+        for j in (0, 1):
+            products = np.multiply(u[i, :], frame[:, j])
+            out[i, j] = products[0] + products[1]
+    return out
+
+
+def _frames_reference(ops: list, arr: np.ndarray, n: int) -> np.ndarray:
+    """ops one column at a time with pending per-qubit frames: a layer is
+    composed onto each qubit's frame (_compose_reference), a qubit's frame
+    is applied by _qubit_reference just before a gate touches it, the
+    gate's qubits in ascending order, and what is still pending at the end
+    is applied qubit 1 first. Gates run by _gate_reference."""
+    columns = np.array(arr, dtype=complex).reshape(2**n, -1)
+    for c in range(columns.shape[1]):
+        work = columns[:, c:c + 1].copy()
+        frames: dict[int, np.ndarray] = {}
+        for op in ops:
+            if isinstance(op, Gate):
+                for q in sorted(op.qubits):
+                    if q in frames:
+                        work = _qubit_reference(frames.pop(q)[:, :, None], work, q, n)
+                work = _gate_reference(op, work, n)
+            else:
+                u = op.reshape(2, 2, -1)[:, :, c]
+                frames = {q: _compose_reference(u, frames[q]) if q in frames else u
+                          for q in range(1, n + 1)}
+        for q in sorted(frames):
+            work = _qubit_reference(frames[q][:, :, None], work, q, n)
+        columns[:, c] = work[:, 0]
+    return columns.reshape(arr.shape)
 
 
 def _phase_reference(i: int, j: int, angle: float, arr: np.ndarray, n: int) -> np.ndarray:
@@ -550,49 +597,99 @@ class TestGateBits:
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-class TestLayoutAcrossOps:
-    """A list with a full noise layer runs on the qubit-reversed working
-    array, which a gate-only list or a lone layer never crosses: op lists
-    as run_trials builds them under per-gate noise, full SCD and diagonal
-    WCD layers between gates of every kind, match the same ops folded one
-    _propagate call at a time."""
+def _noisy_ops(n: int, k: int | None, rng: np.random.Generator, gates: int = 32) -> list:
+    """An op list as run_trials builds it under per-gate noise: full SCD and
+    diagonal WCD layers in turn between a sample of gates of every kind
+    (every gate and support up to n = 3), a layer first and last."""
+    pool = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
+                                  for j in range(1, n + 1) if i != j]
+    sample = [pool[i] for i in rng.permutation(len(pool))[:gates]]
+    columns = () if k is None else (k,)
 
-    GATES = 32  # per list: every gate and support up to n = 3, a random sample beyond
+    def layer(g: int) -> np.ndarray:
+        model = (CollectiveModel.SCD, CollectiveModel.WCD)[g % 2]
+        return _rotations(rng.uniform(0.0, 2.0 * math.pi, columns + (len(model.axes),)), model)
+
+    return [op for g, gate in enumerate(sample) for op in (layer(g), gate)] + [layer(len(sample))]
+
+
+class TestLayoutAcrossOps:
+    """Noise layers become pending per-qubit frames, applied when a gate
+    touches a qubit and at the end: op lists as run_trials builds them under
+    per-gate noise match the column-at-a-time frame reference bit for bit,
+    and the same ops folded one _propagate call at a time (each layer then
+    applied at once) to within rounding."""
 
     @pytest.mark.parametrize("k", [None, 1, 4, 40], ids=lambda k: f"k{k}")
     @pytest.mark.parametrize("n", range(2, 13))
     def test_noisy_op_list(self, n, k):
         rng = np.random.default_rng([n, k or 0, 2])
-        gates = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
-                                       for j in range(1, n + 1) if i != j]
-        gates = [gates[i] for i in rng.permutation(len(gates))[:self.GATES]]
-        columns = () if k is None else (k,)
-
-        def layer(g: int) -> np.ndarray:  # full SCD and diagonal WCD layers in turn
-            model = (CollectiveModel.SCD, CollectiveModel.WCD)[g % 2]
-            return _rotations(rng.uniform(0.0, 2.0 * math.pi, columns + (len(model.axes),)), model)
-
-        ops = [op for g, gate in enumerate(gates) for op in (layer(g), gate)] + [layer(len(gates))]
-        arr = _random_states(rng, (2**n,) + columns)
-        # as run_trials hands the ops over, and with a gate first and last
-        for case in (ops, ops[1:-1]):
-            expected = arr
-            for op in case:
-                expected = statevector._propagate([op], expected, n)
+        ops = _noisy_ops(n, k, rng)
+        arr = _random_states(rng, (2**n,) if k is None else (2**n, k))
+        # as run_trials hands the ops over, with a gate first and last, and
+        # with two layers in a row
+        for case in (ops, ops[1:-1], ops[:3] + ops[4:]):
             got = statevector._propagate(case, arr, n)
             assert got.shape == arr.shape
+            expected = _frames_reference(case, arr, n)
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+            eager = arr
+            for op in case:
+                eager = statevector._propagate([op], eager, n)
+            assert np.max(np.abs(got - eager)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_columns_do_not_depend_on_the_batch(self, n):
+        """The first k columns of a batch of 64 keep their bits in a batch
+        of their own, for k = 1, 2, 3, 7 and 40. (Not on one qubit, where a
+        1-column layer rounds its one-element products in numpy's other
+        loop, as TestNoiseLayerBits pins.)"""
+        rng = np.random.default_rng([n, 3])
+        ops = _noisy_ops(n, 64, rng)
+        arr = _random_states(rng, (2**n, 64))
+        whole = statevector._propagate(ops, arr, n)
+        for k in (1, 2, 3, 7, 40):
+            part = [op if isinstance(op, Gate) else op[:, :, :k] for op in ops]
+            got = statevector._propagate(part, arr[:, :k], n)
+            np.testing.assert_array_equal(got.view(np.uint64), whole[:, :k].view(np.uint64))
+
+    def test_one_qubit_noise_steps_follow_the_gates(self, monkeypatch):
+        """On the per-gate noise op list of the scd 2 QFT (8 qubits, 115
+        gates, 116 full layers) the layers mix no more qubits than the gates
+        touch, plus one final flush per qubit: at most 204 + 8 one-qubit
+        noise steps, where mixing each layer at once takes 116 x 8 = 928."""
+        circuit = synth_qft_scd(2)
+        n, k = circuit.n_qubits, 4
+        rng = np.random.default_rng(9)
+        layers = _rotations(rng.uniform(0.0, 2.0 * math.pi, (len(circuit) + 1, k, 3)),
+                            CollectiveModel.SCD).transpose(2, 0, 1, 3)
+        ops = [op for layer, gate in zip(layers, circuit.gates) for op in (layer, gate)]
+        ops.append(layers[-1])
+        mix, steps = statevector._mix, []
+
+        def spy(u, halves, products):
+            if halves.dtype == complex:  # a noise flush; R and CR mix float64 views
+                steps.append(halves.shape)
+            return mix(u, halves, products)
+
+        monkeypatch.setattr(statevector, "_mix", spy)
+        statevector._propagate(ops, _random_states(rng, (2**n, k)), n)
+        bound = sum(len(gate.qubits) for gate in circuit.gates) + n
+        assert bound == 212
+        assert 0 < len(steps) <= bound
 
 
 class TestKernelMemory:
     """At n = 10 _propagate holds its working array and scratch twice that
-    size, plus a coefficient tile of twice the size only when a noise layer
-    runs."""
+    size, plus, only when a noise layer runs, a coefficient tile of twice
+    the size and the (n, 2, 2, k) frames; the result is the working array
+    itself, so it keeps no scratch alive."""
 
     # 4 MB of work, so the few hundred kB of numpy's fixed ufunc buffers
     # (a P or CN on low qubits) stay inside the 0.25x margins
     N, K = 10, 256
     WORK = 2**N * K * 16  # bytes of the complex working array
+    FRAMES = N * 4 * K * 16  # bytes of the frames, 0.04x the working array
 
     def _peak(self, ops) -> int:
         arr = _random_states(np.random.default_rng(5), (2**self.N, self.K))
@@ -603,13 +700,43 @@ class TestKernelMemory:
         finally:
             tracemalloc.stop()
 
+    def _layers(self, count: int) -> list:
+        rng = np.random.default_rng(6)
+        angles = rng.uniform(0.0, 2.0 * math.pi, (count, self.K, 3))
+        return list(_rotations(angles, CollectiveModel.SCD).transpose(2, 0, 1, 3))
+
     def test_gates_allocate_no_tile(self):
         assert self._peak(synth_qft(self.N).gates) < 3.25 * self.WORK
 
     def test_a_noise_layer_adds_one_tile(self):
-        rng = np.random.default_rng(6)
-        layer = _rotations(rng.uniform(0.0, 2.0 * math.pi, (self.K, 3)), CollectiveModel.SCD)
-        assert self._peak(list(synth_qft(self.N).gates) + [layer]) < 5.25 * self.WORK
+        ops = list(synth_qft(self.N).gates) + self._layers(1)
+        assert self._peak(ops) < 5.25 * self.WORK + self.FRAMES
+
+    def test_noise_between_gates_adds_one_tile(self):
+        # a layer before every gate: composing a layer onto the frames
+        # briefly holds their eight products, twice the frames
+        gates = synth_qft(self.N).gates
+        layers = self._layers(len(gates) + 1)
+        ops = [op for layer, gate in zip(layers, gates) for op in (layer, gate)] + layers[-1:]
+        assert self._peak(ops) < 5.25 * self.WORK + 3 * self.FRAMES
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["gates", "noise"])
+    def test_result_keeps_only_its_own_bytes(self, noisy):
+        # circuit_unitary(synth_qft(10)) is 16 MB; a result that viewed
+        # scratch would keep 32 MB alive
+        circuit = synth_qft(10)
+        tracemalloc.start()
+        try:
+            if noisy:
+                ops = list(circuit.gates) + self._layers(1)
+                result = statevector._propagate(ops, np.eye(2**10, dtype=complex)[:, :self.K], 10)
+            else:
+                result = circuit_unitary(circuit)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result.base is None or result.base.nbytes == result.nbytes
+        assert kept < 1.01 * result.nbytes + 64 * 1024
 
 
 def test_restricted_block_is_unitary_when_leak_free():

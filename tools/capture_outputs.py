@@ -2,6 +2,7 @@
 
 Usage:
     python3 tools/capture_outputs.py SRC_DIR > hashes.json
+    python3 tools/capture_outputs.py SRC_DIR --against hashes.json
 
 SRC_DIR is the directory holding the dfsqft package (a checkout's src/);
 the demos run from the demos/ directory beside it. The CLI outputs run
@@ -23,14 +24,20 @@ hashed without its wall-clock duration_s. It exits 1 if any command exits
 non-zero; a tree that refuses a size still hashes that run's (empty)
 output.
 
+With --against FILE it prints, instead of the JSON, one line per key that
+differs from the hashes in FILE: "moved KEY", "added KEY" (not in FILE) or
+"removed KEY" (only in FILE), then a count of the identical keys, and exits
+0 whatever differs.
+
 tests/golden/capture_hashes.json holds the hashes of the current tree, and
 tests/test_capture_outputs.py compares a fresh run with it. A change that
-moves an output on purpose regenerates that file with this script and names
-the moved keys; to compare two trees, run the script on a `git archive`
-copy of each and diff the two JSON files.
+moves an output on purpose lists the moved keys with --against that file,
+regenerates it with this script and names the moved keys; to compare two
+trees, hash one and run the other --against its file.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -128,11 +135,24 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def differences(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """"moved KEY", "added KEY" and "removed KEY" lines, in the order of new
+    and then of old, and a last line counting the identical keys."""
+    lines = [f"{'moved' if key in old else 'added'} {key}" for key in new
+             if old.get(key) != new[key]]
+    lines += [f"removed {key}" for key in old if key not in new]
+    same = sum(old.get(key) == value for key, value in new.items())
+    return lines + [f"{same} of {len(new)} keys identical"]
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    src = pathlib.Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", type=pathlib.Path, help="the directory holding the dfsqft package")
+    parser.add_argument("--against", type=pathlib.Path, metavar="FILE",
+                        help="print the keys that differ from the hashes in FILE")
+    args = parser.parse_args(argv)
+    old = None if args.against is None else json.loads(args.against.read_text(encoding="utf-8"))
+    src = args.src.resolve()
     sys.path.insert(0, str(src))
     os.environ.pop("DFSQFT_SEED", None)
     import dfsqft
@@ -168,7 +188,7 @@ def main(argv: list[str]) -> int:
         if run.returncode != 0:
             failed.append(demo.name)
 
-    print(json.dumps(hashes, indent=2))
+    print(json.dumps(hashes, indent=2) if old is None else "\n".join(differences(old, hashes)))
     for name in failed:
         print(f"non-zero exit: {name}", file=sys.stderr)
     return 1 if failed else 0
