@@ -56,15 +56,15 @@ from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
 # Amplitudes per chunk in _batched_rows (256 KB per complex array). Timed
-# with the pending-frame noise kernel, by the median of interleaved
-# in-process noise-bench runs at one BLAS thread on a shared 2-CPU x86_64
-# VM, against 2^14. On the benchmark's runs (30 rounds), 2^13 / 2^15 took
-# 1.00 / 1.00 x (wcd 3) and 1.44 / 1.01 x (scd 2) at 40 trials of per-gate
-# noise, and 1.11 / 1.02 x and 1.28 / 0.98 x at 200 trials of block noise.
-# At 12 qubits (five rounds), where a 2^14 chunk is 4 trials, 2^13 took
-# 1.47-1.64 x everywhere, while 2^15 took 0.72 / 0.81 x on wcd 6 (block /
-# per-gate) and 0.95 / 0.93 x on scd 3. 2^15 would pay at 12 qubits only,
-# for twice the memory of every run, so 2^14 stays.
+# with the pending-frame noise kernel and its 256-element ufunc buffer, by
+# the median of interleaved in-process noise-bench runs at one BLAS thread
+# on a shared 2-CPU x86_64 VM, against 2^14. On the benchmark's runs (30
+# rounds), 2^13 / 2^15 took 1.02 / 1.00 x (wcd 3) and 1.23 / 0.97 x (scd 2)
+# at 40 trials of per-gate noise, and 1.08 / 0.99 x and 1.11 / 0.97 x at
+# 200 trials of block noise. At 12 qubits (five rounds), where a 2^14 chunk
+# is 4 trials, 2^13 took 1.41-1.46 x everywhere, while 2^15 took 0.73 /
+# 0.76 x on wcd 6 (block / per-gate) and 0.80 / 0.91 x on scd 3. 2^15 would
+# pay at 12 qubits only, for twice the memory of every run, so 2^14 stays.
 BATCH_AMPLITUDES = 1 << 14
 
 PER_ELEMENTARY_GATE = "per_elementary_gate"

@@ -22,7 +22,10 @@ never written; R and CR are one 2x2 step of two whole-array ufunc calls, H
 is its two distinct products, then their sum and difference. A noise layer,
 the same rotation on every qubit, touches no amplitude: it is composed onto
 a pending 2x2 frame per qubit, and a qubit's frame is applied, one such
-step, only when a gate touches that qubit or the ops end.
+step, only when a gate touches that qubit or the ops end. Every step works
+on views whose contiguous runs are short on low qubits, and numpy's ufuncs
+are slow on such views with their default 8192-element buffer, so
+_propagate runs with a 256-element buffer and hands the caller's back.
 Verification compares code-space blocks (k x k) or, for small gate
 supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a large
 register is never needed.
@@ -41,6 +44,14 @@ MAX_DENSE_OPERATOR_QUBITS = 10  # the one cap on 2^n x 2^n arrays: 4 GB complex 
 NORM_ATOL = 1e-12
 MATRIX_ATOL = 1e-10
 _GRAM_CHUNK = 1 << 18  # amplitudes per column chunk of SubspaceBasis's checks (4 MB)
+# numpy's ufunc buffer, in elements, while _propagate runs (numpy's default
+# is 8192). Timed against 256 by tools/kernel_ab.py (the benchmark's
+# noise-bench op lists, medians of 60 alternated rounds) and by in-process
+# sweeps of the benchmark's verify cases (60 rounds), one BLAS thread, on a
+# shared 2-CPU x86_64 VM: 16 / 64 / 128 took 1.05 / 1.04 / 1.01x on the
+# noise lists, 512 / 1024 0.99 / 1.05x and 8192 1.30x; verify took 1.00x at
+# 512, 1.03x at 1024, 1.05x at 16 and 1.07x at 8192.
+_UFUNC_BUFFER = 256
 
 _H = 1.0 / math.sqrt(2.0)  # Hadamard entry: not math.sqrt(0.5), which is 1 ulp larger
 
@@ -151,22 +162,47 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     (_compose, frame <- u @ frame) and starts a group, with a copy of its
     coefficients, for the qubits with nothing pending.
 
-    A flush reads its frame from a contiguous (2, 2, 2^(n-1), k) tile,
-    allocated once per call and only when a noise layer is present (a
-    diagonal frame fills only tile[0] with its u[0, 0] and u[1, 1]), so
-    numpy merges the inner axes of each product instead of looping over a
-    broadcast (k,) row. The tile holds one group's frame, keyed by its
-    (first, last) layers, and is refilled only when a flush needs another
-    frame: once for a lone layer. On one qubit a flush is one pass and a
-    tile saves nothing, so the coefficients are used as they are, a
-    one-layer frame being that layer itself: there numpy rounds a
-    one-element product with a contiguous coefficient in another loop than
-    with a broadcast one, and a 1-column layer would change in the last
-    bit."""
+    A flush on qubit t reads its frame from the first 2^(t-1) rows of a
+    contiguous (2, 2, 2^(n-1), k) tile, broadcast over the 2^(n-t) blocks
+    of its halves, so each product runs over as many contiguous
+    coefficients as a block has amplitudes instead of looping over a
+    broadcast (k,) row. The tile is allocated once per call and only when
+    a noise layer is present; a diagonal frame fills only tile[0], with its
+    u[0, 0] and u[1, 1]. The tile holds one group's frame, keyed by its
+    (first, last) layers: a flush that needs another frame refills it, and
+    one that reads more rows than are filled fills only the rest, so a lone
+    layer fills each row once. On one qubit a flush is one pass and a
+    tile saves nothing, so the frame's coefficients are used as they are,
+    and a one-column frame as a (2, 2) matrix of 0-d coefficients, as a
+    lone state's layer: numpy rounds a one-element product with a (1,)
+    coefficient in another loop (without FMA) than with a 0-d or a wider
+    one, and a one-trial chunk would round otherwise than the same trial
+    in a wider chunk.
+
+    The ops run with numpy's ufunc buffer set to _UFUNC_BUFFER elements,
+    and the caller's size (np.setbufsize returns it; numpy keeps the size
+    per thread) is restored on return and when an op raises. On qubit t
+    each half is a stack of blocks of 2^(t-1) k contiguous amplitudes, and
+    numpy passes blocks shorter than its buffer (8192 elements by default)
+    through the buffer: a _mix's four products on the halves of qubits 1-7
+    of an 8-qubit, 64-column array took 1.7-2.1x as long as on contiguous
+    data of the same size, and 0.9-1.5x with the small buffer. The size
+    moves no bit: every step is elementwise, and no step is a
+    floating-point reduction whose blocking could change a sum."""
     shape = arr.shape
-    ops = list(ops)
     work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
     del arr
+    old = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        _run(list(ops), work, n)
+    finally:
+        np.setbufsize(old)
+    return work.reshape(shape)
+
+
+def _run(ops: list, work: np.ndarray, n: int) -> None:
+    """Apply ops in order to the 2^n x k working array in place, as
+    _propagate describes."""
     scratch = np.empty(2 * work.size, dtype=complex)
     noisy = not all(isinstance(op, Gate) for op in ops)
     # one frame per group of qubits pending since the same layer, packed in
@@ -177,21 +213,22 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
             if noisy and n > 1 else None)
     pending: list = [None] * n  # per qubit: the first layer of its frame, None when clear
     layer = None  # index of the latest noise layer
-    filled = None  # (first layer, last layer, diagonal) of the frame in the tile
+    filled = None  # (first layer, last layer, diagonal, rows) of the frame in the tile
     views: dict[tuple, tuple] = {}
 
     def support(qubits: tuple, real: bool) -> tuple:
         """(halves, products, tile): the halves of the working array on
-        qubits, the scratch as (2,) + their shape, and the tile in that
-        shape for one qubit of a noise run (else None); on the float64
-        views if real."""
+        qubits, the scratch as (2,) + their shape, and for one qubit of a
+        noise run the tile's rows that the halves' blocks read, broadcast
+        over the blocks (else None); on the float64 views if real."""
         key = (qubits, real)
         if key not in views:
             halves = _halves(work.view(float) if real else work, qubits)
             shape = (2,) + halves.shape
             products = (scratch.view(float) if real else scratch)[:2 * halves.size].reshape(shape)
             noise = tile is not None and not real and len(qubits) == 1
-            views[key] = halves, products, tile.reshape(shape) if noise else None
+            views[key] = (halves, products,
+                          tile[:, :, None, :halves.shape[2]] if noise else None)
         return views[key]
 
     def flush(q: int) -> None:
@@ -200,8 +237,8 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
         first, pending[q - 1] = pending[q - 1], None
         g = groups.index(first)
         frame = frames[g]
-        if tile is None:  # one qubit, (1, 1, k) halves
-            u = ops[first] if first == layer else frame
+        if tile is None:  # one qubit, (1, 1, k) halves; one column takes 0-d coefficients
+            u = frame if frame.shape[-1] > 1 else frame.reshape(2, 2)
             a0, a1 = support((1,), False)[0]
             if not (u[0, 1].any() or u[1, 0].any()):
                 a0[...], a1[...] = np.multiply(u[0, 0], a0), np.multiply(u[1, 1], a1)
@@ -210,12 +247,16 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
                                     np.multiply(u[1, 0], a0) + np.multiply(u[1, 1], a1))
         else:
             if filled is None or filled[:2] != (first, layer):
-                diagonal = not frame.reshape(4, -1)[1:3].any()  # frame[0, 1] and frame[1, 0]
-                if diagonal:  # tile[0] holds (u[0, 0], u[1, 1])
-                    np.copyto(tile[0], frame[(0, 1), (0, 1)].reshape(2, 1, -1))
+                # diagonal when frame[0, 1] and frame[1, 0] are zero
+                filled = (first, layer, not frame.reshape(4, -1)[1:3].any(), 0)
+            rows = 1 << (q - 1)  # the tile rows that qubit q reads
+            if filled[3] < rows:  # fill the rows not filled yet
+                new = slice(filled[3], rows)
+                if filled[2]:  # a diagonal frame: tile[0] holds (u[0, 0], u[1, 1])
+                    np.copyto(tile[0, :, new], frame[(0, 1), (0, 1)].reshape(2, 1, -1))
                 else:
-                    np.copyto(tile, frame.reshape(2, 2, 1, -1))
-                filled = (first, layer, diagonal)
+                    np.copyto(tile[:, :, new], frame.reshape(2, 2, 1, -1))
+                filled = filled[:3] + (rows,)
             halves, products, u = support((q,), False)
             if filled[2]:
                 np.multiply(u[0], halves, out=halves)
@@ -266,7 +307,6 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     for q in range(1, n + 1):  # what is still pending, qubit 1 first
         if pending[q - 1] is not None:
             flush(q)
-    return work.reshape(shape)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

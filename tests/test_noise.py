@@ -523,6 +523,20 @@ class TestTrialStreams:
         np.testing.assert_array_equal(short[0].view(np.uint64), long[0][:13].view(np.uint64))
         np.testing.assert_array_equal(short[1].view(np.uint64), long[1][:13].view(np.uint64))
 
+    @pytest.mark.parametrize("model", [WCD, SCD])
+    @pytest.mark.parametrize("granularity", [PER_ELEMENTARY_GATE, ENDPOINTS_ONLY])
+    def test_one_trial_chunk_is_a_prefix_on_one_qubit(self, monkeypatch, model, granularity):
+        # 4 trials a chunk: a 5-trial run ends in a one-trial chunk, whose
+        # one-element products round as the columns of a wider chunk do
+        circuit, state, ideal, _, bounds, _ = _qft_setup("plain-wcd", 1)
+        monkeypatch.setattr(noise, "BATCH_AMPLITUDES", 2**3)
+        for seed in range(40):
+            short, long = (run_trials(circuit, state, ideal,
+                                      NoisePolicy(granularity=granularity, trials=trials, seed=seed),
+                                      model, bounds)[0] for trials in (5, 8))
+            np.testing.assert_array_equal(short.view(np.uint64), long[:5].view(np.uint64),
+                                          err_msg=f"seed {seed}")
+
     @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
     def test_seeds_above_two_to_the_64_do_not_alias(self, distribution):
         # default_rng takes the whole seed; nothing masks it to 64 bits

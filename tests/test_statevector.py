@@ -484,8 +484,8 @@ def _random_states(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 class TestNoiseLayerBits:
     """_propagate applies a noise layer with the bits of the reference, on
     every register size and column count the noise runs use (up to the
-    12-qubit wcd 6 and scd 3 runs, whose chunks hold 4 trials); a (1, k)
-    coefficient tile at n = 1 fails at k = 1."""
+    12-qubit wcd 6 and scd 3 runs, whose chunks hold 4 trials); one
+    column rounds as a lone state does."""
 
     @pytest.mark.parametrize("model", list(CollectiveModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in (1, 2, 3, 7, 40, 64)]
@@ -500,7 +500,8 @@ class TestNoiseLayerBits:
             for _ in range(2):
                 arr = _random_states(rng, (2**n, k))
                 got = statevector._propagate([layer], arr, n)
-                expected = _layer_reference(layer, arr, n)
+                # one column rounds as a lone state, with the layer's (2, 2) matrix
+                expected = _layer_reference(layer.reshape(2, 2) if k == 1 else layer, arr, n)
                 np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("model", list(CollectiveModel), ids=lambda m: m.value)
@@ -638,12 +639,11 @@ class TestLayoutAcrossOps:
                 eager = statevector._propagate([op], eager, n)
             assert np.max(np.abs(got - eager)) <= 1e-13
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_columns_do_not_depend_on_the_batch(self, n):
         """The first k columns of a batch of 64 keep their bits in a batch
-        of their own, for k = 1, 2, 3, 7 and 40. (Not on one qubit, where a
-        1-column layer rounds its one-element products in numpy's other
-        loop, as TestNoiseLayerBits pins.)"""
+        of their own, for k = 1, 2, 3, 7 and 40; on one qubit too, where a
+        1-column frame flushes with 0-d coefficients, as a lone state's."""
         rng = np.random.default_rng([n, 3])
         ops = _noisy_ops(n, 64, rng)
         arr = _random_states(rng, (2**n, 64))
@@ -677,6 +677,56 @@ class TestLayoutAcrossOps:
         bound = sum(len(gate.qubits) for gate in circuit.gates) + n
         assert bound == 212
         assert 0 < len(steps) <= bound
+
+
+class TestUfuncBuffer:
+    """_propagate runs with numpy's ufunc buffer at _UFUNC_BUFFER elements
+    and hands the caller's size back, also when an op raises; the size moves
+    no bit of any gate or noise step."""
+
+    @pytest.fixture
+    def caller_size(self):
+        old = np.setbufsize(4096)
+        try:
+            yield 4096
+        finally:
+            np.setbufsize(old)
+
+    def test_scoped_to_the_call(self, monkeypatch, caller_size):
+        mix, sizes = statevector._mix, []
+
+        def spy(u, halves, products):
+            sizes.append(np.getbufsize())
+            return mix(u, halves, products)
+
+        monkeypatch.setattr(statevector, "_mix", spy)
+        rng = np.random.default_rng(4)
+        ops = _noisy_ops(3, 4, rng)
+        statevector._propagate(ops, _random_states(rng, (8, 4)), 3)
+        assert sizes and set(sizes) == {statevector._UFUNC_BUFFER}
+        assert np.getbufsize() == caller_size
+        with pytest.raises(ValueError):  # a layer of three coefficients
+            statevector._propagate([h(1), np.ones(3)], _random_states(rng, (8, 4)), 3)
+        assert np.getbufsize() == caller_size
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_buffer_size_moves_no_bit(self, monkeypatch, n):
+        rng = np.random.default_rng([n, 5])
+        cases = []  # (ops, input)
+        for k in (None, 1, 4, 40):
+            columns = (2**n,) if k is None else (2**n, k)
+            cases.append((_noisy_ops(n, k, rng), _random_states(rng, columns)))
+            if n <= 8:
+                gates = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
+                                               for j in range(1, n + 1) if i != j]
+                cases.append((gates, _random_states(rng, columns)))
+        runs = []
+        for size in (16, statevector._UFUNC_BUFFER, 8192):
+            monkeypatch.setattr(statevector, "_UFUNC_BUFFER", size)
+            runs.append([statevector._propagate(ops, arr, n) for ops, arr in cases])
+        for run in runs[1:]:
+            for got, expected in zip(run, runs[0]):
+                np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestKernelMemory:
