@@ -55,17 +55,20 @@ from .circuits import Circuit, _is_integer
 from .dfs import CollectiveModel
 from .statevector import StateVector, SubspaceBasis, _propagate
 
-# Amplitudes per chunk in _batched_rows (256 KB per complex array). Timed
-# with the pending-frame noise kernel and its 256-element ufunc buffer, by
-# the median of interleaved in-process noise-bench runs at one BLAS thread
-# on a shared 2-CPU x86_64 VM, against 2^14. On the benchmark's runs (30
-# rounds), 2^13 / 2^15 took 1.02 / 1.00 x (wcd 3) and 1.23 / 0.97 x (scd 2)
-# at 40 trials of per-gate noise, and 1.08 / 0.99 x and 1.11 / 0.97 x at
-# 200 trials of block noise. At 12 qubits (five rounds), where a 2^14 chunk
-# is 4 trials, 2^13 took 1.41-1.46 x everywhere, while 2^15 took 0.73 /
-# 0.76 x on wcd 6 (block / per-gate) and 0.80 / 0.91 x on scd 3. 2^15 would
-# pay at 12 qubits only, for twice the memory of every run, so 2^14 stays.
-BATCH_AMPLITUDES = 1 << 14
+# Amplitudes per chunk in _batched_rows (512 KB per complex array; a chunk
+# holds its working array, scratch twice that and a noise tile of under
+# 32 kB up to 256 trials, about 1.5 MB). Timed with the fixed-size noise tile and 64-byte aligned
+# kernel arrays by the median of interleaved in-process run_trials calls at
+# one BLAS thread on a shared 2-CPU x86_64 VM, against 2^14. On the
+# benchmark's runs (20 rounds), 2^13 / 2^15 / 2^16 took 0.96 / 0.94 / 0.92 x
+# (wcd 3) and 1.35 / 1.00 / 1.00 x (scd 2) at 40 trials of per-gate noise,
+# and 1.44 / 0.98 / 1.02 x and 1.29 / 0.84 / 0.88 x at 200 trials of block
+# noise, which 2^15 runs on scd 2 as chunks of 128 and 72 trials instead of
+# 64, 64, 64 and 8. At 12 qubits (five rounds), where a 2^15 chunk is 8
+# trials, 2^13 took 1.39-1.48 x everywhere, 2^15 0.84 / 0.81 x on wcd 6
+# (block / per-gate) and 0.78 / 0.91 x on scd 3, and 2^16 0.79 / 0.73 x and
+# 0.97 / 1.09 x. 2^16 loses on scd 2 and scd 3, so 2^15.
+BATCH_AMPLITUDES = 1 << 15
 
 PER_ELEMENTARY_GATE = "per_elementary_gate"
 PER_LOGICAL_BLOCK = "per_logical_block"

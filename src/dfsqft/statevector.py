@@ -16,22 +16,23 @@ One loop, _propagate, applies gates and collective-noise layers to one
 state or to the columns of a 2^n x k array: the 2^n identity columns for
 circuit_unitary, the k basis columns of a subspace for restrict, and the
 noise module's trials. It copies its input once into one private working
-array, in the caller's qubit order, and updates that array in place, gate
-by gate, so the values it hands back are new and the caller's array is
-never written; R and CR are one 2x2 step of two whole-array ufunc calls, H
-is its two distinct products, then their sum and difference. A noise layer,
-the same rotation on every qubit, touches no amplitude: it is composed onto
-a pending 2x2 frame per qubit, and a qubit's frame is applied, one such
-step, only when a gate touches that qubit or the ops end. Every step works
-on views whose contiguous runs are short on low qubits, and numpy's ufuncs
-are slow on such views with their default 8192-element buffer, so
-_propagate runs with a 256-element buffer and hands the caller's back.
-Verification compares code-space blocks (k x k) or, for small gate
-supports, the unitaries of a few qubits; the 2^n x 2^n matrix of a large
-register is never needed.
+array, in the caller's qubit order, updates that array in place, gate by
+gate, and hands back a copy of it, so the values it hands back are new and
+the caller's array is never written; R and CR are one 2x2 step of two
+whole-array ufunc calls, H is its two distinct products, then their sum
+and difference. A noise layer, the same rotation on every qubit, touches
+no amplitude: it is composed onto a pending 2x2 frame per qubit, and a
+qubit's frame is applied, one such step, only when a gate touches that
+qubit or the ops end. Every step works on views whose contiguous runs are
+short on low qubits, and numpy's ufuncs are slow on such views with their
+default 8192-element buffer, so _propagate runs with a 256-element buffer
+and hands the caller's back. Verification compares code-space blocks
+(k x k) or, for small gate supports, the unitaries of a few qubits; the
+2^n x 2^n matrix of a large register is never needed.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -133,13 +134,24 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     The input is copied once into a private C-ordered 2^n x k working array
     (a vector is a 2^n x 1 batch) in the caller's qubit order and released;
     each op then updates that array in place, through scratch twice the
-    size of the working array, and the working array is the result. Every
-    amplitude rounds as in the out-of-place formulas u[0, 0] * a0 + u[0, 1]
-    * a1 and u[1, 0] * a0 + u[1, 1] * a1 on contiguous copies of the halves
-    a0 and a1, so each complex product is formed u-first: numpy rounds it
-    differently with its operands swapped. R and CR take one 2x2 step,
-    _mix: the four products into scratch, then both sums back into the
-    halves, 2 ufunc calls. H ([[h, h], [h, -h]]) has only two distinct
+    size of the working array, and the result is a copy of the working
+    array, made after the scratch is freed. The working array, the scratch
+    and the noise tile start on 64-byte boundaries, where numpy's own
+    allocations start on 16-byte ones and so land 0, 16, 32 or 48 bytes
+    past one, as it happens: with the working array and the scratch both
+    16 bytes past, the per-gate and the block noise op lists of the scd 2
+    QFT (n = 8, k = 40 and 128) took 1.25x and 1.47x as long as with both
+    on one (in-process, 15 rounds, an AVX-512 x86_64 CPU, where a 64-byte
+    vector load off such a boundary spans two cache lines). The copy out is
+    one more pass over the working array, and lets the result own exactly
+    its bytes.
+
+    Every amplitude rounds as in the out-of-place formulas u[0, 0] * a0 +
+    u[0, 1] * a1 and u[1, 0] * a0 + u[1, 1] * a1 on contiguous copies of the
+    halves a0 and a1, so each complex product is formed u-first: numpy
+    rounds it differently with its operands swapped. R and CR take one 2x2
+    step, _mix: the four products into scratch, then both sums back into
+    the halves, 2 ufunc calls. H ([[h, h], [h, -h]]) has only two distinct
     products, h * a0 and h * a1: one product into scratch, then their sum
     and difference into the halves, 3 ufunc calls. H, R and CR ([[c, -s],
     [s, c]]) have real coefficients and run on the float64 view, where
@@ -162,22 +174,30 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     (_compose, frame <- u @ frame) and starts a group, with a copy of its
     coefficients, for the qubits with nothing pending.
 
-    A flush on qubit t reads its frame from the first 2^(t-1) rows of a
-    contiguous (2, 2, 2^(n-1), k) tile, broadcast over the 2^(n-t) blocks
-    of its halves, so each product runs over as many contiguous
-    coefficients as a block has amplitudes instead of looping over a
-    broadcast (k,) row. The tile is allocated once per call and only when
-    a noise layer is present; a diagonal frame fills only tile[0], with its
-    u[0, 0] and u[1, 1]. The tile holds one group's frame, keyed by its
-    (first, last) layers: a flush that needs another frame refills it, and
-    one that reads more rows than are filled fills only the rest, so a lone
-    layer fills each row once. On one qubit a flush is one pass and a
-    tile saves nothing, so the frame's coefficients are used as they are,
-    and a one-column frame as a (2, 2) matrix of 0-d coefficients, as a
-    lone state's layer: numpy rounds a one-element product with a (1,)
-    coefficient in another loop (without FMA) than with a 0-d or a wider
-    one, and a one-trial chunk would round otherwise than the same trial
-    in a wider chunk.
+    A flush reads its frame from a contiguous (2, 2, c, k) tile, the
+    frame's coefficients repeated on c rows: c is the smallest power of two
+    with c k >= _UFUNC_BUFFER, and at most 2^(n-1). On qubit t each half is
+    viewed as 2^(n-t) x (2^(t-1) / c') blocks of c' = min(c, 2^(t-1)) rows
+    and the tile's first c' rows are broadcast over the blocks, so each
+    product runs over c' k contiguous coefficients, a buffer's worth,
+    instead of looping over a broadcast (k,) row; every product is the same
+    u-first product, so c moves no bit. The tile is 4 c k amplitudes,
+    under 32 kB up to k = 256 and the same for every n, where a tile the
+    shape of the two halves was twice the working array. With that tile,
+    run_trials on the benchmark's scd 2 runs (40 trials of per-gate noise,
+    200 of block noise) took 1.17x and 1.19x as long, and with c the least
+    power of two with c k >= 1/2, 2 or 4 buffers 1.04 / 1.01 / 1.04x and
+    1.03 / 1.01 / 1.05x (in-process, 20 interleaved rounds). The tile is
+    allocated once per call and only when a noise layer is present, holds
+    one group's frame, keyed by its (first, last) layers, and is filled
+    whole at the frame's first flush, so a lone layer fills it once; a
+    diagonal frame fills only tile[0], with its u[0, 0] and u[1, 1]. On one
+    qubit a flush is one pass and a tile saves nothing, so the frame's
+    coefficients are used as they are, and a one-column frame as a (2, 2)
+    matrix of 0-d coefficients, as a lone state's layer: numpy rounds a
+    one-element product with a (1,) coefficient in another loop (without
+    FMA) than with a 0-d or a wider one, and a one-trial chunk would round
+    otherwise than the same trial in a wider chunk.
 
     The ops run with numpy's ufunc buffer set to _UFUNC_BUFFER elements,
     and the caller's size (np.setbufsize returns it; numpy keeps the size
@@ -190,45 +210,66 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     moves no bit: every step is elementwise, and no step is a
     floating-point reduction whose blocking could change a sum."""
     shape = arr.shape
-    work = np.array(arr, dtype=complex, order="C").reshape(2**n, -1)
+    work = _aligned_empty(arr.size).reshape(2**n, -1)
+    work[...] = arr.reshape(work.shape)
     del arr
     old = np.setbufsize(_UFUNC_BUFFER)
     try:
         _run(list(ops), work, n)
     finally:
         np.setbufsize(old)
-    return work.reshape(shape)
+    return work.copy().reshape(shape)
+
+
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised complex array of size elements whose data starts on
+    a 64-byte boundary (numpy's own allocations are 16-byte aligned). The
+    address comes from ctypes.addressof, 0.4 us, where raw.ctypes.data
+    takes 1.3-2.4 us, and a _propagate call makes two or three of these."""
+    raw = np.empty(size + 3, dtype=complex)
+    skip = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 16
+    return raw[skip:skip + size]
 
 
 def _run(ops: list, work: np.ndarray, n: int) -> None:
     """Apply ops in order to the 2^n x k working array in place, as
     _propagate describes."""
-    scratch = np.empty(2 * work.size, dtype=complex)
+    scratch = _aligned_empty(2 * work.size)
+    rows, columns = work.shape
     noisy = not all(isinstance(op, Gate) for op in ops)
     # one frame per group of qubits pending since the same layer, packed in
     # frames[:len(groups)]; groups[g] is that group's first layer
-    frames = np.empty((n, 2, 2, work.shape[1]), dtype=complex) if noisy else None
+    frames = np.empty((n, 2, 2, columns), dtype=complex) if noisy else None
     groups: list[int] = []
-    tile = (np.empty((2, 2, work.shape[0] // 2, work.shape[1]), dtype=complex)
-            if noisy and n > 1 else None)
+    tile = None
+    if noisy and n > 1:  # c rows: the least power of two with c k >= the buffer
+        c = min(1 << (-(-_UFUNC_BUFFER // columns) - 1).bit_length(), rows // 2)
+        tile = _aligned_empty(4 * c * columns).reshape(2, 2, c, columns)
     pending: list = [None] * n  # per qubit: the first layer of its frame, None when clear
     layer = None  # index of the latest noise layer
-    filled = None  # (first layer, last layer, diagonal, rows) of the frame in the tile
+    filled = None  # (first layer, last layer, diagonal) of the frame in the tile
     views: dict[tuple, tuple] = {}
 
     def support(qubits: tuple, real: bool) -> tuple:
         """(halves, products, tile): the halves of the working array on
         qubits, the scratch as (2,) + their shape, and for one qubit of a
-        noise run the tile's rows that the halves' blocks read, broadcast
-        over the blocks (else None); on the float64 views if real."""
+        noise run the tile's rows that a block of the halves reads,
+        broadcast over the blocks (else None); on the float64 views if
+        real."""
         key = (qubits, real)
         if key not in views:
-            halves = _halves(work.view(float) if real else work, qubits)
+            coefficients = None
+            if tile is not None and not real and len(qubits) == 1:
+                # each half as 2^(n-t) x (2^(t-1) / c') blocks of c' rows
+                low = 1 << (qubits[0] - 1)
+                c = min(tile.shape[2], low)
+                halves = work.reshape(-1, 2, low // c, c, columns).swapaxes(0, 1)
+                coefficients = tile[:, :, None, None, :c]
+            else:
+                halves = _halves(work.view(float) if real else work, qubits)
             shape = (2,) + halves.shape
             products = (scratch.view(float) if real else scratch)[:2 * halves.size].reshape(shape)
-            noise = tile is not None and not real and len(qubits) == 1
-            views[key] = (halves, products,
-                          tile[:, :, None, :halves.shape[2]] if noise else None)
+            views[key] = (halves, products, coefficients)
         return views[key]
 
     def flush(q: int) -> None:
@@ -246,17 +287,13 @@ def _run(ops: list, work: np.ndarray, n: int) -> None:
                 a0[...], a1[...] = (np.multiply(u[0, 0], a0) + np.multiply(u[0, 1], a1),
                                     np.multiply(u[1, 0], a0) + np.multiply(u[1, 1], a1))
         else:
-            if filled is None or filled[:2] != (first, layer):
+            if filled is None or filled[:2] != (first, layer):  # the frame's first flush
                 # diagonal when frame[0, 1] and frame[1, 0] are zero
-                filled = (first, layer, not frame.reshape(4, -1)[1:3].any(), 0)
-            rows = 1 << (q - 1)  # the tile rows that qubit q reads
-            if filled[3] < rows:  # fill the rows not filled yet
-                new = slice(filled[3], rows)
+                filled = (first, layer, not frame.reshape(4, -1)[1:3].any())
                 if filled[2]:  # a diagonal frame: tile[0] holds (u[0, 0], u[1, 1])
-                    np.copyto(tile[0, :, new], frame[(0, 1), (0, 1)].reshape(2, 1, -1))
+                    np.copyto(tile[0], frame[(0, 1), (0, 1)].reshape(2, 1, -1))
                 else:
-                    np.copyto(tile[:, :, new], frame.reshape(2, 2, 1, -1))
-                filled = filled[:3] + (rows,)
+                    np.copyto(tile, frame.reshape(2, 2, 1, -1))
             halves, products, u = support((q,), False)
             if filled[2]:
                 np.multiply(u[0], halves, out=halves)

@@ -1,12 +1,23 @@
-"""tools/kernel_ab.py times statevector._propagate of two trees in one
-process, after checking that both give bit-identical arrays."""
+"""tools/kernel_ab.py times statevector._propagate of two trees, and of the
+first tree again as a control arm, in one process, after checking that all
+three give bit-identical arrays."""
+import importlib.util
 import pathlib
 import shutil
 import subprocess
 import sys
 
+from dfsqft import noise
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "kernel_ab.py"
+
+
+def _chunk_widths(trials: int, qubits: int) -> list[int]:
+    spec = importlib.util.spec_from_file_location("kernel_ab", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.chunk_widths(trials, qubits, noise.BATCH_AMPLITUDES)
 
 
 def _run(tree_a: pathlib.Path, tree_b: pathlib.Path) -> subprocess.CompletedProcess:
@@ -18,10 +29,17 @@ def test_the_repository_against_itself():
     run = _run(ROOT, ROOT / "src")
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    # wcd 3 and scd 2, two arms, two policies; scd 2 block noise runs 64 and 8 trials a chunk
-    assert len(lines) == 1 + 9 + 1 + 1
-    assert lines[-1] == "1 rounds; outputs bit-identical on all 9 lists"
-    assert any(line.startswith("scd 2 block encoded k=8 ") for line in lines)
+    # wcd 3 and scd 2, two arms, two policies, one list per chunk width; only
+    # block noise's 200 trials on the 8-qubit scd 2 register may take several
+    assert len(_chunk_widths(200, 6)) == 1
+    widths = _chunk_widths(200, 8)
+    labels = [line.split("  ")[0] for line in lines]
+    assert [label for label in labels if label.startswith("scd 2 block encoded")] == [
+        f"scd 2 block encoded k={k}" for k in widths]
+    assert len(lines) == 1 + 7 + len(widths) + 1 + 1
+    assert lines[0].split() == ["op", "list", "A", "ms", "B", "ms", "C", "ms", "B/A", "C/A",
+                                "A", "won", "B", "won"]
+    assert lines[-1] == f"1 rounds; outputs bit-identical on all {7 + len(widths)} lists"
 
 
 def test_trees_that_round_apart_are_refused(tmp_path):

@@ -320,7 +320,7 @@ class TestNoisyRun:
         self._check_prefix_across_chunk_edges(2)
 
     def test_prefix_stable_across_chunk_edges_twelve_qubits(self):
-        # wcd 6: a 12-qubit register, 4 trials a chunk
+        # wcd 6: a 12-qubit register, 8 trials a chunk
         self._check_prefix_across_chunk_edges(6)
 
     def _check_prefix_across_chunk_edges(self, n):

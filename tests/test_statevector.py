@@ -484,12 +484,13 @@ def _random_states(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 class TestNoiseLayerBits:
     """_propagate applies a noise layer with the bits of the reference, on
     every register size and column count the noise runs use (up to the
-    12-qubit wcd 6 and scd 3 runs, whose chunks hold 4 trials); one
+    12-qubit wcd 6 and scd 3 runs, whose chunks hold 8 trials); one
     column rounds as a lone state does."""
 
     @pytest.mark.parametrize("model", list(CollectiveModel), ids=lambda m: m.value)
-    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in (1, 2, 3, 7, 40, 64)]
-                             + [(n, k) for n in range(9, 13) for k in (1, 4)])
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9)
+                                      for k in (1, 2, 3, 7, 40, 64, 72, 128)]
+                             + [(n, k) for n in range(9, 13) for k in (1, 4, 8)])
     def test_stacked_layer(self, n, k, model):
         rng = np.random.default_rng([n, k, len(model.axes)])
         axes = len(model.axes)
@@ -731,12 +732,12 @@ class TestUfuncBuffer:
 
 class TestKernelMemory:
     """At n = 10 _propagate holds its working array and scratch twice that
-    size, plus, only when a noise layer runs, a coefficient tile of twice
-    the size and the (n, 2, 2, k) frames; the result is the working array
-    itself, so it keeps no scratch alive."""
+    size, plus, only when a noise layer runs, the (n, 2, 2, k) frames and a
+    coefficient tile of a few kB, whose size does not grow with n; the
+    result is a copy of the working array, so it keeps no scratch alive."""
 
-    # 4 MB of work, so the few hundred kB of numpy's fixed ufunc buffers
-    # (a P or CN on low qubits) stay inside the 0.25x margins
+    # 4 MB of work, so numpy's small ufunc buffers and the tile stay inside
+    # the 0.25x margins
     N, K = 10, 256
     WORK = 2**N * K * 16  # bytes of the complex working array
     FRAMES = N * 4 * K * 16  # bytes of the frames, 0.04x the working array
@@ -760,7 +761,7 @@ class TestKernelMemory:
 
     def test_a_noise_layer_adds_one_tile(self):
         ops = list(synth_qft(self.N).gates) + self._layers(1)
-        assert self._peak(ops) < 5.25 * self.WORK + self.FRAMES
+        assert self._peak(ops) < 3.25 * self.WORK + self.FRAMES
 
     def test_noise_between_gates_adds_one_tile(self):
         # a layer before every gate: composing a layer onto the frames
@@ -768,7 +769,43 @@ class TestKernelMemory:
         gates = synth_qft(self.N).gates
         layers = self._layers(len(gates) + 1)
         ops = [op for layer, gate in zip(layers, gates) for op in (layer, gate)] + layers[-1:]
-        assert self._peak(ops) < 5.25 * self.WORK + 3 * self.FRAMES
+        assert self._peak(ops) < 3.25 * self.WORK + 3 * self.FRAMES
+
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_the_tile_does_not_grow_with_n(self, monkeypatch, k):
+        # every flush's coefficients are a view of the tile
+        mix, tiles = statevector._mix, set()
+
+        def spy(u, halves, products):
+            if u.dtype == complex:
+                tiles.add(u.base.nbytes)
+            return mix(u, halves, products)
+
+        monkeypatch.setattr(statevector, "_mix", spy)
+        rng = np.random.default_rng(7)
+        for n in (9, 10, 12):
+            layer = _rotations(rng.uniform(0.0, 2.0 * math.pi, (k, 3)), CollectiveModel.SCD)
+            statevector._propagate([layer], _random_states(rng, (2**n, k)), n)
+        assert len(tiles) == 1
+        assert tiles.pop() <= 2 * 2 * 2 * statevector._UFUNC_BUFFER * 16
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_arrays_start_on_64_byte_boundaries(self, monkeypatch, k):
+        # a flush reads the working array's halves from its first row, the
+        # tile from its start and writes the scratch from its start
+        mix, starts = statevector._mix, set()
+
+        def spy(u, halves, products):
+            if u.dtype == complex:
+                starts.update(a.ctypes.data % 64 for a in (u, halves, products))
+            return mix(u, halves, products)
+
+        monkeypatch.setattr(statevector, "_mix", spy)
+        rng = np.random.default_rng(8)
+        for n in (2, 6):
+            layer = _rotations(rng.uniform(0.0, 2.0 * math.pi, (k, 3)), CollectiveModel.SCD)
+            statevector._propagate([layer], _random_states(rng, (2**n, k)), n)
+        assert starts == {0}
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["gates", "noise"])
     def test_result_keeps_only_its_own_bytes(self, noisy):

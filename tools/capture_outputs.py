@@ -50,13 +50,13 @@ import sys
 
 BENCH_SIZES = {"wcd": 3, "scd": 2}
 # Each encoding's largest noise-bench size, a 12-qubit register, runs at few
-# trials (four per chunk of noise.BATCH_AMPLITUDES there).
+# trials (half of one chunk of noise.BATCH_AMPLITUDES, which holds eight there).
 LARGEST_BENCH_TRIALS = 4
 POLICIES = ("elementary", "block", "endpoints")
 GATE_THETAS = (math.pi / 2, math.pi / 4, math.pi / 8)
 NOISES = (["--distribution", "uniform"], ["--distribution", "gaussian", "--sigma", "0.3"])
-# Enough block-noise trials that the largest noise-bench runs take several
-# chunks of noise.BATCH_AMPLITUDES (scd 2: three of 64 trials and one of 8).
+# Enough block-noise trials that the largest noise-bench run takes several
+# chunks of noise.BATCH_AMPLITUDES (scd 2: one of 128 trials and one of 72).
 MULTI_CHUNK_TRIALS = 200
 
 

@@ -4,23 +4,29 @@ Usage:
     python3 tools/kernel_ab.py TREE_A TREE_B [--rounds N]
 
 TREE_A and TREE_B are checkouts (or their src/ directories). Each tree's
-dfsqft package is loaded under its own module name (dfsqft_a, dfsqft_b), so
-both kernels run in one interpreter, on one allocator and one CPU cache.
+dfsqft package is loaded under its own module name (dfsqft_a, dfsqft_b), and
+TREE_A a second time as dfsqft_c, the control arm C, so all three kernels run
+in one interpreter, on one allocator and one CPU cache. C runs the very code
+of A, so C/A shows how far apart two identical kernels read in the same
+rounds: a B/A no further from 1 than C/A is not resolved.
 
 The op lists are the ones noise-bench builds for the benchmark's noise
 runs (bench/workloads.py): wcd 3 and scd 2, both arms (encoded and
 unencoded), noise after every gate at 40 trials and at logical-block
-boundaries at 200 trials, one list per chunk width that noise.BATCH_AMPLITUDES
-of TREE_A gives those trials (40; 200, or 64 and a tail of 8 on the 8-qubit
-scd 2 register). Each list draws its angles once, from a fixed seed, as
-run_trials does, and both trees get the same noise layers and the same input
-batch; each tree's gates come from its own synth_logical_qft.
+boundaries at 200 trials, one list per chunk width that the
+noise.BATCH_AMPLITUDES of either tree gives those trials (at 2^15: 40; 200,
+or 128 and a tail of 72 on the 8-qubit scd 2 register), so a change of the
+chunk size is timed at both trees' chunkings. Each list draws its angles
+once, from a fixed seed, as run_trials does, and every side gets the same
+noise layers and the same input batch; each side's gates come from its own
+synth_logical_qft.
 
-The tool first checks that both trees return bit-identical arrays for every
-list and exits 1 naming the lists that differ. It then runs N rounds; each
-round calls both kernels once per list, alternating which side goes first.
-It prints each side's median time per list and for the round's sum of all
-lists, the ratio B/A of the medians, and how many rounds each side won.
+The tool first checks that B and C return arrays bit-identical to A's for
+every list and exits 1 naming the lists that differ. It then runs N rounds;
+each round calls the three kernels once per list, rotating which side goes
+first. It prints each side's median time per list and for the round's sum
+of all lists, the ratios B/A and C/A of the medians, and how many rounds A
+and B each won.
 """
 from __future__ import annotations
 
@@ -59,7 +65,7 @@ def chunk_widths(trials: int, qubits: int, batch_amplitudes: int) -> list[int]:
 
 
 def cases(packages):
-    """(label, n, input batch, (ops of tree A, ops of tree B)) per op list."""
+    """(label, n, input batch, ops per side) per op list."""
     first = packages[0]
     rng = np.random.default_rng(SEED)
     for encoding, n in NOISE_RUNS:
@@ -75,7 +81,9 @@ def cases(packages):
                 else:
                     positions = [0] + list(first.logical_block_boundaries(
                         n, getattr(first, code_name)))
-                for k in chunk_widths(trials, qubits, first.noise.BATCH_AMPLITUDES):
+                widths = {k for p in packages
+                          for k in chunk_widths(trials, qubits, p.noise.BATCH_AMPLITUDES)}
+                for k in sorted(widths, reverse=True):
                     # as run_trials: angles[event, trial], each layer a strided view
                     angles = rng.uniform(0.0, 2.0 * math.pi,
                                          (k, len(positions), len(model.axes))).swapaxes(0, 1)
@@ -94,24 +102,26 @@ def main(argv: list[str]) -> int:
     parser.add_argument("tree_b", type=pathlib.Path, help="checkout B (or its src/)")
     parser.add_argument("--rounds", type=int, default=30, help="alternated rounds (default 30)")
     args = parser.parse_args(argv)
-    packages = [load(tree.resolve(), name)
-                for tree, name in ((args.tree_a, "dfsqft_a"), (args.tree_b, "dfsqft_b"))]
+    packages = [load(tree.resolve(), name) for tree, name in (
+        (args.tree_a, "dfsqft_a"), (args.tree_b, "dfsqft_b"), (args.tree_a, "dfsqft_c"))]
     kernels = [p.statevector._propagate for p in packages]
     lists = list(cases(packages))
 
     differ = []
     for label, n, batch, ops in lists:
-        a, b = (kernel(side_ops, batch, n) for kernel, side_ops in zip(kernels, ops))
-        if a.shape != b.shape or not np.array_equal(a.view(np.uint64), b.view(np.uint64)):
+        a, *others = (kernel(side_ops, batch, n) for kernel, side_ops in zip(kernels, ops))
+        if any(a.shape != o.shape or not np.array_equal(a.view(np.uint64), o.view(np.uint64))
+               for o in others):
             differ.append(label)
     if differ:
         for label in differ:
             print(f"outputs differ: {label}", file=sys.stderr)
         return 1
 
-    times = np.empty((args.rounds, len(lists), 2))  # seconds per (round, list, side)
+    sides = len(kernels)
+    times = np.empty((args.rounds, len(lists), sides))  # seconds per (round, list, side)
     for r in range(args.rounds):
-        order = (0, 1) if r % 2 == 0 else (1, 0)
+        order = [(r + side) % sides for side in range(sides)]
         for i, (_, n, batch, ops) in enumerate(lists):
             for side in order:
                 started = time.perf_counter()
@@ -119,14 +129,16 @@ def main(argv: list[str]) -> int:
                 times[r, i, side] = time.perf_counter() - started
 
     width = max(len(label) for label, *_ in lists)
-    print(f"{'op list':<{width}}  {'A ms':>8}  {'B ms':>8}  {'B/A':>6}  A won  B won")
+    print(f"{'op list':<{width}}  {'A ms':>8}  {'B ms':>8}  {'C ms':>8}  {'B/A':>6}  "
+          f"{'C/A':>6}  A won  B won")
     rows = [(label, times[:, i]) for i, (label, *_) in enumerate(lists)]
     rows.append(("all lists, per round", times.sum(axis=1)))
     for label, per_round in rows:
-        a, b = (statistics.median(per_round[:, side]) * 1e3 for side in (0, 1))
+        a, b, c = (statistics.median(per_round[:, side]) * 1e3 for side in range(sides))
         a_won = int(np.sum(per_round[:, 0] < per_round[:, 1]))
         b_won = int(np.sum(per_round[:, 1] < per_round[:, 0]))
-        print(f"{label:<{width}}  {a:8.3f}  {b:8.3f}  {b / a:6.3f}  {a_won:5d}  {b_won:5d}")
+        print(f"{label:<{width}}  {a:8.3f}  {b:8.3f}  {c:8.3f}  {b / a:6.3f}  {c / a:6.3f}  "
+              f"{a_won:5d}  {b_won:5d}")
     print(f"{args.rounds} rounds; outputs bit-identical on all {len(lists)} lists")
     return 0
 
