@@ -36,10 +36,10 @@ from .noise import (
     RunReport,
     run_trials,
 )
-from .qft import PLAIN, logical_block_boundaries, synth_logical_qft
+from .qft import PLAIN, synth_logical_qft
 from .scd import MAX_SCD_LOGICAL, SCD
 from .statevector import MAX_QUBITS, apply_circuit
-from .verify import SUITES
+from .verify import SUITES, suite_inputs
 from .wcd import MAX_WCD_LOGICAL, WCD
 
 SCHEMA = "dfsqft/1"
@@ -206,12 +206,13 @@ def cmd_verify(args, config: dict[str, str]) -> int:
 
 def _bench_arms(encoding: str, n: int):
     """(name, circuit, block boundaries, input state, code space) of the
-    encoded and the plain QFT on logical |0...0>, and the noise model."""
-    code, model, _ = _ENCODINGS[encoding]
+    encoded and the plain QFT on logical |0...0>, read from the verify
+    suites' inputs of (encoding, n) and (plain, n), and the noise model."""
+    _, model, _ = _ENCODINGS[encoding]
     arms = [
-        (name, synth_logical_qft(n, arm_code), logical_block_boundaries(n, arm_code),
-         arm_code.state("0" * n), space)
-        for name, arm_code, space in (("encoded", code, code.basis(n)), ("unencoded", PLAIN, None))
+        (name, inputs.qft, inputs.boundaries, inputs.zero, inputs.basis)
+        for name, inputs in (("encoded", suite_inputs(encoding, n)),
+                             ("unencoded", suite_inputs("plain", n)))
     ]
     return arms, model
 

@@ -13,21 +13,37 @@ n is the one cap on 2^n x 2^n arrays, statevector.MAX_DENSE_OPERATOR_QUBITS.
 
 SUITES maps each encoding to (largest n, run); the CLI dispatches through
 it and the acceptance suite reads the same runs.
+
+What an (encoding, n) alone fixes (the code space, the circuits under test,
+the expected logical actions and the DFT target) is built on the first run
+of that (encoding, n) and kept, read-only, for the life of the process
+(suite_inputs); noise-bench reads its arms from the same entries. Every run
+still restricts, lowers and compares all it checks: no kernel output and no
+check value is kept.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .circuits import Circuit, Gate, parse_circuit, print_circuit
+from .circuits import Circuit, _check_size, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _fidelities, _rotations
-from .qft import BlockCode, bit_reversal_permutation, dft_matrix, synth_qft
+from .qft import (
+    PLAIN,
+    BlockCode,
+    bit_reversal_permutation,
+    dft_matrix,
+    logical_block_boundaries,
+    synth_qft,
+)
 from .scd import MAX_SCD_LOGICAL, SCD, _fallback_columns, synth_qft_scd
 from .statevector import (
     MAX_DENSE_OPERATOR_QUBITS,
+    StateVector,
     SubspaceBasis,
     circuit_unitary,
     global_phase_agreement,
@@ -75,19 +91,33 @@ def phase_keys(n: int, thetas) -> Iterator[tuple[int, int, float]]:
                 yield from ((i, j, theta) for theta in thetas)
 
 
-def gate_blocks(n: int, basis: SubspaceBasis, code: BlockCode, thetas) -> dict:
-    """Restrictions (block, leakage) of code's logical gates on n logical
-    qubits to the code space, keyed ("h", k) and ("p", i, j, theta)."""
-    def restricted(gates: tuple[Gate, ...]):
-        return restrict(Circuit(basis.n_qubits, gates), basis)
-
-    blocks = {("h", k): restricted(code.hadamard(k)) for k in range(1, n + 1)}
-    for i, j, theta in phase_keys(n, thetas):
-        blocks[("p", i, j, theta)] = restricted(code.phase(i, j, theta))
-    return blocks
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
 
 
-_EXPECTED = {"h": logical_hadamard, "p": logical_phase}
+def expected_actions(n: int, thetas) -> tuple[tuple[tuple, np.ndarray], ...]:
+    """(key, exact logical action as a read-only matrix) of every checked
+    logical gate on n logical qubits: ("h", k) for k = 1..n, then ("p", i,
+    j, theta) in phase_keys order."""
+    actions = [(("h", k), logical_hadamard(n, k)) for k in range(1, n + 1)]
+    actions += [(("p", i, j, theta), logical_phase(n, i, j, theta))
+                for i, j, theta in phase_keys(n, thetas)]
+    return tuple((key, _read_only(matrix)) for key, matrix in actions)
+
+
+def gate_circuits(n: int, code: BlockCode, expected) -> tuple[Circuit, ...]:
+    """code's logical gate of each key of expected, as one circuit on the
+    register of n logical qubits."""
+    def gates(kind: str, *args):
+        return code.hadamard(*args) if kind == "h" else code.phase(*args)
+
+    return tuple(Circuit(code.size * n, gates(*key)) for key, _ in expected)
+
+
+def gate_blocks(circuits, basis: SubspaceBasis) -> list[tuple[np.ndarray, float]]:
+    """Restrictions (block, leakage) of the circuits to the code space, in order."""
+    return [restrict(circuit, basis) for circuit in circuits]
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -95,15 +125,80 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def contract(n: int, blocks: dict, kind: str) -> tuple[float, float]:
+def contract(expected, blocks, kind: str) -> tuple[float, float]:
     """Worst (deviation from the exact logical action, leakage) over the
-    blocks of one gate kind, "h" or "p"."""
+    blocks of one gate kind, "h" or "p"; blocks[m] is the restriction of
+    the gate whose (key, action) is expected[m]."""
     deviation = leakage = 0.0
-    for (key_kind, *args), (block, leak) in blocks.items():
+    for ((key_kind, *_), action), (block, leak) in zip(expected, blocks):
         if key_kind == kind:
-            deviation = max(deviation, _distance(block, _EXPECTED[kind](n, *args)))
+            deviation = max(deviation, _distance(block, action))
             leakage = max(leakage, leak)
     return deviation, leakage
+
+
+@dataclass(frozen=True, eq=False)
+class SuiteInputs:
+    """What one (encoding, n) alone fixes: the inputs of its verify suite
+    and of its noise-bench arm, every one read-only. The encoded fields are
+    empty on a plain entry, and the target is None on an encoded one (an
+    encoded suite reads the plain entry at its n)."""
+
+    qft: Circuit  # the QFT under test, on the encoding's register
+    boundaries: tuple[int, ...]  # the gate positions ending its logical gates
+    zero: StateVector  # logical |0...0>, noise-bench's input state
+    target: np.ndarray | None = None  # the DFT in the plain QFT's bit-reversed output order
+    basis: SubspaceBasis | None = None  # the code space
+    expected: tuple = ()  # (key, exact logical action) of each checked logical gate
+    gates: tuple[Circuit, ...] = ()  # the circuit of each, in expected's order
+    fallback_basis: SubspaceBasis | None = None  # SCD: the code space after the fallback change
+    fallback_gates: tuple[Circuit, ...] = ()  # SCD: each gate with no decoder, on the block tops
+
+
+def _entry(qft: Circuit, code: BlockCode, n: int, **fields) -> SuiteInputs:
+    return SuiteInputs(qft, tuple(logical_block_boundaries(n, code)), code.state("0" * n),
+                       **fields)
+
+
+def _build(encoding: str, n: int) -> SuiteInputs:
+    """The SuiteInputs of (encoding, n). Every builder is called through
+    this module's attributes, where a test's monkeypatch or the benchmark's
+    tracer replaces it."""
+    if encoding == "plain":
+        return _entry(synth_qft(n), PLAIN, n,
+                      target=_read_only(dft_matrix(n)[bit_reversal_permutation(n)]))
+    if encoding == "wcd":
+        expected = expected_actions(n, _WCD_THETAS)
+        return _entry(synth_qft_wcd(n), WCD, n, basis=WCD.basis(n), expected=expected,
+                      gates=gate_circuits(n, WCD, expected))
+    basis, expected = SCD.basis(n), expected_actions(n, _THETAS)
+    # B^dag T^dag G T B = (TB)^dag G (TB) with the same residual norms (T is
+    # unitary), so the fallback route restricts the bare gate to the basis TB
+    return _entry(synth_qft_scd(n), SCD, n, basis=basis, expected=expected,
+                  gates=gate_circuits(n, SCD, expected),
+                  fallback_basis=SubspaceBasis(4 * n, _fallback_columns(basis.matrix, n)),
+                  fallback_gates=gate_circuits(n, BlockCode(4, SCD.states), expected))
+
+
+# (encoding, n) -> SuiteInputs; empty at import, at most one entry per size
+# that SUITES accepts
+_INPUTS: dict[tuple[str, int], SuiteInputs] = {}
+
+
+def suite_inputs(encoding: str, n: int) -> SuiteInputs:
+    """The inputs of (encoding, n), built on its first use and then kept for
+    the life of the process, for n up to the encoding's SUITES cap.
+
+    The memo is filled lazily: importing the package builds nothing. It
+    holds only read-only values (frozen records, tuples, circuits, bases,
+    states and arrays whose writeable flag is off), so no caller can change
+    what a later run reads. Two threads that ask for the same new entry at
+    once at worst both build it; both get the first one stored."""
+    key = (encoding, _check_size(n, "n", SUITES[encoding][0]))
+    inputs = _INPUTS.get(key)
+    if inputs is None:
+        inputs = _INPUTS.setdefault(key, _build(*key))
+    return inputs
 
 
 def _order_name(n: int) -> str:
@@ -111,19 +206,21 @@ def _order_name(n: int) -> str:
     return "identity" if n == 1 else "bit-reversal"
 
 
-def _dft_deviation(n: int, matrix: np.ndarray) -> float:
-    """1 - |tr(target^dag matrix)| / 2^n against the DFT in bit-reversed output order."""
-    return 1.0 - global_phase_agreement(dft_matrix(n)[bit_reversal_permutation(n)], matrix)
+def _dft_deviation(target: np.ndarray, matrix: np.ndarray) -> float:
+    """1 - |tr(target^dag matrix)| / 2^n against the plain entry's DFT target."""
+    return 1.0 - global_phase_agreement(target, matrix)
 
 
-def qft_restriction_checks(n: int, circuit: Circuit, basis: SubspaceBasis) -> list[dict]:
+def qft_restriction_checks(inputs: SuiteInputs, plain: SuiteInputs) -> list[dict]:
     """The encoded QFT restricted to the code space: the DFT up to a global
-    phase, equal to the plain QFT, and without leakage."""
-    block, leakage = restrict(circuit, basis)
+    phase, equal to the plain QFT (plain is the plain entry at the same n),
+    and without leakage."""
+    block, leakage = restrict(inputs.qft, inputs.basis)
     return [
-        check("encoded_qft_restriction_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, block)),
+        check("encoded_qft_restriction_vs_dft_up_to_phase", 1e-10,
+              _dft_deviation(plain.target, block)),
         check("encoded_qft_restriction_vs_plain_qft", 1e-10,
-              _distance(block, circuit_unitary(synth_qft(n)))),
+              _distance(block, circuit_unitary(plain.qft))),
         check("encoded_qft_leakage", 1e-10, leakage),
     ]
 
@@ -152,11 +249,12 @@ def noise_invariance_check(basis: SubspaceBasis, model: CollectiveModel, seed: i
 
 
 def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
-    circuit = synth_qft(n)
+    inputs = suite_inputs("plain", n)
+    circuit = inputs.qft
     unitary = circuit_unitary(circuit)
     checks = [
         check("qft_unitarity", 1e-10, unitarity_defect(unitary)),
-        check("qft_vs_dft_up_to_phase", 1e-10, _dft_deviation(n, unitary)),
+        check("qft_vs_dft_up_to_phase", 1e-10, _dft_deviation(inputs.target, unitary)),
         check("gate_count", 0.0, abs(len(circuit) - (n + n * (n - 1) // 2))),
         check("roundtrip", 0.0, 0.0 if parse_circuit(print_circuit(circuit)) == circuit else 1.0),
     ]
@@ -164,41 +262,39 @@ def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
 
 
 def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
-    basis = WCD.basis(n)
-    blocks = gate_blocks(n, basis, WCD, _WCD_THETAS)
-    dev_h, leak_h = contract(n, blocks, "h")
+    inputs = suite_inputs("wcd", n)
+    blocks = gate_blocks(inputs.gates, inputs.basis)
+    dev_h, leak_h = contract(inputs.expected, blocks, "h")
     checks = [
         check("logical_hadamard_action", 1e-10, dev_h),
         check("logical_hadamard_leakage", 1e-10, leak_h),
     ]
     if n >= 2:
-        dev_p, leak_p = contract(n, blocks, "p")
+        dev_p, leak_p = contract(inputs.expected, blocks, "p")
         checks += [
             check("logical_phase_action", 1e-10, dev_p),
             check("logical_phase_leakage", 1e-10, leak_p),
         ]
-    checks += qft_restriction_checks(n, synth_qft_wcd(n), basis)
-    checks.append(noise_invariance_check(basis, CollectiveModel.WCD, seed, 1e-12))
+    checks += qft_restriction_checks(inputs, suite_inputs("plain", n))
+    checks.append(noise_invariance_check(inputs.basis, CollectiveModel.WCD, seed, 1e-12))
     return checks, {"output_order": _order_name(n)}
 
 
 def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
-    basis = SCD.basis(n)
+    inputs = suite_inputs("scd", n)
+    basis = inputs.basis
     annihilation = max(
         float(np.max(np.linalg.norm(collective_product(axis, basis.matrix), axis=0)))
         for axis in "xyz"
     )
-    # B^dag T^dag G T B = (TB)^dag G (TB) with the same residual norms (T is
-    # unitary), so the fallback route restricts the bare gate to the basis TB
-    basis_t = SubspaceBasis(4 * n, _fallback_columns(basis.matrix, n))
 
-    def worst(blocks: dict) -> float:
-        return max(*contract(n, blocks, "h"), *contract(n, blocks, "p"))
+    def worst(blocks) -> float:
+        return max(*contract(inputs.expected, blocks, "h"),
+                   *contract(inputs.expected, blocks, "p"))
 
-    # bare gates on the block tops
-    fb_blocks = gate_blocks(n, basis_t, BlockCode(4, SCD.states), _THETAS)
-    seq_blocks = gate_blocks(n, basis, SCD, _THETAS)
-    agreement = max(_distance(seq_blocks[key][0], fb_blocks[key][0]) for key in seq_blocks)
+    fb_blocks = gate_blocks(inputs.fallback_gates, inputs.fallback_basis)
+    seq_blocks = gate_blocks(inputs.gates, basis)
+    agreement = max(_distance(seq[0], fb[0]) for seq, fb in zip(seq_blocks, fb_blocks))
     checks = [
         check("logical_states_orthonormal", 1e-12,
               _distance(basis.matrix.conj().T @ basis.matrix, np.eye(len(basis)))),
@@ -207,7 +303,7 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
         check("logical_gates_sequence", 1e-10, worst(seq_blocks)),
         check("sequence_vs_fallback_restrictions", 1e-10, agreement),
     ]
-    checks += qft_restriction_checks(n, synth_qft_scd(n), basis)
+    checks += qft_restriction_checks(inputs, suite_inputs("plain", n))
     checks.append(noise_invariance_check(basis, CollectiveModel.SCD, seed, 1e-10))
     return checks, {}
 

@@ -7,12 +7,23 @@ import functools
 import math
 
 import numpy as np
+import pytest
 
-from dfsqft import Gate, StateVector
+from dfsqft import Gate, StateVector, verify
 from dfsqft.dfs import NULLSPACE_TOL
 from dfsqft.scd import _BLOCK_STATES
 
 GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/golden"
+
+
+@pytest.fixture
+def cold_suite_inputs():
+    """The verify suites' memo (verify._INPUTS), emptied before the test and
+    again after it: a builder the test replaces is then called on the next
+    run, and what it built is not kept for later tests."""
+    verify._INPUTS.clear()
+    yield verify._INPUTS
+    verify._INPUTS.clear()
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:

@@ -5,7 +5,17 @@ import pathlib
 import numpy as np
 import pytest
 
-from dfsqft import Circuit, parse_circuit, print_circuit, synth_qft, synth_qft_scd, synth_qft_wcd
+from dfsqft import (
+    SCD,
+    WCD,
+    BlockCode,
+    Circuit,
+    parse_circuit,
+    print_circuit,
+    synth_qft,
+    synth_qft_scd,
+    synth_qft_wcd,
+)
 from dfsqft import cli, verify
 from dfsqft.cli import main
 from dfsqft.verify import SUITES
@@ -137,7 +147,7 @@ class TestVerify:
         assert "qft_vs_dft_up_to_phase" in names
         assert report["output_order"] == "identity"
 
-    def test_wrong_plain_qft_is_a_failing_check(self, monkeypatch, capsys):
+    def test_wrong_plain_qft_is_a_failing_check(self, monkeypatch, capsys, cold_suite_inputs):
         # a wrong circuit must fail qft_vs_dft_up_to_phase, not crash the run
         def wrong_qft(n):
             gates = list(synth_qft(n).gates)
@@ -149,6 +159,43 @@ class TestVerify:
         assert run_cli("verify", "plain", "3") == 1
         assert capsys.readouterr().err == (
             "FAIL: qft_vs_dft_up_to_phase deviation 5.000e-01 exceeds 1.0e-10\n")
+
+    def test_wrong_wcd_logical_phase_is_a_failing_check(self, monkeypatch, capsys,
+                                                         cold_suite_inputs):
+        # after a warm-up run has filled the memo, a wrong angle in every WCD
+        # logical phase still reaches the checks once the memo is emptied
+        class ShiftedPhase(BlockCode):
+            def phase(self, i, j, theta):
+                return super().phase(i, j, theta + 1e-3)
+
+        assert run_cli("verify", "wcd", "2") == 0
+        assert ("wcd", 2) in cold_suite_inputs
+        monkeypatch.setattr(verify, "WCD", ShiftedPhase(2, WCD.states, WCD.decoder))
+        cold_suite_inputs.clear()
+        capsys.readouterr()
+        assert run_cli("verify", "wcd", "2") == 1
+        out, err = capsys.readouterr()
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [
+            "logical_phase_action"]
+        assert err == "FAIL: logical_phase_action deviation 1.000e-03 exceeds 1.0e-10\n"
+
+    def test_wrong_scd_decoder_gate_is_a_failing_check(self, monkeypatch, capsys,
+                                                       cold_suite_inputs):
+        # the same for one wrong rotation angle in the SCD decoder: the
+        # sequence route fails, the decoder-free fallback route does not
+        decoder = list(SCD.decoder)
+        m = next(m for m, g in enumerate(decoder) if g.kind == "R")
+        decoder[m] = dataclasses.replace(decoder[m], angle=decoder[m].angle + 0.1)
+        assert run_cli("verify", "scd", "1") == 0
+        assert ("scd", 1) in cold_suite_inputs
+        monkeypatch.setattr(verify, "SCD", BlockCode(4, SCD.states, tuple(decoder)))
+        cold_suite_inputs.clear()
+        capsys.readouterr()
+        assert run_cli("verify", "scd", "1") == 1
+        out, err = capsys.readouterr()
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == [
+            "logical_gates_sequence", "sequence_vs_fallback_restrictions"]
+        assert err.startswith("FAIL: logical_gates_sequence deviation ")
 
     @pytest.mark.parametrize("encoding,extra", [
         ("plain", {"output_order"}), ("wcd", {"output_order"}), ("scd", set()),

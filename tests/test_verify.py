@@ -1,9 +1,16 @@
 """The expected logical actions and the block reduction of dfsqft.verify,
 against Kronecker-product and per-index constructions; the batched noise
-invariance check against a per-state loop; and a guard that the encoded
+invariance check against a per-state loop; a guard that the encoded
 suites never lower a circuit on the physical register to a dense unitary
-and stay within a fixed memory peak."""
+and stay within a fixed memory peak; and the memo of suite inputs, which
+must hold only read-only values and never skip a run's work."""
+import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,10 +25,11 @@ from dfsqft import (
     apply_noise,
     fidelity,
 )
-from dfsqft import noise, verify
+from dfsqft import cli, noise, statevector, verify
 from dfsqft.verify import (
     SUITES,
     contract,
+    expected_actions,
     logical_hadamard,
     logical_phase,
     noise_invariance_check,
@@ -56,13 +64,16 @@ def test_phase_keys_cover_ordered_distinct_pairs():
 def test_contract_takes_worst_deviation_and_leakage_per_kind():
     wrong_h = logical_hadamard(2, 1).copy()
     wrong_h[3, 1] += 1e-3
-    blocks = {
-        ("h", 1): (wrong_h, 0.0),
-        ("h", 2): (logical_hadamard(2, 2), 5e-4),
-        ("p", 1, 2, 0.5): (logical_phase(2, 1, 2, 0.5), 2e-3),
-    }
-    assert contract(2, blocks, "h") == pytest.approx((1e-3, 5e-4))
-    assert contract(2, blocks, "p") == (0.0, 2e-3)
+    expected = expected_actions(2, (0.5,))
+    blocks = [
+        (wrong_h, 0.0),
+        (logical_hadamard(2, 2), 5e-4),
+        (logical_phase(2, 1, 2, 0.5), 2e-3),
+        (logical_phase(2, 2, 1, 0.5), 0.0),
+    ]
+    assert [key for key, _ in expected] == [("h", 1), ("h", 2), ("p", 1, 2, 0.5), ("p", 2, 1, 0.5)]
+    assert contract(expected, blocks, "h") == pytest.approx((1e-3, 5e-4))
+    assert contract(expected, blocks, "p") == (0.0, 2e-3)
 
 
 def per_state_noise_invariance(basis, model, seed):
@@ -153,3 +164,137 @@ def test_wcd_suite_never_lowers_the_physical_register(n, monkeypatch):
     dims, peak = run_recording_dense_unitaries("wcd", n, monkeypatch)
     assert dims and 2 ** (2 * n) not in dims
     assert peak < 64 * 2**20
+
+
+# the benchmark's verify cases
+BENCH_VERIFY_CASES = ([("plain", n) for n in range(1, 6)] + [("wcd", n) for n in range(1, 4)]
+                      + [("scd", n) for n in range(1, 3)])
+
+
+def record_kernel_calls(monkeypatch) -> list:
+    """Patch the one kernel loop wherever it is bound; return the list that
+    collects (n, input shape, op count) of every call."""
+    calls = []
+    real = statevector._propagate
+
+    def recording(ops, arr, n):
+        ops = list(ops)
+        calls.append((n, arr.shape, len(ops)))
+        return real(ops, arr, n)
+
+    monkeypatch.setattr(statevector, "_propagate", recording)
+    monkeypatch.setattr(noise, "_propagate", recording)
+    return calls
+
+
+def run_twice(argv, capsys, monkeypatch) -> list[tuple[list, str]]:
+    """(kernel calls, stdout) of two runs of one command in this process."""
+    calls = record_kernel_calls(monkeypatch)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert cli.main(argv) == 0
+        runs.append((list(calls), capsys.readouterr().out))
+    return runs
+
+
+class TestSuiteInputs:
+    @pytest.mark.parametrize("encoding,n", BENCH_VERIFY_CASES)
+    def test_a_second_run_does_the_work_of_the_first(self, encoding, n, capsys, monkeypatch,
+                                                     cold_suite_inputs):
+        (first_calls, first_out), (second_calls, second_out) = run_twice(
+            ["verify", encoding, str(n), "--seed", "29", "--format", "json"], capsys, monkeypatch)
+        assert (encoding, n) in cold_suite_inputs and ("plain", n) in cold_suite_inputs
+        assert first_calls and second_calls == first_calls
+        timeless = [re.sub(r'"duration_s": [^,]+,', "", out) for out in (first_out, second_out)]
+        assert timeless[0] != first_out and timeless[1] == timeless[0]
+
+    def test_a_second_noise_bench_run_does_the_work_of_the_first(self, capsys, monkeypatch,
+                                                                 cold_suite_inputs):
+        trial_runs = []
+        real = cli.run_trials
+
+        def recording(circuit, input_state, ideal, policy, model, bounds, subspace):
+            trial_runs.append((circuit, input_state.amplitudes.tobytes(),
+                               ideal.amplitudes.tobytes(), policy, model, tuple(bounds),
+                               None if subspace is None else subspace.matrix.tobytes()))
+            return real(circuit, input_state, ideal, policy, model, bounds, subspace=subspace)
+
+        monkeypatch.setattr(cli, "run_trials", recording)
+        argv = ["noise-bench", "--encoding", "scd", "--n", "2", "--policy", "elementary",
+                "--trials", "12", "--seed", "8", "--format", "csv"]
+        (first_calls, first_out), (second_calls, second_out) = run_twice(argv, capsys, monkeypatch)
+        assert len(trial_runs) == 4 and trial_runs[2:] == trial_runs[:2]
+        assert first_calls and second_calls == first_calls
+        assert second_out == first_out and first_out.count("\n") == 2 + 1 + 2 * 12
+
+    def test_entries_hold_only_read_only_values(self, cold_suite_inputs):
+        arrays = []
+
+        def walk(value):
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+                arrays.append(value)
+            elif dataclasses.is_dataclass(value):
+                assert type(value).__dataclass_params__.frozen, type(value)
+                for field in dataclasses.fields(value):
+                    walk(getattr(value, field.name))
+            elif isinstance(value, tuple):
+                for item in value:
+                    walk(item)
+            else:
+                assert value is None or type(value) in (int, float, str), type(value)
+
+        keys = [(encoding, n) for encoding, (max_n, _) in SUITES.items()
+                for n in range(1, max_n + 1)]
+        for encoding, n in keys:
+            inputs = verify.suite_inputs(encoding, n)
+            assert verify.suite_inputs(encoding, n) is inputs
+            walk(inputs)
+        assert list(cold_suite_inputs) == keys
+        assert {type(a) for a in arrays} == {np.ndarray}
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+
+    def test_one_entry_per_size_used(self, cold_suite_inputs):
+        for encoding, n in (("scd", 1), ("wcd", 2), ("scd", 1), ("plain", 3)):
+            SUITES[encoding][1](n, 0)
+        assert set(cold_suite_inputs) == {("scd", 1), ("plain", 1), ("wcd", 2), ("plain", 2),
+                                          ("plain", 3)}
+        # bounded by the suites' caps: a size no suite takes builds nothing
+        for encoding, n in (("plain", 11), ("wcd", 7), ("scd", 4), ("wcd", 0), ("scd", True)):
+            with pytest.raises(ValueError, match="n must be an integer in 1.."):
+                verify.suite_inputs(encoding, n)
+        assert len(cold_suite_inputs) == 5
+
+    def test_concurrent_first_calls_share_one_entry(self, cold_suite_inputs):
+        # four threads on one cold key, switching as often as the
+        # interpreter allows: each may build the entry, all get one object
+        results = []
+        start = threading.Barrier(4)
+
+        def first_call():
+            start.wait(timeout=10)
+            results.append(verify.suite_inputs("wcd", 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 and all(inputs is results[0] for inputs in results)
+        assert list(cold_suite_inputs) == [("wcd", 3)]
+
+    def test_import_builds_nothing(self):
+        code = "import dfsqft; from dfsqft import verify; print(len(verify._INPUTS))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "0\n"
