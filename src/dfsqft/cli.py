@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .circuits import print_circuit
@@ -60,11 +61,69 @@ _ENCODINGS = {
 # noise runs take every encoded size that synth does
 _BENCH_CAPS = {encoding: max_n
                for encoding, (_, model, max_n) in _ENCODINGS.items() if model is not None}
-# the config-file keys each command reads; any other key is refused
+
+
+class _Arg(NamedTuple):
+    """One command-line argument: a positional's name is its dest, an
+    option's name is its flag."""
+    name: str
+    dest: str
+    type: Callable[[str], object]
+    choices: tuple | None
+    help: str | None
+
+
+class _Command(NamedTuple):
+    help: str
+    positionals: tuple[_Arg, ...]
+    options: tuple[_Arg, ...]
+
+
+def _positional(name: str, type=str, choices=None) -> _Arg:
+    return _Arg(name, name, type, choices, None)
+
+
+def _option(flag: str, type=str, choices=None, help=None) -> _Arg:
+    return _Arg(flag, flag[2:].replace("-", "_"), type, choices, help)
+
+
+_FORMATS = ("json", "csv")
+# every command's arguments, in help order; _build_parser and _parse both read
+# this table, and every option defaults to None
+_COMMANDS = {
+    "synth": _Command(
+        "write a circuit in the text format",
+        (_positional("encoding", choices=tuple(_ENCODINGS)), _positional("n", int)),
+        (_option("--out"),),
+    ),
+    "verify": _Command(
+        "run the invariant suite for one encoding/size",
+        (_positional("encoding", choices=tuple(SUITES)), _positional("n", int)),
+        (_option("--out"), _option("--seed", int), _option("--format", choices=_FORMATS),
+         _option("--config")),
+    ),
+    "noise-bench": _Command(
+        "encoded vs unencoded QFT under collective noise",
+        (),
+        (_option("--encoding", choices=tuple(_BENCH_CAPS)), _option("--n", int),
+         _option("--trials", int), _option("--seed", int),
+         _option("--policy", choices=tuple(sorted(_POLICY_NAMES))),
+         _option("--distribution", choices=DISTRIBUTIONS), _option("--sigma", float),
+         _option("--out", help="prefix: writes PREFIX.csv and PREFIX.json"),
+         _option("--format", choices=_FORMATS), _option("--config")),
+    ),
+    "dfs-table": _Command(
+        "sector dimensions and encoding efficiency per n",
+        (_positional("model", choices=tuple(model.value for model in CollectiveModel)),),
+        (_option("--n-max", int), _option("--out"), _option("--config")),
+    ),
+}
+_FLAGS = {command: {arg.name: arg for arg in spec.options} for command, spec in _COMMANDS.items()}
+# the config-file keys each command with --config reads; any other key is refused
 _CONFIG_KEYS = {
-    "verify": ("seed",),
-    "noise-bench": ("distribution", "encoding", "n", "policy", "seed", "sigma", "trials"),
-    "dfs-table": ("n_max",),
+    command: tuple(sorted(arg.dest for arg in spec.options
+                          if arg.dest not in ("out", "format", "config")))
+    for command, spec in _COMMANDS.items() if "--config" in _FLAGS[command]
 }
 
 
@@ -329,42 +388,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"dfsqft {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    synth = sub.add_parser("synth", help="write a circuit in the text format")
-    synth.add_argument("encoding", choices=list(_ENCODINGS))
-    synth.add_argument("n", type=int)
-    synth.add_argument("--out", default=None)
-
-    verify = sub.add_parser("verify", help="run the invariant suite for one encoding/size")
-    verify.add_argument("encoding", choices=list(SUITES))
-    verify.add_argument("n", type=int)
-    verify.add_argument("--out", default=None)
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--format", choices=["json", "csv"], default=None)
-    verify.add_argument("--config", default=None)
-
-    bench = sub.add_parser("noise-bench", help="encoded vs unencoded QFT under collective noise")
-    bench.add_argument("--encoding", choices=list(_BENCH_CAPS), default=None)
-    bench.add_argument("--n", type=int, default=None)
-    bench.add_argument("--trials", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--policy", choices=sorted(_POLICY_NAMES), default=None)
-    bench.add_argument("--distribution", choices=DISTRIBUTIONS, default=None)
-    bench.add_argument("--sigma", type=float, default=None)
-    bench.add_argument("--out", default=None, help="prefix: writes PREFIX.csv and PREFIX.json")
-    bench.add_argument("--format", choices=["json", "csv"], default=None)
-    bench.add_argument("--config", default=None)
-
-    table = sub.add_parser("dfs-table", help="sector dimensions and encoding efficiency per n")
-    table.add_argument("model", choices=[model.value for model in CollectiveModel])
-    table.add_argument("--n-max", dest="n_max", type=int, default=None)
-    table.add_argument("--out", default=None)
-    table.add_argument("--config", default=None)
+    for command, spec in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=spec.help)
+        for arg in spec.positionals:
+            subparser.add_argument(arg.name, type=arg.type, choices=arg.choices, help=arg.help)
+        for arg in spec.options:
+            subparser.add_argument(arg.name, dest=arg.dest, type=arg.type, choices=arg.choices,
+                                   default=None, help=arg.help)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """What argparse returns for canonical argv, read from _COMMANDS: a
+    command, exactly its positionals, and exact flags each followed by one
+    value that does not start with "-", every value converted by its type
+    and checked against its choices, a repeated flag's last value kept.
+    None for any other argv (help, --version, abbreviations, --flag=value,
+    usage errors), which argparse then parses."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    flags = _FLAGS[argv[0]]
+    values = dict.fromkeys(arg.dest for arg in (*spec.positionals, *spec.options))
+    positionals = iter(spec.positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            arg = flags.get(token)
+            token = next(tokens, "-")
+            if arg is None or token.startswith("-"):
+                return None
+        else:
+            arg = next(positionals, None)
+            if arg is None:
+                return None
+        try:
+            value = arg.type(token)
+        except (TypeError, ValueError):
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+    if next(positionals, None) is not None:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
         if args.command == "synth":

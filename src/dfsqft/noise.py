@@ -159,9 +159,11 @@ def _rotations(phis: np.ndarray, model: CollectiveModel) -> np.ndarray:
     if not np.all(np.isfinite(theta)):
         raise OverflowError("noise rotation angle is not finite")
     # math.cos/sin, not numpy's: numpy may use its own SIMD routines, and
-    # seeded output must not depend on which one a build picked
-    c = np.fromiter(map(math.cos, theta.flat), float, theta.size).reshape(theta.shape)
-    s = np.fromiter(map(math.sin, theta.flat), float, theta.size).reshape(theta.shape)
+    # seeded output must not depend on which one a build picked; the angles
+    # are read as Python floats, which math takes without a conversion
+    flat = theta.ravel().tolist()
+    c = np.fromiter(map(math.cos, flat), float, theta.size).reshape(theta.shape)
+    s = np.fromiter(map(math.sin, flat), float, theta.size).reshape(theta.shape)
     still = theta == 0.0
     safe = np.where(still, 1.0, theta)
     sx, sy, sz = s * (fx / safe), s * (fy / safe), s * (fz / safe)

@@ -1,9 +1,14 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsqft import (
     SCD,
@@ -533,3 +538,157 @@ def test_version_flag(capsys):
         run_cli("--version")
     assert excinfo.value.code == 0
     assert "dfsqft" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- the option table
+
+_BENCH_ARGV = [
+    ("verify", "wcd", "3", "--seed", "5", "--format", "json"),
+    ("verify", "plain", "2", "--seed", "7", "--format", "json"),
+    ("noise-bench", "--encoding", "wcd", "--n", "1", "--policy", "elementary", "--trials", "2",
+     "--seed", "3", "--format", "csv"),
+    ("noise-bench", "--encoding", "scd", "--n", "1", "--policy", "block", "--trials", "2",
+     "--seed", "4", "--format", "csv"),
+    ("dfs-table", "wcd", "--n-max", "4"),
+    ("dfs-table", "scd", "--n-max", "4"),
+]
+
+
+def _argparse_result(argv):
+    """argparse's namespace for argv, or None where it exits; its output is
+    discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _values(arg):
+    if arg.choices is not None:
+        return st.sampled_from(arg.choices)
+    if arg.type is int:
+        return st.sampled_from(["0", "1", "3", "10", "+2", " 4", "1_0", "99999999999999999999"])
+    if arg.type is float:
+        return st.sampled_from(["0", "0.05", "1e-3", "inf", "2.5"])
+    return st.sampled_from(["out.txt", "x", ""])
+
+
+_FLAG_NAMES = sorted({arg.name for spec in cli._COMMANDS.values() for arg in spec.options})
+_ODD_TOKENS = st.one_of(
+    st.sampled_from(_FLAG_NAMES),
+    st.sampled_from(sorted({flag[:k] for flag in _FLAG_NAMES for k in range(3, len(flag))})),
+    st.builds("{}={}".format, st.sampled_from(_FLAG_NAMES), st.sampled_from(["1", "wcd", ""])),
+    st.sampled_from(["plain", "wcd", "scd", "json", "csv", "block", "elementary", "endpoints",
+                     "uniform", "gaussian", "2", "0.5", "-1", "-0.5", "--", "-", "-h", "--help",
+                     "--version", "x", "", "=", "-x", "--bogus", "verify"]),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command and its arguments, each group (a positional, or a flag and
+    its value) in any order; some values, flag spellings and extra tokens are
+    odd ones: abbreviations, --flag=value, other commands' flags, junk."""
+    odd = lambda: draw(st.integers(0, 5)) == 3  # noqa: E731
+    command = draw(st.sampled_from(["verif", "", "-h", "--version", "x"] if odd()
+                                   else list(cli._COMMANDS)))
+    spec = cli._COMMANDS.get(command)
+    groups = []
+    if spec is not None:
+        groups = [[draw(_ODD_TOKENS if odd() else _values(arg))] for arg in spec.positionals]
+        for arg in draw(st.lists(st.sampled_from(spec.options), max_size=4)):
+            value = draw(_ODD_TOKENS if odd() else _values(arg))
+            if odd():
+                groups.append([f"{arg.name}={value}"])
+            elif odd():
+                groups.append([arg.name[:draw(st.integers(3, len(arg.name)))], value])
+            else:
+                groups.append([arg.name, value])
+        groups = draw(st.permutations(groups))
+    for _ in range(draw(st.integers(1, 2)) if odd() else 0):
+        groups.insert(draw(st.integers(0, len(groups))), [draw(_ODD_TOKENS)])
+    return [command, *(token for group in groups for token in group)]
+
+
+class TestOptionTable:
+    @given(argvs())
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    def test_fast_parse_equals_argparse(self, argv):
+        fast = cli._parse(argv)
+        expected = _argparse_result(argv)
+        if fast is not None:
+            assert type(fast) is argparse.Namespace
+            assert expected is not None and vars(fast) == vars(expected)
+        if expected is None:
+            assert fast is None
+
+    @pytest.mark.parametrize("argv", _BENCH_ARGV, ids=" ".join)
+    def test_benchmark_argv_needs_no_argparse(self, argv, monkeypatch, capsys):
+        expected = _argparse_result(list(argv))
+
+        def refuse():
+            raise AssertionError("argparse built for canonical argv")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert vars(cli._parse(list(argv))) == vars(expected)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["dfsqft", "dfs-table", "wcd", "--n-max", "2"])
+        assert main() == 0
+        fast = capsys.readouterr().out
+        monkeypatch.setattr("sys.argv", ["dfsqft", "dfs-table", "wcd", "--n-m", "2"])
+        assert main() == 0
+        assert capsys.readouterr().out == fast
+
+    def test_repeated_flag_keeps_the_last_value(self):
+        args = cli._parse(["verify", "wcd", "3", "--seed", "5", "--seed", "6"])
+        assert args.seed == 6
+        assert args == _argparse_result(["verify", "wcd", "3", "--seed", "5", "--seed", "6"])
+
+    @pytest.mark.parametrize(
+        "argv,code,stream",
+        [
+            (("--help",), 0, "out"),
+            (("verify", "--help"), 0, "out"),
+            (("--version",), 0, "out"),
+            (("noise-bench", "--encoding", "wcd", "--n", "1", "--tri", "2", "--format", "csv"),
+             0, "out"),
+            (("verify", "wcd", "3", "--seed=5"), 0, "out"),
+            (("verify", "wcd", "3", "--seed", "-1"), 1, "err"),
+            (("synth", "weird", "1"), 2, "err"),
+            (("synth", "plain", "1", "--config", "x.cfg"), 2, "err"),
+            ((), 2, "err"),
+            (("verify", "wcd"), 2, "err"),
+            (("verify", "wcd", "x"), 2, "err"),
+            (("dfs-table", "wcd", "--n-max"), 2, "err"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
+    )
+    def test_other_argv_reaches_argparse(self, argv, code, stream, monkeypatch, capsys):
+        built = []
+
+        def spy():
+            built.append(True)
+            return parser
+
+        parser = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        assert cli._parse(list(argv)) is None
+        try:
+            assert run_cli(*argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert built
+        captured = capsys.readouterr()
+        assert getattr(captured, stream) and not getattr(captured, {"out": "err", "err": "out"}[stream])
+
+    def test_config_keys_are_the_option_dests(self):
+        assert cli._CONFIG_KEYS == {
+            "verify": ("seed",),
+            "noise-bench": ("distribution", "encoding", "n", "policy", "seed", "sigma", "trials"),
+            "dfs-table": ("n_max",),
+        }

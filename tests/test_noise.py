@@ -161,6 +161,36 @@ class TestApplyNoise:
             apply_noise(StateVector.basis(1, 0), NoiseEvent((1e200, 0.0, 0.0)), SCD)
 
 
+def scalar_rotation(phis, model):
+    """exp(-i phi . sigma) of one angle vector, in scalar math: cos(theta) -
+    i sin(theta) (phi / theta) . sigma, the identity at theta = 0."""
+    angles = dict(zip(model.axes, map(float, phis)))
+    fx, fy, fz = (angles.get(axis, 0.0) for axis in "xyz")
+    theta = math.sqrt(fx * fx + fy * fy + fz * fz)
+    if theta == 0.0:
+        return np.eye(2, dtype=complex)
+    c, s = math.cos(theta), math.sin(theta)
+    sx, sy, sz = s * (fx / theta), s * (fy / theta), s * (fz / theta)
+    return np.array([[complex(c, -sz), complex(-sy, -sx)],
+                     [complex(sy, -sx), complex(c, sz)]])
+
+
+class TestRotations:
+    @pytest.mark.parametrize("model", [SCD, WCD], ids=["scd", "wcd"])
+    def test_stack_matches_scalar_closed_form_bit_for_bit(self, model):
+        # seeded noise output rests on these bits: each stacked rotation is
+        # the closed form of its own angle vector, whatever the stack size
+        rng = np.random.default_rng(11)
+        axes = len(model.axes)
+        phis = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, (40, axes)),
+                               rng.normal(0.0, 0.05, (40, axes)),
+                               np.zeros((1, axes)), np.full((1, axes), -1e-300)])
+        stack = noise._rotations(phis, model)
+        assert stack.shape == (2, 2, len(phis))
+        for j, angles in enumerate(phis):
+            assert stack[:, :, j].tobytes() == scalar_rotation(angles, model).tobytes(), j
+
+
 class TestNoisePolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
