@@ -136,6 +136,8 @@ class Circuit:
         return iter(self.gates)
 
     def __add__(self, other: Circuit) -> Circuit:
+        if not isinstance(other, Circuit):
+            return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise ValueError("cannot concatenate circuits on different register sizes")
         return Circuit(self.n_qubits, self.gates + other.gates)

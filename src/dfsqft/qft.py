@@ -6,16 +6,15 @@ DFT with rows permuted by ``bit_reversal_permutation`` (the identity at
 n = 1), up to a global phase.
 
 Each encoding (plain, WCD, SCD) is one BlockCode record, from which its
-basis states, code space and logical gates are derived; synth_logical_qft
-lays the logical gates of any code out in the QFT order as one circuit.
+basis states, code space and logical gates are derived. encode, the one
+substitution, puts a plain H/P circuit on a code gate by gate, so the QFT on
+any code is encode of the plain QFT.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -54,11 +53,20 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(k, k) % dim) / dim) / math.sqrt(dim)
 
 
+def _plain_qft(n: int) -> Circuit:
+    """The QFT gate order: from qubit n down to qubit 1, H on qubit k, then
+    P(j, k, pi/2^(k-j)) for j = k-1 .. 1."""
+    gates = []
+    for k in range(n, 0, -1):
+        gates.append(h(k))
+        gates += [p(j, k, math.pi / 2 ** (k - j)) for j in range(k - 1, 0, -1)]
+    return Circuit(n, tuple(gates))
+
+
 def synth_qft(n: int) -> Circuit:
     """Swap-free QFT sequence: n Hadamards and n(n-1)/2 controlled phases,
-    the QFT skeleton on the plain code."""
-    _check_size(n, "n", MAX_QUBITS)
-    return synth_logical_qft(n, PLAIN)
+    the plain circuit that synth_logical_qft encodes."""
+    return _plain_qft(_check_size(n, "n", MAX_QUBITS))
 
 
 def bit_reversal_permutation(n: int) -> np.ndarray:
@@ -143,32 +151,37 @@ class BlockCode:
         """Controlled phase between logical qubits i and j: P(size*i, size*j,
         theta) between the decoders of blocks j and i, in that order, and
         their inverses."""
+        (fwd_i, inv_i), (fwd_j, inv_j) = self._decoder_pair(i), self._decoder_pair(j)
         if i == j:
             raise ValueError("logical control and target must differ")
-        (fwd_i, inv_i), (fwd_j, inv_j) = self._decoder_pair(i), self._decoder_pair(j)
         return fwd_j + fwd_i + (p(self.size * i, self.size * j, theta),) + inv_j + inv_i
 
 
 PLAIN = BlockCode(1, np.eye(2))
 
 
-def _logical_gates(n: int, code: BlockCode) -> Iterator[tuple[Gate, ...]]:
-    """The QFT gate order: from qubit n down to qubit 1, H on qubit k, then
-    P(j, k, pi/2^(k-j)) for j = k-1 .. 1, each one logical gate of code."""
-    _check_size(n, "n_logical")
-    for k in range(n, 0, -1):
-        yield code.hadamard(k)
-        for j in range(k - 1, 0, -1):
-            yield code.phase(j, k, math.pi / 2 ** (k - j))
+def encode(circuit: Circuit, code: BlockCode) -> tuple[Circuit, tuple[int, ...]]:
+    """(circuit with H(k) replaced by code.hadamard(k) and P(i, j, theta) by
+    code.phase(i, j, theta), on code.size qubits per qubit, ends): the logical
+    gate of circuit.gates[m] spans gates ends[m-1] (0 at m = 0) .. ends[m]
+    and acts on the blocks of circuit.gates[m].qubits."""
+    gates, ends = [], []
+    for g in circuit.gates:
+        if g.kind == "H":
+            gates += code.hadamard(*g.qubits)
+        elif g.kind == "P":
+            gates += code.phase(*g.qubits, g.angle)
+        else:
+            raise ValueError(f"encode takes H and P gates only, got {g.kind}")
+        ends.append(len(gates))
+    return Circuit(code.size * circuit.n_qubits, tuple(gates)), tuple(ends)
 
 
 def synth_logical_qft(n: int, code: BlockCode) -> Circuit:
-    """QFT skeleton on n blocks of code, with its logical gates substituted
-    for each gate."""
-    gates = tuple(itertools.chain.from_iterable(_logical_gates(n, code)))
-    return Circuit(code.size * n, gates)
+    """The QFT on n blocks of code: encode of the plain QFT on n qubits."""
+    return encode(_plain_qft(_check_size(n, "n_logical")), code)[0]
 
 
 def logical_block_boundaries(n: int, code: BlockCode) -> list[int]:
-    """Cumulative gate positions ending each logical gate of synth_logical_qft."""
-    return list(itertools.accumulate(len(gates) for gates in _logical_gates(n, code)))
+    """The ends of encode(plain QFT, code): where each gate of the QFT ends."""
+    return list(encode(_plain_qft(_check_size(n, "n_logical")), code)[1])

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuits import Circuit, _check_size, parse_circuit, print_circuit
+from .circuits import Circuit, Gate, _check_size, h, p, parse_circuit, print_circuit
 from .dfs import CollectiveModel, collective_product
 from .noise import _batched_rows, _fidelities, _rotations
 from .qft import (
@@ -37,6 +37,7 @@ from .qft import (
     BlockCode,
     bit_reversal_permutation,
     dft_matrix,
+    encode,
     logical_block_boundaries,
     synth_qft,
 )
@@ -96,23 +97,19 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def expected_actions(n: int, thetas) -> tuple[tuple[tuple, np.ndarray], ...]:
-    """(key, exact logical action as a read-only matrix) of every checked
-    logical gate on n logical qubits: ("h", k) for k = 1..n, then ("p", i,
-    j, theta) in phase_keys order."""
-    actions = [(("h", k), logical_hadamard(n, k)) for k in range(1, n + 1)]
-    actions += [(("p", i, j, theta), logical_phase(n, i, j, theta))
+def expected_actions(n: int, thetas) -> tuple[tuple[Gate, np.ndarray], ...]:
+    """(plain gate, its exact logical action as a read-only matrix) of every
+    checked logical gate on n logical qubits: h(k) for k = 1..n, then
+    p(i, j, theta) in phase_keys order."""
+    actions = [(h(k), logical_hadamard(n, k)) for k in range(1, n + 1)]
+    actions += [(p(i, j, theta), logical_phase(n, i, j, theta))
                 for i, j, theta in phase_keys(n, thetas)]
-    return tuple((key, _read_only(matrix)) for key, matrix in actions)
+    return tuple((gate, _read_only(matrix)) for gate, matrix in actions)
 
 
 def gate_circuits(n: int, code: BlockCode, expected) -> tuple[Circuit, ...]:
-    """code's logical gate of each key of expected, as one circuit on the
-    register of n logical qubits."""
-    def gates(kind: str, *args):
-        return code.hadamard(*args) if kind == "h" else code.phase(*args)
-
-    return tuple(Circuit(code.size * n, gates(*key)) for key, _ in expected)
+    """encode of each plain gate of expected, alone on n logical qubits."""
+    return tuple(encode(Circuit(n, (gate,)), code)[0] for gate, _ in expected)
 
 
 def gate_blocks(circuits, basis: SubspaceBasis) -> list[tuple[np.ndarray, float]]:
@@ -127,11 +124,11 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def contract(expected, blocks, kind: str) -> tuple[float, float]:
     """Worst (deviation from the exact logical action, leakage) over the
-    blocks of one gate kind, "h" or "p"; blocks[m] is the restriction of
-    the gate whose (key, action) is expected[m]."""
+    blocks of one gate kind, "H" or "P"; blocks[m] is the restriction of
+    the gate whose (plain gate, action) is expected[m]."""
     deviation = leakage = 0.0
-    for ((key_kind, *_), action), (block, leak) in zip(expected, blocks):
-        if key_kind == kind:
+    for (gate, action), (block, leak) in zip(expected, blocks):
+        if gate.kind == kind:
             deviation = max(deviation, _distance(block, action))
             leakage = max(leakage, leak)
     return deviation, leakage
@@ -149,7 +146,7 @@ class SuiteInputs:
     zero: StateVector  # logical |0...0>, noise-bench's input state
     target: np.ndarray | None = None  # the DFT in the plain QFT's bit-reversed output order
     basis: SubspaceBasis | None = None  # the code space
-    expected: tuple = ()  # (key, exact logical action) of each checked logical gate
+    expected: tuple = ()  # (plain gate, exact logical action) of each checked logical gate
     gates: tuple[Circuit, ...] = ()  # the circuit of each, in expected's order
     fallback_basis: SubspaceBasis | None = None  # SCD: the code space after the fallback change
     fallback_gates: tuple[Circuit, ...] = ()  # SCD: each gate with no decoder, on the block tops
@@ -264,13 +261,13 @@ def _verify_plain(n: int, seed: int) -> tuple[list[dict], dict]:
 def _verify_wcd(n: int, seed: int) -> tuple[list[dict], dict]:
     inputs = suite_inputs("wcd", n)
     blocks = gate_blocks(inputs.gates, inputs.basis)
-    dev_h, leak_h = contract(inputs.expected, blocks, "h")
+    dev_h, leak_h = contract(inputs.expected, blocks, "H")
     checks = [
         check("logical_hadamard_action", 1e-10, dev_h),
         check("logical_hadamard_leakage", 1e-10, leak_h),
     ]
     if n >= 2:
-        dev_p, leak_p = contract(inputs.expected, blocks, "p")
+        dev_p, leak_p = contract(inputs.expected, blocks, "P")
         checks += [
             check("logical_phase_action", 1e-10, dev_p),
             check("logical_phase_leakage", 1e-10, leak_p),
@@ -289,8 +286,8 @@ def _verify_scd(n: int, seed: int) -> tuple[list[dict], dict]:
     )
 
     def worst(blocks) -> float:
-        return max(*contract(inputs.expected, blocks, "h"),
-                   *contract(inputs.expected, blocks, "p"))
+        return max(*contract(inputs.expected, blocks, "H"),
+                   *contract(inputs.expected, blocks, "P"))
 
     fb_blocks = gate_blocks(inputs.fallback_gates, inputs.fallback_basis)
     seq_blocks = gate_blocks(inputs.gates, basis)

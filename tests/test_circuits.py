@@ -102,6 +102,12 @@ class TestCircuit:
         combined = Circuit(2, (h(1),)) + Circuit(2, (h(2),))
         assert combined.gates == (h(1), h(2))
 
+    @pytest.mark.parametrize("other", [5, (h(2),), None], ids=["int", "gate-tuple", "none"])
+    def test_concat_refuses_a_non_circuit(self, other):
+        # a TypeError from Python's operator protocol, not an AttributeError
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            Circuit(2, (h(1),)) + other
+
 
 class TestParse:
     def test_spec_transcription(self):

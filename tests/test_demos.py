@@ -1,6 +1,7 @@
-"""Every shipped demo runs to completion."""
+"""Every shipped demo, and the README's library tour, runs to completion."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,10 +15,22 @@ def test_demos_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_exits_0(demo):
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_0(demo):
+    result = run_python(str(demo))
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour_exits_0():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```$", readme, re.M | re.S)
+    assert tour is not None, "README has no Library tour python block"
+    result = run_python("-c", tour.group(1))
     assert result.returncode == 0, result.stderr

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsqft import (
     Circuit,
+    Gate,
     bit_reversal_permutation,
     circuit_unitary,
     cn,
@@ -15,6 +18,7 @@ from dfsqft import (
     invert,
     logical_block_boundaries,
     p,
+    r,
     scd_hadamard,
     scd_transform_matrix,
     synth_logical_qft,
@@ -25,9 +29,9 @@ from dfsqft import (
     wcd_hadamard,
     wcd_phase,
 )
-from dfsqft.qft import PLAIN, BlockCode, resolve_output_order
-from dfsqft.scd import SCD
-from dfsqft.wcd import WCD
+from dfsqft.qft import PLAIN, BlockCode, encode, resolve_output_order
+from dfsqft.scd import MAX_SCD_LOGICAL, SCD
+from dfsqft.wcd import MAX_WCD_LOGICAL, WCD
 
 
 class TestSynthQft:
@@ -177,7 +181,7 @@ def test_non_integer_size_rejected(call, message):
 class TestLogicalSynthesis:
     def test_trivial_factory_reproduces_plain(self):
         # the plain code's logical gates are the physical H and P gates
-        for n in range(1, 7):
+        for n in range(1, 15):
             assert synth_logical_qft(n, PLAIN) == synth_qft(n)
 
     def test_wcd_factory_structure(self):
@@ -238,6 +242,11 @@ class TestLogicalSynthesis:
                 wcd_hadamard(k, 2)
         with pytest.raises(ValueError, match="logical index 3 out of range 1..2"):
             wcd_phase(1, 3, 0.1, 2)
+        # each index is checked before the two are compared: True == 1 and 1.0 == 1
+        for i, j, bad in ((True, 1, True), (1, 1.0, 1.0)):
+            with pytest.raises(ValueError,
+                               match=f"^logical index must be a positive integer, got {bad}$"):
+                WCD.phase(i, j, 0.1)
         with pytest.raises(ValueError, match="logical control and target must differ"):
             WCD.phase(2, 2, 0.1)
         with pytest.raises(ValueError, match="logical control and target must differ"):
@@ -259,8 +268,77 @@ class TestLogicalSynthesis:
 
     def test_block_boundaries(self):
         assert logical_block_boundaries(3, PLAIN) == [1, 2, 3, 4, 5, 6]
+        # the plain boundaries drive noise-bench's unencoded block arm: one per gate
+        for n in range(1, 15):
+            assert logical_block_boundaries(n, PLAIN) == list(range(1, n * (n + 1) // 2 + 1))
         assert logical_block_boundaries(2, WCD) == [3, 8, 11]
         assert logical_block_boundaries(2, SCD) == [29, 86, 115]
 
     def test_logical_unitaries_stay_unitary(self):
         assert unitarity_defect(circuit_unitary(synth_logical_qft(2, WCD))) < 1e-10
+
+
+# each code with the largest n its QFT synthesizes at
+_CODES = [(PLAIN, 14), (WCD, MAX_WCD_LOGICAL), (SCD, MAX_SCD_LOGICAL)]
+
+
+def _logical_gate(code: BlockCode, gate: Gate) -> tuple[Gate, ...]:
+    return code.hadamard(*gate.qubits) if gate.kind == "H" else code.phase(*gate.qubits, gate.angle)
+
+
+class TestEncode:
+    @pytest.mark.parametrize("code,cap", _CODES, ids=["plain", "wcd", "scd"])
+    def test_qft_spans(self, code, cap):
+        for n in range(1, cap + 1):
+            plain = synth_qft(n)
+            circuit, ends = encode(plain, code)
+            assert circuit == synth_logical_qft(n, code)
+            assert len(ends) == len(plain) and ends[-1] == len(circuit)
+            assert all(a < b for a, b in zip((0, *ends), ends))
+            for m, (start, end) in enumerate(zip((0, *ends), ends)):
+                gate = plain.gates[m]
+                span = circuit.gates[start:end]
+                assert {(q - 1) // code.size + 1 for g in span for q in g.qubits} <= set(gate.qubits)
+                assert span == _logical_gate(code, gate)
+                assert encode(Circuit(n, (gate,)), code) == (
+                    Circuit(code.size * n, _logical_gate(code, gate)), (end - start,))
+
+    @pytest.mark.parametrize("gate", [cn(1, 2), r(1, 0.3), cr(2, 1, 0.3)], ids=["CN", "R", "CR"])
+    def test_refuses_other_kinds(self, gate):
+        with pytest.raises(ValueError, match=f"^encode takes H and P gates only, got {gate.kind}$"):
+            encode(Circuit(2, (h(1), gate)), WCD)
+
+    def test_empty_circuit(self):
+        for code in (PLAIN, WCD, SCD):
+            assert encode(Circuit(3), code) == (Circuit(3 * code.size), ())
+
+    def test_goes_through_the_code_gates(self):
+        # a subclass's override is what encode substitutes
+        class ShiftedPhase(BlockCode):
+            def phase(self, i, j, theta):
+                return super().phase(i, j, theta + 1.0)
+
+        code = ShiftedPhase(2, WCD.states, WCD.decoder)
+        assert encode(Circuit(2, (p(1, 2, 0.5),)), code)[0] == Circuit(4, WCD.phase(1, 2, 1.5))
+
+
+@st.composite
+def plain_pair(draw):
+    """Two circuits of H and P gates on one register of 1-4 qubits."""
+    n = draw(st.integers(1, 4))
+    gate = st.builds(h, st.integers(1, n))
+    if n >= 2:
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        angle = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+        gate = st.one_of(gate, st.builds(lambda q, a: p(*q, a), pair, angle))
+    a, b = (Circuit(n, tuple(draw(st.lists(gate, max_size=6)))) for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(plain_pair())
+def test_encode_distributes_over_concatenation(pair):
+    a, b = pair
+    for code in (PLAIN, WCD, SCD):
+        (ea, ends_a), (eb, ends_b) = encode(a, code), encode(b, code)
+        assert encode(a + b, code) == (ea + eb, ends_a + tuple(e + len(ea) for e in ends_b))

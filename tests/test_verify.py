@@ -24,6 +24,8 @@ from dfsqft import (
     StateVector,
     apply_noise,
     fidelity,
+    h,
+    p,
 )
 from dfsqft import cli, noise, statevector, verify
 from dfsqft.verify import (
@@ -71,9 +73,9 @@ def test_contract_takes_worst_deviation_and_leakage_per_kind():
         (logical_phase(2, 1, 2, 0.5), 2e-3),
         (logical_phase(2, 2, 1, 0.5), 0.0),
     ]
-    assert [key for key, _ in expected] == [("h", 1), ("h", 2), ("p", 1, 2, 0.5), ("p", 2, 1, 0.5)]
-    assert contract(expected, blocks, "h") == pytest.approx((1e-3, 5e-4))
-    assert contract(expected, blocks, "p") == (0.0, 2e-3)
+    assert [gate for gate, _ in expected] == [h(1), h(2), p(1, 2, 0.5), p(2, 1, 0.5)]
+    assert contract(expected, blocks, "H") == pytest.approx((1e-3, 5e-4))
+    assert contract(expected, blocks, "P") == (0.0, 2e-3)
 
 
 def per_state_noise_invariance(basis, model, seed):
