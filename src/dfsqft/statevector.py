@@ -115,12 +115,12 @@ def _mix(u: np.ndarray, halves: np.ndarray, products: np.ndarray) -> None:
 
 
 def _compose(u: np.ndarray, frames: np.ndarray) -> None:
-    """frames[g] <- u @ frames[g] in place, for a (2, 2, k) layer u and
-    (m, 2, 2, k) frames: all eight products u[i, l] * frames[g, l, j], u
-    first, in one multiply, then the sum over l. The multiply has at least
-    eight elements, so numpy rounds every product in its one vector loop,
-    whatever k or the strides of u (a one-element multiply takes another
-    loop and rounds differently)."""
+    """frames[q] <- u @ frames[q] in place, for a (2, 2, k) layer u and the
+    (n, 2, 2, k) frames, one per qubit: all eight products u[i, l] *
+    frames[q, l, j], u first, in one multiply, then the sum over l. The
+    multiply has at least eight elements, so numpy rounds every product in
+    its one vector loop, whatever k or the strides of u (a one-element
+    multiply takes another loop and rounds differently)."""
     products = np.multiply(u[None, :, :, None], frames[:, None])
     np.add(products[:, :, 0], products[:, :, 1], out=frames)
 
@@ -160,19 +160,22 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     A noise layer touches no amplitude. It is the same rotation on every
     qubit, and rotations on different qubits commute, so each qubit keeps a
     pending 2x2 frame per column, the product of the layers since its last
-    flush, newest on the left. A flush applies a qubit's frame to its halves
-    in one _mix, or, for a diagonal frame (dephasing layers only), as one
-    in-place product with (u[0, 0], u[1, 1]), which skips the zero
-    off-diagonal products and so can change at most the sign of a zero.
-    The flush rule: just before a gate, the gate's pending qubits in
-    ascending order; after the last op, every pending qubit, qubit 1 first.
-    A lone layer is thus n one-qubit steps, qubit 1 first, and under
-    per-gate noise a layer costs one step per qubit that the next gate
-    touches. Qubits pending since the same layer share one frame, so the
-    (n, 2, 2, k) frames array holds one frame per such group, packed at
-    its front: a layer is composed onto every group's frame at once
-    (_compose, frame <- u @ frame) and starts a group, with a copy of its
-    coefficients, for the qubits with nothing pending.
+    flush, newest on the left: frames[q - 1] of an (n, 2, 2, k) array, the
+    identity while nothing is pending. A layer is composed onto all n
+    frames at once (_compose, frame <- u @ frame); u @ I is u to the bit,
+    up to the sign of a zero entry. A flush applies a qubit's frame to its
+    halves in one _mix and resets the frame to the identity. The flush
+    rule: just before a gate, the gate's pending qubits in ascending order;
+    after the last op, every pending qubit, qubit 1 first. A lone layer is
+    thus n one-qubit steps, qubit 1 first, and under per-gate noise a layer
+    costs one step per qubit that the next gate touches. Whether the frames
+    are diagonal is decided once per call: they are when no layer of the
+    call has a nonzero off-diagonal coefficient (dephasing layers only, the
+    WCD model), and then a flush is one in-place product with (u[0, 0],
+    u[1, 1]), which skips the zero off-diagonal products and so can change
+    at most the sign of a zero. The package builds every op list from one
+    model; a diagonal frame in a call that also holds full layers goes
+    through _mix, whose zero off-diagonal products add only zeros.
 
     A flush reads its frame from a contiguous (2, 2, c, k) tile, the
     frame's coefficients repeated on c rows: c is the smallest power of two
@@ -188,16 +191,15 @@ def _propagate(ops, arr: np.ndarray, n: int) -> np.ndarray:
     200 of block noise) took 1.17x and 1.19x as long, and with c the least
     power of two with c k >= 1/2, 2 or 4 buffers 1.04 / 1.01 / 1.04x and
     1.03 / 1.01 / 1.05x (in-process, 20 interleaved rounds). The tile is
-    allocated once per call and only when a noise layer is present, holds
-    one group's frame, keyed by its (first, last) layers, and is filled
-    whole at the frame's first flush, so a lone layer fills it once; a
-    diagonal frame fills only tile[0], with its u[0, 0] and u[1, 1]. On one
-    qubit a flush is one pass and a tile saves nothing, so the frame's
-    coefficients are used as they are, and a one-column frame as a (2, 2)
-    matrix of 0-d coefficients, as a lone state's layer: numpy rounds a
-    one-element product with a (1,) coefficient in another loop (without
-    FMA) than with a 0-d or a wider one, and a one-trial chunk would round
-    otherwise than the same trial in a wider chunk.
+    allocated once per call and only when a noise layer is present, and
+    every flush fills it from the flushed qubit's frame; a diagonal frame
+    fills only tile[0], with its u[0, 0] and u[1, 1]. On one qubit a flush
+    is one pass and a tile saves nothing, so the frame's coefficients are
+    used as they are, and a one-column frame as a (2, 2) matrix of 0-d
+    coefficients, as a lone state's layer: numpy rounds a one-element
+    product with a (1,) coefficient in another loop (without FMA) than
+    with a 0-d or a wider one, and a one-trial chunk would round otherwise
+    than the same trial in a wider chunk.
 
     The ops run with numpy's ufunc buffer set to _UFUNC_BUFFER elements,
     and the caller's size (np.setbufsize returns it; numpy keeps the size
@@ -236,18 +238,18 @@ def _run(ops: list, work: np.ndarray, n: int) -> None:
     _propagate describes."""
     scratch = _aligned_empty(2 * work.size)
     rows, columns = work.shape
-    noisy = not all(isinstance(op, Gate) for op in ops)
-    # one frame per group of qubits pending since the same layer, packed in
-    # frames[:len(groups)]; groups[g] is that group's first layer
-    frames = np.empty((n, 2, 2, columns), dtype=complex) if noisy else None
-    groups: list[int] = []
-    tile = None
-    if noisy and n > 1:  # c rows: the least power of two with c k >= the buffer
-        c = min(1 << (-(-_UFUNC_BUFFER // columns) - 1).bit_length(), rows // 2)
-        tile = _aligned_empty(4 * c * columns).reshape(2, 2, c, columns)
-    pending: list = [None] * n  # per qubit: the first layer of its frame, None when clear
-    layer = None  # index of the latest noise layer
-    filled = None  # (first layer, last layer, diagonal) of the frame in the tile
+    layers = [op for op in ops if not isinstance(op, Gate)]
+    # diagonal frames when no layer of the call has an off-diagonal (WCD)
+    diagonal = not any(op.reshape(4, -1)[1:3].any() for op in layers)
+    identity = np.eye(2, dtype=complex).reshape(2, 2, 1)
+    frames = tile = None
+    if layers:  # qubit q's frame is frames[q - 1], the identity while q is clear
+        frames = np.empty((n, 2, 2, columns), dtype=complex)
+        frames[...] = identity
+        if n > 1:  # c rows: the least power of two with c k >= the buffer
+            c = min(1 << (-(-_UFUNC_BUFFER // columns) - 1).bit_length(), rows // 2)
+            tile = _aligned_empty(4 * c * columns).reshape(2, 2, c, columns)
+    pending = [False] * n  # per qubit: whether its frame holds a layer not yet applied
     views: dict[tuple, tuple] = {}
 
     def support(qubits: tuple, real: bool) -> tuple:
@@ -273,52 +275,35 @@ def _run(ops: list, work: np.ndarray, n: int) -> None:
         return views[key]
 
     def flush(q: int) -> None:
-        """Apply qubit q's pending frame to its halves and clear it."""
-        nonlocal filled
-        first, pending[q - 1] = pending[q - 1], None
-        g = groups.index(first)
-        frame = frames[g]
+        """Apply qubit q's pending frame to its halves and reset it to the identity."""
+        frame = frames[q - 1]
         if tile is None:  # one qubit, (1, 1, k) halves; one column takes 0-d coefficients
-            u = frame if frame.shape[-1] > 1 else frame.reshape(2, 2)
+            u = frame if columns > 1 else frame.reshape(2, 2)
             a0, a1 = support((1,), False)[0]
-            if not (u[0, 1].any() or u[1, 0].any()):
+            if diagonal:
                 a0[...], a1[...] = np.multiply(u[0, 0], a0), np.multiply(u[1, 1], a1)
             else:
                 a0[...], a1[...] = (np.multiply(u[0, 0], a0) + np.multiply(u[0, 1], a1),
                                     np.multiply(u[1, 0], a0) + np.multiply(u[1, 1], a1))
         else:
-            if filled is None or filled[:2] != (first, layer):  # the frame's first flush
-                # diagonal when frame[0, 1] and frame[1, 0] are zero
-                filled = (first, layer, not frame.reshape(4, -1)[1:3].any())
-                if filled[2]:  # a diagonal frame: tile[0] holds (u[0, 0], u[1, 1])
-                    np.copyto(tile[0], frame[(0, 1), (0, 1)].reshape(2, 1, -1))
-                else:
-                    np.copyto(tile, frame.reshape(2, 2, 1, -1))
             halves, products, u = support((q,), False)
-            if filled[2]:
+            if diagonal:  # tile[0] holds (u[0, 0], u[1, 1])
+                np.copyto(tile[0], frame.reshape(4, 1, -1)[::3])
                 np.multiply(u[0], halves, out=halves)
             else:
+                np.copyto(tile, frame.reshape(2, 2, 1, -1))
                 _mix(u, halves, products)
-        if first not in pending:  # the group is flushed: the last group takes its place
-            frames[g], groups[g] = frames[len(groups) - 1], groups[-1]
-            groups.pop()
+        frame[...] = identity
+        pending[q - 1] = False
 
-    for index, op in enumerate(ops):
-        if not isinstance(op, Gate):  # a noise layer: compose it onto every pending frame
-            u = op.reshape(2, 2, -1)
-            if groups:
-                _compose(u, frames[:len(groups)])
-            fresh = [q for q in range(n) if pending[q] is None]
-            if fresh:  # the clear qubits start a group with this layer's coefficients
-                np.copyto(frames[len(groups)], u)
-                groups.append(index)
-                for q in fresh:
-                    pending[q] = index
-            layer = index
+    for op in ops:
+        if not isinstance(op, Gate):  # a noise layer: compose it onto every frame
+            _compose(op.reshape(2, 2, -1), frames)
+            pending[:] = [True] * n
             continue
-        if groups:  # the gate's pending frames first
+        if layers:  # the gate's pending frames first
             for q in sorted(op.qubits):
-                if pending[q - 1] is not None:
+                if pending[q - 1]:
                     flush(q)
         if op.kind == "H":  # the two distinct products, then their sum and difference
             halves, products, _ = support(op.qubits, True)
@@ -342,7 +327,7 @@ def _run(ops: list, work: np.ndarray, n: int) -> None:
             else:  # numpy rounds a lone product written in place in another loop
                 a11[...] = np.multiply(a11, phase)
     for q in range(1, n + 1):  # what is still pending, qubit 1 first
-        if pending[q - 1] is not None:
+        if pending[q - 1]:
             flush(q)
 
 

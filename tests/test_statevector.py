@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsqft import (
     PLAIN,
@@ -516,6 +518,32 @@ class TestNoiseLayerBits:
             expected = _layer_reference(layer, vector, n)
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("model", list(CollectiveModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_a_layer_composed_onto_identity_frames_is_the_layer(self, k, model):
+        """A clear qubit's frame is the identity, and u @ I is u: equal to
+        the layer, and bit for bit on every nonzero real and imaginary part
+        (only the sign of a zero may differ), for uniform, gaussian and zero
+        angle vectors."""
+        rng = np.random.default_rng([k, len(model.axes), 7])
+        axes = len(model.axes)
+        uniform = rng.uniform(0.0, 2.0 * math.pi, (3, k, axes))
+        gaussian = rng.normal(0.0, 0.3, (3, k, axes))
+        uniform[:, ::2] = 0.0  # zero angle vectors among nonzero ones
+        for angles in (uniform, gaussian, np.zeros((3, k, axes))):
+            # the middle event of three, as run_trials hands it over: a strided view
+            layer = _rotations(angles, model).transpose(2, 0, 1, 3)[1]
+            frames = np.empty((4, 2, 2, k), dtype=complex)
+            frames[...] = np.eye(2).reshape(2, 2, 1)
+            statevector._compose(layer, frames)
+            parts = np.ascontiguousarray(layer).view(float)
+            nonzero = parts != 0.0
+            for frame in frames:
+                assert np.array_equal(frame, layer)
+                np.testing.assert_array_equal(frame.view(float).view(np.uint64)[nonzero],
+                                              parts.view(np.uint64)[nonzero])
+
+
 class TestPhaseGateBits:
     """A P gate multiplies the (1, 1) quarter in place with the bits of the
     product formed into contiguous scratch and copied back."""
@@ -543,6 +571,12 @@ def _every_gate(n: int, rng: np.random.Generator) -> list:
             if i != j:
                 gates += [cr(i, j, rng.uniform(0.0, 2.0 * math.pi)), cn(i, j)]
     return gates
+
+
+def _gate_pool(n: int, rng: np.random.Generator) -> list:
+    """Every gate of _every_gate and P on every ordered pair."""
+    return _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
+                                  for j in range(1, n + 1) if i != j]
 
 
 class TestGateBits:
@@ -588,8 +622,7 @@ class TestGateBits:
         """A whole list reuses each support's views: it matches the gates
         folded one at a time."""
         rng = np.random.default_rng([n, k or 0, 1])
-        gates = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
-                                       for j in range(1, n + 1) if i != j]
+        gates = _gate_pool(n, rng)
         gates = [gates[i] for i in rng.permutation(len(gates))] * 2
         arr = _random_states(rng, (2**n,) if k is None else (2**n, k))
         expected = arr
@@ -599,20 +632,56 @@ class TestGateBits:
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+def _layer(model: CollectiveModel, k: int | None, rng: np.random.Generator) -> np.ndarray:
+    """One noise layer of uniform angles: (2, 2) for k None, else (2, 2, k)."""
+    columns = () if k is None else (k,)
+    return _rotations(rng.uniform(0.0, 2.0 * math.pi, columns + (len(model.axes),)), model)
+
+
 def _noisy_ops(n: int, k: int | None, rng: np.random.Generator, gates: int = 32) -> list:
     """An op list as run_trials builds it under per-gate noise: full SCD and
     diagonal WCD layers in turn between a sample of gates of every kind
     (every gate and support up to n = 3), a layer first and last."""
-    pool = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
-                                  for j in range(1, n + 1) if i != j]
+    pool = _gate_pool(n, rng)
     sample = [pool[i] for i in rng.permutation(len(pool))[:gates]]
-    columns = () if k is None else (k,)
+    models = (CollectiveModel.SCD, CollectiveModel.WCD)
+    return ([op for g, gate in enumerate(sample) for op in (_layer(models[g % 2], k, rng), gate)]
+            + [_layer(models[len(sample) % 2], k, rng)])
 
-    def layer(g: int) -> np.ndarray:
-        model = (CollectiveModel.SCD, CollectiveModel.WCD)[g % 2]
-        return _rotations(rng.uniform(0.0, 2.0 * math.pi, columns + (len(model.axes),)), model)
 
-    return [op for g, gate in enumerate(sample) for op in (layer(g), gate)] + [layer(len(sample))]
+@st.composite
+def _block_op_lists(draw) -> tuple:
+    """(n, k, ops): runs of 0-3 noise layers of one model at random positions
+    between stretches of up to 10 gates, so that qubits wait on one layer
+    across several gates and a layer lands on a mix of pending and clear
+    qubits. n is 2-8 and k None, 1, 4 or 40: on one qubit each column's
+    half is one amplitude, whose product with a (1,) coefficient numpy
+    rounds in another loop, so _frames_reference, a column at a time, does
+    not model it (TestNoiseLayerBits and the batch test cover one qubit)."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.sampled_from([None, 1, 4, 40]))
+    model = draw(st.sampled_from(list(CollectiveModel)))
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10)), min_size=1, max_size=5))
+    last = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = _gate_pool(n, rng)
+    ops = []
+    for layers, gates in runs + [(last, 0)]:
+        ops += [_layer(model, k, rng) for _ in range(layers)]
+        ops += [pool[i] for i in rng.integers(0, len(pool), gates)]
+    return n, k, ops
+
+
+def _flushed_qubits(ops: list, n: int) -> int:
+    """How many one-qubit noise steps the flush rule takes on ops."""
+    pending, steps = set(), 0
+    for op in ops:
+        if isinstance(op, Gate):
+            steps += len(pending & set(op.qubits))
+            pending -= set(op.qubits)
+        else:
+            pending = set(range(1, n + 1))
+    return steps + len(pending)
 
 
 class TestLayoutAcrossOps:
@@ -679,6 +748,45 @@ class TestLayoutAcrossOps:
         assert bound == 212
         assert 0 < len(steps) <= bound
 
+    @given(_block_op_lists())
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_layers_between_gate_stretches(self, case):
+        """Op lists shaped as under block noise, and denser ones, match the
+        frame reference bit for bit."""
+        n, k, ops = case
+        arr = _random_states(np.random.default_rng([n, len(ops)]),
+                             (2**n,) if k is None else (2**n, k))
+        got = statevector._propagate(ops, arr, n)
+        expected = _frames_reference(ops, arr, n)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [None, 4], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_model_decides_the_flush_kind(self, monkeypatch, n, k):
+        """A call whose layers are all WCD (diagonal) flushes with no complex
+        _mix; one whose layers are all SCD makes one complex _mix per flushed
+        qubit. Output bits alone cannot tell the two flushes apart on
+        nonzero amplitudes."""
+        mix, complex_mixes = statevector._mix, []
+
+        def spy(u, halves, products):
+            if halves.dtype == complex:  # a noise flush; R and CR mix float64 views
+                complex_mixes.append(halves.shape)
+            return mix(u, halves, products)
+
+        monkeypatch.setattr(statevector, "_mix", spy)
+        rng = np.random.default_rng([n, k or 0, 10])
+        pool = _gate_pool(n, rng)
+        for model in (CollectiveModel.WCD, CollectiveModel.SCD):
+            ops = [_layer(model, k, rng)]
+            for g in rng.integers(0, len(pool), 24):
+                ops += [pool[g]] + [_layer(model, k, rng)] * int(rng.integers(0, 2))
+            flushed = _flushed_qubits(ops, n)
+            assert flushed > n
+            complex_mixes.clear()
+            statevector._propagate(ops, _random_states(rng, (2**n,) if k is None else (2**n, k)), n)
+            assert len(complex_mixes) == (flushed if model is CollectiveModel.SCD else 0), model
+
 
 class TestUfuncBuffer:
     """_propagate runs with numpy's ufunc buffer at _UFUNC_BUFFER elements
@@ -718,9 +826,7 @@ class TestUfuncBuffer:
             columns = (2**n,) if k is None else (2**n, k)
             cases.append((_noisy_ops(n, k, rng), _random_states(rng, columns)))
             if n <= 8:
-                gates = _every_gate(n, rng) + [p(i, j, 0.3 * i + j) for i in range(1, n + 1)
-                                               for j in range(1, n + 1) if i != j]
-                cases.append((gates, _random_states(rng, columns)))
+                cases.append((_gate_pool(n, rng), _random_states(rng, columns)))
         runs = []
         for size in (16, statevector._UFUNC_BUFFER, 8192):
             monkeypatch.setattr(statevector, "_UFUNC_BUFFER", size)

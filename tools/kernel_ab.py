@@ -22,11 +22,16 @@ noise layers and the same input batch; each side's gates come from its own
 synth_logical_qft.
 
 The tool first checks that B and C return arrays bit-identical to A's for
-every list and exits 1 naming the lists that differ. It then runs N rounds;
-each round calls the three kernels once per list, rotating which side goes
-first. It prints each side's median time per list and for the round's sum
-of all lists, the ratios B/A and C/A of the medians, and how many rounds A
-and B each won.
+every list and exits 1 naming the lists that differ. It then fixes each
+list's burst: the number of back-to-back calls that spans at least
+BURST_SECONDS at A's first timed call. It runs N rounds; each round runs,
+per list, one burst of each of the three kernels, rotating which side goes
+first, and books the burst's time per call. A burst keeps the side's own
+arrays in cache and its allocator warm, where a single call of a list of a
+few tenths of a millisecond read the state that the other trees' calls
+left behind. It prints each side's median time per call for each list and
+for the round's sum of all lists, the ratios B/A and C/A of the medians,
+and how many rounds A and B each won.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ import numpy as np
 NOISE_RUNS = (("wcd", 3), ("scd", 2))
 POLICY_TRIALS = (("elementary", 40), ("block", 200))  # as bench/workloads.py runs them
 SEED = 11
+BURST_SECONDS = 2e-3  # the least time that one side's burst of one list spans
 
 
 def load(tree: pathlib.Path, name: str):
@@ -118,15 +124,22 @@ def main(argv: list[str]) -> int:
             print(f"outputs differ: {label}", file=sys.stderr)
         return 1
 
+    bursts = []  # calls per burst, per list, from A's first timed call
+    for _, n, batch, ops in lists:
+        started = time.perf_counter()
+        kernels[0](ops[0], batch, n)
+        bursts.append(max(1, math.ceil(BURST_SECONDS / (time.perf_counter() - started))))
     sides = len(kernels)
-    times = np.empty((args.rounds, len(lists), sides))  # seconds per (round, list, side)
+    times = np.empty((args.rounds, len(lists), sides))  # seconds per call (round, list, side)
     for r in range(args.rounds):
         order = [(r + side) % sides for side in range(sides)]
-        for i, (_, n, batch, ops) in enumerate(lists):
+        for i, ((_, n, batch, ops), calls) in enumerate(zip(lists, bursts)):
             for side in order:
+                kernel, side_ops = kernels[side], ops[side]
                 started = time.perf_counter()
-                kernels[side](ops[side], batch, n)
-                times[r, i, side] = time.perf_counter() - started
+                for _ in range(calls):
+                    kernel(side_ops, batch, n)
+                times[r, i, side] = (time.perf_counter() - started) / calls
 
     width = max(len(label) for label, *_ in lists)
     print(f"{'op list':<{width}}  {'A ms':>8}  {'B ms':>8}  {'C ms':>8}  {'B/A':>6}  "
